@@ -21,7 +21,7 @@ from repro import (
 from repro.analysis import render_table
 from repro.framework.system import RunConfig
 from repro.hardware.catalog import default_catalog
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 
 
 def run_one(model, trace, profiles, config) -> list:
@@ -47,7 +47,7 @@ def main() -> None:
     ))
     rows.append(["node failures", "densenet121"] + run_one(
         densenet, trace, profiles,
-        RunConfig(failure_schedule=FailureSchedule(120.0, 60.0, 60.0)),
+        RunConfig(chaos=ChaosSpec(faults=(PeriodicOutage(120.0, 60.0, 60.0),))),
     ))
     rows.append(["SeBS co-location", "densenet121"] + run_one(
         densenet, trace, profiles, RunConfig(sebs_colocation=True)

@@ -27,7 +27,7 @@ Sub-packages
     batching, the policy itself.
 ``repro.simulator``
     The discrete-event heterogeneous cluster substrate (GPU MPS physics,
-    containers, cost, power, failures).
+    containers, cost, power, chaos fault injection).
 ``repro.hardware`` / ``repro.workloads``
     Table II's node catalog, the 16 model specs, trace generators.
 ``repro.baselines``

@@ -354,17 +354,18 @@ def render_trace_report(
     if any(scaling.values()):
         parts.append(render_kv(scaling, title="autoscaler activity"))
 
-    failures = data.events_named("failure.inject")
-    if failures:
+    faults = data.events_named("chaos.inject")
+    if faults:
         parts.append(
             render_table(
-                ["t", "downtime_s"],
+                ["t", "kind", "downtime_s"],
                 [
                     [round(float(e.get("t", 0.0)), 2),
-                     e.get("attrs", {}).get("downtime_seconds")]
-                    for e in failures
+                     e.get("attrs", {}).get("kind"),
+                     e.get("attrs", {}).get("downtime_seconds", "-")]
+                    for e in faults
                 ],
-                title=f"injected failures ({len(failures)})",
+                title=f"injected failures ({len(faults)})",
             )
         )
     return "\n\n".join(parts)

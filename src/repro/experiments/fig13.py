@@ -21,7 +21,7 @@ from repro.experiments.runner import run_matrix
 from repro.experiments.schemes import SCHEMES
 from repro.experiments.trace_factories import azure_factory, poisson_factory
 from repro.framework.system import RunConfig
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 
 __all__ = ["run", "EXHAUSTION_MODEL", "FAILURE_MODEL"]
 
@@ -59,8 +59,14 @@ def run(
         )
     # --- (b) node failures ----------------------------------------------
     config = RunConfig(
-        failure_schedule=FailureSchedule(
-            period_seconds=120.0, downtime_seconds=60.0, first_failure_at=60.0
+        chaos=ChaosSpec(
+            faults=(
+                PeriodicOutage(
+                    period_seconds=120.0,
+                    downtime_seconds=60.0,
+                    first_failure_at=60.0,
+                ),
+            )
         )
     )
     matrix = run_matrix(

@@ -14,11 +14,11 @@ workload + trace + policy into the simulated cluster:
   and executes background hardware reconfigurations (Algorithm 1's
   ``reconfigure_HW``: the new node is procured and pre-warmed while the old
   one keeps serving, then traffic is rerouted and the old lease released);
-* optional **failure injection** and **SeBS co-location** reproduce the
-  sensitivity studies;
-* an optional **chaos engine** (:mod:`repro.simulator.chaos`) generalises
-  the Fig 13b injector into composable stochastic fault specs, and an
-  optional **resilience layer** (:mod:`repro.core.resilience`) adds
+* an optional **chaos engine** (:mod:`repro.simulator.chaos`) injects
+  faults — the Fig 13b periodic outage as well as composable stochastic
+  fault specs — and optional **SeBS co-location** reproduces the
+  co-location study;
+* an optional **resilience layer** (:mod:`repro.core.resilience`) adds
   deadline-aware retries, per-target circuit breakers, and graceful
   degradation on top of the legacy requeue-on-failover path.
 
@@ -47,7 +47,6 @@ from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec
 from repro.simulator.cluster import Cluster, NodeInstance
 from repro.simulator.containers import AcquireTicket
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.power import cluster_energy_joules, node_energy_joules
@@ -83,14 +82,10 @@ class RunConfig:
         finish.
     warm_start:
         Start with the policy's initial node leased and containers warm.
-    failure_schedule:
-        Optional node-outage pattern (Fig 13b).
     chaos:
-        Optional generalised fault specification (stochastic crashes,
-        slowdowns, cold-start failures, OOM kills, MPS faults).  Mutually
-        exclusive with ``failure_schedule``; express the legacy pattern
-        as ``ChaosSpec.from_failure_schedule(schedule)`` — it replays
-        bit-identically.
+        Optional fault specification: the Fig 13b periodic node outage
+        (``PeriodicOutage``), stochastic crashes, slowdowns, cold-start
+        failures, OOM kills, MPS faults.
     resilience:
         Optional recovery policy (deadline-aware retry, per-target
         circuit breakers, graceful degradation).  ``None`` keeps the
@@ -154,7 +149,6 @@ class RunConfig:
     keep_alive_seconds: float = 600.0
     drain_grace_seconds: float = 30.0
     warm_start: bool = True
-    failure_schedule: Optional[FailureSchedule] = None
     chaos: Optional[ChaosSpec] = None
     resilience: Optional[ResilienceConfig] = None
     sebs_colocation: bool = False
@@ -170,13 +164,6 @@ class RunConfig:
     reqtrace_sample: float = 1.0
     reqtrace_tail_k: int = 64
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.failure_schedule is not None and self.chaos is not None:
-            raise ValueError(
-                "failure_schedule and chaos are mutually exclusive; express "
-                "the legacy schedule as ChaosSpec.from_failure_schedule()"
-            )
 
 
 @dataclass
@@ -335,7 +322,6 @@ class ServerlessRun:
         #: share of the bill).
         self._owned_node_ids: set[int] = set()
         self._sebs: Optional[SebsColocator] = None
-        self._failure_injector: Optional[FailureInjector] = None
         cfg = self.config
         self.resilience: Optional[ResilienceController] = (
             ResilienceController(
@@ -404,7 +390,7 @@ class ServerlessRun:
             with prof.phase("run"):
                 with prof.phase("setup"):
                     self._setup()
-                if prof.engine_sites and self.sim._profiler is None:
+                if self.sim._profiler is None:
                     # Callback sites become frames inside the tree; a
                     # pre-attached dispatch profiler keeps the engine.
                     self.sim.set_profiler(prof)
@@ -485,16 +471,6 @@ class ServerlessRun:
         )
 
         # Optional sensitivity-study machinery.
-        if cfg.failure_schedule is not None:
-            self._failure_injector = FailureInjector(
-                self.sim,
-                cfg.failure_schedule,
-                on_fail=self._on_node_failure,
-                on_recover=self._on_node_recovery,
-                horizon=self.trace.duration,
-                tracer=self.tracer,
-            )
-            self._failure_injector.start()
         if self._chaos is not None:
             self._chaos.start()
         if cfg.sebs_colocation:

@@ -4,7 +4,6 @@ from repro.simulator.cluster import Cluster, LeaseRecord, NodeInstance
 from repro.simulator.containers import AcquireTicket, ContainerPool
 from repro.simulator.cpu import CPUDevice
 from repro.simulator.engine import Event, SimulationError, Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.simulator.job import Job
@@ -13,8 +12,8 @@ from repro.simulator.power import PowerReport, cluster_energy_joules, node_energ
 
 __all__ = [
     "AcquireTicket", "BatchRecord", "CPUDevice", "Cluster", "ContainerPool",
-    "DEFAULT_INTERFERENCE", "Event", "FailureInjector", "FailureSchedule",
-    "GPUDevice", "InterferenceModel", "Job", "LeaseRecord", "MetricsCollector",
-    "NodeInstance", "PowerReport", "SimulationError", "Simulator",
-    "cluster_energy_joules", "node_energy_joules",
+    "DEFAULT_INTERFERENCE", "Event", "GPUDevice", "InterferenceModel", "Job",
+    "LeaseRecord", "MetricsCollector", "NodeInstance", "PowerReport",
+    "SimulationError", "Simulator", "cluster_energy_joules",
+    "node_energy_joules",
 ]

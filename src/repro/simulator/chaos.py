@@ -1,17 +1,14 @@
 """Chaos engine: composable, seeded, replayable fault injection.
 
 The paper's fault study (Fig 13b) models exactly one pattern — the in-use
-node down 60 s out of every 120 s — which :class:`~repro.simulator.
-failures.FailureInjector` reproduces.  Real heterogeneous fleets see much
+node down 60 s out of every 120 s.  Real heterogeneous fleets see much
 more: stochastic crashes, transient stragglers, cold-start failures,
 container OOM kills mid-batch, and partial faults that take out only the
-MPS (spatial-sharing) path.  This module generalises the injector into a
-:class:`ChaosEngine` driving a composable set of *fault specs*:
+MPS (spatial-sharing) path.  This module is the repository's one fault
+path: a :class:`ChaosEngine` driving a composable set of *fault specs*:
 
-* :class:`PeriodicOutage` — the legacy deterministic pattern; a
-  :class:`~repro.simulator.failures.FailureSchedule` expressed as a spec
-  (see :meth:`ChaosSpec.from_failure_schedule`) replays the Fig 13b
-  study exactly.
+* :class:`PeriodicOutage` — the deterministic Fig 13b pattern
+  (``PeriodicOutage(120.0, 60.0, 60.0)`` is the paper's study).
 * :class:`StochasticCrashes` — node crashes with exponential
   inter-arrival times and a fixed outage duration.
 * :class:`Slowdowns` — transient stragglers: newly submitted work on the
@@ -42,15 +39,12 @@ import dataclasses
 import json
 import zlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.simulator.engine import Simulator
 from repro.telemetry.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulator.failures import FailureSchedule
 
 __all__ = [
     "ChaosEngine",
@@ -71,7 +65,18 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PeriodicOutage:
-    """The legacy deterministic outage cadence (Fig 13b)."""
+    """The deterministic outage cadence of the Fig 13b study.
+
+    Attributes
+    ----------
+    period_seconds:
+        Interval between outage onsets (the paper: every other minute,
+        so 120 s between onsets of the 60 s outages).
+    downtime_seconds:
+        How long each outage lasts (60 s in the paper).
+    first_failure_at:
+        Offset of the first outage.
+    """
 
     period_seconds: float = 120.0
     downtime_seconds: float = 60.0
@@ -210,27 +215,6 @@ class ChaosSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "faults", tuple(self.faults))
 
-    # -------------------------------------------------- legacy bridge --
-    @classmethod
-    def from_failure_schedule(
-        cls, schedule: "FailureSchedule", seed: int = 0
-    ) -> "ChaosSpec":
-        """Express the legacy periodic :class:`FailureSchedule` as a spec.
-
-        A run driven by this spec is bit-identical to one driven by the
-        legacy :class:`~repro.simulator.failures.FailureInjector`.
-        """
-        return cls(
-            faults=(
-                PeriodicOutage(
-                    period_seconds=schedule.period_seconds,
-                    downtime_seconds=schedule.downtime_seconds,
-                    first_failure_at=schedule.first_failure_at,
-                ),
-            ),
-            seed=seed,
-        )
-
     # ------------------------------------------------------ JSON forms --
     def to_dict(self) -> dict:
         return {
@@ -306,8 +290,8 @@ class ChaosEngine:
         Framework callbacks (see :class:`ChaosHooks`).
     horizon:
         No fault *onset* fires at or past this time (end of trace);
-        recoveries of already-active faults may still land after it,
-        matching the legacy injector's semantics.  Keyword-only.
+        recoveries of already-active faults may still land after it.
+        Keyword-only.
     tracer:
         Decision-audit sink; faults emit paired ``chaos.inject`` /
         ``chaos.recover`` events carrying the fault ``kind``.
@@ -386,7 +370,7 @@ class ChaosEngine:
                 raise TypeError(f"unknown fault spec {fault!r}")
 
     # ------------------------------------------------------------------
-    # Node outages (periodic: mirrors FailureInjector event-for-event)
+    # Node outages
     # ------------------------------------------------------------------
     def _arm_periodic(self, fault: PeriodicOutage) -> None:
         self.sim.schedule_at(

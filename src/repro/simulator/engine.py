@@ -24,9 +24,10 @@ Design notes
 * Cancellation is handled with a tombstone rather than heap surgery:
   :meth:`Event.cancel` nulls the callback slot (O(1)); tombstoned entries
   are skipped when popped.
-* :meth:`Simulator.run` samples the profiler once at entry and selects a
-  profiled or unprofiled loop body, so the common (unprofiled) hot loop
-  pays no per-event profiler check at all.  See
+* :meth:`Simulator.run` samples the profiler once at entry and selects
+  one of two loop bodies — unprofiled, or bracketing each dispatch with
+  the profiler's ``push_site`` / ``pop`` — so the common (unprofiled) hot
+  loop pays no per-event profiler check at all.  See
   ``docs/PERFORMANCE.md`` for measurements; the seed dataclass engine is
   preserved in :mod:`repro.simulator._reference` as the golden-trace and
   benchmark baseline.
@@ -37,7 +38,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from time import perf_counter
 from typing import Callable, Optional, Protocol
 
 __all__ = [
@@ -56,17 +56,19 @@ _INF = math.inf
 
 class DispatchProfiler(Protocol):
     """What the engine needs from a profiler (see
-    :class:`repro.telemetry.profiling.EngineProfiler`).  The engine only
+    :class:`repro.telemetry.selfprof.RunProfiler`).  The engine only
     duck-types this so the hot loop stays import-free of the telemetry
     package.
 
-    A profiler may additionally expose ``push_site(fn)`` / ``pop()``
-    (see :class:`repro.telemetry.selfprof.RunProfiler`): the engine then
-    brackets each dispatch hierarchically — entered *before* the
-    callback runs, so phases recorded inside it nest under the site
-    frame — instead of the flat post-hoc ``record`` accounting."""
+    Each dispatch is bracketed by ``push_site(fn)`` before the callback
+    runs and ``pop()`` after it, so phases the profiler records inside
+    the callback nest under the site frame.  The profiler does its own
+    timing."""
 
-    def record(self, fn: Callable[[], None], seconds: float) -> None:
+    def push_site(self, fn: Callable[[], None]) -> None:
+        ...  # pragma: no cover - protocol stub
+
+    def pop(self) -> None:
         ...  # pragma: no cover - protocol stub
 
 
@@ -162,8 +164,8 @@ class Simulator:
         Initial clock value in seconds (default 0.0).
     profiler:
         Optional :class:`DispatchProfiler` (keyword-only).  When attached,
-        every dispatched callback is timed with ``perf_counter`` and
-        credited to its callback site; when absent the hot loop pays no
+        every dispatched callback is bracketed by its ``push_site`` /
+        ``pop``; when absent the hot loop pays no
         per-event check — :meth:`run` selects the unprofiled loop body
         once at entry.
 
@@ -326,15 +328,9 @@ class Simulator:
             if prof is None:
                 fn()
             else:
-                push_site = getattr(prof, "push_site", None)
-                if push_site is not None:
-                    push_site(fn)
-                    fn()
-                    prof.pop()
-                else:
-                    t0 = perf_counter()
-                    fn()
-                    prof.record(fn, perf_counter() - t0)
+                prof.push_site(fn)
+                fn()
+                prof.pop()
             return True
         return False
 
@@ -372,10 +368,11 @@ class Simulator:
                     self._now = entry[0]
                     n += 1
                     fn()
-            elif (push_site := getattr(prof, "push_site", None)) is not None:
-                # Hierarchical profiler: the site frame is entered before
-                # the callback so phases recorded inside it nest under
-                # it; the profiler does its own timing on push/pop.
+            else:
+                # The site frame is entered before the callback so phases
+                # recorded inside it nest under it; the profiler does its
+                # own timing on push/pop.
+                push_site = prof.push_site
                 prof_pop = prof.pop
                 while heap and not self._stopped:
                     entry = heap[0]
@@ -391,21 +388,6 @@ class Simulator:
                     push_site(fn)
                     fn()
                     prof_pop()
-            else:
-                while heap and not self._stopped:
-                    entry = heap[0]
-                    fn = entry[3]
-                    if fn is None:
-                        pop(heap)
-                        continue
-                    if entry[0] > limit:
-                        break
-                    pop(heap)
-                    self._now = entry[0]
-                    n += 1
-                    t0 = perf_counter()
-                    fn()
-                    prof.record(fn, perf_counter() - t0)
             if until is not None and self._now < until:
                 self._now = float(until)
             for hook in self._run_end_hooks:

@@ -8,8 +8,8 @@ request's latency actually went.  This package records the path taken:
 * :class:`~repro.telemetry.tracer.Tracer` — per-request **spans** (arrival
   → batching → dispatch → cold start → execution → completion) and
   per-component **decision events** (hardware-selection ticks with their
-  full candidate tables, y-split choices, autoscaler actions, failure
-  injections, node leases).
+  full candidate tables, y-split choices, autoscaler actions, chaos
+  fault injections, node leases).
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — sim-time counters,
   gauges, and histograms sampled on a configurable interval.
 * :mod:`~repro.telemetry.exporters` — JSONL and Chrome ``trace_event``
@@ -30,11 +30,10 @@ request's latency actually went.  This package records the path taken:
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
   forensics in :mod:`repro.analysis.request_forensics`.
-* :class:`~repro.telemetry.profiling.EngineProfiler` — per-callback-site
-  wall-clock profiling of the discrete-event hot loop.
 * :class:`~repro.telemetry.selfprof.RunProfiler` — hierarchical
   wall-clock attribution of the reproduction itself (phase tree with
-  flamegraph/speedscope export, see ``docs/PERFORMANCE.md``).
+  per-callback-site engine frames and flamegraph/speedscope export, see
+  ``docs/PERFORMANCE.md``).
 
 Everything is **zero-overhead when disabled**: the shared
 :data:`NULL_TRACER` singleton short-circuits on a single attribute check,
@@ -62,7 +61,6 @@ from repro.telemetry.costmeter import (
     LeaseCost,
     ModelSpecCost,
 )
-from repro.telemetry.profiling import EngineProfiler
 from repro.telemetry.reqtrace import (
     PHASES,
     REQTRACE_SCHEMA,
@@ -103,7 +101,6 @@ __all__ = [
     "CostBudgetMonitor",
     "CostMeter",
     "Counter",
-    "EngineProfiler",
     "Gauge",
     "Histogram",
     "LeaseCost",

@@ -1,18 +1,15 @@
 """Self-profiling: hierarchical wall-clock attribution of the reproduction.
 
-:class:`~repro.telemetry.profiling.EngineProfiler` answers "which engine
-callback *site* is hot"; it is blind to everything above the dispatch —
-hardware selection, Equation-(1) batch planning, interference math,
-autoscaler ticks, the telemetry layer's own cost.  :class:`RunProfiler`
-answers the full question: a **phase tree** over one
+:class:`RunProfiler` answers "where does the reproduction's own
+wall-clock go" with a **phase tree** over one
 :class:`~repro.framework.system.ServerlessRun` (arrivals →
 ``choose_best_HW`` → batch formation → GPU interference math →
 completions → autoscaler ticks → sampler/tracer overhead) with per-frame
 counts, inclusive/exclusive wall seconds, and opt-in ``tracemalloc``
 allocation deltas.  Engine callback sites become ``cb:<module>.<qualname>``
-frames *inside* the tree (the engine duck-types :meth:`RunProfiler.
-push_site` and nests every phase entered during the callback under it),
-so the two instruments merge into one unified report.
+frames *inside* the tree (the engine brackets each dispatch with
+:meth:`RunProfiler.push_site` / :meth:`RunProfiler.pop`, so every phase
+entered during the callback nests under its site frame).
 
 Cost model — the :class:`~repro.telemetry.timeseries.StateSampler`
 contract:
@@ -157,11 +154,6 @@ class RunProfiler:
         :meth:`finish` stops it again in that case).  Considerably slows
         the run; wall times remain self-consistent but are not
         comparable to an untracked profile.
-    engine_sites:
-        Attach to the simulator's dispatch hook so every engine callback
-        becomes a ``cb:<module>.<qualname>`` frame (the default).  With
-        ``False`` only explicit :meth:`phase`/:meth:`push` frames are
-        recorded and engine time stays aggregated under ``engine``.
     meta:
         Free-form scenario metadata carried through :meth:`as_dict`.
 
@@ -179,10 +171,8 @@ class RunProfiler:
         self,
         *,
         track_alloc: bool = False,
-        engine_sites: bool = True,
         meta: Optional[dict[str, Any]] = None,
     ) -> None:
-        self.engine_sites = bool(engine_sites)
         self.meta: dict[str, Any] = dict(meta) if meta else {}
         self._root = _Frame("<run>")
         self._stack: list[_Frame] = [self._root]
@@ -253,11 +243,10 @@ class RunProfiler:
     def push_site(self, fn: Callable[[], None]) -> None:
         """Enter a frame for one engine callback dispatch.
 
-        This is the hook the :class:`~repro.simulator.engine.Simulator`
-        duck-types: it pushes *before* invoking the callback (and the
-        engine calls :meth:`pop` after), so phases entered during the
-        callback nest under the site frame — unlike
-        :meth:`EngineProfiler.record`'s post-hoc flat accounting.
+        This is the :class:`~repro.simulator.engine.DispatchProfiler`
+        hook: the engine pushes *before* invoking the callback (and
+        calls :meth:`pop` after), so phases entered during the callback
+        nest under the site frame.
         """
         qual = getattr(fn, "__qualname__", None)
         if qual is None:
@@ -268,14 +257,6 @@ class RunProfiler:
                 mod = mod[6:]
             name = f"cb:{mod}.{qual}" if mod else f"cb:{qual}"
         self.push(name)
-
-    def record(self, fn: Callable[[], None], seconds: float) -> None:
-        """:class:`~repro.simulator.engine.DispatchProfiler` fallback —
-        flat post-hoc crediting, used only by engines that predate the
-        hierarchical hook."""
-        qual = getattr(fn, "__qualname__", None)
-        name = f"cb:{qual}" if qual is not None else f"cb:{fn!r}"
-        self.leaf(name, seconds)
 
     def finish(self) -> None:
         """Stop ``tracemalloc`` if this profiler started it."""

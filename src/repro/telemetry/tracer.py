@@ -25,7 +25,7 @@ MetricsCollector` aggregates), plus three child phase spans:
 * ``execute`` — ``[started_at, completed_at]``: time on the device.
 
 Decision events are point-in-time records (``hardware_selection.tick``,
-``job_distribution.split``, ``autoscaler.*``, ``failure.*``, ``node.*``,
+``job_distribution.split``, ``autoscaler.*``, ``chaos.*``, ``node.*``,
 ``reconfig.*``) whose attributes are plain JSON-serialisable values so
 the audit log survives export/import round trips.
 """

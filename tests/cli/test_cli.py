@@ -110,7 +110,7 @@ class TestTelemetryFlags:
         )
         assert args.trace_out == "x.jsonl"
         assert args.chrome_trace is None
-        assert args.profile_engine is False
+        assert args.self_profile is False
 
     def test_verbose_flag_on_subcommand(self):
         assert build_parser().parse_args(["list", "-v"]).verbose is True
@@ -149,14 +149,17 @@ class TestTelemetryFlags:
         assert main(["trace-report", str(bad)]) == 1
         assert "not a valid trace file" in capsys.readouterr().out
 
-    def test_profile_engine_prints_sites(self, capsys):
+    def test_self_profile_prints_engine_site_frames(self, capsys):
         assert main([
             "run", "resnet50", "--trace", "poisson", "--duration", "10",
-            "--profile-engine",
+            "--self-profile",
         ]) == 0
-        out = capsys.readouterr().out
-        assert "engine profile" in out
-        assert "dispatches" in out
+        lines = capsys.readouterr().out.splitlines()
+        (engine,) = [i for i, ln in enumerate(lines) if "  engine " in ln]
+        # Callback-site frames sit one level deeper than "engine".
+        indent = len(lines[engine]) - len(lines[engine].lstrip())
+        site = next(ln for ln in lines[engine + 1:] if "cb:" in ln)
+        assert len(site) - len(site.lstrip()) > indent
 
     def test_prom_out_writes_snapshot(self, capsys, tmp_path):
         prom = tmp_path / "run.prom"

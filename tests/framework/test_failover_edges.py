@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.system import RunConfig, ServerlessRun
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.workloads.traces import constant_trace
 
 
@@ -64,18 +64,16 @@ class TestFailureAtHorizon:
     def run_at_horizon(self, resnet50, profiles, slo):
         """A schedule whose first onset lands exactly at trace end."""
         duration = 60.0
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
-                120.0, 30.0, first_failure_at=duration
-            )
-        )
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(120.0, 30.0, first_failure_at=duration),
+        )))
         trace = constant_trace(5.0, duration)
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         return ServerlessRun(resnet50, trace, policy, profiles, slo, config)
 
     def test_onset_at_exact_horizon_never_fires(self, run_at_horizon):
         result = run_at_horizon.execute()
-        assert run_at_horizon._failure_injector.failures_injected == 0
+        assert run_at_horizon._chaos.injected["periodic_outage"] == 0
         # No failover ever happened: the only switch is the initial lease.
         assert len(result.switch_log) == 1
         total = result.completed_requests + result.unserved_requests
@@ -84,15 +82,13 @@ class TestFailureAtHorizon:
     def test_onset_just_inside_horizon_fires_once(self, resnet50, profiles,
                                                   slo):
         duration = 60.0
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
-                120.0, 30.0, first_failure_at=duration - 1.0
-            )
-        )
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(120.0, 30.0, first_failure_at=duration - 1.0),
+        )))
         trace = constant_trace(5.0, duration)
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
         result = run.execute()
-        assert run._failure_injector.failures_injected == 1
+        assert run._chaos.injected["periodic_outage"] == 1
         total = result.completed_requests + result.unserved_requests
         assert total == result.offered_requests

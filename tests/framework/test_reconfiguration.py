@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.system import RunConfig, ServerlessRun
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.workloads.traces import constant_trace
 
 
@@ -73,14 +73,16 @@ class TestFailoverChoice:
 class TestFailureIntegration:
     def test_failed_spec_excluded_until_recovery(self, resnet50, profiles, slo):
         trace = constant_trace(10.0, 130.0)
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(
                 period_seconds=100.0, downtime_seconds=40.0, first_failure_at=30.0
-            )
-        )
+            ),
+        )))
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
         r = run.execute()
+        # Onsets at t=30 and t=130 (the latter at the horizon: suppressed).
+        assert run._chaos.injected["periodic_outage"] == 1
         # The initial (CPU) node failed at t=30 and traffic continued.
         assert r.completed_requests + r.unserved_requests == r.offered_requests
         assert r.n_switches >= 1
@@ -89,14 +91,15 @@ class TestFailureIntegration:
     def test_deescalation_suppressed_during_outage(self, resnet50, profiles,
                                                    slo, monkeypatch):
         trace = constant_trace(10.0, 120.0)
-        config = RunConfig(
-            failure_schedule=FailureSchedule(
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(
                 period_seconds=100.0, downtime_seconds=60.0, first_failure_at=20.0
-            )
-        )
+            ),
+        )))
         policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
         run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
         r = run.execute()
+        assert run._chaos.injected["periodic_outage"] == 1
         # During the outage (20-80 s) no switch may move to a *less*
         # performant node than the failover target.
         ranks = {hw.name: hw.perf_rank for hw in profiles.catalog}

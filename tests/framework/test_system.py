@@ -7,7 +7,7 @@ from repro.baselines.molecule import MoleculePolicy
 from repro.baselines.oracle import OraclePolicy
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.system import RunConfig, ServerlessRun
-from repro.simulator.failures import FailureSchedule
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.workloads.traces import azure_trace, constant_trace
 
 
@@ -81,10 +81,14 @@ class TestSteadyState:
 class TestAdverseConfigs:
     def test_failure_injection_runs(self, resnet50, profiles, slo):
         trace = constant_trace(10.0, 150.0)
-        config = RunConfig(
-            failure_schedule=FailureSchedule(60.0, 20.0, first_failure_at=30.0)
-        )
-        r = run_scheme(PaldiaPolicy, resnet50, profiles, slo, trace, config)
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(60.0, 20.0, first_failure_at=30.0),
+        )))
+        policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
+        run = ServerlessRun(resnet50, trace, policy, profiles, slo, config)
+        r = run.execute()
+        # Onsets at 30, 90 (150 is the horizon and never fires).
+        assert run._chaos.injected["periodic_outage"] == 2
         assert r.completed_requests + r.unserved_requests == r.offered_requests
         # Failover means more than one node type was leased.
         assert len(r.time_by_spec) >= 2

@@ -1,4 +1,5 @@
-"""Tests for the chaos engine: spec JSON, replay, and legacy equivalence."""
+"""Tests for the chaos engine: spec JSON, replay, and the pinned Fig 13b
+outage."""
 
 import pytest
 
@@ -18,7 +19,6 @@ from repro.simulator.chaos import (
     StochasticCrashes,
 )
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.workloads.models import get_model
 from repro.workloads.traces import azure_trace
 
@@ -79,43 +79,28 @@ class TestSpecJSON:
         with pytest.raises(ValueError, match="unknown fault kind"):
             ChaosSpec.from_dict({"faults": [{"kind": "gamma_rays"}]})
 
-    def test_from_failure_schedule(self):
-        schedule = FailureSchedule(100.0, 40.0, first_failure_at=15.0)
-        spec = ChaosSpec.from_failure_schedule(schedule, seed=2)
-        assert spec.seed == 2
-        (fault,) = spec.faults
-        assert isinstance(fault, PeriodicOutage)
-        assert fault.period_seconds == 100.0
-        assert fault.downtime_seconds == 40.0
-        assert fault.first_failure_at == 15.0
+
+#: Event streams the retired single-pattern injector produced for
+#: ``period=100, downtime=40, first=10`` at each horizon.
+_LEGACY_OUTAGE_EVENTS = {
+    250.0: [("fail", 10.0), ("recover", 50.0), ("fail", 110.0),
+            ("recover", 150.0), ("fail", 210.0), ("recover", 250.0)],
+    20.0: [("fail", 10.0), ("recover", 50.0)],
+    10.0: [],
+}
 
 
 class TestLegacyInjectorEquivalence:
-    """A from_failure_schedule spec fires event-for-event with the
-    legacy injector, including the horizon semantics."""
+    """A PeriodicOutage fires event-for-event as the retired legacy
+    injector did, including the horizon semantics."""
 
     @pytest.mark.parametrize("horizon", [250.0, 20.0, 10.0])
     def test_event_times_identical(self, horizon):
-        schedule = FailureSchedule(100.0, 40.0, first_failure_at=10.0)
-
-        legacy_sim = Simulator()
-        legacy_events = []
-        FailureInjector(
-            legacy_sim,
-            schedule,
-            on_fail=lambda: legacy_events.append(("fail", legacy_sim.now)),
-            on_recover=lambda: legacy_events.append(
-                ("recover", legacy_sim.now)
-            ),
-            horizon=horizon,
-        ).start()
-        legacy_sim.run()
-
         chaos_sim = Simulator()
         chaos_events = []
         engine = ChaosEngine(
             chaos_sim,
-            ChaosSpec.from_failure_schedule(schedule),
+            ChaosSpec(faults=(PeriodicOutage(100.0, 40.0, 10.0),)),
             ChaosHooks(
                 on_node_fail=lambda: chaos_events.append(
                     ("fail", chaos_sim.now)
@@ -129,7 +114,7 @@ class TestLegacyInjectorEquivalence:
         engine.start()
         chaos_sim.run()
 
-        assert chaos_events == legacy_events
+        assert chaos_events == _LEGACY_OUTAGE_EVENTS[horizon]
 
 
 class TestDeterministicReplay:
@@ -279,28 +264,42 @@ def _fingerprint(r):
     )
 
 
-class TestRunLevelContracts:
-    def test_mutually_exclusive_with_failure_schedule(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            RunConfig(
-                failure_schedule=FailureSchedule(120.0, 60.0),
-                chaos=ChaosSpec.from_failure_schedule(
-                    FailureSchedule(120.0, 60.0)
-                ),
-            )
+#: ``_fingerprint`` of the retired legacy injector's run of
+#: ``period=60, downtime=20, first=25`` (floats written via ``repr``).
+_LEGACY_OUTAGE_FINGERPRINT = (
+    0.9032733224222586, 0.07450277777777779, 0.07932714188173762,
+    4.9444527227224055, 12220, 0, 3, 161,
+    (
+        (0.0, '-', 'g3s.xlarge'),
+        (30.5, '-', 'p3.2xlarge'),
+        (57.5, 'p3.2xlarge', 'p2.xlarge'),
+        (65.5, 'p2.xlarge', 'g3s.xlarge'),
+        (90.5, '-', 'p3.2xlarge'),
+        (115.0, 'p3.2xlarge', 'c6i.4xlarge'),
+    ),
+    (
+        ('batching_wait', 5.285945632677652),
+        ('cold_start_wait', 0.0),
+        ('exec_solo', 0.01361315936392924),
+        ('failure_wait', 0.0),
+        ('interference_extra', 0.009393697060211557),
+        ('queue_delay', 0.020537613090198414),
+        ('total', 5.329490102191992),
+    ),
+)
 
+
+class TestRunLevelContracts:
     def test_legacy_schedule_as_chaos_is_bit_identical(self):
-        """The Fig 13b schedule replayed through the chaos engine produces
-        the exact same RunResult as the legacy injector."""
-        schedule = FailureSchedule(60.0, 20.0, first_failure_at=25.0)
-        legacy = _run(
-            "resnet50", 120.0, RunConfig(failure_schedule=schedule)
-        )
+        """The Fig 13b outage driven by the chaos engine produces the
+        exact RunResult the retired legacy injector did."""
         chaos = _run(
             "resnet50", 120.0,
-            RunConfig(chaos=ChaosSpec.from_failure_schedule(schedule)),
+            RunConfig(chaos=ChaosSpec(
+                faults=(PeriodicOutage(60.0, 20.0, first_failure_at=25.0),)
+            )),
         )
-        assert _fingerprint(chaos) == _fingerprint(legacy)
+        assert _fingerprint(chaos) == _LEGACY_OUTAGE_FINGERPRINT
 
     def test_stochastic_spec_replays_bit_identically(self):
         config = RunConfig(

@@ -17,16 +17,19 @@ from repro.core.predictor import EWMAPredictor
 from repro.framework.slo import SLO
 from repro.framework.system import ServerlessRun
 from repro.hardware.profiles import ProfileService
+from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec, PeriodicOutage
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
 from repro.telemetry import NULL_TRACER, Tracer
 
 
 class TestSimulatorKeywordOnly:
     def test_positional_profiler_is_typeerror(self):
         class Prof:
-            def record(self, fn, seconds):
+            def push_site(self, fn):
+                pass
+
+            def pop(self):
                 pass
 
         with pytest.raises(TypeError):
@@ -37,8 +40,11 @@ class TestSimulatorKeywordOnly:
             def __init__(self):
                 self.n = 0
 
-            def record(self, fn, seconds):
+            def push_site(self, fn):
                 self.n += 1
+
+            def pop(self):
+                pass
 
         prof = Prof()
         with warnings.catch_warnings():
@@ -70,13 +76,12 @@ class TestClusterKeywordOnly:
         assert cluster.tracer is tracer
 
 
-class TestFailureInjectorKeywordOnly:
+class TestChaosEngineKeywordOnly:
     def _make(self, *tail, **kw):
-        return FailureInjector(
+        return ChaosEngine(
             Simulator(),
-            FailureSchedule(120.0, 60.0),
-            lambda: None,
-            lambda: None,
+            ChaosSpec(faults=(PeriodicOutage(120.0, 60.0),)),
+            ChaosHooks(),
             *tail,
             **kw,
         )

@@ -177,13 +177,20 @@ class TestEdgeCases:
 
 
 class _Recorder:
-    """Minimal DispatchProfiler: remembers every (fn, seconds) pair."""
+    """Minimal DispatchProfiler: logs every push_site(fn) / pop()."""
 
     def __init__(self):
-        self.calls = []
+        self.log = []
 
-    def record(self, fn, seconds):
-        self.calls.append((fn, seconds))
+    def push_site(self, fn):
+        self.log.append(("push", fn))
+
+    def pop(self):
+        self.log.append(("pop", None))
+
+    @property
+    def calls(self):
+        return [fn for kind, fn in self.log if kind == "push"]
 
 
 class TestProfilerHook:
@@ -194,7 +201,8 @@ class TestProfilerHook:
             sim.schedule(i + 1.0, lambda: None)
         sim.run()
         assert len(prof.calls) == 3
-        assert all(seconds >= 0.0 for _, seconds in prof.calls)
+        # Every site frame is closed before the next one opens.
+        assert [kind for kind, _ in prof.log] == ["push", "pop"] * 3
 
     def test_profiler_never_sees_cancelled_events(self):
         prof = _Recorder()
@@ -214,7 +222,20 @@ class TestProfilerHook:
 
         sim.schedule(1.0, callback)
         sim.run()
-        assert prof.calls[0][0] is callback
+        assert prof.calls[0] is callback
+
+    def test_step_brackets_the_callback(self):
+        prof = _Recorder()
+        sim = Simulator(profiler=prof)
+
+        def callback():
+            prof.log.append(("ran", None))
+
+        sim.schedule(1.0, callback)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step()
+        assert prof.log == [("push", callback), ("ran", None), ("pop", None)]
+        assert sim.now == 1.0
 
     def test_set_profiler_attach_and_detach(self, sim):
         prof = _Recorder()

@@ -1,48 +1,64 @@
-"""Tests for failure scheduling and injection."""
+"""Tests for the periodic node outage (Fig 13b) on the chaos engine."""
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec, PeriodicOutage
 from repro.simulator.engine import Simulator
-from repro.simulator.failures import FailureInjector, FailureSchedule
+
+
+def _engine(sim, outage, events=None, horizon=None):
+    hooks = ChaosHooks()
+    if events is not None:
+        hooks.on_node_fail = lambda: events.append(("fail", sim.now))
+        hooks.on_node_recover = lambda: events.append(("recover", sim.now))
+    engine = ChaosEngine(
+        sim, ChaosSpec(faults=(outage,)), hooks, horizon=horizon
+    )
+    engine.start()
+    return engine
+
+
+def _down_at(t, outage):
+    """Whether the engine reports the node down at time ``t``."""
+    sim = Simulator()
+    engine = _engine(sim, outage)
+    sim.run(until=t)
+    return engine.node_down
 
 
 class TestSchedule:
     def test_downtime_must_be_shorter_than_period(self):
         with pytest.raises(ValueError):
-            FailureSchedule(period_seconds=60.0, downtime_seconds=60.0)
+            PeriodicOutage(period_seconds=60.0, downtime_seconds=60.0)
 
     def test_nonpositive_times_rejected(self):
         with pytest.raises(ValueError):
-            FailureSchedule(period_seconds=-1.0, downtime_seconds=0.5)
+            PeriodicOutage(period_seconds=-1.0, downtime_seconds=0.5)
 
     def test_is_down_before_first_failure(self):
-        s = FailureSchedule(120.0, 60.0, first_failure_at=60.0)
-        assert not s.is_down(30.0)
+        outage = PeriodicOutage(120.0, 60.0, first_failure_at=60.0)
+        assert not _down_at(30.0, outage)
 
     def test_is_down_during_outage(self):
-        s = FailureSchedule(120.0, 60.0, first_failure_at=60.0)
-        assert s.is_down(61.0)
-        assert s.is_down(119.0)
+        outage = PeriodicOutage(120.0, 60.0, first_failure_at=60.0)
+        assert _down_at(61.0, outage)
+        assert _down_at(119.0, outage)
 
     def test_is_up_between_outages(self):
-        s = FailureSchedule(120.0, 60.0, first_failure_at=60.0)
-        assert not s.is_down(130.0)
-        assert s.is_down(185.0)  # second outage at 180
+        outage = PeriodicOutage(120.0, 60.0, first_failure_at=60.0)
+        assert not _down_at(130.0, outage)
+        assert _down_at(185.0, outage)  # second outage at 180
 
 
 class TestInjector:
     def test_alternating_callbacks(self, sim):
         events = []
-        inj = FailureInjector(
-            sim,
-            FailureSchedule(100.0, 40.0, first_failure_at=10.0),
-            on_fail=lambda: events.append(("fail", sim.now)),
-            on_recover=lambda: events.append(("recover", sim.now)),
-            horizon=250.0,
+        engine = _engine(
+            sim, PeriodicOutage(100.0, 40.0, first_failure_at=10.0),
+            events, horizon=250.0,
         )
-        inj.start()
         sim.run()
         assert events[:4] == [
             ("fail", 10.0),
@@ -50,25 +66,23 @@ class TestInjector:
             ("fail", 110.0),
             ("recover", 150.0),
         ]
-        assert inj.failures_injected >= 2
+        assert engine.injected["periodic_outage"] >= 2
 
     def test_horizon_stops_injection(self, sim):
         events = []
-        inj = FailureInjector(
-            sim,
-            FailureSchedule(100.0, 40.0, first_failure_at=10.0),
-            on_fail=lambda: events.append("fail"),
-            on_recover=lambda: events.append("recover"),
-            horizon=20.0,
+        _engine(
+            sim, PeriodicOutage(100.0, 40.0, first_failure_at=10.0),
+            events, horizon=20.0,
         )
-        inj.start()
         sim.run()
-        assert events == ["fail", "recover"]
+        assert [kind for kind, _ in events] == ["fail", "recover"]
 
 
 class TestScheduleInjectorAgreement:
-    """Property: the event stream the injector emits agrees with the
-    schedule's closed-form ``is_down()`` across random schedules."""
+    """Property: across random outage specs the engine fires on the
+    ``first + k * period`` grid below the horizon, alternates strictly,
+    recovers after exactly ``downtime``, and reports ``node_down`` in
+    agreement at interior instants."""
 
     @given(
         period=st.floats(min_value=5.0, max_value=300.0),
@@ -80,42 +94,42 @@ class TestScheduleInjectorAgreement:
     def test_events_agree_with_is_down(self, period, downtime_frac, first,
                                        horizon):
         downtime = period * downtime_frac
-        # The injector accumulates onsets as float sums; when a grid point
+        # The engine accumulates onsets as float sums; when a grid point
         # sits within float noise of the horizon, whether it fires is
         # ambiguous.  Stay away from that boundary.
         k_near = round((horizon - first) / period)
         assume(abs(first + k_near * period - horizon) > 1e-3)
-        schedule = FailureSchedule(period, downtime, first_failure_at=first)
+
+        # Onsets are exactly the grid points below the horizon.
+        expected, t = [], first
+        while t < horizon:
+            expected.append(t)
+            t += period
+
         sim = Simulator()
         events = []
-        inj = FailureInjector(
-            sim,
-            schedule,
-            on_fail=lambda: events.append(("fail", sim.now)),
-            on_recover=lambda: events.append(("recover", sim.now)),
-            horizon=horizon,
+        engine = _engine(
+            sim, PeriodicOutage(period, downtime, first_failure_at=first),
+            events, horizon=horizon,
         )
-        inj.start()
+        # Probe node_down mid-outage and mid-gap (boundary instants are
+        # left undefined by float accumulation).
+        probes = []
+        for f in expected:
+            for at, want in ((f + downtime / 2.0, True),
+                             (f + downtime + (period - downtime) / 2.0, False)):
+                sim.schedule_at(
+                    at, lambda want=want: probes.append((engine.node_down, want))
+                )
         sim.run()
 
         # Strict fail/recover alternation, starting with a fail.
         assert [kind for kind, _ in events] == (
             ["fail", "recover"] * (len(events) // 2)
         )
-
-        # Onsets are exactly the schedule's grid points below the horizon.
-        expected, t = [], first
-        while t < horizon:
-            expected.append(t)
-            t += period
         fails = [t for kind, t in events if kind == "fail"]
         recovers = [t for kind, t in events if kind == "recover"]
         assert fails == pytest.approx(expected)
         assert recovers == pytest.approx([f + downtime for f in fails])
-        assert inj.failures_injected == len(expected)
-
-        # Between each pair, is_down() agrees at interior sample points
-        # (boundary instants are left undefined by float accumulation).
-        for f in fails:
-            assert schedule.is_down(f + downtime / 2.0)
-            assert not schedule.is_down(f + downtime + (period - downtime) / 2.0)
+        assert engine.injected["periodic_outage"] == len(expected)
+        assert all(seen == want for seen, want in probes)

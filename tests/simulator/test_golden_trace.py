@@ -27,11 +27,21 @@ from repro.workloads.traces import poisson_trace
 
 
 class Recorder:
-    """Dispatch profiler that notes the clock at every dispatched event."""
+    """Dispatch profiler that notes the clock at every dispatched event.
+
+    The engine brackets each dispatch with ``push_site`` / ``pop``; the
+    frozen reference engine credits it post hoc through ``record``.
+    Both see the clock already advanced to the event's time."""
 
     def __init__(self, sim):
         self.sim = sim
         self.times = []
+
+    def push_site(self, fn):
+        self.times.append(self.sim.now)
+
+    def pop(self):
+        pass
 
     def record(self, fn, seconds):
         self.times.append(self.sim.now)

@@ -20,7 +20,8 @@ from repro.analysis.trace_report import (
     render_trace_report,
 )
 from repro.experiments.schemes import make_policy
-from repro.framework.system import ServerlessRun
+from repro.framework.system import RunConfig, ServerlessRun
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.telemetry import Tracer, read_jsonl, to_chrome_trace, write_jsonl
 from repro.workloads.traces import poisson_trace
 
@@ -167,3 +168,28 @@ class TestRunArtifacts:
         text = render_trace_report(path)
         assert "latency breakdown" in text
         assert "hardware-selection audit" in text
+        assert "injected failures" not in text  # no faults were injected
+
+    def test_trace_report_renders_chaos_faults(self, resnet50, profiles, slo,
+                                               tmp_path):
+        trace = poisson_trace(
+            rate_rps=resnet50.peak_rps, duration=DURATION, seed=0
+        )
+        policy = make_policy(
+            "paldia", resnet50, profiles, slo.target_seconds, trace
+        )
+        tracer = Tracer()
+        config = RunConfig(chaos=ChaosSpec(faults=(
+            PeriodicOutage(12.0, 4.0, first_failure_at=5.0),
+        )))
+        ServerlessRun(
+            resnet50, trace, policy, profiles, slo, config, tracer=tracer
+        ).execute()
+        path = str(tmp_path / "run.jsonl")
+        write_jsonl(tracer, path)
+        text = render_trace_report(path)
+        # Onsets at t=5 and t=17; the next (t=29) is past the horizon.
+        assert "injected failures (2)" in text
+        table = text[text.index("injected failures"):]
+        assert "kind" in table.splitlines()[1]
+        assert table.count("periodic_outage") == 2

@@ -160,18 +160,63 @@ class TestEngineIntegration:
         # The phase entered during the callback nests under the site.
         assert "select.choose_best_HW" in site.children
 
-    def test_record_fallback_is_flat(self, clock):
-        # Engines that predate push_site call record(fn, dt) post hoc.
+
+def tick():
+    pass
+
+
+def dispatch(prof, clock, fn, seconds):
+    """One engine dispatch of ``fn`` taking ``seconds`` of wall time."""
+    prof.push_site(fn)
+    clock.advance(seconds)
+    prof.pop()
+
+
+class TestEngineSites:
+    def test_sites_aggregate_by_qualname(self, clock):
+        prof = RunProfiler()
+        dispatch(prof, clock, tick, 0.001)
+        dispatch(prof, clock, tick, 0.002)
+        (site,) = prof.root.children.values()
+        assert site.name.endswith("test_selfprof.tick")
+        assert site.count == 2
+        assert site.seconds == pytest.approx(0.003)
+
+    def test_closures_from_one_site_share_a_row(self, clock):
+        # The framework schedules fresh lambdas per event; they must fold
+        # into one frame or the profile is unreadable.
         prof = RunProfiler()
 
-        def cb():
-            pass
+        def make(i):
+            return lambda: i
 
-        prof.record(cb, 0.5)
-        prof.record(cb, 0.5)
-        (name,) = prof.root.children
-        assert prof.root.children[name].seconds == pytest.approx(1.0)
-        assert prof.root.children[name].count == 2
+        dispatch(prof, clock, make(1), 0.001)
+        dispatch(prof, clock, make(2), 0.001)
+        assert len(prof.rows()) == 1
+        assert prof.rows()[0][2] == 2
+
+    def test_rows_hottest_first(self, clock):
+        prof = RunProfiler()
+        dispatch(prof, clock, tick, 0.001)
+        dispatch(prof, clock, len, 0.010)
+        rows = prof.rows()
+        assert rows[0][3] >= rows[1][3]
+        assert rows[0][0] == ("cb:builtins.len",)
+
+    def test_integrates_with_simulator(self):
+        prof = RunProfiler()
+        sim = Simulator(profiler=prof)
+        for i in range(5):
+            sim.schedule(i + 1.0, lambda: None)
+        sim.run()
+        assert sum(count for _p, _d, count, _i, _e in prof.rows()) == 5
+
+    def test_rendered_report(self, clock):
+        prof = RunProfiler()
+        dispatch(prof, clock, tick, 0.001)
+        text = prof.rendered()
+        assert "self-profile" in text
+        assert "test_selfprof.tick" in text
 
 
 class TestSubsystems:
@@ -187,7 +232,7 @@ class TestSubsystems:
         assert subsystem_of("run") == "harness"
         assert subsystem_of("mystery.phase") == "other"
 
-    def test_subsystem_of_engine_sites(self):
+    def test_subsystem_of_callback_sites(self):
         assert subsystem_of("cb:framework.system.Run._tick") == "framework"
         assert subsystem_of("cb:simulator.gpu.GPUDevice._x") == "simulator"
         assert subsystem_of("cb:something.weird") == "other"
@@ -376,7 +421,7 @@ class TestAllocTracking:
 
 
 class TestServerlessRunIntegration:
-    def run_profiled(self, **prof_kwargs):
+    def run_profiled(self):
         model = get_model("resnet50")
         profiles = ProfileService()
         slo = SLO()
@@ -386,7 +431,7 @@ class TestServerlessRunIntegration:
         policy = make_policy(
             "paldia", model, profiles, slo.target_seconds, trace
         )
-        prof = RunProfiler(**prof_kwargs)
+        prof = RunProfiler()
         run = ServerlessRun(
             model, trace, policy, profiles, slo, selfprof=prof
         )
@@ -416,14 +461,6 @@ class TestServerlessRunIntegration:
         assert prof.total_seconds == pytest.approx(
             result.wall_seconds, rel=0.10
         )
-
-    def test_engine_sites_off_keeps_engine_flat(self):
-        _result, prof = self.run_profiled(engine_sites=False)
-        engine = prof.root.children["run"].children["engine"]
-        assert not any(n.startswith("cb:") for n in engine.children)
-        # Phases are still recorded, now directly under "engine".
-        names = {f.name for f in prof.walk()}
-        assert "arrivals.window" in names
 
     def test_unprofiled_result_has_wall_seconds(self):
         model = get_model("resnet50")
