@@ -11,7 +11,8 @@ Two contracts from the cost-observability PR:
 * **Zero disabled cost** — an untraced run (``Tracer`` absent) or a
   traced run with ``RunConfig(cost_meter=False)`` constructs no
   ``CostMeter``, executes no code from the ``costmeter`` module, and
-  produces bit-identical results.  Gated on *work executed*
+  produces bit-identical results.  An untraced run also constructs no
+  ``RunObservers`` bundle and executes no code from ``observers``.  Gated on *work executed*
   (deterministic call counts via ``sys.setprofile``), the same way the
   self-profiler's disabled path is gated in ``test_bench_selfprof.py``.
 """
@@ -27,6 +28,7 @@ from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
 from repro.telemetry import Tracer
 from repro.telemetry.costmeter import CostMeter
+from repro.telemetry.observers import RunObservers
 from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
 
@@ -46,22 +48,24 @@ def run_once(tracer=None, config=None):
     return run.execute(), run
 
 
-def count_calls_into(fn, filename):
-    """Python-level calls executed by ``fn`` whose code lives in
-    ``filename`` (deterministic, unlike wall-clock)."""
-    n = 0
+def count_calls_into(fn, *filenames):
+    """Python-level calls executed by ``fn`` whose code lives in each of
+    ``filenames``, one count per file (deterministic, unlike
+    wall-clock)."""
+    counts = dict.fromkeys(filenames, 0)
 
     def profiler(frame, event, arg):
-        nonlocal n
-        if event == "call" and frame.f_code.co_filename == filename:
-            n += 1
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name in counts:
+                counts[name] += 1
 
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
-    return n
+    return tuple(counts[name] for name in filenames)
 
 
 def test_traced_run_conserves_every_dollar():
@@ -88,29 +92,39 @@ def test_traced_run_conserves_every_dollar():
 def test_untraced_run_executes_no_costmeter_code():
     # The disabled-path contract, gated deterministically: without a
     # tracer the telemetry pillar is never set up, so a run never enters
-    # the costmeter module — no CostMeter construction, no hooks.  Every
+    # the costmeter module — no CostMeter construction, no hooks — nor
+    # the observers module: no RunObservers bundle exists, so every
     # instrumented site pays one attribute load and one ``is None``
     # branch, neither of which is a function call.
     run_once()  # warm-up: lazy profile tables and allocator pools
-    constructions = 0
-    orig_init = CostMeter.__init__
+    constructions = {CostMeter: 0, RunObservers: 0}
+    orig_inits = {cls: cls.__init__ for cls in constructions}
 
-    def counting_init(self, *a, **kw):
-        nonlocal constructions
-        constructions += 1
-        return orig_init(self, *a, **kw)
+    def counting_init(cls):
+        def init(self, *a, **kw):
+            constructions[cls] += 1
+            return orig_inits[cls](self, *a, **kw)
+        return init
 
     import repro.telemetry.costmeter as costmeter_module
+    import repro.telemetry.observers as observers_module
 
-    CostMeter.__init__ = counting_init
+    for cls in constructions:
+        cls.__init__ = counting_init(cls)
     try:
-        meter_calls = count_calls_into(run_once, costmeter_module.__file__)
+        meter_calls, obs_calls = count_calls_into(
+            run_once, costmeter_module.__file__, observers_module.__file__
+        )
     finally:
-        CostMeter.__init__ = orig_init
+        for cls, init in orig_inits.items():
+            cls.__init__ = init
     print(f"\ncostmeter-module calls in untraced run: {meter_calls}, "
-          f"CostMeter constructions: {constructions}")
-    assert constructions == 0
+          f"observers-module calls: {obs_calls}, "
+          f"CostMeter constructions: {constructions[CostMeter]}, "
+          f"RunObservers constructions: {constructions[RunObservers]}")
+    assert constructions == {CostMeter: 0, RunObservers: 0}
     assert meter_calls == 0
+    assert obs_calls == 0
 
 
 def test_traced_run_with_meter_disabled_executes_no_costmeter_code():
@@ -120,7 +134,7 @@ def test_traced_run_with_meter_disabled_executes_no_costmeter_code():
     import repro.telemetry.costmeter as costmeter_module
 
     config = RunConfig(cost_meter=False)
-    meter_calls = count_calls_into(
+    (meter_calls,) = count_calls_into(
         lambda: run_once(tracer=Tracer(), config=config),
         costmeter_module.__file__,
     )

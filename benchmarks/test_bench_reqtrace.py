@@ -14,6 +14,8 @@ traced scenario:
   ``RunConfig(reqtrace=False)`` (the default), constructs no
   ``RequestTracer`` and executes no code from the ``reqtrace`` module;
   every hook site pays one attribute load and one ``is None`` branch.
+  The untraced run executes no code from the ``observers`` module either
+  (no bundle exists to call).
   Gated on *work executed* (deterministic call counts via
   ``sys.setprofile``), like the cost meter's in
   ``test_bench_costmeter.py``.
@@ -56,22 +58,24 @@ def traced_once(**config_kwargs):
     return run_once(tracer=Tracer(), config=config)
 
 
-def count_calls_into(fn, filename):
-    """Python-level calls executed by ``fn`` whose code lives in
-    ``filename`` (deterministic, unlike wall-clock)."""
-    n = 0
+def count_calls_into(fn, *filenames):
+    """Python-level calls executed by ``fn`` whose code lives in each of
+    ``filenames``, one count per file (deterministic, unlike
+    wall-clock)."""
+    counts = dict.fromkeys(filenames, 0)
 
     def profiler(frame, event, arg):
-        nonlocal n
-        if event == "call" and frame.f_code.co_filename == filename:
-            n += 1
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name in counts:
+                counts[name] += 1
 
     sys.setprofile(profiler)
     try:
         fn()
     finally:
         sys.setprofile(None)
-    return n
+    return tuple(counts[name] for name in filenames)
 
 
 def test_every_request_waterfall_conserves_latency():
@@ -132,24 +136,27 @@ def test_untraced_run_executes_no_reqtrace_code():
         constructions += 1
         return orig_init(self, *a, **kw)
 
+    import repro.telemetry.observers as observers_module
     import repro.telemetry.reqtrace as reqtrace_module
 
     RequestTracer.__init__ = counting_init
     try:
-        untraced_calls = count_calls_into(
-            run_once, reqtrace_module.__file__
+        untraced_calls, untraced_obs_calls = count_calls_into(
+            run_once, reqtrace_module.__file__, observers_module.__file__
         )
-        default_calls = count_calls_into(
+        (default_calls,) = count_calls_into(
             lambda: run_once(tracer=Tracer()), reqtrace_module.__file__
         )
     finally:
         RequestTracer.__init__ = orig_init
     print(f"\nreqtrace-module calls: untraced {untraced_calls}, "
           f"traced-with-default-config {default_calls}, "
-          f"constructions {constructions}")
+          f"constructions {constructions}; observers-module calls "
+          f"untraced {untraced_obs_calls}")
     assert constructions == 0
     assert untraced_calls == 0
     assert default_calls == 0
+    assert untraced_obs_calls == 0
 
 
 def test_traced_run_is_bit_identical():

@@ -577,7 +577,7 @@ def _cmd_profiles(args) -> int:
 def _run_one(scheme: str, model, trace, profiles, slo, config=None,
              tracer=None, selfprof=None):
     """Execute one scheme; returns ``(RunResult, ServerlessRun)`` so
-    callers can reach post-run state (SLO monitor, sim clock)."""
+    callers can reach post-run state (telemetry pillars, sim clock)."""
     logger.debug("running scheme %s on %s (%d requests)",
                  scheme, model.name, trace.n_requests)
     policy = make_policy(scheme, model, profiles, slo.target_seconds, trace)
@@ -679,6 +679,7 @@ def _cmd_run(args) -> int:
         )
     emit(render_kv(kv, title="run result"))
     if tracer is not None:
+        obs = run.obs
         emit("")
         emit(render_kv(summary_counts(tracer), title="telemetry"))
         if args.trace_out:
@@ -693,21 +694,21 @@ def _cmd_run(args) -> int:
         if args.prom_out:
             n = write_prometheus(
                 tracer, args.prom_out,
-                monitor=run.slo_monitor, now=run.sim.now,
-                costmeter=run.costmeter,
+                monitor=obs.slo_monitor, now=run.sim.now,
+                costmeter=obs.costmeter,
             )
             emit(f"wrote {n} Prometheus samples to {args.prom_out}")
         if args.timeseries_out:
-            if run.sampler is None:
+            if obs.sampler is None:
                 logger.error(
                     "no time-series recorded: sampling is disabled "
                     "(--timeseries-interval must be > 0)"
                 )
                 return 1
-            n = run.sampler.save(args.timeseries_out)
+            n = obs.sampler.save(args.timeseries_out)
             emit(
                 f"wrote {n} time-series columns "
-                f"({run.sampler.n_samples} samples) to {args.timeseries_out}"
+                f"({obs.sampler.n_samples} samples) to {args.timeseries_out}"
             )
         worst_view = None
         if result.reqtrace is not None:

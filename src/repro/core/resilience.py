@@ -41,9 +41,8 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.telemetry.tracer import NULL_TRACER, Tracer
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.observers import RunObservers
     from repro.telemetry.selfprof import RunProfiler
 
 __all__ = [
@@ -164,15 +163,13 @@ class CircuitBreaker:
         target: str,
         policy: BreakerPolicy,
         *,
-        tracer: Tracer = NULL_TRACER,
-        reqtrace=None,
+        obs: Optional["RunObservers"] = None,
     ) -> None:
         self.target = target
         self.policy = policy
-        self.tracer = tracer
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`;
-        #: ``None`` costs one ``is None`` branch per state transition.
-        self.reqtrace = reqtrace
+        #: The run's observer bundle; ``None`` (untraced) costs one
+        #: ``is None`` branch per state transition.
+        self.obs = obs
         self.state = self.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -185,17 +182,9 @@ class CircuitBreaker:
         if state == self.state:
             return
         self.state = state
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_breaker(self.target, state, now)
-        if self.tracer.enabled:
-            self.tracer.event(
-                f"breaker.{state}",
-                now,
-                cat="resilience",
-                target=self.target,
-                consecutive_failures=self.consecutive_failures,
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.breaker_transition(self, now)
 
     def allow(self, now: float) -> bool:
         """Whether a dispatch to this target may proceed right now."""
@@ -263,18 +252,16 @@ class ResilienceController:
         self,
         config: ResilienceConfig,
         *,
-        tracer: Tracer = NULL_TRACER,
         selfprof: Optional["RunProfiler"] = None,
     ) -> None:
         self.config = config
-        self.tracer = tracer
         #: Self-profiler for retry planning; ``None`` keeps plan_retry on
         #: a bare `is None` branch.
         self.selfprof = selfprof
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (assigned post-hoc by the framework's telemetry setup);
-        #: handed to every breaker created after assignment.
-        self.reqtrace = None
+        #: The run's observer bundle (assigned by the framework's
+        #: telemetry setup); handed to every breaker created after
+        #: assignment.
+        self.obs: Optional["RunObservers"] = None
         self._rng = random.Random(config.seed)
         self._breakers: dict[str, CircuitBreaker] = {}
         # Counters (mirrored into the metrics registry by the framework).
@@ -291,8 +278,7 @@ class ResilienceController:
             b = self._breakers[target] = CircuitBreaker(
                 target,
                 self.config.breaker,
-                tracer=self.tracer,
-                reqtrace=self.reqtrace,
+                obs=self.obs,
             )
         return b
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.power import cluster_energy_joules, node_energy_joules
 from repro.telemetry.costmeter import CostBreakdown, CostBudgetMonitor, CostMeter
+from repro.telemetry.observers import RunObservers
 from repro.telemetry.reqtrace import RequestTraceData, RequestTracer
 from repro.telemetry.selfprof import RunProfiler
 from repro.telemetry.slo_monitor import SLOMonitor
@@ -61,6 +62,16 @@ from repro.workloads.sebs import SebsColocator
 from repro.workloads.traces import Trace
 
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
+
+#: Sim-time cadence of the metrics-registry sampler on traced runs.
+TELEMETRY_SAMPLE_INTERVAL_SECONDS = 1.0
+#: Windowed burn rate (violation rate / error budget) at which the SLO
+#: monitor emits a ``slo_alert`` event.
+SLO_BURN_RATE_THRESHOLD = 2.0
+#: Sliding-window width of the cost budget monitor's burn-rate estimate.
+COST_BUDGET_WINDOW_SECONDS = 30.0
+#: Size of the request tracer's always-kept tail reservoir.
+REQTRACE_TAIL_K = 64
 
 
 @dataclass(frozen=True)
@@ -94,10 +105,6 @@ class RunConfig:
         Inject SeBS background CPU load (Table III).
     sebs_invocation_rps:
         Aggregate rate of the co-located functions.
-    telemetry_sample_interval_seconds:
-        Cadence of the metrics sampler (queue depths, container counts,
-        GPU occupancy).  Only consulted when a tracer is enabled; a
-        disabled run schedules no sampler events at all.
     timeseries_interval_seconds:
         Cadence of the time-series :class:`~repro.telemetry.timeseries.
         StateSampler` (columnar state probes: rates, per-node occupancy,
@@ -109,9 +116,6 @@ class RunConfig:
         (:class:`~repro.telemetry.slo_monitor.SLOMonitor`).  ``<= 0``
         disables the monitor entirely.  Like the sampler, the monitor
         only exists when a tracer is enabled.
-    slo_burn_rate_threshold:
-        Windowed burn rate (violation rate / error budget) at which the
-        monitor emits a ``slo_alert`` event.
     cost_meter:
         Itemize lease dollars into busy/cold-start/idle/reconfiguration
         buckets with per-request pro-rata attribution
@@ -124,9 +128,6 @@ class RunConfig:
         :class:`~repro.telemetry.costmeter.CostBudgetMonitor` emits an
         edge-triggered ``budget_alert`` event.  ``None`` disables
         alerting (burn rate is still sampled).
-    cost_budget_window_seconds:
-        Sliding-window width of the burn-rate estimate; ``<= 0``
-        disables the budget monitor entirely.
     reqtrace:
         Record a per-request causal trace
         (:class:`~repro.telemetry.reqtrace.RequestTracer`): phase
@@ -136,11 +137,9 @@ class RunConfig:
         ``is None`` branch per hook site and stay bit-identical.
     reqtrace_sample:
         Fraction of batches retained in full (deterministic splitmix64
-        over ``(seed, batch_id)``); the ``reqtrace_tail_k`` worst
+        over ``(seed, batch_id)``); the :data:`REQTRACE_TAIL_K` worst
         batches by first-arrival latency are always kept on top, so
         worst-K forensics stay exact under sampling.
-    reqtrace_tail_k:
-        Size of the always-kept tail reservoir (0 disables it).
     """
 
     batch_window_seconds: float = 0.075
@@ -153,16 +152,12 @@ class RunConfig:
     resilience: Optional[ResilienceConfig] = None
     sebs_colocation: bool = False
     sebs_invocation_rps: float = 4.0
-    telemetry_sample_interval_seconds: float = 1.0
     timeseries_interval_seconds: float = 0.5
     slo_monitor_window_seconds: float = 30.0
-    slo_burn_rate_threshold: float = 2.0
     cost_meter: bool = True
     cost_budget_dollars: Optional[float] = None
-    cost_budget_window_seconds: float = 30.0
     reqtrace: bool = False
     reqtrace_sample: float = 1.0
-    reqtrace_tail_k: int = 64
     seed: int = 0
 
 
@@ -284,7 +279,6 @@ class ServerlessRun:
             self.profiles.catalog,
             interference=self.profiles.interference,
             seed=self.config.seed,
-            tracer=self.tracer,
         )
         if selfprof is not None:
             # Phase attribution for component internals (GPU completion
@@ -324,9 +318,7 @@ class ServerlessRun:
         self._sebs: Optional[SebsColocator] = None
         cfg = self.config
         self.resilience: Optional[ResilienceController] = (
-            ResilienceController(
-                cfg.resilience, tracer=self.tracer, selfprof=selfprof
-            )
+            ResilienceController(cfg.resilience, selfprof=selfprof)
             if cfg.resilience is not None
             else None
         )
@@ -350,25 +342,11 @@ class ServerlessRun:
                 # Must be installed before the warm-start pool is created
                 # in _setup so every pool sees the hook.
                 self.cluster.spawn_delay_fn = self._chaos.cold_start_delay
-        #: Live SLO burn-rate monitor; constructed in ``_setup_telemetry``
-        #: only when tracing is enabled and the window is positive.
-        self.slo_monitor: Optional[SLOMonitor] = None
-        #: Time-series state sampler; constructed in ``_setup_telemetry``
-        #: only when tracing is enabled and the interval is positive.
-        self.sampler: Optional[StateSampler] = None
-        #: Itemized cost meter; installed on the cluster in
-        #: ``_setup_telemetry`` only when tracing is enabled and
-        #: ``config.cost_meter`` is set (shared-cluster lanes reuse the
-        #: first lane's meter).
-        self.costmeter: Optional[CostMeter] = None
-        #: Budget burn-rate watchdog over the meter; sampled from the
-        #: telemetry tick when a meter exists and the window is positive.
-        self.cost_monitor: Optional[CostBudgetMonitor] = None
-        #: Per-request causal tracer; installed on the cluster in
-        #: ``_setup_telemetry`` only when tracing is enabled and
-        #: ``config.reqtrace`` is set (shared-cluster lanes reuse the
-        #: first lane's tracer, each registering its own model SLO).
-        self.reqtrace: Optional[RequestTracer] = None
+        #: The run's telemetry pillars (tracer, cost meter, request
+        #: tracer, SLO and budget monitors, time-series sampler) behind
+        #: one hook surface; built in ``_setup_telemetry`` only when
+        #: tracing is enabled, so an untraced run keeps ``None``.
+        self.obs: Optional[RunObservers] = None
         self._executed = False
 
     # ------------------------------------------------------------------
@@ -486,7 +464,9 @@ class ServerlessRun:
     # Telemetry (only reached when the tracer is enabled)
     # ------------------------------------------------------------------
     def _setup_telemetry(self) -> None:
-        """Register the sim-time gauges and start the sampler loop."""
+        """Build the run's observer bundle, register the sim-time gauges
+        and start the sampler loop."""
+        cfg = self.config
         self.tracer.meta.update(
             {
                 "scheme": self.policy.name,
@@ -494,121 +474,126 @@ class ServerlessRun:
                 "slo_seconds": self.slo.target_seconds,
                 "trace_duration": self.trace.duration,
                 "n_requests": self.trace.n_requests,
-                "seed": self.config.seed,
+                "seed": cfg.seed,
             }
         )
         reg = self.tracer.metrics
         reg.histogram("request.latency_seconds")
-
-        def current(attr_fn, default=0.0):
-            def read():
-                node = self._current
-                if node is None or not node.available:
-                    return default
-                return attr_fn(node)
-            return read
-
-        reg.gauge(
-            "queue.device_requests",
-            current(lambda n: n.device.queued_requests()),
-        )
-        reg.gauge("queue.pending_windows", lambda: len(self._pending_windows))
-        pool = lambda n: n.pool(self.model.name)
-        reg.gauge("containers.warm_idle", current(lambda n: pool(n).n_warm_idle))
-        reg.gauge("containers.spawning", current(lambda n: pool(n).n_spawning))
-        reg.gauge("containers.busy", current(lambda n: pool(n).n_busy))
-        reg.gauge("containers.waiting", current(lambda n: pool(n).n_waiting))
-        reg.gauge(
-            "jobs.active_spatial",
-            current(lambda n: getattr(n.device, "n_active_spatial", 0)),
-        )
-        reg.gauge(
-            "jobs.active_temporal",
-            current(
-                lambda n: getattr(n.device, "n_active_temporal", n.device.n_active)
+        reads = self._state_reads(0.0)
+        device = lambda fn: self._on_current(lambda n: fn(n.device), 0.0)
+        gauges = {
+            "queue.device_requests": reads["queue.device"],
+            "queue.pending_windows": reads["queue.pending_windows"],
+            "containers.warm_idle": reads["pool.warm_idle"],
+            "containers.spawning": reads["pool.spawning"],
+            "containers.busy": reads["pool.busy"],
+            "containers.waiting": reads["pool.waiting"],
+            "jobs.active_spatial": device(
+                lambda d: getattr(d, "n_active_spatial", 0)
             ),
+            "jobs.active_temporal": device(
+                lambda d: getattr(d, "n_active_temporal", d.n_active)
+            ),
+            "gpu.total_fbr": device(lambda d: getattr(d, "total_fbr", 0.0)),
+            "gpu.mem_used_gb": device(lambda d: getattr(d, "mem_used_gb", 0.0)),
+            "cold_starts.total": reads["cold_starts.total"],
+        }
+        res = self.resilience
+        if res is not None:
+            gauges["resilience.retries_scheduled"] = reads[
+                "resilience.retries_scheduled"
+            ]
+            gauges["resilience.retries_abandoned"] = lambda: res.retries_abandoned
+            gauges["resilience.requests_shed"] = reads["resilience.requests_shed"]
+            gauges["resilience.requests_dropped"] = lambda: self.requests_dropped
+            gauges["resilience.breakers_open"] = res.open_breakers
+        for name, read in gauges.items():
+            reg.gauge(name, read)
+
+        obs = self.obs = RunObservers(self.tracer)
+        # This runs before the initial acquire, so the cluster's bundle
+        # sees every lease.  In a shared cluster the first traced lane
+        # installs its bundle; later lanes reuse its meter and request
+        # tracer (each lane's summary filters to its own node ids at
+        # finalize, and each registers its own model's SLO so verdicts
+        # stay per-model) but keep their own SLO monitor.
+        host = self.cluster.obs
+        if host is None:
+            host = self.cluster.obs = obs
+        if res is not None:
+            res.obs = obs
+        if cfg.slo_monitor_window_seconds > 0:
+            obs.slo_monitor = SLOMonitor(
+                slo_seconds=self.slo.target_seconds,
+                tracer=self.tracer,
+                window_seconds=cfg.slo_monitor_window_seconds,
+                compliance_goal=self.slo.compliance_goal,
+                burn_rate_threshold=SLO_BURN_RATE_THRESHOLD,
+            )
+        if cfg.cost_meter:
+            if host.costmeter is None:
+                host.costmeter = CostMeter()
+            obs.costmeter = host.costmeter
+            obs.cost_monitor = CostBudgetMonitor(
+                obs.costmeter,
+                tracer=self.tracer,
+                budget_dollars=cfg.cost_budget_dollars,
+                window_seconds=COST_BUDGET_WINDOW_SECONDS,
+                horizon_seconds=self.trace.duration + cfg.drain_grace_seconds,
+            )
+        if cfg.reqtrace:
+            if host.reqtrace is None:
+                host.reqtrace = RequestTracer(
+                    sample=cfg.reqtrace_sample, tail_k=REQTRACE_TAIL_K,
+                    seed=cfg.seed,
+                )
+            rt = obs.reqtrace = host.reqtrace
+            rt.register_model(self.model.name, self.slo.target_seconds)
+            self.sim.add_run_end_hook(rt.on_run_end)
+        if cfg.timeseries_interval_seconds > 0:
+            self._setup_timeseries()
+        self.sim.schedule(
+            TELEMETRY_SAMPLE_INTERVAL_SECONDS, self._telemetry_tick, priority=90
         )
-        reg.gauge(
-            "gpu.total_fbr", current(lambda n: getattr(n.device, "total_fbr", 0.0))
-        )
-        reg.gauge(
-            "gpu.mem_used_gb",
-            current(lambda n: getattr(n.device, "mem_used_gb", 0.0)),
-        )
-        reg.gauge(
-            "cold_starts.total",
-            lambda: sum(
+
+    def _on_current(
+        self, fn: Callable[[NodeInstance], float], default: float
+    ) -> Callable[[], float]:
+        """A read of ``fn(serving node)`` that yields ``default`` while
+        no node is serving (before the first lease, during failover)."""
+        def read():
+            node = self._current
+            if node is None or not node.available:
+                return default
+            return fn(node)
+        return read
+
+    def _state_reads(self, default: float) -> dict[str, Callable[[], float]]:
+        """Run-state reads exported both as sim-time gauges and as
+        time-series probes, keyed by probe name.  Serving-node reads
+        yield ``default`` while no node serves: 0.0 for the gauges, NaN
+        for the probes."""
+        current = lambda fn: self._on_current(fn, default)
+        pool = lambda n: n.pool(self.model.name)
+        reads = {
+            "queue.device": current(lambda n: n.device.queued_requests()),
+            "queue.pending_windows": lambda: len(self._pending_windows),
+            "pool.warm_idle": current(lambda n: pool(n).n_warm_idle),
+            "pool.spawning": current(lambda n: pool(n).n_spawning),
+            "pool.busy": current(lambda n: pool(n).n_busy),
+            "pool.waiting": current(lambda n: pool(n).n_waiting),
+            "cold_starts.total": lambda: sum(
                 p.cold_starts
                 for node in self.cluster.nodes
                 if node.node_id in self._owned_node_ids
                 for p in node.pools().values()
             ),
-        )
-        if self.resilience is not None:
-            res = self.resilience
-            reg.gauge(
-                "resilience.retries_scheduled", lambda: res.retries_scheduled
-            )
-            reg.gauge(
-                "resilience.retries_abandoned", lambda: res.retries_abandoned
-            )
-            reg.gauge("resilience.requests_shed", lambda: res.requests_shed)
-            reg.gauge(
-                "resilience.requests_dropped", lambda: self.requests_dropped
-            )
-            reg.gauge("resilience.breakers_open", res.open_breakers)
-        if self.config.slo_monitor_window_seconds > 0:
-            self.slo_monitor = SLOMonitor(
-                slo_seconds=self.slo.target_seconds,
-                tracer=self.tracer,
-                window_seconds=self.config.slo_monitor_window_seconds,
-                compliance_goal=self.slo.compliance_goal,
-                burn_rate_threshold=self.config.slo_burn_rate_threshold,
-            )
-        if self.config.cost_meter:
-            # _setup_telemetry runs before the initial acquire, so the
-            # meter sees every lease.  In a shared cluster the first
-            # lane installs the meter and later lanes reuse it; each
-            # lane's summary filters to its own node ids at finalize.
-            if self.cluster.costmeter is None:
-                self.cluster.costmeter = CostMeter()
-            self.costmeter = self.cluster.costmeter
-            if self.config.cost_budget_window_seconds > 0:
-                self.cost_monitor = CostBudgetMonitor(
-                    self.costmeter,
-                    tracer=self.tracer,
-                    budget_dollars=self.config.cost_budget_dollars,
-                    window_seconds=self.config.cost_budget_window_seconds,
-                    horizon_seconds=(
-                        self.trace.duration + self.config.drain_grace_seconds
-                    ),
-                )
-        if self.config.reqtrace:
-            # Like the cost meter: _setup_telemetry runs before the
-            # initial acquire, so the tracer sees every lease.  In a
-            # shared cluster the first lane installs the tracer and
-            # later lanes reuse it; each lane registers its own model's
-            # SLO so per-request violation verdicts stay per-model.
-            if self.cluster.reqtrace is None:
-                self.cluster.reqtrace = RequestTracer(
-                    sample=self.config.reqtrace_sample,
-                    tail_k=self.config.reqtrace_tail_k,
-                    seed=self.config.seed,
-                )
-            self.reqtrace = self.cluster.reqtrace
-            self.reqtrace.register_model(
-                self.model.name, self.slo.target_seconds
-            )
-            if self.resilience is not None:
-                self.resilience.reqtrace = self.reqtrace
-            self.sim.add_run_end_hook(self.reqtrace.on_run_end)
-        if self.config.timeseries_interval_seconds > 0:
-            self._setup_timeseries()
-        self.sim.schedule(
-            self.config.telemetry_sample_interval_seconds,
-            self._telemetry_tick,
-            priority=90,
-        )
+        }
+        res = self.resilience
+        if res is not None:
+            reads["resilience.retries_scheduled"] = lambda: res.retries_scheduled
+            reads["resilience.requests_shed"] = lambda: res.requests_shed
+        return reads
 
     def _setup_timeseries(self) -> None:
         """Build the time-series :class:`StateSampler` and its probes.
@@ -619,6 +604,7 @@ class ServerlessRun:
         which hardware their policies visited.
         """
         cfg = self.config
+        obs = self.obs
         catalog = self.profiles.catalog
         hardware_codes = {spec.name: i for i, spec in enumerate(catalog)}
         sampler = StateSampler(
@@ -645,37 +631,16 @@ class ServerlessRun:
             ),
         )
 
-        # Which hardware is serving (numeric code; NaN during failover).
-        def hw_selected() -> float:
-            node = self._current
-            if node is None or not node.available:
-                return math.nan
-            return float(hardware_codes[node.spec.name])
-
-        sampler.probe("hw.selected", hw_selected)
-
-        # Backlog shape.
-        def on_current(fn, default=math.nan):
-            def read() -> float:
-                node = self._current
-                if node is None or not node.available:
-                    return default
-                return float(fn(node))
-            return read
-
+        # Which hardware is serving (numeric code; NaN during failover),
+        # the backlog shape and the serving node's container pool.
         sampler.probe(
-            "queue.device", on_current(lambda n: n.device.queued_requests())
+            "hw.selected",
+            self._on_current(lambda n: hardware_codes[n.spec.name], math.nan),
         )
-        sampler.probe(
-            "queue.pending_windows", lambda: float(len(self._pending_windows))
-        )
-
-        # Container pool (warm/cold) on the serving node.
-        pool_of = lambda n: n.pool(self.model.name)
-        sampler.probe("pool.warm_idle", on_current(lambda n: pool_of(n).n_warm_idle))
-        sampler.probe("pool.spawning", on_current(lambda n: pool_of(n).n_spawning))
-        sampler.probe("pool.busy", on_current(lambda n: pool_of(n).n_busy))
-        sampler.probe("pool.waiting", on_current(lambda n: pool_of(n).n_waiting))
+        reads = self._state_reads(math.nan)
+        for name in ("queue.device", "queue.pending_windows", "pool.warm_idle",
+                     "pool.spawning", "pool.busy", "pool.waiting"):
+            sampler.probe(name, reads[name])
         sampler.probe(
             "autoscaler.predicted_rps", lambda: self.autoscaler.last_prediction
         )
@@ -683,17 +648,7 @@ class ServerlessRun:
             "autoscaler.pool_target",
             lambda: float(self.autoscaler.last_pool_target),
         )
-        sampler.probe(
-            "cold_starts.total",
-            lambda: float(
-                sum(
-                    p.cold_starts
-                    for node in self.cluster.nodes
-                    if node.node_id in self._owned_node_ids
-                    for p in node.pools().values()
-                )
-            ),
-        )
+        sampler.probe("cold_starts.total", reads["cold_starts.total"])
 
         # Per-node-type occupancy / MPS co-run level across live leases.
         def per_spec(spec_name: str, attr: str):
@@ -728,55 +683,36 @@ class ServerlessRun:
                 "breaker.half_open",
                 lambda: float(res.breaker_state_counts()["half_open"]),
             )
-            sampler.probe(
-                "resilience.retries_scheduled",
-                lambda: float(res.retries_scheduled),
-            )
-            sampler.probe(
-                "resilience.requests_shed", lambda: float(res.requests_shed)
-            )
+            for name in ("resilience.retries_scheduled",
+                         "resilience.requests_shed"):
+                sampler.probe(name, reads[name])
 
-        # Live SLO burn rate (worst window) when the monitor exists; the
-        # monitor is created just before this method runs.
-        if self.slo_monitor is not None:
-            mon = self.slo_monitor
+        # Live SLO burn rate and attainment (worst window) when the
+        # monitor exists; it is created just before this method runs.
+        mon = obs.slo_monitor
+        if mon is not None:
+            windows = lambda: mon.window_stats(self.sim.now, include_p99=False)
             sampler.probe(
                 "slo.burn_rate",
-                lambda: max(
-                    (
-                        s.burn_rate
-                        for s in mon.window_stats(self.sim.now, include_p99=False)
-                    ),
-                    default=0.0,
-                ),
+                lambda: max((s.burn_rate for s in windows()), default=0.0),
             )
             sampler.probe(
                 "slo.attainment",
-                lambda: min(
-                    (
-                        s.attainment
-                        for s in mon.window_stats(self.sim.now, include_p99=False)
-                    ),
-                    default=1.0,
-                ),
+                lambda: min((s.attainment for s in windows()), default=1.0),
             )
 
         # Cumulative dollars + $/hour burn rate (cost pillar).
-        if self.costmeter is not None:
-            meter = self.costmeter
+        meter, budget_mon = obs.costmeter, obs.cost_monitor
+        if meter is not None:
             sampler.probe(
                 "cost.cumulative_dollars", lambda: meter.spent(self.sim.now)
             )
-            if self.cost_monitor is not None:
-                budget_mon = self.cost_monitor
-                sampler.probe(
-                    "cost.burn_rate_per_hour",
-                    lambda: budget_mon.burn_rate_per_hour,
-                )
-                sampler.probe(
-                    "cost.projected_dollars",
-                    lambda: budget_mon.projected_dollars,
-                )
+            sampler.probe(
+                "cost.burn_rate_per_hour", lambda: budget_mon.burn_rate_per_hour
+            )
+            sampler.probe(
+                "cost.projected_dollars", lambda: budget_mon.projected_dollars
+            )
 
         # Experiment result-cache counters (process-level registry; flat
         # zero outside experiment harness runs).  Imported lazily to keep
@@ -798,32 +734,28 @@ class ServerlessRun:
             self.trace.duration + cfg.drain_grace_seconds,
             priority=90,
         )
-        self.sampler = sampler
+        obs.sampler = sampler
         self.tracer.timeseries = sampler
 
     def _telemetry_tick(self) -> None:
         now = self.sim.now
+        obs = self.obs
         prof = self.selfprof
-        if prof is not None:
-            prof.push("telemetry.metrics")
-        self.tracer.metrics.sample(now)
-        if prof is not None:
-            prof.pop()
-        if self.slo_monitor is not None:
+        for frame, pillar in (
+            ("telemetry.metrics", self.tracer.metrics),
+            ("telemetry.monitor", obs.slo_monitor),
+            ("telemetry.cost", obs.cost_monitor),
+        ):
+            if pillar is None:
+                continue
             if prof is not None:
-                prof.push("telemetry.monitor")
-            self.slo_monitor.sample(now)
-            if prof is not None:
-                prof.pop()
-        if self.cost_monitor is not None:
-            if prof is not None:
-                prof.push("telemetry.cost")
-            self.cost_monitor.sample(now)
+                prof.push(frame)
+            pillar.sample(now)
             if prof is not None:
                 prof.pop()
         if now < self.trace.duration + self.config.drain_grace_seconds:
             self.sim.schedule(
-                self.config.telemetry_sample_interval_seconds,
+                TELEMETRY_SAMPLE_INTERVAL_SECONDS,
                 self._telemetry_tick,
                 priority=90,
             )
@@ -889,17 +821,9 @@ class ServerlessRun:
             n_shed = int(expired.sum())
             if n_shed:
                 self.resilience.shed(n_shed)
-                if self.tracer.enabled:
-                    self.tracer.event(
-                        "retry.shed",
-                        now,
-                        cat="resilience",
-                        n=n_shed,
-                        reason="deadline_passed",
-                    )
-                rt = self.reqtrace
-                if rt is not None:
-                    rt.on_shed(now, None, n_shed, "deadline_passed")
+                obs = self.obs
+                if obs is not None:
+                    obs.shed(now, None, n_shed, "deadline_passed")
                 kept = window.arrivals[~expired]
                 if kept.size == 0:
                     return
@@ -993,14 +917,18 @@ class ServerlessRun:
         if recovery == "retry":
             self._plan_retry(batch)
         elif recovery == "drop":
-            self.requests_dropped += batch.size
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_drop(batch.batch_id, self.sim.now, batch.size)
+            self._drop(batch)
         else:  # requeue (legacy): back into the pending queue
             self._pending_windows.append(
                 DispatchWindow(dispatch_at=self.sim.now, arrivals=batch.arrivals)
             )
+
+    def _drop(self, batch: Batch) -> None:
+        """Lose a batch that lost its node (``recovery="drop"``)."""
+        self.requests_dropped += batch.size
+        obs = self.obs
+        if obs is not None:
+            obs.dropped(batch.batch_id, self.sim.now, batch.size)
 
     def _submit(self, batch: Batch, node: NodeInstance, pool) -> None:
         spec = node.spec
@@ -1023,31 +951,9 @@ class ServerlessRun:
             if self.resilience is not None:
                 self.resilience.record_success(spec.name, self.sim.now)
             self.metrics.record_batch(batch)
-            meter = self.costmeter
-            if meter is not None:
-                meter.on_batch(
-                    node.node_id,
-                    batch.model.name,
-                    batch.batch_id,
-                    batch.size,
-                    float(batch.started_at),
-                    float(batch.completed_at),
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_batch_complete(batch, node.node_id)
-            if self.tracer.enabled:
-                self.tracer.record_batch_span(batch)
-                self.tracer.metrics.histogram("request.latency_seconds").observe(
-                    float(batch.completed_at) - batch.first_arrival
-                )
-                if self.slo_monitor is not None:
-                    self.slo_monitor.observe_batch(
-                        self.sim.now,
-                        batch.model.name,
-                        batch.hardware_name or "?",
-                        batch.latencies(),
-                    )
+            obs = self.obs
+            if obs is not None:
+                obs.batch_completed(batch, node.node_id, self.sim.now)
 
         def on_evict(job: Job) -> None:
             pool.release()
@@ -1293,7 +1199,8 @@ class ServerlessRun:
             for job in evicted:
                 self._plan_retry(job.batch)
         elif recovery == "drop":
-            self.requests_dropped += sum(j.batch.size for j in evicted)
+            for job in evicted:
+                self._drop(job.batch)
         else:
             # Requeue (legacy): evicted requests go back into the pending
             # queue, arrivals intact, merged into one window.
@@ -1359,19 +1266,9 @@ class ServerlessRun:
         deadline = batch.first_arrival + self.slo.target_seconds
         if res.config.shed_expired and now >= deadline:
             res.shed(batch.size)
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "retry.shed",
-                    now,
-                    cat="resilience",
-                    batch_id=batch.batch_id,
-                    n=batch.size,
-                    reason="deadline_passed",
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_shed(now, batch.batch_id, batch.size,
-                           "deadline_passed")
+            obs = self.obs
+            if obs is not None:
+                obs.shed(now, batch.batch_id, batch.size, "deadline_passed")
             return
         plan = res.plan_retry(
             now,
@@ -1379,34 +1276,15 @@ class ServerlessRun:
             attempt=batch.retries + 1,
             prev_backoff=self._retry_backoff.get(batch.batch_id, 0.0),
         )
+        obs = self.obs
         if plan is None:
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "retry.abandoned",
-                    now,
-                    cat="resilience",
-                    batch_id=batch.batch_id,
-                    attempt=batch.retries + 1,
-                    deadline=deadline,
-                )
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_retry_abandoned(
-                    batch.batch_id, now, "deadline_unreachable"
-                )
+            if obs is not None:
+                obs.retry_abandoned(batch, now, deadline)
             return
         delay, backoff = plan
         self._retry_backoff[batch.batch_id] = backoff
-        if self.tracer.enabled:
-            self.tracer.event(
-                "retry.schedule",
-                now,
-                cat="resilience",
-                batch_id=batch.batch_id,
-                attempt=batch.retries + 1,
-                delay=delay,
-                deadline=deadline,
-            )
+        if obs is not None:
+            obs.retry_scheduled(batch, now, delay, deadline)
         self.sim.schedule(
             delay, lambda: self._retry_dispatch(batch, deadline), priority=10
         )
@@ -1437,21 +1315,9 @@ class ServerlessRun:
         bd.exec_solo = 0.0
         batch.dispatched_at = now
         batch.retries += 1
-        if self.tracer.enabled:
-            self.tracer.event(
-                "retry.dispatch",
-                now,
-                cat="resilience",
-                batch_id=batch.batch_id,
-                attempt=batch.retries,
-                deadline=deadline,
-                hardware=node.spec.name,
-            )
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_retry_dispatch(
-                batch.batch_id, batch.retries, now, node.spec.name
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.retry_dispatched(batch, now, deadline, node.spec.name)
         self._acquire_and_submit(batch, node)
 
     # ------------------------------------------------------------------
@@ -1513,49 +1379,17 @@ class ServerlessRun:
             for node, _ in owned
             for pool in node.pools().values()
         )
-        breakdown = None
-        meter = self.costmeter
-        if meter is not None:
-            breakdown = meter.summarize(now, node_ids=self._owned_node_ids)
-        reqtrace_data = None
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_run_end(now)  # idempotent with the engine run-end hook
-            reqtrace_data = rt.data()
-        budget_alerts = (
-            self.cost_monitor.alerts_emitted
-            if self.cost_monitor is not None
-            else 0
-        )
-        if self.tracer.enabled:
-            # Leases still open at run end never saw a release; close
-            # their spans here so the trace timeline covers every node.
-            for node, lease in owned:
-                if lease.end is None:
-                    self.tracer.span(
-                        f"lease:{lease.spec.name}",
-                        lease.start,
-                        now,
-                        cat="lease",
-                        track="leases",
-                        hardware=lease.spec.name,
-                        node_id=node.node_id,
-                        cost=lease.cost(now),
-                        open_at_end=True,
-                    )
-            self.tracer.meta.update(
-                {
-                    "completed_requests": completed,
-                    "offered_requests": offered,
-                    "total_cost": cost,
-                    "n_switches": self.n_switches,
-                    "engine_dispatches": self.sim.n_dispatched,
-                }
+        breakdown, reqtrace_data, budget_alerts = None, None, 0
+        obs = self.obs
+        if obs is not None:
+            meta = {
+                "completed_requests": completed, "offered_requests": offered,
+                "total_cost": cost, "n_switches": self.n_switches,
+                "engine_dispatches": self.sim.n_dispatched,
+            }
+            breakdown, reqtrace_data, budget_alerts = obs.run_finalized(
+                now, owned, meta
             )
-            if breakdown is not None:
-                self.tracer.meta["cost_buckets"] = dict(
-                    breakdown.bucket_dollars
-                )
         slo_s = self.slo.target_seconds
         return RunResult(
             scheme=self.policy.name,

@@ -14,7 +14,7 @@ weighted sum of node prices (Section V).  This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from repro.simulator.cpu import CPUDevice
 from repro.simulator.engine import Simulator
 from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.telemetry.observers import RunObservers
 
 __all__ = ["NodeInstance", "Cluster", "LeaseRecord"]
 
@@ -66,7 +68,7 @@ class NodeInstance:
         "_pools",
         "available",
         "spawn_delay_fn",
-        "costmeter",
+        "obs",
     )
 
     _ids = 0
@@ -79,6 +81,7 @@ class NodeInstance:
         rng: np.random.Generator,
         *,
         selfprof=None,
+        obs: Optional["RunObservers"] = None,
     ) -> None:
         self.sim = sim
         self.spec = spec
@@ -90,13 +93,14 @@ class NodeInstance:
             )
         else:
             self.device = CPUDevice(sim, spec, rng)
+        self.device.obs = obs
         self._pools: dict[str, ContainerPool] = {}
         self.available = True
         #: Chaos cold-start hook handed to pools created on this node.
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` handed
-        #: to pools created on this node (spawn-interval itemization).
-        self.costmeter = None
+        #: The run's observer bundle, handed to pools created on this
+        #: node (``None`` on untraced runs).
+        self.obs = obs
 
     def pool(self, model_name: str) -> ContainerPool:
         """The container pool for ``model_name`` (created on first use)."""
@@ -105,8 +109,8 @@ class NodeInstance:
         except KeyError:
             pool = ContainerPool(self.sim, self.spec.cold_start_seconds)
             pool.spawn_delay_fn = self.spawn_delay_fn
-            pool.costmeter = self.costmeter
-            pool.cost_key = self.node_id
+            pool.obs = self.obs
+            pool.node_id = self.node_id
             self._pools[model_name] = pool
             return pool
 
@@ -163,13 +167,10 @@ class Cluster:
         catalog: HardwareCatalog,
         interference: InterferenceModel = DEFAULT_INTERFERENCE,
         seed: int = 0,
-        *,
-        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.sim = sim
         self.catalog = catalog
         self.interference = interference
-        self.tracer = tracer
         self._root_rng = np.random.default_rng(seed)
         self.leases: list[LeaseRecord] = []
         self._active_leases: dict[int, LeaseRecord] = {}
@@ -184,17 +185,11 @@ class Cluster:
         #: phase-tree frames; ``None`` (the default) leaves devices
         #: entirely uninstrumented.
         self.selfprof = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` that
-        #: itemizes every lease-second into busy/cold-start/idle/
-        #: reconfiguration dollars.  Propagated to every subsequently
-        #: acquired node (and its pools); ``None`` (the default) costs
-        #: one ``is None`` branch per lease transition.
-        self.costmeter = None
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: propagated to every subsequently acquired node's device so
-        #: execution starts carry hardware/co-run context; ``None`` (the
-        #: default) costs one ``is None`` branch per lease transition.
-        self.reqtrace = None
+        #: The observer bundle of the first traced run on this cluster,
+        #: told about every lease transition and handed to every node
+        #: acquired after it is set (and their devices and pools);
+        #: ``None`` costs one ``is None`` branch per lease transition.
+        self.obs: Optional["RunObservers"] = None
 
     # ------------------------------------------------------------------
     # Acquisition / release
@@ -218,44 +213,20 @@ class Cluster:
             self.interference,
             np.random.default_rng(self._root_rng.integers(2**63)),
             selfprof=self.selfprof,
+            obs=self.obs,
         )
         node.spawn_delay_fn = self.spawn_delay_fn
-        node.costmeter = self.costmeter
         self.nodes.append(node)
-        lease = LeaseRecord(spec=spec, start=self.sim.now)
+        now = self.sim.now
+        lease = LeaseRecord(spec=spec, start=now)
         self.leases.append(lease)
         self._active_leases[node.node_id] = lease
-        meter = self.costmeter
-        if meter is not None:
-            ready_at = (
-                self.sim.now
-                if instant or spec.provision_seconds <= 0
-                else self.sim.now + spec.provision_seconds
-            )
-            meter.on_acquire(node.node_id, spec, self.sim.now, ready_at)
-        rt = self.reqtrace
-        if rt is not None:
-            node.device.reqtrace = rt
-            ready_at = (
-                self.sim.now
-                if instant or spec.provision_seconds <= 0
-                else self.sim.now + spec.provision_seconds
-            )
-            rt.on_node_acquire(
-                node.node_id, spec.name, self.sim.now, ready_at, bool(instant)
-            )
-        if self.tracer.enabled:
-            self.tracer.event(
-                "node.acquire",
-                self.sim.now,
-                cat="lease",
-                track="cluster",
-                hardware=spec.name,
-                node_id=node.node_id,
-                instant=bool(instant),
-                provision_seconds=spec.provision_seconds,
-            )
-        if instant or spec.provision_seconds <= 0:
+        immediate = instant or spec.provision_seconds <= 0
+        obs = self.obs
+        if obs is not None:
+            ready_at = now if immediate else now + spec.provision_seconds
+            obs.node_acquired(node, now, ready_at, instant)
+        if immediate:
             on_ready(node)
         else:
             self.sim.schedule(spec.provision_seconds, lambda: on_ready(node))
@@ -267,34 +238,9 @@ class Cluster:
         if lease is None:
             raise ValueError(f"{node!r} has no active lease")
         lease.end = self.sim.now
-        meter = self.costmeter
-        if meter is not None:
-            meter.on_release(node.node_id, self.sim.now)
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_node_release(node.node_id, self.sim.now)
-        if self.tracer.enabled:
-            now = self.sim.now
-            self.tracer.event(
-                "node.release",
-                now,
-                cat="lease",
-                track="cluster",
-                hardware=node.spec.name,
-                node_id=node.node_id,
-                lease_seconds=lease.duration(now),
-                lease_cost=lease.cost(now),
-            )
-            self.tracer.span(
-                f"lease:{node.spec.name}",
-                lease.start,
-                now,
-                cat="lease",
-                track="leases",
-                hardware=node.spec.name,
-                node_id=node.node_id,
-                cost=lease.cost(now),
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.node_released(node, lease, self.sim.now)
         for pool in node.pools().values():
             pool.terminate_all()
         node.available = False
@@ -305,14 +251,6 @@ class Cluster:
     def active_nodes(self) -> list[NodeInstance]:
         """Nodes with a live lease (the ones paying rent right now)."""
         return [n for n in self.nodes if n.node_id in self._active_leases]
-
-    def occupancy_by_spec(self) -> dict[str, float]:
-        """Mean instantaneous occupancy per hardware type over live
-        leases; specs with no active node are absent."""
-        acc: dict[str, list[float]] = {}
-        for node in self.active_nodes():
-            acc.setdefault(node.spec.name, []).append(node.occupancy)
-        return {name: sum(vals) / len(vals) for name, vals in acc.items()}
 
     # ------------------------------------------------------------------
     # Cost accounting (Section V: lease-time weighted node prices)

@@ -90,11 +90,11 @@ class ContainerPool:
         #: actual spawn delay for one cold start (failed starts retry and
         #: chain, inflating the delay).  ``None`` means healthy spawns.
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: Optional :class:`~repro.telemetry.costmeter.CostMeter` (set by
-        #: the owning node); spawn intervals feed its cold-start bucket.
-        self.costmeter = None
-        #: The owning node's id, the meter's lease key.
-        self.cost_key = -1
+        #: The run's observer bundle (set by the owning node on traced
+        #: runs); ``None`` costs one ``is None`` branch per spawn.
+        self.obs = None
+        #: The owning node's id, the lease key of spawn facts.
+        self.node_id = -1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -165,9 +165,10 @@ class ContainerPool:
             if self.spawn_delay_fn is not None
             else self.cold_start_seconds
         )
-        meter = self.costmeter
-        if meter is not None:
-            meter.on_spawn(self.cost_key, self.sim.now, self.sim.now + delay)
+        obs = self.obs
+        if obs is not None:
+            now = self.sim.now
+            obs.container_spawned(self.node_id, now, now + delay)
         self.sim.schedule(delay, self._on_warm)
 
     def _on_warm(self) -> None:

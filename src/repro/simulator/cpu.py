@@ -62,10 +62,9 @@ class CPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (set by the cluster on acquisition); ``None`` costs one
-        #: ``is None`` branch per job start.
-        self.reqtrace = None
+        #: The run's observer bundle (set by the cluster on traced runs);
+        #: ``None`` costs one ``is None`` branch per job start.
+        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -161,15 +160,9 @@ class CPUDevice:
                 * job.slowdown
             )
             self._running.append(job)
-            rt = self.reqtrace
-            if rt is not None:
-                rt.on_execute_start(
-                    job.batch.batch_id,
-                    self.sim.now,
-                    self.spec.name,
-                    len(self._running),
-                    0.0,
-                )
+            obs = self.obs
+            if obs is not None:
+                obs.execution_started(self, job, self.sim.now)
             self._mark_busy_transition()
             self.sim.schedule(service, lambda j=job: self._finish(j))
 

@@ -106,10 +106,9 @@ class GPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: Optional :class:`~repro.telemetry.reqtrace.RequestTracer`
-        #: (set by the cluster on acquisition); ``None`` costs one
-        #: ``is None`` branch per job start.
-        self.reqtrace = None
+        #: The run's observer bundle (set by the cluster on traced runs);
+        #: ``None`` costs one ``is None`` branch per job start.
+        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -284,15 +283,9 @@ class GPUDevice:
         job.started_at = self.sim.now
         self._active.append(job)
         self._mem_used += job.mem_gb
-        rt = self.reqtrace
-        if rt is not None:
-            rt.on_execute_start(
-                job.batch.batch_id,
-                self.sim.now,
-                self.spec.name,
-                len(self._active),
-                self.total_fbr,
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.execution_started(self, job, self.sim.now)
         self._mark_busy_transition()
 
     def _maybe_promote(self) -> None:

@@ -35,10 +35,14 @@ request's latency actually went.  This package records the path taken:
   per-callback-site engine frames and flamegraph/speedscope export, see
   ``docs/PERFORMANCE.md``).
 
+Components report simulation facts to one ``obs`` attribute, a
+:class:`~repro.telemetry.observers.RunObservers` bundle per traced run
+that fans each fact out to the enabled pillars.
+
 Everything is **zero-overhead when disabled**: the shared
 :data:`NULL_TRACER` singleton short-circuits on a single attribute check,
-no sampler events are scheduled, and the engine hot loop performs one
-``is None`` test.  A run with tracing disabled is bit-identical to one
+no sampler events are scheduled, every ``obs`` hook site is one
+``is None`` test, and so is the engine hot loop.  A run with tracing disabled is bit-identical to one
 without the telemetry layer at all.
 """
 
@@ -70,6 +74,7 @@ from repro.telemetry.reqtrace import (
     RequestView,
     read_reqtrace,
 )
+from repro.telemetry.observers import RunObservers
 from repro.telemetry.selfprof import (
     RunProfiler,
     diff_profiles,
@@ -115,6 +120,7 @@ __all__ = [
     "RequestTracer",
     "RequestView",
     "RunLedger",
+    "RunObservers",
     "RunProfiler",
     "RunRecord",
     "SLOMonitor",

@@ -6,8 +6,9 @@ request slow?".  A :class:`RequestTracer` records, per request id, a
 typed phase timeline — arrival -> window wait -> batch formation
 (batch id, peers, deadline-setting member) -> queue -> cold-start wait
 -> dispatch (hardware, co-run slot) -> interference slowdown -> retry
-attempts -> completion — emitted from hook sites in the framework, the
-simulator devices, the cluster, and the resilience layer.
+attempts -> completion — reported by the framework, the simulator
+devices, the cluster, and the resilience layer through the run's
+observer bundle (:mod:`repro.telemetry.observers`).
 
 Columnar by construction
 ------------------------
@@ -45,10 +46,8 @@ worst-K forensics are exact at any sampling rate for ``K <= tail_k``.
 Disabled path
 -------------
 Untraced runs (or ``RunConfig(reqtrace=False)``, the default) construct
-no ``RequestTracer``; every hook site pays one attribute load and one
-``is None`` branch.  Zero calls into this module on the disabled path
-are gated deterministically (``sys.setprofile`` call counting) the same
-way as the cost meter's.
+no ``RequestTracer`` and make zero calls into this module, gated
+deterministically (``sys.setprofile`` call counting) like the meter's.
 """
 
 from __future__ import annotations
@@ -144,11 +143,6 @@ class BatchTrace:
     def size(self) -> int:
         return int(self.arrivals.size)
 
-    @property
-    def max_latency(self) -> float:
-        """Latency of the first (earliest, hence slowest) arrival."""
-        return self.completed_at - float(self.arrivals[0])
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "type": "reqtrace_batch",
@@ -236,9 +230,10 @@ class RequestTracer:
 
     Constructed only when the run is traced *and*
     ``RunConfig.reqtrace`` is set — the disabled path never enters this
-    module.  Hook methods are named ``on_*`` and are called from one
-    ``is None``-guarded site each; none of them touch the simulation
-    state, so a traced run stays bit-identical to an untraced one.
+    module.  Its hooks are called from the run's
+    :class:`~repro.telemetry.observers.RunObservers` bundle; none of
+    them touch the simulation state, so a traced run stays bit-identical
+    to an untraced one.
     """
 
     #: Soft cap on the auxiliary event list (node churn, retries,
@@ -344,39 +339,14 @@ class RequestTracer:
             sampled=keep,
         )
 
-    def on_retry_dispatch(self, batch_id: int, attempt: int, now: float,
-                          hardware: Optional[str]) -> None:
-        self._event("retry.dispatch", now, batch_id=batch_id,
-                    attempt=attempt, hardware=hardware)
-
-    def on_retry_abandoned(self, batch_id: int, now: float,
-                           reason: str) -> None:
-        self._event("retry.abandoned", now, batch_id=batch_id, reason=reason)
-
-    def on_shed(self, now: float, batch_id: Optional[int], n: int,
-                reason: str) -> None:
-        self._event("shed", now, batch_id=batch_id, n=int(n), reason=reason)
-
-    def on_drop(self, batch_id: int, now: float, n: int) -> None:
-        self._event("drop", now, batch_id=batch_id, n=int(n))
-
-    def on_node_acquire(self, node_id: int, spec: str, now: float,
-                        ready_at: float, instant: bool) -> None:
-        self._event("node.acquire", now, node_id=node_id, spec=spec,
-                    ready_at=float(ready_at), instant=bool(instant))
-
-    def on_node_release(self, node_id: int, now: float) -> None:
-        self._event("node.release", now, node_id=node_id)
-
-    def on_breaker(self, target: str, state: str, now: float) -> None:
-        self._event("breaker", now, target=target, state=state)
-
     def on_run_end(self, now: float) -> None:
         """Record the run horizon (idempotent; max wins across lanes)."""
         if now > self._horizon:
             self._horizon = float(now)
 
-    def _event(self, kind: str, now: float, **attrs: Any) -> None:
+    def event(self, kind: str, now: float, **attrs: Any) -> None:
+        """Record one auxiliary event (node churn, retries, sheds, drops,
+        breaker flips); ``attrs`` must be JSON-serialisable."""
         if len(self._events) >= self.event_cap:
             self.events_dropped += 1
             return

@@ -28,7 +28,7 @@ def data():
     tracer.on_batch_complete(
         make_batch([0.0, 0.2, 0.4], 1.0, batch_id=0), node_id=0
     )
-    tracer.on_retry_dispatch(1, 1, 2.1, "T4")
+    tracer.event("retry.dispatch", 2.1, batch_id=1, attempt=1, hardware="T4")
     tracer.on_batch_complete(
         make_batch([2.0], 4.5, batch_id=1, hardware="T4", retries=1),
         node_id=1,

@@ -64,16 +64,17 @@ class TestClusterKeywordOnly:
                 Tracer(),
             )
 
-    def test_keyword_tracer_is_silent(self):
+    def test_tracer_keyword_is_typeerror(self):
+        # Lease events reach the tracer through the cluster's observer
+        # bundle (``Cluster.obs``); the cluster takes no tracer at all.
         profiles = ProfileService()
-        tracer = Tracer()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cluster = Cluster(
+        with pytest.raises(TypeError):
+            Cluster(
                 Simulator(), profiles.catalog, profiles.interference, 0,
-                tracer=tracer,
+                tracer=Tracer(),
             )
-        assert cluster.tracer is tracer
+        cluster = Cluster(Simulator(), profiles.catalog, seed=0)
+        assert cluster.obs is None
 
 
 class TestChaosEngineKeywordOnly:

@@ -1,5 +1,6 @@
 """Lease cost-accounting edges: mid-run release, switches, zero-duration
-runs, chaos-killed nodes, and the cluster-side cost-meter hooks."""
+runs, chaos-killed nodes, and the cluster-side observer hooks that feed
+the cost meter."""
 
 import math
 
@@ -7,14 +8,15 @@ import pytest
 
 from repro.framework.system import RunResult
 from repro.simulator.cluster import Cluster
-from repro.telemetry import Tracer
+from repro.telemetry import RunObservers, Tracer
 from repro.telemetry.costmeter import CostMeter
 
 
 @pytest.fixture
 def cluster(sim, catalog):
     c = Cluster(sim, catalog, seed=1)
-    c.costmeter = CostMeter()
+    c.obs = RunObservers(Tracer())
+    c.obs.costmeter = CostMeter()
     return c
 
 
@@ -26,7 +28,7 @@ class TestClusterMeterHooks:
         cluster.sim.schedule(100.0, lambda: cluster.release(node))
         cluster.sim.schedule(300.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.costmeter.summarize(cluster.sim.now)
+        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(cluster.total_cost())
         assert bd.leases[0].end == pytest.approx(100.0)
 
@@ -45,7 +47,7 @@ class TestClusterMeterHooks:
                              lambda: cluster.release(old))
         cluster.sim.schedule(120.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.costmeter.summarize(cluster.sim.now)
+        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
         assert len(bd.leases) == 2
         assert math.isclose(
             bd.total_dollars, cluster.total_cost(),
@@ -59,7 +61,7 @@ class TestClusterMeterHooks:
 
     def test_provisioned_acquire_records_ready_at(self, cluster, m60):
         cluster.acquire(m60, lambda n: None)
-        state = cluster.costmeter._open[cluster.nodes[0].node_id]
+        state = cluster.obs.costmeter._open[cluster.nodes[0].node_id]
         assert state.ready_at == pytest.approx(m60.provision_seconds)
 
     def test_failed_node_still_bills_until_release(self, cluster, m60):
@@ -72,7 +74,7 @@ class TestClusterMeterHooks:
         cluster.sim.schedule(10.0, lambda: cluster.release(node))
         cluster.sim.schedule(20.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.costmeter.summarize(cluster.sim.now)
+        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(
             10.0 * m60.price_per_second
         )
@@ -92,22 +94,24 @@ class TestClusterMeterHooks:
         cluster.sim.schedule(1.0, lambda: cluster.release(node))
         cluster.sim.schedule(m60.cold_start_seconds + 5.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.costmeter.summarize(cluster.sim.now)
+        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(1.0 * m60.price_per_second)
         assert sum(bd.bucket_seconds.values()) == pytest.approx(1.0)
 
     def test_meter_propagates_to_new_pools(self, cluster, m60):
         node = cluster.acquire(m60, lambda n: None, instant=True)
         pool = node.pool("resnet50")
-        assert pool.costmeter is cluster.costmeter
-        assert pool.cost_key == node.node_id
+        assert pool.obs is cluster.obs
+        assert node.device.obs is cluster.obs
+        assert pool.node_id == node.node_id
 
     def test_unmetered_cluster_records_nothing(self, sim, catalog, m60):
         c = Cluster(sim, catalog, seed=1)
         node = c.acquire(m60, lambda n: None, instant=True)
         node.pool("resnet50").prewarm(1)
         c.release(node)
-        assert c.costmeter is None
+        assert c.obs is None
+        assert node.pool("resnet50").obs is None
 
 
 class TestRunResultCostGuards:

@@ -333,8 +333,8 @@ class TestConservationOnRealRuns:
         result, run = self._run(
             scenario, tracer=Tracer(), config=RunConfig(cost_meter=False)
         )
-        assert run.costmeter is None
-        assert run.cost_monitor is None
+        assert run.obs.costmeter is None
+        assert run.obs.cost_monitor is None
         assert result.cost_breakdown is None
 
     def test_tiny_budget_fires_alert_on_real_run(self, scenario):

@@ -238,16 +238,17 @@ class TestEvents:
     def test_event_cap_counts_drops(self):
         tracer = RequestTracer(event_cap=2)
         for i in range(5):
-            tracer.on_node_release(i, float(i))
+            tracer.event("node.release", float(i), node_id=i)
         assert len(tracer.data().events) == 2
         assert tracer.events_dropped == 3
         assert tracer.data().meta["events_dropped"] == 3
 
     def test_events_between_filters_inclusive(self):
         tracer = RequestTracer()
-        tracer.on_node_acquire(0, "g4", 1.0, 2.0, False)
-        tracer.on_breaker("node", "open", 2.0)
-        tracer.on_node_release(0, 5.0)
+        tracer.event("node.acquire", 1.0, node_id=0, spec="g4",
+                     ready_at=2.0, instant=False)
+        tracer.event("breaker", 2.0, target="node", state="open")
+        tracer.event("node.release", 5.0, node_id=0)
         between = tracer.data().events_between(1.0, 2.0)
         assert [e["kind"] for e in between] == ["node.acquire", "breaker"]
 
@@ -267,7 +268,8 @@ class TestRoundTrip:
         tracer.on_batch_complete(
             make_batch([0.0, 0.25], 1.0, batch_id=0), node_id=1
         )
-        tracer.on_retry_dispatch(0, 1, 0.2, "A100")
+        tracer.event("retry.dispatch", 0.2, batch_id=0, attempt=1,
+                     hardware="A100")
         tracer.on_run_end(60.0)
         return tracer
 

@@ -36,10 +36,11 @@ def traced_run():
 class TestSamplerWiring:
     def test_sampler_attached_and_sampled(self, traced_run):
         _, run, tracer = traced_run
-        assert run.sampler is not None
-        assert tracer.timeseries is run.sampler
-        assert run.sampler.n_samples > 0
-        assert run.sampler.meta.get("probe_errors") is None
+        sampler = run.obs.sampler
+        assert sampler is not None
+        assert tracer.timeseries is sampler
+        assert sampler.n_samples > 0
+        assert sampler.meta.get("probe_errors") is None
 
     def test_core_columns_present_and_finite(self, traced_run):
         _, run, _ = traced_run
@@ -47,35 +48,36 @@ class TestSamplerWiring:
                      "queue.device", "pool.warm_idle",
                      "autoscaler.pool_target", "cold_starts.total",
                      "slo.burn_rate", "cache.hits"):
-            col = run.sampler.column(name)
+            col = run.obs.sampler.column(name)
             assert not np.all(np.isnan(col)), name
 
     def test_per_spec_columns_cover_catalog(self, traced_run):
         _, run, _ = traced_run
-        names = set(run.sampler.probe_names())
+        names = set(run.obs.sampler.probe_names())
         for spec in run.profiles.catalog:
             assert f"node.{spec.name}.occupancy" in names
             assert f"node.{spec.name}.co_run" in names
 
     def test_leased_spec_has_occupancy_readings(self, traced_run):
         _, run, _ = traced_run
+        sampler = run.obs.sampler
         leased = [
-            n for n in run.sampler.probe_names()
+            n for n in sampler.probe_names()
             if n.startswith("node.") and n.endswith(".occupancy")
-            and not np.all(np.isnan(run.sampler.column(n)))
+            and not np.all(np.isnan(sampler.column(n)))
         ]
         assert leased  # at least one node served traffic
 
     def test_offered_rate_tracks_trace(self, traced_run):
         _, run, _ = traced_run
-        col = run.sampler.column("rate.offered")
+        col = run.obs.sampler.column("rate.offered")
         assert np.nanmax(col) > 0.0
 
     def test_hw_selected_codes_valid(self, traced_run):
         _, run, _ = traced_run
-        codes = run.sampler.column("hw.selected")
+        codes = run.obs.sampler.column("hw.selected")
         finite = codes[~np.isnan(codes)]
-        n = len(run.sampler.meta["hardware_codes"])
+        n = len(run.obs.sampler.meta["hardware_codes"])
         assert finite.size > 0
         assert ((finite >= 0) & (finite < n)).all()
 
@@ -92,7 +94,7 @@ class TestSamplerWiring:
             RunConfig(timeseries_interval_seconds=0.0), tracer=Tracer(),
         )
         run.execute()
-        assert run.sampler is None
+        assert run.obs.sampler is None
 
     def test_untraced_run_has_no_sampler(self):
         model = get_model("resnet50")
@@ -104,7 +106,7 @@ class TestSamplerWiring:
         )
         run = ServerlessRun(model, trace, policy, profiles, slo)
         run.execute()
-        assert run.sampler is None
+        assert run.obs is None
 
 
 class TestPrometheusGauges:
@@ -119,8 +121,9 @@ class TestPrometheusGauges:
     def test_nan_series_skipped(self, traced_run):
         _, run, tracer = traced_run
         text = to_prometheus_text(tracer)
-        for name in run.sampler.probe_names():
-            if math.isnan(run.sampler.last(name)):
+        sampler = run.obs.sampler
+        for name in sampler.probe_names():
+            if math.isnan(sampler.last(name)):
                 sanitized = name.replace(".", "_")
                 assert f"repro_ts_{sanitized} " not in text
 
