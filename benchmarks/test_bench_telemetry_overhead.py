@@ -2,7 +2,7 @@
 
 Two contracts from the observability PR:
 
-* a fully-traced run (spans + decision events + metric sampling) stays
+* a fully-traced run (spans + decision events + cost meter) stays
   within 10% of the untraced wall-clock on a mid-size workload;
 * the disabled tracer adds no measurable overhead to the engine hot
   loop — the ``tracer.enabled`` guard is the entire disabled-path cost.
@@ -67,9 +67,9 @@ def best_of_paired(fn_a, fn_b, rounds=ROUNDS):
 
 
 def test_traced_run_within_10_percent():
-    # Tracing proper: spans + decision events + metric sampling.  The SLO
-    # monitor and the time-series sampler are separate subsystems with
-    # their own budget tests below.
+    # Tracing proper: spans + decision events + cost meter.  The SLO
+    # monitor and the time-series sampler (the only periodic state
+    # sampling) are separate subsystems with their own budget tests below.
     untraced, traced = best_of_paired(
         lambda: run_once(None),
         lambda: run_once(
@@ -219,7 +219,7 @@ def test_sampler_disabled_costs_under_one_percent():
 
 
 def test_sampler_enabled_overhead_within_budget():
-    # Sampling on (default 0.5 s interval, ~28 probes) vs the same traced
+    # Sampling on (default 0.5 s interval, 35 probes) vs the same traced
     # run with sampling off: one event per interval plus one float store
     # per column.  Rides the same 10% budget as the other subsystems.
     off, on = best_of_paired(

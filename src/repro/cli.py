@@ -13,7 +13,7 @@ Commands
     Serve one workload with one scheme and print the headline metrics;
     optionally inject faults from a ChaosSpec JSON file, enable the
     resilience layer (deadline-aware retry + circuit breakers), and
-    record telemetry (spans, decision audit, metric samples) to JSONL,
+    record telemetry (spans, decision audit, sampled run state) to JSONL,
     Chrome ``trace_event`` format (opens in Perfetto), and/or a
     Prometheus text-format metrics snapshot.  ``--live`` paints an
     in-terminal dashboard while the run executes (plain log lines when
@@ -261,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--prom-out", metavar="FILE",
                 help="record telemetry and write a Prometheus text-format "
-                "metrics snapshot (counters, gauges, histograms, SLO "
-                "windows) taken at end of run",
+                "metrics snapshot (latency histogram, time-series and SLO "
+                "window gauges) taken at end of run",
             )
             p.add_argument(
                 "--self-profile", action="store_true",

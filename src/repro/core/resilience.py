@@ -310,7 +310,7 @@ class ResilienceController:
         return any(b.blocking(now) for b in self._breakers.values())
 
     def open_breakers(self) -> int:
-        """How many breakers are not CLOSED (Prometheus gauge callback)."""
+        """How many breakers are not CLOSED (open or half-open)."""
         return sum(
             1
             for b in self._breakers.values()

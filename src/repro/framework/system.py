@@ -63,7 +63,7 @@ from repro.workloads.traces import Trace
 
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
 
-#: Sim-time cadence of the metrics-registry sampler on traced runs.
+#: Sim-time cadence of the SLO and cost budget monitors on traced runs.
 TELEMETRY_SAMPLE_INTERVAL_SECONDS = 1.0
 #: Windowed burn rate (violation rate / error budget) at which the SLO
 #: monitor emits a ``slo_alert`` event.
@@ -107,10 +107,12 @@ class RunConfig:
         Aggregate rate of the co-located functions.
     timeseries_interval_seconds:
         Cadence of the time-series :class:`~repro.telemetry.timeseries.
-        StateSampler` (columnar state probes: rates, per-node occupancy,
-        pool sizes, breaker states).  ``<= 0`` disables it.  Like the
-        metrics sampler it only exists when a tracer is enabled, so an
-        untraced run constructs no sampler and schedules no events.
+        StateSampler`, the only periodic record of run state (rates,
+        serving hardware, queues, pools, in-flight jobs, per-node
+        occupancy, breaker states).  ``<= 0`` disables it, so a traced
+        run then records no state series at all.  The sampler only
+        exists when a tracer is enabled; an untraced run constructs none
+        and schedules no events.
     slo_monitor_window_seconds:
         Sliding-window width of the live SLO burn-rate monitor
         (:class:`~repro.telemetry.slo_monitor.SLOMonitor`).  ``<= 0``
@@ -464,8 +466,8 @@ class ServerlessRun:
     # Telemetry (only reached when the tracer is enabled)
     # ------------------------------------------------------------------
     def _setup_telemetry(self) -> None:
-        """Build the run's observer bundle, register the sim-time gauges
-        and start the sampler loop."""
+        """Build the run's observer bundle and start the time-series
+        sampler and the monitor loop."""
         cfg = self.config
         self.tracer.meta.update(
             {
@@ -477,39 +479,7 @@ class ServerlessRun:
                 "seed": cfg.seed,
             }
         )
-        reg = self.tracer.metrics
-        reg.histogram("request.latency_seconds")
-        reads = self._state_reads(0.0)
-        device = lambda fn: self._on_current(lambda n: fn(n.device), 0.0)
-        gauges = {
-            "queue.device_requests": reads["queue.device"],
-            "queue.pending_windows": reads["queue.pending_windows"],
-            "containers.warm_idle": reads["pool.warm_idle"],
-            "containers.spawning": reads["pool.spawning"],
-            "containers.busy": reads["pool.busy"],
-            "containers.waiting": reads["pool.waiting"],
-            "jobs.active_spatial": device(
-                lambda d: getattr(d, "n_active_spatial", 0)
-            ),
-            "jobs.active_temporal": device(
-                lambda d: getattr(d, "n_active_temporal", d.n_active)
-            ),
-            "gpu.total_fbr": device(lambda d: getattr(d, "total_fbr", 0.0)),
-            "gpu.mem_used_gb": device(lambda d: getattr(d, "mem_used_gb", 0.0)),
-            "cold_starts.total": reads["cold_starts.total"],
-        }
-        res = self.resilience
-        if res is not None:
-            gauges["resilience.retries_scheduled"] = reads[
-                "resilience.retries_scheduled"
-            ]
-            gauges["resilience.retries_abandoned"] = lambda: res.retries_abandoned
-            gauges["resilience.requests_shed"] = reads["resilience.requests_shed"]
-            gauges["resilience.requests_dropped"] = lambda: self.requests_dropped
-            gauges["resilience.breakers_open"] = res.open_breakers
-        for name, read in gauges.items():
-            reg.gauge(name, read)
-
+        self.tracer.metrics.histogram("request.latency_seconds")
         obs = self.obs = RunObservers(self.tracer)
         # This runs before the initial acquire, so the cluster's bundle
         # sees every lease.  In a shared cluster the first traced lane
@@ -520,8 +490,8 @@ class ServerlessRun:
         host = self.cluster.obs
         if host is None:
             host = self.cluster.obs = obs
-        if res is not None:
-            res.obs = obs
+        if self.resilience is not None:
+            self.resilience.obs = obs
         if cfg.slo_monitor_window_seconds > 0:
             obs.slo_monitor = SLOMonitor(
                 slo_seconds=self.slo.target_seconds,
@@ -557,43 +527,16 @@ class ServerlessRun:
         )
 
     def _on_current(
-        self, fn: Callable[[NodeInstance], float], default: float
+        self, fn: Callable[[NodeInstance], float]
     ) -> Callable[[], float]:
-        """A read of ``fn(serving node)`` that yields ``default`` while
-        no node is serving (before the first lease, during failover)."""
+        """A read of ``fn(serving node)`` that yields NaN while no node
+        is serving (before the first lease, during failover)."""
         def read():
             node = self._current
             if node is None or not node.available:
-                return default
+                return math.nan
             return fn(node)
         return read
-
-    def _state_reads(self, default: float) -> dict[str, Callable[[], float]]:
-        """Run-state reads exported both as sim-time gauges and as
-        time-series probes, keyed by probe name.  Serving-node reads
-        yield ``default`` while no node serves: 0.0 for the gauges, NaN
-        for the probes."""
-        current = lambda fn: self._on_current(fn, default)
-        pool = lambda n: n.pool(self.model.name)
-        reads = {
-            "queue.device": current(lambda n: n.device.queued_requests()),
-            "queue.pending_windows": lambda: len(self._pending_windows),
-            "pool.warm_idle": current(lambda n: pool(n).n_warm_idle),
-            "pool.spawning": current(lambda n: pool(n).n_spawning),
-            "pool.busy": current(lambda n: pool(n).n_busy),
-            "pool.waiting": current(lambda n: pool(n).n_waiting),
-            "cold_starts.total": lambda: sum(
-                p.cold_starts
-                for node in self.cluster.nodes
-                if node.node_id in self._owned_node_ids
-                for p in node.pools().values()
-            ),
-        }
-        res = self.resilience
-        if res is not None:
-            reads["resilience.retries_scheduled"] = lambda: res.retries_scheduled
-            reads["resilience.requests_shed"] = lambda: res.requests_shed
-        return reads
 
     def _setup_timeseries(self) -> None:
         """Build the time-series :class:`StateSampler` and its probes.
@@ -632,15 +575,29 @@ class ServerlessRun:
         )
 
         # Which hardware is serving (numeric code; NaN during failover),
-        # the backlog shape and the serving node's container pool.
-        sampler.probe(
-            "hw.selected",
-            self._on_current(lambda n: hardware_codes[n.spec.name], math.nan),
-        )
-        reads = self._state_reads(math.nan)
-        for name in ("queue.device", "queue.pending_windows", "pool.warm_idle",
-                     "pool.spawning", "pool.busy", "pool.waiting"):
-            sampler.probe(name, reads[name])
+        # the backlog shape, the serving node's container pool and its
+        # device's in-flight jobs (MPS co-runners vs. promoted temporal).
+        current = self._on_current
+        pool = lambda n: n.pool(self.model.name)
+        for name, read in (
+            ("hw.selected", current(lambda n: hardware_codes[n.spec.name])),
+            ("queue.device", current(lambda n: n.device.queued_requests())),
+            ("queue.pending_windows", lambda: len(self._pending_windows)),
+            ("pool.warm_idle", current(lambda n: pool(n).n_warm_idle)),
+            ("pool.spawning", current(lambda n: pool(n).n_spawning)),
+            ("pool.busy", current(lambda n: pool(n).n_busy)),
+            ("pool.waiting", current(lambda n: pool(n).n_waiting)),
+            ("jobs.active_spatial",
+             current(lambda n: getattr(n.device, "n_active_spatial", 0))),
+            ("jobs.active_temporal",
+             current(lambda n: getattr(n.device, "n_active_temporal",
+                                       n.device.n_active))),
+            ("gpu.total_fbr",
+             current(lambda n: getattr(n.device, "total_fbr", 0.0))),
+            ("gpu.mem_used_gb",
+             current(lambda n: getattr(n.device, "mem_used_gb", 0.0))),
+        ):
+            sampler.probe(name, read)
         sampler.probe(
             "autoscaler.predicted_rps", lambda: self.autoscaler.last_prediction
         )
@@ -648,7 +605,15 @@ class ServerlessRun:
             "autoscaler.pool_target",
             lambda: float(self.autoscaler.last_pool_target),
         )
-        sampler.probe("cold_starts.total", reads["cold_starts.total"])
+        sampler.probe(
+            "cold_starts.total",
+            lambda: sum(
+                p.cold_starts
+                for node in self.cluster.nodes
+                if node.node_id in self._owned_node_ids
+                for p in node.pools().values()
+            ),
+        )
 
         # Per-node-type occupancy / MPS co-run level across live leases.
         def per_spec(spec_name: str, attr: str):
@@ -683,9 +648,13 @@ class ServerlessRun:
                 "breaker.half_open",
                 lambda: float(res.breaker_state_counts()["half_open"]),
             )
-            for name in ("resilience.retries_scheduled",
-                         "resilience.requests_shed"):
-                sampler.probe(name, reads[name])
+            for name, read in (
+                ("resilience.retries_scheduled", lambda: res.retries_scheduled),
+                ("resilience.retries_abandoned", lambda: res.retries_abandoned),
+                ("resilience.requests_shed", lambda: res.requests_shed),
+                ("resilience.requests_dropped", lambda: self.requests_dropped),
+            ):
+                sampler.probe(name, read)
 
         # Live SLO burn rate and attainment (worst window) when the
         # monitor exists; it is created just before this method runs.
@@ -742,7 +711,6 @@ class ServerlessRun:
         obs = self.obs
         prof = self.selfprof
         for frame, pillar in (
-            ("telemetry.metrics", self.tracer.metrics),
             ("telemetry.monitor", obs.slo_monitor),
             ("telemetry.cost", obs.cost_monitor),
         ):

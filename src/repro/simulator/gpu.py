@@ -141,12 +141,12 @@ class GPUDevice:
 
     @property
     def n_active_spatial(self) -> int:
-        """Resident jobs co-running under MPS (telemetry gauge)."""
+        """Resident jobs co-running under MPS (time-series probe)."""
         return sum(1 for j in self._active if j.is_spatial)
 
     @property
     def n_active_temporal(self) -> int:
-        """Promoted temporal jobs currently executing (telemetry gauge)."""
+        """Promoted temporal jobs currently executing (time-series probe)."""
         return sum(1 for j in self._active if not j.is_spatial)
 
     @property
@@ -156,7 +156,7 @@ class GPUDevice:
 
     @property
     def mem_used_gb(self) -> float:
-        """Device memory held by the resident set (telemetry gauge)."""
+        """Device memory held by the resident set (time-series probe)."""
         return self._mem_used
 
     @property

@@ -10,8 +10,11 @@ request's latency actually went.  This package records the path taken:
   per-component **decision events** (hardware-selection ticks with their
   full candidate tables, y-split choices, autoscaler actions, chaos
   fault injections, node leases).
-* :class:`~repro.telemetry.metrics.MetricsRegistry` — sim-time counters,
-  gauges, and histograms sampled on a configurable interval.
+* :class:`~repro.telemetry.metrics.MetricsRegistry` — counters and
+  histograms (request latency, result-cache and executor counts).
+* :class:`~repro.telemetry.timeseries.StateSampler` — the run's state
+  (rates, serving hardware, queues, pools, occupancy, breakers) sampled
+  into columns on a fixed sim-time interval.
 * :mod:`~repro.telemetry.exporters` — JSONL and Chrome ``trace_event``
   output (opens directly in Perfetto / ``chrome://tracing``).
 * :class:`~repro.telemetry.slo_monitor.SLOMonitor` — live sliding-window
@@ -25,7 +28,7 @@ request's latency actually went.  This package records the path taken:
   edge-triggered ``budget_alert`` events when the burn rate projects
   past the run's dollar budget.
 * :mod:`~repro.telemetry.prometheus` — Prometheus text-format snapshot
-  of the registry and the monitor windows.
+  of the registry, the sampler's last readings and the monitor windows.
 * :class:`~repro.telemetry.reqtrace.RequestTracer` — per-request causal
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
@@ -54,7 +57,6 @@ from repro.telemetry.tracer import (
 )
 from repro.telemetry.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -106,7 +108,6 @@ __all__ = [
     "CostBudgetMonitor",
     "CostMeter",
     "Counter",
-    "Gauge",
     "Histogram",
     "LeaseCost",
     "LedgerComparison",

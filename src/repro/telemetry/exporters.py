@@ -4,14 +4,15 @@ Two on-disk formats, one source of truth (the :class:`~repro.telemetry.
 tracer.Tracer`):
 
 * **JSONL** — one self-describing JSON object per line (``meta`` /
-  ``span`` / ``event`` / ``sample`` rows).  Lossless: :func:`read_jsonl`
-  parses a file back into a :class:`TraceData` the analysis layer
-  (``repro.analysis.trace_report``) consumes.
+  ``span`` / ``event`` rows).  Lossless: :func:`read_jsonl` parses a
+  file back into a :class:`TraceData` the analysis layer
+  (``repro.analysis.trace_report``) consumes.  Files from older
+  versions may also hold ``sample`` rows; they are skipped.
 * **Chrome trace_event** — a single JSON object that loads directly in
   Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  Spans
   become complete (``"X"``) events, decision events instant (``"i"``)
-  events, metric samples counter (``"C"``) events, and each track gets a
-  named thread row via ``"M"`` metadata events.
+  events, the time-series sampler's readings counter (``"C"``) events,
+  and each track gets a named thread row via ``"M"`` metadata events.
 
 Sim-seconds are exported as microseconds in the Chrome format (its
 native unit).  Non-finite floats (an infeasible candidate's ``inf``
@@ -65,8 +66,8 @@ def _jsonable(v: Any) -> Any:
 # JSONL
 # ----------------------------------------------------------------------
 def to_jsonl_lines(tracer: Tracer) -> Iterator[str]:
-    """Yield the trace as JSON lines (meta first, then spans, events,
-    samples — each in emission order)."""
+    """Yield the trace as JSON lines (meta first, then spans and
+    events, each in emission order)."""
     yield json.dumps({"type": "meta", **_jsonable(tracer.meta)})
     for s in tracer.spans:
         yield json.dumps(
@@ -91,8 +92,6 @@ def to_jsonl_lines(tracer: Tracer) -> Iterator[str]:
                 "attrs": _jsonable(e.attrs),
             }
         )
-    for row in tracer.metrics.samples:
-        yield json.dumps({"type": "sample", **_jsonable(row)})
 
 
 def write_jsonl(tracer: Tracer, path: str) -> int:
@@ -112,7 +111,6 @@ class TraceData:
     meta: dict[str, Any] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
     events: list[dict[str, Any]] = field(default_factory=list)
-    samples: list[dict[str, Any]] = field(default_factory=list)
 
     def spans_in(self, cat: str) -> list[dict[str, Any]]:
         return [s for s in self.spans if s.get("cat") == cat]
@@ -140,9 +138,7 @@ def read_jsonl(path: str) -> TraceData:
                 data.spans.append(obj)
             elif kind == "event":
                 data.events.append(obj)
-            elif kind == "sample":
-                data.samples.append(obj)
-            else:
+            elif kind != "sample":  # older files carry registry samples
                 raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
     return data
 
@@ -191,21 +187,16 @@ def to_chrome_trace(tracer: Tracer) -> dict[str, Any]:
                 "args": _jsonable(e.attrs),
             }
         )
-    for row in tracer.metrics.samples:
-        ts = row["t"] * _US
-        for name, value in row.items():
-            if name == "t" or not isinstance(value, (int, float)):
-                continue
-            out.append(
-                {
-                    "ph": "C",
-                    "name": name,
-                    "cat": "metric",
-                    "pid": 0,
-                    "ts": ts,
-                    "args": {"value": _jsonable(value)},
-                }
-            )
+    sampler = tracer.timeseries
+    if sampler is not None:
+        times = (sampler.times() * _US).tolist()
+        for name, col in sampler.columns().items():
+            for ts, value in zip(times, col.tolist()):
+                if math.isfinite(value):
+                    out.append({
+                        "ph": "C", "name": name, "cat": "timeseries",
+                        "pid": 0, "ts": ts, "args": {"value": value},
+                    })
     out.sort(key=lambda ev: (ev["ts"], ev.get("tid", 0)))
     metadata: list[dict[str, Any]] = [
         {
@@ -247,17 +238,12 @@ def summary_counts(source: Union[Tracer, TraceData]) -> dict[str, Any]:
     """Headline counts for a tracer or a parsed trace file."""
     if isinstance(source, Tracer):
         spans = [(s.cat, s.attrs) for s in source.spans]
-        n_events = len(source.events)
-        n_samples = len(source.metrics.samples)
     else:
         spans = [(s.get("cat"), s.get("attrs", {})) for s in source.spans]
-        n_events = len(source.events)
-        n_samples = len(source.samples)
     request_spans = [attrs for cat, attrs in spans if cat == "request"]
     return {
         "spans": len(spans),
         "request_spans": len(request_spans),
         "requests": int(sum(a.get("n", 0) for a in request_spans)),
-        "events": n_events,
-        "metric_samples": n_samples,
+        "events": len(source.events),
     }

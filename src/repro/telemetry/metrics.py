@@ -1,21 +1,18 @@
-"""Sim-time metrics: counters, gauges, histograms, and interval sampling.
+"""Metrics instruments: counters and histograms.
 
-Instruments live in a :class:`MetricsRegistry`.  Counters and histograms
-are pushed to by the instrumented code; gauges pull their value from a
-callback at sample time (queue depths, warm-container counts, GPU
-occupancy — state that already exists and should not be shadow-copied on
-the hot path).  ``sample(now)`` snapshots every instrument into one row;
-the framework drives it from a simulator event on a configurable
-interval, but only when tracing is enabled, so a disabled run schedules
-nothing.
+Instruments live in a :class:`MetricsRegistry` and are pushed to by the
+instrumented code (result-cache and executor counters, the traced run's
+``request.latency_seconds`` histogram).  Periodic state readings — queue
+depths, pools, occupancy — are the time-series sampler's job
+(:mod:`~repro.telemetry.timeseries`), not the registry's.
 """
 
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "P2Quantile"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "P2Quantile"]
 
 
 class P2Quantile:
@@ -156,22 +153,6 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    """A point-in-time reading, pulled from ``fn`` at sample time."""
-
-    def __init__(self, name: str, fn: Optional[Callable[[], float]] = None) -> None:
-        self.name = name
-        self._fn = fn
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        """Push a value (for gauges without a callback)."""
-        self._value = float(value)
-
-    def read(self) -> float:
-        return float(self._fn()) if self._fn is not None else self._value
-
-
 class Histogram:
     """Fixed-bucket histogram (latencies, batch sizes) with an exact tier.
 
@@ -179,13 +160,12 @@ class Histogram:
     overflow bucket catches everything above the last bound.
 
     Raw samples are additionally retained up to :data:`RAW_SAMPLE_CAP`
-    observations, so :meth:`quantile` (and the ``p50``/``p99`` columns of
-    :meth:`MetricsRegistry.histogram_summaries`) are *exact* for typical
-    run sizes.  Once the ``RAW_SAMPLE_CAP + 1``-th observation arrives
-    the raw list is handed to one :class:`P2Quantile` estimator per
-    quantile in :data:`TRACKED_QUANTILES` — seeded from the exact sorted
-    sample, so the estimate is exact at the handover — and then dropped
-    (bounding memory).  From there tracked quantiles stay within the P²
+    observations, so :meth:`quantile` is *exact* for typical run sizes.
+    Once the ``RAW_SAMPLE_CAP + 1``-th observation arrives the raw list
+    is handed to one :class:`P2Quantile` estimator per quantile in
+    :data:`TRACKED_QUANTILES` — seeded from the exact sorted sample, so
+    the estimate is exact at the handover — and then dropped (bounding
+    memory).  From there tracked quantiles stay within the P²
     marker-interpolation error (empirically ~1% relative on latency-like
     distributions, shrinking as ``O(n^-1/2)``); only *untracked*
     quantiles fall back to bucket resolution — the upper bound of the
@@ -203,7 +183,7 @@ class Histogram:
     RAW_SAMPLE_CAP: int = 4096
 
     #: Quantiles kept at P² accuracy past the cap.  Matches what the
-    #: summaries and the paper's metrics actually read (p50/p90/p99).
+    #: paper's metrics actually read (p50/p90/p99).
     TRACKED_QUANTILES: tuple[float, ...] = (0.50, 0.90, 0.99)
 
     def __init__(
@@ -277,34 +257,18 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Creates/holds instruments and accumulates interval samples."""
+    """Creates and holds named instruments (idempotent by name)."""
 
     def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        #: One row per sample tick: ``{"t": now, "<name>": value, ...}``.
-        self.samples: list[dict[str, Any]] = []
 
-    # ------------------------------------------------------------------
-    # Instrument registration (idempotent by name)
-    # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         try:
             return self._counters[name]
         except KeyError:
             c = self._counters[name] = Counter(name)
             return c
-
-    def gauge(
-        self, name: str, fn: Optional[Callable[[], float]] = None
-    ) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            g = self._gauges[name] = Gauge(name, fn)
-        elif fn is not None:
-            g._fn = fn  # rebinding: the current node changed
-        return g
 
     def histogram(
         self, name: str, bounds: Optional[Sequence[float]] = None
@@ -314,38 +278,3 @@ class MetricsRegistry:
         except KeyError:
             h = self._histograms[name] = Histogram(name, bounds)
             return h
-
-    # ------------------------------------------------------------------
-    # Sampling
-    # ------------------------------------------------------------------
-    def sample(self, now: float) -> dict[str, Any]:
-        """Snapshot every counter and gauge into one timestamped row."""
-        row: dict[str, Any] = {"t": float(now)}
-        for name, c in self._counters.items():
-            row[name] = c.value
-        for name, g in self._gauges.items():
-            row[name] = g.read()
-        self.samples.append(row)
-        return row
-
-    def histogram_summaries(self) -> dict[str, dict[str, float]]:
-        """Per-histogram ``{n, mean, p50, p99}`` summaries.
-
-        ``p50``/``p99`` are exact while the histogram holds at most
-        :data:`Histogram.RAW_SAMPLE_CAP` observations, P²-estimated
-        (seeded from the exact prefix) beyond that."""
-        return {
-            name: {
-                "n": float(h.n),
-                "mean": h.mean,
-                "p50": h.quantile(0.50),
-                "p99": h.quantile(0.99),
-            }
-            for name, h in self._histograms.items()
-        }
-
-    @property
-    def metric_names(self) -> list[str]:
-        return sorted(
-            list(self._counters) + list(self._gauges) + list(self._histograms)
-        )

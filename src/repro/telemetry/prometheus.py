@@ -1,18 +1,19 @@
-"""Prometheus text-format export of the metrics registry and SLO windows.
+"""Prometheus text-format export of the metrics registry, the time-series
+sampler's last readings and the SLO windows.
 
 A traced run's instruments map onto the Prometheus exposition format
 (https://prometheus.io/docs/instrumenting/exposition_formats/) so the
 snapshot can be diffed, scraped by tooling, or pushed to a gateway:
 
 * counters  -> ``# TYPE <name>_total counter`` with the final value,
-* gauges    -> ``# TYPE <name> gauge`` with the last-read value,
 * histograms-> cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
   ``_count`` (always bucket-resolution: the exposition format is bucketed
   by definition, independent of the registry's exact-quantile tier),
 * SLO monitor windows -> ``repro_slo_window_*`` gauges labelled by
   ``{scope, key}`` plus a 0/1 ``repro_slo_alert_firing`` flag,
 * time-series sampler columns -> ``repro_ts_*`` gauges holding each
-  series' most recent reading (NaN series are skipped),
+  series' most recent reading (NaN series are skipped); they are the
+  snapshot's only run-state gauges,
 * cost meter -> ``repro_cost_total_dollars`` plus per-bucket
   (``repro_cost_bucket_dollars{bucket=...}``) and per-hardware-spec
   (``repro_cost_spec_dollars{spec=...}``) gauges.
@@ -40,7 +41,7 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
 def _metric_name(raw: str) -> str:
-    """``queue.device_requests`` -> ``repro_queue_device_requests``."""
+    """``request.latency_seconds`` -> ``repro_request_latency_seconds``."""
     name = _NAME_RE.sub("_", raw)
     if not name or not (name[0].isalpha() or name[0] == "_"):
         name = "_" + name
@@ -90,11 +91,6 @@ def to_prometheus_text(
         name = _metric_name(raw) + "_total"
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {_fmt(counter.value)}")
-
-    for raw, gauge in sorted(reg._gauges.items()):
-        name = _metric_name(raw)
-        lines.append(f"# TYPE {name} gauge")
-        lines.append(f"{name} {_fmt(gauge.read())}")
 
     # Time-series columns (when a StateSampler is attached to the tracer):
     # each sampled series' most recent reading becomes a gauge under the

@@ -1,11 +1,12 @@
 """Time-series telemetry: periodic state sampling into columnar buffers.
 
 The third telemetry pillar, next to spans (:mod:`~repro.telemetry.tracer`)
-and instrument snapshots (:mod:`~repro.telemetry.metrics`): a
-:class:`StateSampler` polls registered **probe callbacks** — queue depths,
-per-node occupancy and MPS co-run level, container-pool sizes, breaker
-states, predicted vs. offered rate — on a fixed simulated-time interval
-and appends each reading into a preallocated numpy **ring-buffer column**.
+and instruments (:mod:`~repro.telemetry.metrics`), and the only one that
+samples run state periodically: a :class:`StateSampler` polls registered
+**probe callbacks** — queue depths, per-node occupancy and MPS co-run
+level, container-pool sizes, breaker states, predicted vs. offered rate
+— on a fixed simulated-time interval and appends each reading into a
+preallocated numpy **ring-buffer column**.
 This is what lets a run answer "what did the system look like at *t*"
 (the shape the paper's Figs. 9–13 reason about) instead of only "why did
 request *r* miss its deadline".
@@ -21,7 +22,7 @@ Cost model
 
 A probe that raises is disabled after its first failure (its column holds
 NaN from then on) and the error is recorded in ``meta["probe_errors"]``
-— a broken gauge must never kill the run it observes.
+— a broken probe must never kill the run it observes.
 
 Export / import
 ---------------
@@ -377,11 +378,10 @@ def read_timeseries(path: str) -> TimeSeriesData:
     """Load a bundle written by :meth:`StateSampler.save` (either format).
 
     Raises ``ValueError`` when the file is neither a readable ``.npz``
-    archive nor a columnar JSONL bundle.
+    archive nor a columnar JSONL bundle, or when either format carries
+    a schema other than :data:`TIMESERIES_SCHEMA`.
     """
-    if path.endswith(".npz"):
-        return _read_npz(path)
-    data = _read_jsonl(path)
+    data = _read_npz(path) if path.endswith(".npz") else _read_jsonl(path)
     if data.meta.get("schema", TIMESERIES_SCHEMA) != TIMESERIES_SCHEMA:
         raise ValueError(
             f"{path}: unsupported time-series schema {data.meta.get('schema')!r}"

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -252,6 +253,35 @@ class TestTraceAttribution:
         path = _write_trace(tmp_path, slo_seconds=None, spans=[(0.0, 0.05)])
         assert main(["trace-attribution", path]) == 1
         assert "slo_seconds" in capsys.readouterr().out
+
+
+class TestOlderTraceFiles:
+    """Trace files come from outside the program: a file written before
+    the JSONL trace stopped carrying ``sample`` rows must still load."""
+
+    FIXTURE = str(
+        Path(__file__).parents[1] / "telemetry" / "data"
+        / "trace_with_sample_rows.jsonl"
+    )
+
+    def test_fixture_has_sample_rows(self):
+        with open(self.FIXTURE) as fh:
+            assert any('"type": "sample"' in line for line in fh)
+
+    def test_read_jsonl_skips_sample_rows(self):
+        from repro.telemetry import read_jsonl
+
+        data = read_jsonl(self.FIXTURE)
+        assert data.meta["slo_seconds"] == 0.2
+        assert data.spans_in("request") and data.events
+
+    def test_trace_report_exits_zero(self, capsys):
+        assert main(["trace-report", self.FIXTURE, "--max-rows", "3"]) == 0
+        assert "latency breakdown" in capsys.readouterr().out
+
+    def test_trace_attribution_exits_zero(self, capsys):
+        assert main(["trace-attribution", self.FIXTURE]) == 0
+        assert "slo attribution" in capsys.readouterr().out
 
 
 class TestTraceDiff:

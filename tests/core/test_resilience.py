@@ -279,12 +279,14 @@ class TestFaultedRunAcceptance:
 
     def test_prometheus_exports_resilience_gauges(self, retry_run):
         _, tracer = retry_run
-        text = to_prometheus_text(tracer)
+        lines = to_prometheus_text(tracer).splitlines()
         for gauge in (
-            "repro_resilience_retries_scheduled",
-            "repro_resilience_retries_abandoned",
-            "repro_resilience_requests_shed",
-            "repro_resilience_requests_dropped",
-            "repro_resilience_breakers_open",
+            "repro_ts_resilience_retries_scheduled",
+            "repro_ts_resilience_retries_abandoned",
+            "repro_ts_resilience_requests_shed",
+            "repro_ts_resilience_requests_dropped",
+            "repro_ts_breaker_open",
+            "repro_ts_breaker_half_open",
         ):
-            assert gauge in text
+            assert any(line.startswith(gauge + " ") for line in lines), gauge
+        assert not any(line.startswith("repro_resilience_") for line in lines)

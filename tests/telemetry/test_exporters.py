@@ -7,10 +7,12 @@ Perfetto and chrome://tracing load it without complaint.
 """
 
 import json
+import math
 
 import pytest
 
 from repro.telemetry import (
+    StateSampler,
     TraceData,
     Tracer,
     read_jsonl,
@@ -35,10 +37,12 @@ def populated_tracer():
              chosen="p3.2xlarge",
              candidates=[{"hw": "c6i.4xlarge", "least_t_max": float("inf")}])
     tr.event("reconfig.switch", 1.0, from_hw="c6i.4xlarge", to_hw="p3.2xlarge")
-    tr.metrics.counter("cold_starts").inc(2)
-    tr.metrics.gauge("queue_depth", lambda: 5.0)
-    tr.metrics.sample(1.0)
-    tr.metrics.sample(2.0)
+    sampler = tr.timeseries = StateSampler(1.0)
+    sampler.probe("cold_starts", lambda: 2.0)
+    sampler.probe("queue_depth", lambda: 5.0)
+    sampler.probe("idle_spec.occupancy", lambda: math.nan)
+    sampler.sample(1.0)
+    sampler.sample(2.0)
     return tr
 
 
@@ -49,9 +53,8 @@ class TestJsonlRoundTrip:
         data = read_jsonl(path)
         assert len(data.spans) == len(populated_tracer.spans)
         assert len(data.events) == len(populated_tracer.events)
-        assert len(data.samples) == len(populated_tracer.metrics.samples)
-        # meta + each record = one line each
-        assert n_lines == 1 + len(data.spans) + len(data.events) + len(data.samples)
+        # meta + each record = one line each; sampler state is not in it
+        assert n_lines == 1 + len(data.spans) + len(data.events)
 
     def test_summary_counts_identical_both_sides(self, populated_tracer, tmp_path):
         path = str(tmp_path / "run.jsonl")
@@ -81,7 +84,7 @@ class TestJsonlRoundTrip:
         with open(path) as fh:
             for line in fh:
                 obj = json.loads(line)
-                assert obj["type"] in {"meta", "span", "event", "sample"}
+                assert obj["type"] in {"meta", "span", "event"}
 
     def test_bad_json_line_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -121,8 +124,17 @@ class TestChromeTrace:
     def test_samples_become_counter_events(self, populated_tracer):
         doc = to_chrome_trace(populated_tracer)
         counters = [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
-        names = {ev["name"] for ev in counters}
-        assert {"cold_starts", "queue_depth"} <= names
+        # One event per non-NaN reading: the all-NaN column is skipped.
+        assert sorted((ev["name"], ev["ts"]) for ev in counters) == [
+            ("cold_starts", 1e6), ("cold_starts", 2e6),
+            ("queue_depth", 1e6), ("queue_depth", 2e6),
+        ]
+        assert all(ev["cat"] == "timeseries" for ev in counters)
+
+    def test_no_counter_events_without_a_sampler(self, populated_tracer):
+        populated_tracer.timeseries = None
+        doc = to_chrome_trace(populated_tracer)
+        assert not [ev for ev in doc["traceEvents"] if ev["ph"] == "C"]
 
     def test_file_is_strict_json(self, populated_tracer, tmp_path):
         path = str(tmp_path / "run.json")
@@ -141,11 +153,10 @@ class TestSummaryCounts:
         assert counts["request_spans"] == 1
         assert counts["requests"] == 4
         assert counts["events"] == 2
-        assert counts["metric_samples"] == 2
 
     def test_counts_on_empty_trace_data(self):
         counts = summary_counts(TraceData())
         assert counts == {
             "spans": 0, "request_spans": 0, "requests": 0,
-            "events": 0, "metric_samples": 0,
+            "events": 0,
         }

@@ -155,11 +155,13 @@ class TestRunArtifacts:
         assert stamps == sorted(stamps)
         assert all(math.isfinite(float(ts)) for ts in stamps)
 
-    def test_metric_samples_cover_the_run(self, traced_run):
+    def test_sampler_columns_cover_the_run(self, traced_run):
         _, tracer = traced_run
-        samples = tracer.metrics.samples
-        assert len(samples) >= int(DURATION) - 1
-        assert all("containers.warm_idle" in row for row in samples)
+        sampler = tracer.timeseries
+        times = sampler.times()
+        assert times.size >= int(DURATION / sampler.interval_seconds) - 1
+        assert times[-1] >= DURATION
+        assert sampler.column("pool.warm_idle").size == times.size
 
     def test_trace_report_renders(self, traced_run, tmp_path):
         _, tracer = traced_run

@@ -1,8 +1,8 @@
-"""Tests for the sim-time metrics registry."""
+"""Tests for the metrics registry's counters and histograms."""
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -15,21 +15,6 @@ class TestCounter:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
-
-
-class TestGauge:
-    def test_callback_gauge_reads_live_state(self):
-        state = {"depth": 3}
-        g = Gauge("queue", lambda: state["depth"])
-        assert g.read() == 3.0
-        state["depth"] = 7
-        assert g.read() == 7.0
-
-    def test_pushed_gauge(self):
-        g = Gauge("x")
-        assert g.read() == 0.0
-        g.set(4)
-        assert g.read() == 4.0
 
 
 class TestHistogram:
@@ -94,40 +79,7 @@ class TestRegistry:
     def test_registration_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
-
-    def test_gauge_callback_rebinds(self):
-        # Re-registration with a new callback must win: after a hardware
-        # switch the gauges point at the new node's pools.
-        reg = MetricsRegistry()
-        reg.gauge("g", lambda: 1.0)
-        reg.gauge("g", lambda: 2.0)
-        assert reg.gauge("g").read() == 2.0
-
-    def test_sample_snapshots_all_instruments(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(5)
-        reg.gauge("g", lambda: 9.0)
-        row = reg.sample(12.5)
-        assert row == {"t": 12.5, "c": 5.0, "g": 9.0}
-        assert reg.samples == [row]
-
-    def test_histogram_summaries(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("lat", bounds=(1.0, 2.0))
-        h.observe(0.5)
-        h.observe(1.5)
-        summary = reg.histogram_summaries()["lat"]
-        assert summary["n"] == 2.0
-        assert summary["mean"] == pytest.approx(1.0)
-
-    def test_metric_names_sorted(self):
-        reg = MetricsRegistry()
-        reg.histogram("h")
-        reg.counter("c")
-        reg.gauge("g")
-        assert reg.metric_names == ["c", "g", "h"]
 
 
 class TestP2Quantile:

@@ -8,6 +8,7 @@ import pytest
 from repro.telemetry import (
     MetricsRegistry,
     SLOMonitor,
+    StateSampler,
     Tracer,
     to_prometheus_text,
     write_prometheus,
@@ -22,7 +23,6 @@ _SAMPLE_RE = re.compile(
 def make_registry():
     reg = MetricsRegistry()
     reg.counter("cold_starts").inc(3)
-    reg.gauge("queue.device_requests").set(7.5)
     h = reg.histogram("latency_seconds", bounds=(0.1, 0.5))
     for v in (0.05, 0.2, 0.3, 0.9):
         h.observe(v)
@@ -36,9 +36,17 @@ class TestExposition:
         assert "repro_cold_starts_total 3" in text
 
     def test_gauge_name_sanitised(self):
-        text = to_prometheus_text(make_registry())
-        assert "# TYPE repro_queue_device_requests gauge" in text
-        assert "repro_queue_device_requests 7.5" in text
+        # Run state reaches the snapshot only through the sampler's
+        # last readings, as ``repro_ts_*`` gauges; NaN series are skipped.
+        tracer = Tracer()
+        sampler = tracer.timeseries = StateSampler(1.0)
+        sampler.probe("queue.device", lambda: 7.5)
+        sampler.probe("node.g4dn.xlarge.occupancy", lambda: np.nan)
+        sampler.sample(1.0)
+        text = to_prometheus_text(tracer)
+        assert "# TYPE repro_ts_queue_device gauge" in text
+        assert "repro_ts_queue_device 7.5" in text
+        assert "occupancy" not in text
 
     def test_histogram_buckets_are_cumulative(self):
         text = to_prometheus_text(make_registry())

@@ -194,3 +194,13 @@ class TestExportImport:
         path.write_text("not json\n")
         with pytest.raises(ValueError, match="invalid JSON"):
             read_timeseries(str(path))
+
+    @pytest.mark.parametrize("suffix", [".npz", ".jsonl"])
+    def test_foreign_schema_rejected_in_both_formats(self, tmp_path, suffix):
+        s = StateSampler(1.0, meta={"schema": "repro.timeseries/2"})
+        s.probe("a", lambda: 1.0)
+        s.sample(0.0)
+        path = str(tmp_path / f"ts{suffix}")
+        s.save(path)
+        with pytest.raises(ValueError, match="unsupported time-series schema"):
+            read_timeseries(path)

@@ -7,8 +7,10 @@ import pytest
 
 from repro.experiments.schemes import make_policy
 from repro.framework.slo import SLO
+from repro.core.resilience import BreakerPolicy, ResilienceConfig
 from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
+from repro.simulator.chaos import ChaosSpec, PeriodicOutage
 from repro.telemetry import Tracer, to_prometheus_text
 from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
@@ -82,6 +84,7 @@ class TestSamplerWiring:
         assert ((finite >= 0) & (finite < n)).all()
 
     def test_disabled_interval_schedules_no_sampler(self):
+        tracer = Tracer()
         model = get_model("resnet50")
         profiles = ProfileService()
         slo = SLO()
@@ -91,10 +94,13 @@ class TestSamplerWiring:
         )
         run = ServerlessRun(
             model, trace, policy, profiles, slo,
-            RunConfig(timeseries_interval_seconds=0.0), tracer=Tracer(),
+            RunConfig(timeseries_interval_seconds=0.0), tracer=tracer,
         )
         run.execute()
         assert run.obs.sampler is None
+        # The sampler is the only state recorder: no series anywhere.
+        assert tracer.timeseries is None
+        assert "repro_ts_" not in to_prometheus_text(tracer)
 
     def test_untraced_run_has_no_sampler(self):
         model = get_model("resnet50")
@@ -164,3 +170,94 @@ class TestDeviceProbes:
         snap = pool.snapshot()
         assert set(snap) == {"warm_idle", "busy", "spawning", "waiting",
                              "cold_starts"}
+
+
+#: Each name the metrics registry once sampled as a 1 s gauge, and the
+#: time-series probe(s) that now carry the same read.
+FORMER_GAUGES = {
+    "queue.device_requests": ("queue.device",),
+    "queue.pending_windows": ("queue.pending_windows",),
+    "containers.warm_idle": ("pool.warm_idle",),
+    "containers.spawning": ("pool.spawning",),
+    "containers.busy": ("pool.busy",),
+    "containers.waiting": ("pool.waiting",),
+    "jobs.active_spatial": ("jobs.active_spatial",),
+    "jobs.active_temporal": ("jobs.active_temporal",),
+    "gpu.total_fbr": ("gpu.total_fbr",),
+    "gpu.mem_used_gb": ("gpu.mem_used_gb",),
+    "cold_starts.total": ("cold_starts.total",),
+    "resilience.retries_scheduled": ("resilience.retries_scheduled",),
+    "resilience.retries_abandoned": ("resilience.retries_abandoned",),
+    "resilience.requests_shed": ("resilience.requests_shed",),
+    "resilience.requests_dropped": ("resilience.requests_dropped",),
+    "resilience.breakers_open": ("breaker.open", "breaker.half_open"),
+}
+
+
+class TestFormerGaugesAreProbes:
+    """No state read was lost when the registry gauges were retired."""
+
+    @pytest.fixture(scope="class")
+    def retry_run(self):
+        model = get_model("resnet50")
+        profiles = ProfileService()
+        slo = SLO()
+        trace = poisson_trace(
+            rate_rps=model.peak_rps, duration=DURATION, seed=0
+        )
+        policy = make_policy(
+            "paldia", model, profiles, slo.target_seconds, trace
+        )
+        config = RunConfig(
+            chaos=ChaosSpec(faults=(
+                PeriodicOutage(8.0, 3.0, first_failure_at=4.0),
+            )),
+            # One failure trips a breaker that stays open to the end, so
+            # the last sample has a non-zero breaker count to compare.
+            resilience=ResilienceConfig(
+                recovery="retry",
+                breaker=BreakerPolicy(
+                    failure_threshold=1, cooldown_seconds=1000.0
+                ),
+            ),
+        )
+        tracer = Tracer()
+        run = ServerlessRun(
+            model, trace, policy, profiles, slo, config, tracer=tracer
+        )
+        return run.execute(), run, tracer
+
+    def test_every_former_gauge_has_its_probe(self, retry_run):
+        _, run, _ = retry_run
+        names = set(run.obs.sampler.probe_names())
+        assert len(FORMER_GAUGES) == 16
+        for gauge, probes in FORMER_GAUGES.items():
+            for probe in probes:
+                assert probe in names, (gauge, probe)
+
+    def test_breaker_states_sum_to_open_breakers(self, retry_run):
+        _, run, _ = retry_run
+        sampler = run.obs.sampler
+        open_breakers = run.resilience.open_breakers()
+        assert open_breakers > 0
+        assert sampler.last("breaker.open") + sampler.last(
+            "breaker.half_open"
+        ) == open_breakers
+
+    def test_resilience_probes_end_at_the_result(self, retry_run):
+        result, run, _ = retry_run
+        sampler = run.obs.sampler
+        assert result.retries_scheduled > 0  # the outages forced retries
+        for name, value in (
+            ("resilience.retries_scheduled", result.retries_scheduled),
+            ("resilience.retries_abandoned", result.retries_abandoned),
+            ("resilience.requests_shed", result.requests_shed),
+            ("resilience.requests_dropped", result.requests_dropped),
+        ):
+            assert sampler.last(name) == value, name
+
+    def test_registry_holds_no_state(self, retry_run):
+        _, _, tracer = retry_run
+        reg = tracer.metrics
+        assert not reg._counters
+        assert list(reg._histograms) == ["request.latency_seconds"]
