@@ -6,8 +6,8 @@ backend, once under a :class:`ChaosExecutor` that deterministically
 crashes and breaks cells — and shows that the fault policy (retry with
 decorrelated-jitter backoff) converges the chaotic run to bit-identical
 results.  The chaotic run's executor stats (retries, timeouts, worker
-crashes survived) are then recorded in the SQLite run ledger, the v4
-columns added by the fault-tolerance PR.
+crashes survived) are then recorded in the SQLite run ledger as extra
+metrics next to the ones each run result carries.
 
 Run:  PYTHONPATH=src python examples/fault_tolerant_sweep.py
 """
@@ -74,7 +74,7 @@ def main() -> None:
     assert identical, "retried cells must reproduce the clean results"
 
     # Record one row per (scheme, model) with the sweep's executor
-    # stats — the ledger's v4 fault columns.
+    # stats as extra ledger metrics.
     ledger_path = os.path.join(tempfile.mkdtemp(), "ledger.sqlite")
     with RunLedger(ledger_path) as ledger:
         for scheme in kw["schemes"]:
@@ -90,8 +90,8 @@ def main() -> None:
             rec = ledger.get(row)
             print(
                 f"ledger row #{row}: {rec.scheme}/{rec.model} — "
-                f"{rec.cell_retries} retries, {rec.worker_crashes} "
-                f"crashes survived"
+                f"{rec.metric('cell_retries')} retries, "
+                f"{rec.metric('worker_crashes')} crashes survived"
             )
     print(f"ledger written to {ledger_path}")
 

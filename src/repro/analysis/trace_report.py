@@ -163,7 +163,7 @@ def slowest_request_rows(
         rows = []
         for v in worst_requests(data, k):
             p = v.phases()
-            top_phase = max(p, key=lambda name: p[name])
+            top_phase = v.dominant_phase
             rows.append([
                 v.rid,
                 round(v.latency * 1e3, 2),

@@ -710,13 +710,10 @@ def _cmd_run(args) -> int:
                 f"wrote {n} time-series columns "
                 f"({obs.sampler.n_samples} samples) to {args.timeseries_out}"
             )
-        worst_view = None
         if result.reqtrace is not None:
             worst = result.reqtrace.worst(1)
             if worst:
                 worst_view = worst[0]
-                phases = worst_view.phases()
-                top_phase_name = max(phases, key=lambda n: phases[n])
                 emit("")
                 emit(render_kv(
                     {
@@ -727,7 +724,7 @@ def _cmd_run(args) -> int:
                         "worst request": (
                             f"#{worst_view.rid} "
                             f"({worst_view.latency * 1e3:.1f} ms, "
-                            f"dominant phase {top_phase_name})"
+                            f"dominant phase {worst_view.dominant_phase})"
                         ),
                     },
                     title="request trace",
@@ -741,24 +738,23 @@ def _cmd_run(args) -> int:
                 )
         if args.ledger:
             top = selfprof.top_phases(1) if selfprof is not None else []
-            worst_kwargs = {}
-            if worst_view is not None:
-                phases = worst_view.phases()
-                worst_kwargs = {
-                    "worst_request_id": worst_view.rid,
-                    "worst_request_latency": worst_view.latency,
-                    "worst_request_phase": max(
-                        phases, key=lambda n: phases[n]
-                    ),
-                }
-            with RunLedger(args.ledger) as ledger:
-                run_id = ledger.record(
-                    result, trace=args.trace, seed=args.seed,
-                    top_phase=top[0][0] if top else None,
-                    top_phase_share=top[0][1] if top else 0.0,
-                    **worst_kwargs,
+            profile = (
+                {"top_phase": top[0][0], "top_phase_share": top[0][1]}
+                if top else {}
+            )
+            try:
+                ledger = RunLedger(args.ledger)
+            except ValueError as exc:
+                logger.warning(
+                    "%s; the run completed but is not recorded", exc
                 )
-            emit(f"recorded run #{run_id} in {args.ledger}")
+            else:
+                with ledger:
+                    run_id = ledger.record(
+                        result, trace=args.trace, seed=args.seed, **profile,
+                    )
+                if run_id >= 0:
+                    emit(f"recorded run #{run_id} in {args.ledger}")
     if selfprof is not None:
         if args.self_profile:
             emit("")
@@ -1063,7 +1059,12 @@ def _cmd_runs(args) -> int:
             args.ledger,
         )
         return 1
-    with RunLedger(args.ledger) as ledger:
+    try:
+        ledger = RunLedger(args.ledger)
+    except ValueError as exc:
+        logger.error("%s", exc)
+        return 1
+    with ledger:
         if args.runs_command == "list":
             records = ledger.list_runs(limit=args.limit)
             if not records:
@@ -1084,48 +1085,54 @@ def _cmd_runs(args) -> int:
             except KeyError as exc:
                 logger.error("%s", exc.args[0])
                 return 1
+            m = r.metric
             kv = {
                 "recorded": r.created_utc,
                 "git sha": r.git_sha or "-",
                 "scheme": r.scheme,
                 "model": r.model,
                 "trace": f"{r.trace} (seed {r.seed}, {r.duration:.0f}s)",
-                "requests": f"{r.completed}/{r.offered} completed",
-                "SLO compliance": f"{100 * r.slo_compliance:.2f}%",
-                "violation rate": f"{100 * r.violation_rate:.2f}%",
+                "requests": f"{m('completed')}/{m('offered')} completed",
+                "SLO compliance": f"{100 * m('slo_compliance'):.2f}%",
+                "violation rate": f"{100 * m('violation_rate'):.2f}%",
                 "P50 / P99": (
-                    f"{r.p50_seconds * 1e3:.1f} / "
-                    f"{r.p99_seconds * 1e3:.1f} ms"
+                    f"{m('p50_seconds') * 1e3:.1f} / "
+                    f"{m('p99_seconds') * 1e3:.1f} ms"
                 ),
-                "cost": f"${r.total_cost:.4f}",
-                "cold starts": r.cold_starts,
-                "switches": r.n_switches,
+                "cost": f"${m('total_cost'):.4f}",
+                "cold starts": m("cold_starts"),
+                "switches": m("n_switches"),
             }
-            if r.cost_per_1k_requests:
-                kv["cost / 1k requests"] = f"${r.cost_per_1k_requests:.4f}"
-            if r.idle_cost or r.coldstart_cost:
+            if m("cost_per_1k_requests"):
+                kv["cost / 1k requests"] = (
+                    f"${m('cost_per_1k_requests'):.4f}"
+                )
+            if m("idle_cost") or m("coldstart_cost"):
                 kv["overhead dollars"] = (
-                    f"idle ${r.idle_cost:.4f}, "
-                    f"cold-start ${r.coldstart_cost:.4f}"
+                    f"idle ${m('idle_cost'):.4f}, "
+                    f"cold-start ${m('coldstart_cost'):.4f}"
                 )
-            if r.wall_seconds:
-                kv["wall clock"] = f"{r.wall_seconds:.2f} s"
-            if r.top_phase:
+            if m("wall_seconds"):
+                kv["wall clock"] = f"{m('wall_seconds'):.2f} s"
+            if m("top_phase"):
                 kv["top phase"] = (
-                    f"{r.top_phase} ({100 * r.top_phase_share:.1f}%)"
+                    f"{m('top_phase')} "
+                    f"({100 * m('top_phase_share'):.1f}%)"
                 )
-            if r.cache_hits or r.cache_misses:
-                kv["cache"] = f"{r.cache_hits} hits, {r.cache_misses} misses"
-            if r.cell_retries or r.cell_timeouts or r.worker_crashes:
+            if m("cache_hits") or m("cache_misses"):
+                kv["cache"] = (
+                    f"{m('cache_hits')} hits, {m('cache_misses')} misses"
+                )
+            if m("cell_retries") or m("cell_timeouts") or m("worker_crashes"):
                 kv["executor faults"] = (
-                    f"{r.cell_retries} retries, {r.cell_timeouts} "
-                    f"timeouts, {r.worker_crashes} worker crashes"
+                    f"{m('cell_retries')} retries, {m('cell_timeouts')} "
+                    f"timeouts, {m('worker_crashes')} worker crashes"
                 )
-            if r.worst_request_id >= 0:
+            if m("worst_request_id") >= 0:
                 kv["worst request"] = (
-                    f"#{r.worst_request_id} "
-                    f"({r.worst_request_latency * 1e3:.1f} ms, "
-                    f"dominant phase {r.worst_request_phase or '-'})"
+                    f"#{m('worst_request_id')} "
+                    f"({m('worst_request_latency') * 1e3:.1f} ms, "
+                    f"dominant phase {m('worst_request_phase') or '-'})"
                 )
             emit(render_kv(kv, title=f"run #{r.run_id}"))
             return 0

@@ -7,8 +7,6 @@ total overhead is ~59% lower than Molecule($)'s on VGG 19.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.breakdown import tail_breakdown_of
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
@@ -25,7 +23,6 @@ MODELS = ("resnet50", "vgg19")
 def run(
     duration: float = 600.0,
     repetitions: int = 1,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 4 (tail breakdowns need per-run metrics)."""
@@ -34,7 +31,6 @@ def run(
         model_names=list(MODELS),
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
         keep_metrics=True,
     )

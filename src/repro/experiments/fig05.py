@@ -7,8 +7,6 @@ low-FBR EfficientNet-B0, while the (P) schemes cost ~6.9x more.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_matrix
@@ -24,7 +22,6 @@ MODELS = ("dpn92", "efficientnet_b0")
 def run(
     duration: float = 600.0,
     repetitions: int = 2,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 5."""
@@ -33,7 +30,6 @@ def run(
         model_names=list(MODELS),
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
     )
     rows = []

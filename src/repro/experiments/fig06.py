@@ -6,7 +6,6 @@ exceed it from around P80; the (P) schemes sit far inside it.
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 
@@ -27,7 +26,6 @@ PERCENTILES = (50.0, 80.0, 90.0, 95.0, 99.0)
 def run(
     duration: float = 600.0,
     repetitions: int = 1,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 6 as a percentile table (the CDF's key points)."""
@@ -36,7 +34,6 @@ def run(
         model_names=[MODEL],
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
         keep_metrics=True,
     )

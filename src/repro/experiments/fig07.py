@@ -9,8 +9,6 @@ schemes and at most ~4% more than the cost-effective ones.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.stats import mean_without_outliers, normalize
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
@@ -30,7 +28,6 @@ POWER_MODEL = "simplified_dla"
 def run(
     duration: float = 600.0,
     repetitions: int = 2,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 7 (goodput at the peak window + normalized power)."""
@@ -40,7 +37,6 @@ def run(
         model_names=[GOODPUT_MODEL, POWER_MODEL],
         trace_factory=factory,
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
         keep_metrics=True,
     )

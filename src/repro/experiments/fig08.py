@@ -7,8 +7,6 @@ the (P) schemes' V100 far below (over-provisioned).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.analysis.stats import mean_without_outliers
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
@@ -26,7 +24,6 @@ MODEL = "vgg19"
 def run(
     duration: float = 600.0,
     repetitions: int = 2,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 8 (mean utilization of used CPU/GPU node types)."""
@@ -35,7 +32,6 @@ def run(
         model_names=[MODEL],
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
     )
     catalog = default_catalog()

@@ -7,8 +7,6 @@ schemes; Paldia reaches ~99.5% compliance vs ~97.7% for the baselines.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_matrix
@@ -23,7 +21,6 @@ __all__ = ["run"]
 def run(
     duration: float = 600.0,
     repetitions: int = 2,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Figs 9 and 10 (one row per scheme x language model)."""
@@ -33,7 +30,6 @@ def run(
         model_names=model_names,
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
     )
     rows = []

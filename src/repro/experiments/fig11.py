@@ -23,7 +23,6 @@ def run(
     duration: float = 600.0,
     repetitions: int = 2,
     models: Optional[Sequence[str]] = None,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 11."""
@@ -33,7 +32,6 @@ def run(
         model_names=model_names,
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
     )
     rows = []

@@ -9,8 +9,6 @@ baselines fall to ~71%, Paldia holds ~98.5% at ~7% extra cost.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_matrix
@@ -24,7 +22,6 @@ __all__ = ["run"]
 def run(
     duration: float = 600.0,
     repetitions: int = 2,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 12 (both traces)."""
@@ -39,7 +36,6 @@ def run(
             model_names=[model],
             trace_factory=factory,
             repetitions=repetitions,
-            parallel=parallel,
             seed0=seed0,
         )
         cheapest = min(

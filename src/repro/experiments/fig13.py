@@ -13,7 +13,6 @@ highest compliance (~99.8%) while the (P) schemes *lose* performance
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
@@ -34,7 +33,6 @@ def run(
     duration: float = 420.0,
     repetitions: int = 2,
     exhaustion_rate: float = 1250.0,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Fig 13 (both scenarios)."""
@@ -47,7 +45,6 @@ def run(
         model_names=[EXHAUSTION_MODEL],
         trace_factory=poisson_factory(exhaustion_rate, duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
         catalog_names=("p3.2xlarge",),
     )
@@ -75,7 +72,6 @@ def run(
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
         config=config,
-        parallel=parallel,
         seed0=seed0,
     )
     for scheme in SCHEMES:

@@ -25,7 +25,7 @@ recovery policy matters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.core.resilience import ResilienceConfig
 from repro.experiments.base import ExperimentReport
@@ -74,7 +74,6 @@ def run(
     duration: float = 420.0,
     repetitions: int = 2,
     intensities: Sequence[float] = (1.0, 2.0, 4.0),
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Sweep crash intensity x scheme x recovery policy."""
@@ -93,7 +92,6 @@ def run(
                 repetitions=repetitions,
                 slo_seconds=SLO_SECONDS,
                 config=config,
-                parallel=parallel,
                 seed0=seed0,
             )
             for scheme in COST_EFFECTIVE_SCHEMES:

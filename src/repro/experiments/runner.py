@@ -208,24 +208,15 @@ class MatrixResult:
         return list(seen)
 
 
-#: Back-compat alias (tests and callers imported the underscore name).
-_worker_count = worker_count
-
-
 # ----------------------------------------------------------------------
 # Planner helpers
 # ----------------------------------------------------------------------
 def _resolve_executor(
     executor: Union[str, Executor, None],
-    parallel: Optional[bool],
     n_pending: int,
     chaos_seed: int,
 ) -> Executor:
-    """Pick the backend: explicit arg > active settings > size heuristic.
-
-    The historical ``parallel`` flag maps onto the serial/pool choice so
-    existing callers keep their exact behaviour.
-    """
+    """Pick the backend: explicit arg > active settings > size heuristic."""
     from repro.experiments.executors.local_pool import LocalPoolExecutor
     from repro.experiments.executors.serial import SerialExecutor
 
@@ -234,9 +225,7 @@ def _resolve_executor(
     if isinstance(executor, str) and executor != "auto":
         return make_executor(executor, chaos_seed=chaos_seed)
     workers = worker_count(n_pending, os.cpu_count() or 1)
-    if parallel is None:
-        parallel = n_pending > 4 and workers > 1
-    if parallel and n_pending:
+    if n_pending > 4 and workers > 1:
         return LocalPoolExecutor(max_workers=workers)
     return SerialExecutor()
 
@@ -282,7 +271,6 @@ def run_matrix(
     slo_seconds: float = 0.200,
     config: Optional[RunConfig] = None,
     seed0: int = 1,
-    parallel: Optional[bool] = None,
     keep_metrics: bool = False,
     catalog_names: Optional[tuple[str, ...]] = None,
     cache: Union[ResultCache, bool, None] = None,
@@ -296,10 +284,6 @@ def run_matrix(
 
     Parameters
     ----------
-    parallel:
-        Fan cells out over a process pool.  Default: parallel when more
-        than 4 cells still need computing and more than one worker is
-        available (see :func:`worker_count`).
     cache:
         ``None`` (default) consults the process-wide active cache (CLI
         ``--cache-dir`` / ``REPRO_CACHE_DIR``); ``False`` disables caching
@@ -309,7 +293,11 @@ def run_matrix(
         :class:`~repro.experiments.executors.ExecutionSettings`
         installed by the CLI (``--executor``, ``--cell-retries``,
         ``--cell-timeout``, ``--on-cell-failure``, ``--resume``), and to
-        the historical behaviour when none are installed.
+        the historical behaviour when none are installed.  Without an
+        executor (or with ``"auto"``), cells fan out over a process pool
+        when more than 4 still need computing and more than one worker
+        is available (see :func:`worker_count`), and run serially
+        otherwise.
     """
     settings = get_active_execution()
     if fault_policy is None and settings is not None:
@@ -394,7 +382,7 @@ def run_matrix(
             )
 
     # -- execute the remainder -----------------------------------------
-    backend = _resolve_executor(executor, parallel, len(pending), chaos_seed)
+    backend = _resolve_executor(executor, len(pending), chaos_seed)
     failures: list[CellFailure] = []
     n_retries = n_timeouts = n_crashes = 0
     misses = 0

@@ -8,8 +8,6 @@ CPU-only nodes); Paldia still holds ~95%; the (P) schemes barely notice
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.experiments.base import ExperimentReport, PAPER_CLAIMS
 from repro.experiments.registry import register_experiment
 from repro.experiments.runner import run_matrix
@@ -27,7 +25,6 @@ def run(
     duration: float = 600.0,
     repetitions: int = 2,
     sebs_invocation_rps: float = 4.0,
-    parallel: Optional[bool] = None,
     seed0: int = 1,
 ) -> ExperimentReport:
     """Regenerate Table III."""
@@ -40,7 +37,6 @@ def run(
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
         config=config,
-        parallel=parallel,
         seed0=seed0,
     )
     baseline = run_matrix(
@@ -48,7 +44,6 @@ def run(
         model_names=[MODEL],
         trace_factory=azure_factory(duration),
         repetitions=repetitions,
-        parallel=parallel,
         seed0=seed0,
     )
     rows = []

@@ -11,7 +11,9 @@ request's latency actually went.  This package records the path taken:
   full candidate tables, y-split choices, autoscaler actions, chaos
   fault injections, node leases).
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — counters and
-  histograms (request latency, result-cache and executor counts).
+  fixed-bucket histograms (request latency, result-cache and executor
+  counts); a histogram keeps bucket counts, count and sum, exactly what
+  the Prometheus snapshot exports.
 * :class:`~repro.telemetry.timeseries.StateSampler` — the run's state
   (rates, serving hardware, queues, pools, occupancy, breakers) sampled
   into columns on a fixed sim-time interval.
@@ -33,6 +35,9 @@ request's latency actually went.  This package records the path taken:
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
   forensics in :mod:`repro.analysis.request_forensics`.
+* :class:`~repro.telemetry.ledger.RunLedger` — cross-run SQLite ledger:
+  one row per recorded run (identity columns plus a JSON metrics
+  payload) and regression-flagged comparisons between rows.
 * :class:`~repro.telemetry.selfprof.RunProfiler` — hierarchical
   wall-clock attribution of the reproduction itself (phase tree with
   per-callback-site engine frames and flamegraph/speedscope export, see

@@ -220,6 +220,12 @@ class RequestView:
         p["batching_wait"] -= self.arrival - float(self.batch.arrivals[0])
         return p
 
+    @property
+    def dominant_phase(self) -> str:
+        """The phase holding the largest share of the latency."""
+        phases = self.phases()
+        return max(phases, key=lambda n: phases[n])
+
     def conservation_residual(self) -> float:
         """``|sum(phases) - latency|`` — 0 up to float roundoff."""
         return abs(math.fsum(self.phases().values()) - self.latency)

@@ -55,6 +55,19 @@ class TestRunFlags:
         assert main(RUN_ARGS + ["--ledger", db]) == 0
         assert "recorded run #1" in capsys.readouterr().out
 
+    def test_ledger_records_the_worst_traced_request(self, capsys,
+                                                     tmp_path):
+        def worst_line(text):
+            (line,) = [ln for ln in text.splitlines()
+                       if ln.startswith("worst request")]
+            return line.split(":", 1)[1].strip()
+
+        db = str(tmp_path / "ledger.sqlite")
+        assert main(RUN_ARGS + ["--reqtrace", "--ledger", db]) == 0
+        printed = worst_line(capsys.readouterr().out)
+        assert main(["runs", "show", "1", "--ledger", db]) == 0
+        assert worst_line(capsys.readouterr().out) == printed
+
     def test_zero_interval_with_timeseries_out_errors(self, capsys,
                                                       tmp_path):
         out = str(tmp_path / "ts.jsonl")
@@ -124,20 +137,21 @@ class TestRunsCommands:
 
         with RunLedger(db) as ledger:
             base = ledger.get(1)
+            m = base.metric
             worse = RunResult(
                 scheme=base.scheme, model=base.model,
-                slo_seconds=base.slo_seconds, duration=base.duration,
-                offered_requests=base.offered,
-                completed_requests=base.completed,
+                slo_seconds=m("slo_seconds"), duration=base.duration,
+                offered_requests=m("offered"),
+                completed_requests=m("completed"),
                 unserved_requests=0,
-                slo_compliance=base.slo_compliance,
-                p50_seconds=base.p50_seconds,
-                p99_seconds=base.p99_seconds * 10,
-                total_cost=base.total_cost,
+                slo_compliance=m("slo_compliance"),
+                p50_seconds=m("p50_seconds"),
+                p99_seconds=m("p99_seconds") * 10,
+                total_cost=m("total_cost"),
                 cost_by_spec={}, time_by_spec={}, energy_joules=0.0,
                 avg_watts=0.0, utilization_by_spec={},
                 tail_breakdown={}, mode_split={}, hardware_usage={},
-                n_switches=base.n_switches, cold_starts=base.cold_starts,
+                n_switches=m("n_switches"), cold_starts=m("cold_starts"),
             )
             worse_id = ledger.record(worse, trace=base.trace,
                                      seed=base.seed)
@@ -147,3 +161,79 @@ class TestRunsCommands:
 
     def test_missing_ledger_errors(self, capsys):
         assert main(["runs", "list", "--ledger", "/nonexistent.db"]) == 1
+
+
+class TestUnusableLedger:
+    """A path that is not a usable ledger is an error line, never a
+    traceback: exit 1 for ``runs``, a warning (and the run's own exit
+    status) for ``run --ledger``."""
+
+    @pytest.fixture()
+    def not_a_db(self, tmp_path):
+        path = tmp_path / "README.md"
+        path.write_text("# a readme, not a ledger\n" * 100)
+        return str(path)
+
+    @pytest.fixture()
+    def newer_schema(self, tmp_path):
+        import sqlite3
+
+        from repro.telemetry.ledger import SCHEMA_VERSION, RunLedger
+
+        path = str(tmp_path / "newer.sqlite")
+        RunLedger(path).close()
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute(
+                "UPDATE ledger_meta SET value = ? "
+                "WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION + 1),),
+            )
+        conn.close()
+        return path
+
+    def _one_error_line(self, out, path):
+        lines = [ln for ln in out.splitlines() if ln.strip()]
+        assert len(lines) == 1, out
+        assert lines[0].startswith("[error]") and path in lines[0]
+
+    def test_runs_list_on_non_database_file(self, not_a_db, capsys):
+        assert main(["runs", "list", "--ledger", not_a_db]) == 1
+        self._one_error_line(capsys.readouterr().out, not_a_db)
+
+    def test_runs_show_on_directory(self, tmp_path, capsys):
+        assert main(["runs", "show", "1", "--ledger", str(tmp_path)]) == 1
+        self._one_error_line(capsys.readouterr().out, str(tmp_path))
+
+    def test_runs_compare_on_newer_schema(self, newer_schema, capsys):
+        assert main(
+            ["runs", "compare", "1", "2", "--ledger", newer_schema]
+        ) == 1
+        self._one_error_line(capsys.readouterr().out, newer_schema)
+
+    def test_run_with_unusable_ledger_warns_and_succeeds(
+        self, not_a_db, capsys
+    ):
+        assert main(RUN_ARGS + ["--ledger", not_a_db]) == 0
+        out = capsys.readouterr().out
+        warnings = [ln for ln in out.splitlines() if ln.startswith("[warn")]
+        assert len(warnings) == 1 and not_a_db in warnings[0]
+        assert "recorded run" not in out
+        assert "SLO compliance" in out  # the run's own output is intact
+
+    def test_failed_write_prints_no_row_id(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.telemetry.ledger import RunLedger
+
+        def failing_record(self, result, **kwargs):
+            # What record() does when the INSERT itself fails.
+            self._warn_write.note(self.path, "database is locked")
+            return -1
+
+        monkeypatch.setattr(RunLedger, "record", failing_record)
+        db = str(tmp_path / "ledger.sqlite")
+        assert main(RUN_ARGS + ["--ledger", db]) == 0
+        out = capsys.readouterr().out
+        assert "not recorded" in out
+        assert "recorded run" not in out

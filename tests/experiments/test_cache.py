@@ -139,7 +139,7 @@ class TestActiveCache:
 class TestMatrixCaching:
     MATRIX = dict(
         schemes=("paldia",), model_names=["resnet50"],
-        trace_factory=_const_trace, repetitions=2, parallel=False,
+        trace_factory=_const_trace, repetitions=2, executor="serial",
     )
 
     def test_second_run_replays_every_cell(self, tmp_path):

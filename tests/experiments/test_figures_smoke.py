@@ -7,9 +7,21 @@ from repro.experiments import (
     fig03, fig04, fig05, fig06, fig07, fig08, fig09_10, fig11, fig12,
     fig13, table2, table3,
 )
+from repro.experiments.executors import (
+    ExecutionSettings,
+    set_active_execution,
+)
 from repro.experiments.schemes import SCHEMES
 
-TINY = dict(duration=60.0, repetitions=1, parallel=False)
+TINY = dict(duration=60.0, repetitions=1)
+
+
+@pytest.fixture(autouse=True)
+def serial_execution():
+    """Run every figure's cells in-process, even on multi-core runners."""
+    previous = set_active_execution(ExecutionSettings(executor="serial"))
+    yield
+    set_active_execution(previous)
 
 
 class TestFigureModules:
@@ -19,7 +31,7 @@ class TestFigureModules:
         assert len(r.rows[0]) == 1 + len(SCHEMES)
 
     def test_fig04(self):
-        r = fig04.run(duration=60.0, repetitions=1, parallel=False)
+        r = fig04.run(**TINY)
         assert len(r.rows) == len(SCHEMES) * 2
 
     def test_fig05(self):
@@ -27,7 +39,7 @@ class TestFigureModules:
         assert {row[1] for row in r.rows} == {"dpn92", "efficientnet_b0"}
 
     def test_fig06(self):
-        r = fig06.run(duration=60.0, repetitions=1, parallel=False)
+        r = fig06.run(**TINY)
         assert len(r.rows) == len(SCHEMES)
         # percentile columns are monotone per scheme
         for row in r.rows:
@@ -57,8 +69,7 @@ class TestFigureModules:
         assert {row[0] for row in r.rows} == {"wiki", "twitter"}
 
     def test_fig13(self):
-        r = fig13.run(duration=120.0, repetitions=1, parallel=False,
-                      exhaustion_rate=800.0)
+        r = fig13.run(duration=120.0, repetitions=1, exhaustion_rate=800.0)
         assert {row[0] for row in r.rows} == {"exhaustion", "node_failures"}
         # Exhaustion is V100-pinned: identical cost across schemes.
         costs = {row[4] for row in r.rows if row[0] == "exhaustion"}

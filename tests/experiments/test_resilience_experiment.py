@@ -5,6 +5,10 @@ import pytest
 from repro.core.resilience import ResilienceConfig
 from repro.experiments import resilience
 from repro.experiments.cache import cell_key
+from repro.experiments.executors import (
+    ExecutionSettings,
+    set_active_execution,
+)
 from repro.experiments.registry import experiment_ids, get_experiment
 from repro.experiments.resilience import (
     BASE_MEAN_INTERARRIVAL,
@@ -52,9 +56,13 @@ class TestChaosFor:
 class TestTinyRun:
     @pytest.fixture(scope="class")
     def report(self):
-        return resilience.run(
-            duration=60.0, repetitions=1, intensities=(2.0,), parallel=False
-        )
+        previous = set_active_execution(ExecutionSettings(executor="serial"))
+        try:
+            return resilience.run(
+                duration=60.0, repetitions=1, intensities=(2.0,)
+            )
+        finally:
+            set_active_execution(previous)
 
     def test_shape(self, report):
         assert report.experiment_id == "resilience"

@@ -4,9 +4,9 @@ from functools import partial
 
 import pytest
 
+from repro.experiments.executors import worker_count
 from repro.experiments.runner import (
     CellSpec,
-    _worker_count,
     run_cell,
     run_matrix,
 )
@@ -58,7 +58,7 @@ class TestRunMatrix:
             model_names=["resnet50"],
             trace_factory=_const_trace,
             repetitions=2,
-            parallel=False,
+            executor="serial",
         )
         assert len(m.results) == 4
         assert set(m.schemes()) == {"paldia", "molecule_$"}
@@ -70,7 +70,7 @@ class TestRunMatrix:
             model_names=["resnet50"],
             trace_factory=_const_trace,
             repetitions=2,
-            parallel=False,
+            executor="serial",
         )
         s = m.summary("paldia", "resnet50")
         assert s.n_runs == 2
@@ -79,7 +79,7 @@ class TestRunMatrix:
     def test_missing_cell_raises(self):
         m = run_matrix(
             schemes=("paldia",), model_names=["resnet50"],
-            trace_factory=_const_trace, repetitions=1, parallel=False,
+            trace_factory=_const_trace, repetitions=1, executor="serial",
         )
         with pytest.raises(KeyError):
             m.summary("molecule_$", "resnet50")
@@ -89,8 +89,8 @@ class TestRunMatrix:
             schemes=("paldia",), model_names=["resnet50"],
             trace_factory=_const_trace, repetitions=2,
         )
-        serial = run_matrix(parallel=False, **kw)
-        par = run_matrix(parallel=True, **kw)
+        serial = run_matrix(executor="serial", **kw)
+        par = run_matrix(executor="pool", **kw)
         a = serial.summary("paldia", "resnet50")
         b = par.summary("paldia", "resnet50")
         assert a.slo_compliance_percent == pytest.approx(b.slo_compliance_percent)
@@ -103,45 +103,45 @@ class TestWorkerCount:
 
     def test_leaves_one_core_for_parent(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        assert _worker_count(n_tasks=100, n_cpus=8) == 7
-        assert _worker_count(n_tasks=100, n_cpus=2) == 1
+        assert worker_count(n_tasks=100, n_cpus=8) == 7
+        assert worker_count(n_tasks=100, n_cpus=2) == 1
 
     def test_never_exceeds_tasks(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        assert _worker_count(n_tasks=3, n_cpus=16) == 3
+        assert worker_count(n_tasks=3, n_cpus=16) == 3
 
     def test_single_core_machine(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_WORKERS", raising=False)
-        assert _worker_count(n_tasks=10, n_cpus=1) == 1
+        assert worker_count(n_tasks=10, n_cpus=1) == 1
 
     def test_env_cap_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-        assert _worker_count(n_tasks=100, n_cpus=16) == 2
+        assert worker_count(n_tasks=100, n_cpus=16) == 2
 
     def test_env_cap_still_bounded_by_tasks(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "8")
-        assert _worker_count(n_tasks=3, n_cpus=16) == 3
+        assert worker_count(n_tasks=3, n_cpus=16) == 3
 
     def test_garbage_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "lots")
-        assert _worker_count(n_tasks=100, n_cpus=4) == 3
+        assert worker_count(n_tasks=100, n_cpus=4) == 3
 
     def test_nonpositive_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "0")
-        assert _worker_count(n_tasks=100, n_cpus=4) == 3
+        assert worker_count(n_tasks=100, n_cpus=4) == 3
 
     def test_negative_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "-3")
-        assert _worker_count(n_tasks=100, n_cpus=4) == 3
+        assert worker_count(n_tasks=100, n_cpus=4) == 3
 
     def test_env_whitespace_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "   ")
-        assert _worker_count(n_tasks=100, n_cpus=4) == 3
+        assert worker_count(n_tasks=100, n_cpus=4) == 3
 
     def test_float_env_ignored(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "2.5")
-        assert _worker_count(n_tasks=100, n_cpus=4) == 3
+        assert worker_count(n_tasks=100, n_cpus=4) == 3
 
     def test_env_cap_larger_than_cells(self, monkeypatch):
         monkeypatch.setenv("REPRO_MAX_WORKERS", "64")
-        assert _worker_count(n_tasks=5, n_cpus=4) == 5
+        assert worker_count(n_tasks=5, n_cpus=4) == 5

@@ -20,7 +20,7 @@ def headline():
         model_names=["resnet50"],
         trace_factory=partial(_azure, 420.0),
         repetitions=2,
-        parallel=True,
+        executor="pool",
         seed0=1,
     )
 

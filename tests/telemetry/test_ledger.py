@@ -6,6 +6,7 @@ import pytest
 
 from repro.framework.system import RunResult
 from repro.telemetry.ledger import (
+    SCHEMA_VERSION,
     RunLedger,
     git_sha,
     render_comparison,
@@ -57,16 +58,50 @@ class TestRecordAndQuery:
     def test_round_trip_fields(self, ledger):
         ledger.record(
             make_result(), trace="wiki", seed=7, sha="abc1234",
-            cache_hits=3, cache_misses=1, extra={"note": "x"},
+            cache_hits=3, cache_misses=1, note="x",
         )
         r = ledger.get(1)
         assert r.scheme == "paldia" and r.model == "resnet50"
         assert r.trace == "wiki" and r.seed == 7
         assert r.git_sha == "abc1234"
-        assert r.slo_compliance == pytest.approx(0.98)
-        assert r.violation_rate == pytest.approx(0.02)
-        assert r.cache_hits == 3 and r.cache_misses == 1
-        assert r.extra == {"note": "x"}
+        assert r.metric("slo_compliance") == pytest.approx(0.98)
+        assert r.metric("violation_rate") == pytest.approx(0.02)
+        assert r.metric("cache_hits") == 3 and r.metric("cache_misses") == 1
+        assert r.metric("note") == "x"
+
+    def test_new_metric_needs_no_schema_change(self, ledger):
+        ledger.record(make_result(), trace="azure", seed=0,
+                      eq1_p99_abs_error=0.01)
+        assert ledger.get(1).metric("eq1_p99_abs_error") == 0.01
+        assert SCHEMA_VERSION == 6
+
+    def test_caller_metric_wins_over_result_metric(self, ledger):
+        ledger.record(make_result(), trace="azure", seed=0,
+                      p99_seconds=0.5)
+        assert ledger.get(1).metric("p99_seconds") == 0.5
+
+    def test_missing_metric_reads_old_column_default(self, ledger):
+        ledger.record(make_result(), trace="azure", seed=0)
+        r = ledger.get(1)
+        assert r.metric("cache_hits") == 0
+        assert r.metric("worst_request_id") == -1
+        assert r.metric("top_phase") is None
+        assert r.metric("top_phase", "-") == "-"
+        assert r.metric("idle_cost", None) is None
+
+    def test_worst_request_read_from_request_trace(self, ledger):
+        class View:
+            rid, latency, dominant_phase = 41, 0.75, "cold_start_wait"
+
+        class Trace:
+            def worst(self, k):
+                return [View()][:k]
+
+        ledger.record(make_result(reqtrace=Trace()), trace="azure", seed=0)
+        r = ledger.get(1)
+        assert r.metric("worst_request_id") == 41
+        assert r.metric("worst_request_latency") == 0.75
+        assert r.metric("worst_request_phase") == "cold_start_wait"
 
     def test_list_newest_first_with_limit(self, ledger):
         for seed in range(4):
@@ -98,6 +133,16 @@ class TestRecordAndQuery:
         with pytest.raises(ValueError, match="schema 999"):
             RunLedger(path)
 
+    def test_non_database_file_rejected_by_path(self, tmp_path):
+        path = tmp_path / "README.md"
+        path.write_text("# not a ledger\n" * 100)
+        with pytest.raises(ValueError, match="README.md"):
+            RunLedger(str(path))
+
+    def test_directory_rejected_by_path(self, tmp_path):
+        with pytest.raises(ValueError, match=str(tmp_path)):
+            RunLedger(str(tmp_path))
+
 
 class TestCostColumns:
     def _breakdown(self, idle=0.008, coldstart=0.01):
@@ -117,16 +162,17 @@ class TestCostColumns:
         result.cost_breakdown = self._breakdown()
         ledger.record(result, trace="azure", seed=0)
         r = ledger.get(1)
-        assert r.idle_cost == pytest.approx(0.008)
-        assert r.coldstart_cost == pytest.approx(0.01)
+        assert r.metric("idle_cost") == pytest.approx(0.008)
+        assert r.metric("coldstart_cost") == pytest.approx(0.01)
         # $0.05 over 1000 offered requests.
-        assert r.cost_per_1k_requests == pytest.approx(0.05)
+        assert r.metric("cost_per_1k_requests") == pytest.approx(0.05)
 
     def test_unmetered_run_records_zero_overheads(self, ledger):
         ledger.record(make_result(), trace="azure", seed=0)
         r = ledger.get(1)
-        assert r.idle_cost == 0.0 and r.coldstart_cost == 0.0
-        assert r.cost_per_1k_requests == pytest.approx(0.05)
+        assert r.metric("idle_cost") == 0.0
+        assert r.metric("coldstart_cost") == 0.0
+        assert r.metric("cost_per_1k_requests") == pytest.approx(0.05)
 
     def test_cost_per_1k_regression_flagged(self, ledger):
         ledger.record(make_result(), trace="azure", seed=0)
