@@ -62,9 +62,9 @@ def breakdown_totals(
     With ``per_request=True`` every batch's components are weighted by
     its request count (all requests in a batch share the batch's
     breakdown), matching per-request aggregate views.  The plain sums
-    (default) match ``sum(getattr(record, c) for record in
-    MetricsCollector.records)`` exactly — the spans carry the very same
-    numbers the collector snapshots.
+    (default) match the sums of the collector's batch-log columns
+    (``MetricsCollector.log.rows()[c]``) — the spans carry the very same
+    numbers the log holds.
     """
     data = load_trace(trace)
     out = {c: 0.0 for c in BREAKDOWN_COMPONENTS}

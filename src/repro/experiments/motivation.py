@@ -159,6 +159,7 @@ class PinnedColocationRun:
                 arrivals=arrivals,
                 dispatched_at=self.sim.now,
                 mode=mode,
+                batch_id=next(self.cluster.batch_ids),
             )
             batch.breakdown.batching_wait = max(
                 0.0, self.sim.now - batch.first_arrival
@@ -179,7 +180,7 @@ class PinnedColocationRun:
 
             def on_complete(job: Job) -> None:
                 pool.release()
-                self.metrics.record_batch(batch)
+                self.metrics.record_batch(batch, node.node_id)
 
             node.device.submit(
                 Job(

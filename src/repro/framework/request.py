@@ -24,13 +24,29 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.workloads.models import ModelSpec
 
-__all__ = ["Batch", "BatchBreakdown", "ShareMode", "new_batch_id"]
+__all__ = ["PHASES", "Batch", "BatchBreakdown", "ShareMode", "new_batch_id"]
+
+#: The six causal phases of a request's life, in timeline order: the
+#: fields of :class:`BatchBreakdown`.  This is the single source of truth
+#: for phase names: the batch log's phase columns, the request trace, the
+#: trace-report latency table, and the attribution causes all cite these
+#: names.
+PHASES: tuple[str, ...] = (
+    "batching_wait",
+    "cold_start_wait",
+    "queue_delay",
+    "exec_solo",
+    "interference_extra",
+    "failure_wait",
+)
 
 _batch_ids = itertools.count()
 
 
 def new_batch_id() -> int:
-    """Return a process-unique monotonically increasing batch id."""
+    """Return a process-unique monotonically increasing batch id (the
+    default for batches built outside a run; a run numbers its batches
+    from its cluster's ``batch_ids``)."""
     return next(_batch_ids)
 
 

@@ -28,9 +28,11 @@ Every scheme runs through this same machinery; only the policy differs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from time import perf_counter
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -287,6 +289,8 @@ class ServerlessRun:
             # math, interference law, autoscaler sub-phases, retries).
             self.cluster.selfprof = selfprof
         self.metrics = MetricsCollector()
+        self._batch_ids = self.cluster.batch_ids
+        self._completions = self.cluster.completions
         self.tracker = RateTracker(self.config.monitor_interval_seconds)
         self.policy.bind_tracer(self.tracer)
         self.autoscaler = Autoscaler(
@@ -314,9 +318,9 @@ class ServerlessRun:
         self._submit_consts: dict[tuple[str, int], tuple[float, float, float]] = {}
         self.n_switches = 0
         self.switch_log: list[tuple[float, str, str]] = []
-        #: node_ids this run leased (in a shared cluster, the lane's own
-        #: share of the bill).
-        self._owned_node_ids: set[int] = set()
+        #: The nodes this run leased by node_id, in acquisition order (in
+        #: a shared cluster, the lane's own share of the bill).
+        self._owned: dict[int, NodeInstance] = {}
         self._sebs: Optional[SebsColocator] = None
         cfg = self.config
         self.resilience: Optional[ResilienceController] = (
@@ -407,7 +411,7 @@ class ServerlessRun:
         hint = max(self.trace.rate_window(0.0, 10.0), 1.0)
         initial_hw = self.policy.initial_hardware(hint)
         node = self.cluster.acquire(initial_hw, lambda n: None, instant=True)
-        self._owned_node_ids.add(node.node_id)
+        self._owned[node.node_id] = node
         self._current = node
         self.switch_log.append((0.0, "-", initial_hw.name))
         if cfg.warm_start:
@@ -480,13 +484,16 @@ class ServerlessRun:
             }
         )
         self.tracer.metrics.histogram("request.latency_seconds")
+        log = self.metrics.log
+        self.tracer.attach(log)
         obs = self.obs = RunObservers(self.tracer)
         # This runs before the initial acquire, so the cluster's bundle
         # sees every lease.  In a shared cluster the first traced lane
         # installs its bundle; later lanes reuse its meter and request
         # tracer (each lane's summary filters to its own node ids at
         # finalize, and each registers its own model's SLO so verdicts
-        # stay per-model) but keep their own SLO monitor.
+        # stay per-model) but keep their own SLO monitor.  Every pillar
+        # reads the lane's batch log rather than hearing of each batch.
         host = self.cluster.obs
         if host is None:
             host = self.cluster.obs = obs
@@ -500,10 +507,12 @@ class ServerlessRun:
                 compliance_goal=self.slo.compliance_goal,
                 burn_rate_threshold=SLO_BURN_RATE_THRESHOLD,
             )
+            obs.slo_monitor.attach(log)
         if cfg.cost_meter:
             if host.costmeter is None:
                 host.costmeter = CostMeter()
             obs.costmeter = host.costmeter
+            obs.costmeter.attach(log)
             obs.cost_monitor = CostBudgetMonitor(
                 obs.costmeter,
                 tracer=self.tracer,
@@ -519,24 +528,13 @@ class ServerlessRun:
                 )
             rt = obs.reqtrace = host.reqtrace
             rt.register_model(self.model.name, self.slo.target_seconds)
+            rt.attach(log)
             self.sim.add_run_end_hook(rt.on_run_end)
         if cfg.timeseries_interval_seconds > 0:
             self._setup_timeseries()
         self.sim.schedule(
             TELEMETRY_SAMPLE_INTERVAL_SECONDS, self._telemetry_tick, priority=90
         )
-
-    def _on_current(
-        self, fn: Callable[[NodeInstance], float]
-    ) -> Callable[[], float]:
-        """A read of ``fn(serving node)`` that yields NaN while no node
-        is serving (before the first lease, during failover)."""
-        def read():
-            node = self._current
-            if node is None or not node.available:
-                return math.nan
-            return fn(node)
-        return read
 
     def _setup_timeseries(self) -> None:
         """Build the time-series :class:`StateSampler` and its probes.
@@ -564,138 +562,144 @@ class ServerlessRun:
         )
         sampler.observers.extend(self.tracer.timeseries_observers)
 
+        # Each reader below fills a group of columns from one read of the
+        # state they share, so a tick reads the serving node, the lane's
+        # live nodes and the SLO windows once each.
+        now = lambda: self.sim.now
         # Offered vs. predicted rate (the Fig 9/11 x-axis pair).
-        sampler.probe("rate.offered", lambda: self.tracker.current_rate)
         predictor = getattr(self.policy, "predictor", None) or self.autoscaler.predictor
-        sampler.probe(
-            "rate.predicted",
-            lambda: predictor.predict(
-                self.sim.now, cfg.monitor_interval_seconds
+        sampler.probes(
+            ("rate.offered", "rate.predicted"),
+            lambda: (
+                self.tracker.current_rate,
+                predictor.predict(now(), cfg.monitor_interval_seconds),
             ),
         )
 
         # Which hardware is serving (numeric code; NaN during failover),
         # the backlog shape, the serving node's container pool and its
         # device's in-flight jobs (MPS co-runners vs. promoted temporal).
-        current = self._on_current
-        pool = lambda n: n.pool(self.model.name)
-        for name, read in (
-            ("hw.selected", current(lambda n: hardware_codes[n.spec.name])),
-            ("queue.device", current(lambda n: n.device.queued_requests())),
-            ("queue.pending_windows", lambda: len(self._pending_windows)),
-            ("pool.warm_idle", current(lambda n: pool(n).n_warm_idle)),
-            ("pool.spawning", current(lambda n: pool(n).n_spawning)),
-            ("pool.busy", current(lambda n: pool(n).n_busy)),
-            ("pool.waiting", current(lambda n: pool(n).n_waiting)),
-            ("jobs.active_spatial",
-             current(lambda n: getattr(n.device, "n_active_spatial", 0))),
-            ("jobs.active_temporal",
-             current(lambda n: getattr(n.device, "n_active_temporal",
-                                       n.device.n_active))),
-            ("gpu.total_fbr",
-             current(lambda n: getattr(n.device, "total_fbr", 0.0))),
-            ("gpu.mem_used_gb",
-             current(lambda n: getattr(n.device, "mem_used_gb", 0.0))),
-        ):
-            sampler.probe(name, read)
-        sampler.probe(
-            "autoscaler.predicted_rps", lambda: self.autoscaler.last_prediction
+        def serving() -> tuple:
+            pending = len(self._pending_windows)
+            node = self._current
+            if node is None or not node.available:
+                return (math.nan, math.nan, pending) + (math.nan,) * 8
+            device, pool = node.device, node.pool(self.model.name)
+            return (
+                hardware_codes[node.spec.name], device.queued_requests(),
+                pending, pool.n_warm_idle, pool.n_spawning, pool.n_busy,
+                pool.n_waiting, getattr(device, "n_active_spatial", 0),
+                getattr(device, "n_active_temporal", device.n_active),
+                getattr(device, "total_fbr", 0.0),
+                getattr(device, "mem_used_gb", 0.0),
+            )
+
+        sampler.probes(
+            ("hw.selected", "queue.device", "queue.pending_windows",
+             "pool.warm_idle", "pool.spawning", "pool.busy", "pool.waiting",
+             "jobs.active_spatial", "jobs.active_temporal", "gpu.total_fbr",
+             "gpu.mem_used_gb"),
+            serving,
         )
-        sampler.probe(
-            "autoscaler.pool_target",
-            lambda: float(self.autoscaler.last_pool_target),
+        sampler.probes(
+            ("autoscaler.predicted_rps", "autoscaler.pool_target"),
+            lambda: (self.autoscaler.last_prediction,
+                     self.autoscaler.last_pool_target),
         )
-        sampler.probe(
-            "cold_starts.total",
-            lambda: sum(
-                p.cold_starts
-                for node in self.cluster.nodes
-                if node.node_id in self._owned_node_ids
-                for p in node.pools().values()
+        # The lane's nodes, read once per tick: cold starts so far, and
+        # per-type occupancy / MPS co-run level across live leases (NaN
+        # for a type with none).  A released node's pools are terminated
+        # and get no more work, so its cold starts are settled once and
+        # only nodes still leased are read again.
+        column_of = {spec.name: 1 + 2 * i for i, spec in enumerate(catalog)}
+        unsettled: dict[int, NodeInstance] = {}
+        settled = seen = 0
+
+        def lane_nodes() -> list[float]:
+            nonlocal settled, seen
+            owned = self._owned
+            if len(owned) > seen:
+                unsettled.update(islice(owned.items(), seen, None))
+                seen = len(owned)
+            leased = self.cluster._active_leases
+            out = [math.nan] * (1 + 2 * len(column_of))
+            out[0] = settled
+            live: dict[str, list[NodeInstance]] = {}
+            released = []
+            for node_id, node in unsettled.items():
+                out[0] += node.cold_starts
+                if node_id in leased:
+                    live.setdefault(node.spec.name, []).append(node)
+                else:
+                    released.append(node_id)
+            for node_id in released:
+                settled += unsettled.pop(node_id).cold_starts
+            for name, nodes in live.items():
+                j = column_of.get(name)
+                if j is None:
+                    continue
+                occupancy = [node.occupancy for node in nodes]
+                co_run = [node.co_run_level for node in nodes]
+                out[j] = float(sum(occupancy)) / len(occupancy)
+                out[j + 1] = float(sum(co_run)) / len(co_run)
+            return out
+
+        sampler.probes(
+            ("cold_starts.total",) + tuple(
+                f"node.{name}.{attr}" for name in column_of
+                for attr in ("occupancy", "co_run")
             ),
+            lane_nodes,
         )
-
-        # Per-node-type occupancy / MPS co-run level across live leases.
-        def per_spec(spec_name: str, attr: str):
-            def read() -> float:
-                vals = [
-                    getattr(node, attr)
-                    for node in self.cluster.active_nodes()
-                    if node.node_id in self._owned_node_ids
-                    and node.spec.name == spec_name
-                ]
-                if not vals:
-                    return math.nan
-                return float(sum(vals)) / len(vals)
-            return read
-
-        for spec in catalog:
-            sampler.probe(
-                f"node.{spec.name}.occupancy", per_spec(spec.name, "occupancy")
-            )
-            sampler.probe(
-                f"node.{spec.name}.co_run", per_spec(spec.name, "co_run_level")
-            )
 
         # Resilience layer (only when configured).
         if self.resilience is not None:
             res = self.resilience
-            sampler.probe(
-                "breaker.open",
-                lambda: float(res.breaker_state_counts()["open"]),
+
+            def resilience() -> tuple:
+                counts = res.breaker_state_counts()
+                return (counts["open"], counts["half_open"],
+                        res.retries_scheduled, res.retries_abandoned,
+                        res.requests_shed, self.requests_dropped)
+
+            sampler.probes(
+                ("breaker.open", "breaker.half_open",
+                 "resilience.retries_scheduled", "resilience.retries_abandoned",
+                 "resilience.requests_shed", "resilience.requests_dropped"),
+                resilience,
             )
-            sampler.probe(
-                "breaker.half_open",
-                lambda: float(res.breaker_state_counts()["half_open"]),
-            )
-            for name, read in (
-                ("resilience.retries_scheduled", lambda: res.retries_scheduled),
-                ("resilience.retries_abandoned", lambda: res.retries_abandoned),
-                ("resilience.requests_shed", lambda: res.requests_shed),
-                ("resilience.requests_dropped", lambda: self.requests_dropped),
-            ):
-                sampler.probe(name, read)
 
         # Live SLO burn rate and attainment (worst window) when the
         # monitor exists; it is created just before this method runs.
         mon = obs.slo_monitor
         if mon is not None:
-            windows = lambda: mon.window_stats(self.sim.now, include_p99=False)
-            sampler.probe(
-                "slo.burn_rate",
-                lambda: max((s.burn_rate for s in windows()), default=0.0),
-            )
-            sampler.probe(
-                "slo.attainment",
-                lambda: min((s.attainment for s in windows()), default=1.0),
-            )
+            sampler.probes(("slo.burn_rate", "slo.attainment"),
+                           lambda: mon.worst(now()))
 
         # Cumulative dollars + $/hour burn rate (cost pillar).
         meter, budget_mon = obs.costmeter, obs.cost_monitor
         if meter is not None:
-            sampler.probe(
-                "cost.cumulative_dollars", lambda: meter.spent(self.sim.now)
-            )
-            sampler.probe(
-                "cost.burn_rate_per_hour", lambda: budget_mon.burn_rate_per_hour
-            )
-            sampler.probe(
-                "cost.projected_dollars", lambda: budget_mon.projected_dollars
+            sampler.probes(
+                ("cost.cumulative_dollars", "cost.burn_rate_per_hour",
+                 "cost.projected_dollars"),
+                lambda: (meter.spent(now()), budget_mon.burn_rate_per_hour,
+                         budget_mon.projected_dollars),
             )
 
-        # Experiment result-cache counters (process-level registry; flat
-        # zero outside experiment harness runs).  Imported lazily to keep
-        # the framework layer import-free of the experiments package.
-        from repro.experiments.cache import CACHE_METRICS
+        # Experiment result-cache counters (a process-level registry; flat
+        # zero outside experiment harness runs).  Only read when the
+        # experiments' cache module is already loaded: nothing can have
+        # counted a hit or a miss without loading it, and importing it
+        # would load the whole experiments package into every traced run.
+        def cache_counters() -> tuple:
+            cache = sys.modules.get("repro.experiments.cache")
+            if cache is None:
+                return (0.0, 0.0)
+            counter = cache.CACHE_METRICS.counter
+            return (counter("experiment_cache.hits").value,
+                    counter("experiment_cache.misses").value)
 
-        sampler.probe(
-            "cache.hits",
-            lambda: CACHE_METRICS.counter("experiment_cache.hits").value,
-        )
-        sampler.probe(
-            "cache.misses",
-            lambda: CACHE_METRICS.counter("experiment_cache.misses").value,
-        )
+        sampler.probes(("cache.hits", "cache.misses"), cache_counters)
 
         sampler.selfprof = self.selfprof
         sampler.start(
@@ -843,6 +847,7 @@ class ServerlessRun:
                     arrivals=arrivals[i : i + step],
                     dispatched_at=now,
                     mode=mode,
+                    batch_id=next(self._batch_ids),
                 )
                 batch.breakdown.batching_wait = max(
                     0.0, now - batch.first_arrival
@@ -918,10 +923,9 @@ class ServerlessRun:
             pool.release()
             if self.resilience is not None:
                 self.resilience.record_success(spec.name, self.sim.now)
-            self.metrics.record_batch(batch)
-            obs = self.obs
-            if obs is not None:
-                obs.batch_completed(batch, node.node_id, self.sim.now)
+            self.metrics.record_batch(
+                batch, node.node_id, next(self._completions)
+            )
 
         def on_evict(job: Job) -> None:
             pool.release()
@@ -1054,7 +1058,7 @@ class ServerlessRun:
                 )
 
         node = self.cluster.acquire(desired, on_ready, instant=instant)
-        self._owned_node_ids.add(node.node_id)
+        self._owned[node.node_id] = node
 
     def _switch_to(self, node: NodeInstance) -> None:
         old = self._current
@@ -1195,7 +1199,7 @@ class ServerlessRun:
             )
 
         node = self.cluster.acquire(failover, on_ready)
-        self._owned_node_ids.add(node.node_id)
+        self._owned[node.node_id] = node
 
     def _on_node_recovery(self) -> None:
         self._failed_specs.clear()
@@ -1306,7 +1310,7 @@ class ServerlessRun:
         owned = [
             (node, lease)
             for node, lease in zip(self.cluster.nodes, self.cluster.leases)
-            if node.node_id in self._owned_node_ids
+            if node.node_id in self._owned
         ]
         # Each lease's cost is computed exactly once; the total is the
         # same per-lease sum grouped by spec, so the identity
@@ -1342,11 +1346,7 @@ class ServerlessRun:
             name: float(np.mean(vals)) for name, vals in util.items()
         }
 
-        cold = sum(
-            pool.cold_starts
-            for node, _ in owned
-            for pool in node.pools().values()
-        )
+        cold = sum(node.cold_starts for node, _ in owned)
         breakdown, reqtrace_data, budget_alerts = None, None, 0
         obs = self.obs
         if obs is not None:

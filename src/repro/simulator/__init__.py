@@ -7,11 +7,11 @@ from repro.simulator.engine import Event, SimulationError, Simulator
 from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.simulator.job import Job
-from repro.simulator.metrics import BatchRecord, MetricsCollector
+from repro.simulator.metrics import BatchLog, MetricsCollector
 from repro.simulator.power import PowerReport, cluster_energy_joules, node_energy_joules
 
 __all__ = [
-    "AcquireTicket", "BatchRecord", "CPUDevice", "Cluster", "ContainerPool",
+    "AcquireTicket", "BatchLog", "CPUDevice", "Cluster", "ContainerPool",
     "DEFAULT_INTERFERENCE", "Event", "GPUDevice", "InterferenceModel", "Job",
     "LeaseRecord", "MetricsCollector", "NodeInstance", "PowerReport",
     "SimulationError", "Simulator", "cluster_energy_joules",

@@ -13,6 +13,7 @@ weighted sum of node prices (Section V).  This module provides:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
@@ -71,8 +72,6 @@ class NodeInstance:
         "obs",
     )
 
-    _ids = 0
-
     def __init__(
         self,
         sim: Simulator,
@@ -80,13 +79,13 @@ class NodeInstance:
         interference: InterferenceModel,
         rng: np.random.Generator,
         *,
+        node_id: int,
         selfprof=None,
         obs: Optional["RunObservers"] = None,
     ) -> None:
         self.sim = sim
         self.spec = spec
-        NodeInstance._ids += 1
-        self.node_id = NodeInstance._ids
+        self.node_id = node_id
         if spec.is_gpu:
             self.device: Device = GPUDevice(
                 sim, spec, interference, rng, selfprof=selfprof
@@ -137,6 +136,14 @@ class NodeInstance:
         return self.device.occupancy if self.available else 0.0
 
     @property
+    def cold_starts(self) -> int:
+        """Container cold starts across this node's pools so far."""
+        total = 0
+        for pool in self._pools.values():
+            total += pool.cold_starts
+        return total
+
+    @property
     def co_run_level(self) -> int:
         """Jobs sharing the device right now (0 when failed)."""
         return self.device.co_run_level if self.available else 0
@@ -175,6 +182,14 @@ class Cluster:
         self.leases: list[LeaseRecord] = []
         self._active_leases: dict[int, LeaseRecord] = {}
         self.nodes: list[NodeInstance] = []
+        #: Id counters owned by the run and shared by the lanes of a
+        #: shared cluster, so ids never depend on what ran earlier in
+        #: the process: batches number from 0, nodes from 1, and
+        #: ``completions`` numbers completed batches across all lanes
+        #: (the order in which the lanes' batch logs merge).
+        self.batch_ids = itertools.count()
+        self.node_ids = itertools.count(1)
+        self.completions = itertools.count()
         #: Optional chaos hook mapping a base cold-start latency to the
         #: (possibly inflated) spawn delay; propagated to every node
         #: acquired after it is set (see ChaosEngine.cold_start_delay).
@@ -212,6 +227,7 @@ class Cluster:
             spec,
             self.interference,
             np.random.default_rng(self._root_rng.integers(2**63)),
+            node_id=next(self.node_ids),
             selfprof=self.selfprof,
             obs=self.obs,
         )
@@ -244,13 +260,6 @@ class Cluster:
         for pool in node.pools().values():
             pool.terminate_all()
         node.available = False
-
-    # ------------------------------------------------------------------
-    # Time-series probe surface
-    # ------------------------------------------------------------------
-    def active_nodes(self) -> list[NodeInstance]:
-        """Nodes with a live lease (the ones paying rent right now)."""
-        return [n for n in self.nodes if n.node_id in self._active_leases]
 
     # ------------------------------------------------------------------
     # Cost accounting (Section V: lease-time weighted node prices)

@@ -1,7 +1,12 @@
-"""Run metrics: latency records, SLO accounting, goodput, breakdowns.
+"""Run metrics: the columnar batch log, SLO accounting, goodput, breakdowns.
 
-One :class:`MetricsCollector` per (scheme, run).  Batches report in on
-completion; per-request latencies are expanded lazily and vectorised.
+One :class:`MetricsCollector` per (scheme, run).  Each completed batch is
+appended once, as one row of the collector's :class:`BatchLog`; every
+view below (latencies, compliance, goodput, tail breakdown, hardware and
+mode splits) is column arithmetic over that log.  The telemetry pillars
+read the same log through a :class:`BatchReader` — per tick or at
+finalize — instead of being called once per batch.
+
 Requests still unfinished when the run ends are counted as SLO violations
 with an effectively infinite latency (the paper's compliance percentages
 are over *all* requests).
@@ -9,71 +14,257 @@ are over *all* requests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import math
+import struct
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.framework.request import Batch
+from repro.framework.request import PHASES, Batch
 
-__all__ = ["BatchRecord", "MetricsCollector"]
+__all__ = ["ROW", "BatchLog", "BatchReader", "BatchRows", "MetricsCollector"]
+
+_FLOATS = ("dispatched_at", "started_at", "completed_at") + PHASES
+_INTS = ("batch_id", "seq", "node_id", "model", "hardware", "mode",
+         "retries", "first", "size")
+#: One batch-log row.  ``started_at`` is NaN for a batch that never
+#: reported a start.  ``model``, ``hardware`` and ``mode`` index the
+#: log's :attr:`BatchLog.names`; ``first`` and ``size`` locate the batch's
+#: arrivals in the flat arrivals buffer; ``seq`` is the batch's place in
+#: the completion order shared by every lane of a cluster.
+ROW = np.dtype([(name, "f8") for name in _FLOATS]
+               + [(name, "i8") for name in _INTS])
+_WIDTH = ROW.itemsize
+_pack_row = struct.Struct(f"={len(_FLOATS)}d{len(_INTS)}q").pack
+_NAMED = ("model", "hardware", "mode")
 
 
-@dataclass(frozen=True, eq=False)
-class BatchRecord:
-    """Immutable snapshot of one completed batch."""
+def _regathered(rows: np.ndarray, arrivals: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` (a copy, reindexed) and their arrivals gathered from
+    ``arrivals`` back to back in row order."""
+    size = rows["size"]
+    start = np.cumsum(size) - size
+    arrivals = arrivals[
+        np.repeat(rows["first"] - start, size) + np.arange(size.sum())
+    ]
+    rows["first"] = start
+    return rows, arrivals
 
-    model: str
-    arrivals: np.ndarray
-    completed_at: float
-    hardware: str
-    mode: str
-    batching_wait: float
-    cold_start_wait: float
-    queue_delay: float
-    exec_solo: float
-    interference_extra: float
-    failure_wait: float = 0.0
 
-    @property
-    def size(self) -> int:
-        return int(self.arrivals.size)
+class BatchRows:
+    """Some batch-log rows, in completion order.
+
+    ``rows`` is a :data:`ROW` array (read a column as
+    ``rows["completed_at"]``); ``rows["first"]`` indexes ``arrivals``,
+    where the rows' arrivals lie contiguously in row order; ``names``
+    maps each named column to the values its codes index.
+    """
+
+    __slots__ = ("rows", "arrivals", "names")
+
+    def __init__(self, rows: np.ndarray, arrivals: np.ndarray,
+                 names: dict[str, list]) -> None:
+        self.rows = rows
+        self.arrivals = arrivals
+        self.names = names
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, column: str) -> np.ndarray:
+        return self.rows[column]
 
     def latencies(self) -> np.ndarray:
-        return self.completed_at - self.arrivals
+        """Every request's latency, in row order."""
+        rows = self.rows
+        if not len(rows):
+            return np.empty(0)
+        first, size = rows["first"], rows["size"]
+        return (np.repeat(rows["completed_at"], size)
+                - self.arrivals[first[0]:first[-1] + size[-1]])
+
+    def first_latencies(self) -> np.ndarray:
+        """Each batch's latency of its first (worst) request."""
+        return self.rows["completed_at"] - self.arrivals[self.rows["first"]]
+
+    def labels(self, column: str) -> list:
+        """The named column's value for every row."""
+        names = self.names[column]
+        return [names[code] for code in self.rows[column].tolist()]
+
+    def select(self, mask: np.ndarray) -> "BatchRows":
+        """A copy of the rows where ``mask`` holds, with their arrivals."""
+        return BatchRows(*_regathered(self.rows[mask], self.arrivals),
+                         self.names)
+
+    @staticmethod
+    def merge(parts: Sequence["BatchRows"]) -> "BatchRows":
+        """Several logs' rows as one, ordered by ``seq``; named columns
+        are recoded onto one table (first occurrence across ``parts``)."""
+        if len(parts) == 1:
+            return parts[0]
+        names: dict[str, list] = {col: [] for col in _NAMED}
+        chunks, offset = [], 0
+        for part in parts:
+            rows = part.rows.copy()
+            for col in _NAMED:
+                merged = names[col]
+                for name in part.names[col]:
+                    if name not in merged:
+                        merged.append(name)
+                recode = np.array(
+                    [merged.index(name) for name in part.names[col]],
+                    dtype=np.int64,
+                )
+                rows[col] = recode[rows[col]]
+            rows["first"] += offset
+            offset += part.arrivals.size
+            chunks.append(rows)
+        rows = np.concatenate(chunks)
+        rows = rows[np.argsort(rows["seq"], kind="stable")]
+        arrivals = np.concatenate([part.arrivals for part in parts])
+        return BatchRows(*_regathered(rows, arrivals), names)
+
+
+class BatchLog:
+    """Append-only columnar log of completed batches, one row per batch.
+
+    Rows are packed into one ``bytearray`` in the :data:`ROW` layout and
+    every batch's arrivals into another, so a batch costs 144 bytes plus
+    8 per request and no Python object.  :meth:`rows` returns a copy;
+    :meth:`view` does not, and the log cannot grow while a view is alive,
+    so a view must not outlive the computation that reads it.
+    """
+
+    __slots__ = ("_rows", "_arrivals", "n_requests", "names", "_codes")
+
+    def __init__(self) -> None:
+        self._rows = bytearray()
+        self._arrivals = bytearray()
+        #: Requests in the logged batches.
+        self.n_requests = 0
+        #: Per named column, its distinct values in first-occurrence
+        #: order; a row stores the index.  Hardware may be ``None``.
+        self.names: dict[str, list] = {col: [] for col in _NAMED}
+        self._codes: dict[str, dict] = {col: {} for col in _NAMED}
+
+    def __len__(self) -> int:
+        return len(self._rows) // _WIDTH
+
+    def _code(self, column: str, name) -> int:
+        codes = self._codes[column]
+        code = codes[name] = len(codes)
+        self.names[column].append(name)
+        return code
+
+    def append(self, batch: Batch, node_id: int, seq: int) -> None:
+        """Log one completed batch that ran on ``node_id``."""
+        codes = self._codes
+        model = codes["model"].get(batch.model.name)
+        if model is None:
+            model = self._code("model", batch.model.name)
+        hardware = codes["hardware"].get(batch.hardware_name)
+        if hardware is None:
+            hardware = self._code("hardware", batch.hardware_name)
+        mode = codes["mode"].get(batch.mode)
+        if mode is None:
+            mode = self._code("mode", batch.mode)
+        bd = batch.breakdown
+        arrivals = batch.arrivals
+        started = batch.started_at
+        self._rows += _pack_row(
+            batch.dispatched_at,
+            math.nan if started is None else started,
+            batch.completed_at,
+            bd.batching_wait, bd.cold_start_wait, bd.queue_delay,
+            bd.exec_solo, bd.interference_extra, bd.failure_wait,
+            batch.batch_id, seq, node_id, model, hardware, mode,
+            batch.retries, self.n_requests, arrivals.size,
+        )
+        self._arrivals += arrivals.tobytes()
+        self.n_requests += arrivals.size
+
+    def view(self, lo: int = 0, hi: Optional[int] = None) -> BatchRows:
+        """Rows ``[lo, hi)`` without copying (see the class note)."""
+        if hi is None:
+            hi = len(self)
+        rows = np.frombuffer(self._rows, dtype=ROW, count=hi - lo,
+                             offset=lo * _WIDTH)
+        return BatchRows(rows, np.frombuffer(self._arrivals), self.names)
+
+    def rows(self, lo: int = 0, hi: Optional[int] = None) -> BatchRows:
+        """A copy of rows ``[lo, hi)`` (default: to the end)."""
+        if hi is None:
+            hi = len(self)
+        rows = np.frombuffer(self._rows[lo * _WIDTH:hi * _WIDTH], dtype=ROW)
+        a0 = a1 = 0
+        if len(rows):
+            a0 = int(rows["first"][0])
+            a1 = int(rows["first"][-1] + rows["size"][-1])
+            rows["first"] -= a0
+        arrivals = np.frombuffer(self._arrivals[8 * a0:8 * a1])
+        return BatchRows(rows, arrivals,
+                         {col: list(v) for col, v in self.names.items()})
+
+
+class BatchReader:
+    """Reads batch logs forward for one telemetry pillar.
+
+    Each :meth:`read` returns the rows the attached logs appended since
+    the previous read, merged into completion order — so a pillar shared
+    by the lanes of a cluster sees one timeline.
+    """
+
+    __slots__ = ("logs", "_read")
+
+    def __init__(self) -> None:
+        self.logs: list[BatchLog] = []
+        self._read: list[int] = []
+
+    def attach(self, log: BatchLog) -> None:
+        if all(known is not log for known in self.logs):
+            self.logs.append(log)
+            self._read.append(0)
+
+    def pending(self) -> bool:
+        """Whether a log has rows this reader has not read yet."""
+        return any(len(log) > n for log, n in zip(self.logs, self._read))
+
+    def read(self, copy: bool = True) -> BatchRows:
+        """The rows appended since the last read; with ``copy=False``
+        they may be a :meth:`BatchLog.view`, to be dropped after use."""
+        parts = []
+        copy = copy or len(self.logs) > 1
+        for i, log in enumerate(self.logs):
+            n = len(log)
+            lo, self._read[i] = self._read[i], n
+            parts.append(log.rows(lo, n) if copy else log.view(lo, n))
+        if not parts:
+            return BatchRows(np.empty(0, ROW), np.empty(0),
+                             {col: [] for col in _NAMED})
+        return BatchRows.merge(parts)
 
 
 class MetricsCollector:
     """Accumulates batch completions and unserved-request counts."""
 
     def __init__(self) -> None:
-        self.records: list[BatchRecord] = []
+        self.log = BatchLog()
         self.unserved_requests = 0
         self.total_requests_offered = 0
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_batch(self, batch: Batch) -> None:
-        """Snapshot a completed batch."""
+    def record_batch(self, batch: Batch, node_id: int = -1,
+                     seq: Optional[int] = None) -> None:
+        """Log a completed batch.  ``seq`` is its place in a completion
+        order shared with other collectors (default: this log's)."""
         if batch.completed_at is None:
             raise ValueError(f"batch {batch.batch_id} has not completed")
-        bd = batch.breakdown
-        self.records.append(
-            BatchRecord(
-                model=batch.model.name,
-                arrivals=batch.arrivals,
-                completed_at=batch.completed_at,
-                hardware=batch.hardware_name or "?",
-                mode=batch.mode,
-                batching_wait=bd.batching_wait,
-                cold_start_wait=bd.cold_start_wait,
-                queue_delay=bd.queue_delay,
-                exec_solo=bd.exec_solo,
-                interference_extra=bd.interference_extra,
-                failure_wait=bd.failure_wait,
-            )
-        )
+        log = self.log
+        log.append(batch, node_id, len(log) if seq is None else seq)
 
     def record_offered(self, n: int) -> None:
         """Count requests offered to the system (arrivals)."""
@@ -87,21 +278,23 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
+    def _view(self, model: Optional[str] = None) -> BatchRows:
+        """The log (or ``model``'s rows, copied), for one view method."""
+        view = self.log.view()
+        if model is None:
+            return view
+        models = view.names["model"]
+        code = models.index(model) if model in models else -1
+        return view.select(view["model"] == code)
+
     def latencies(self, model: Optional[str] = None) -> np.ndarray:
         """All per-request latencies (seconds), vectorised."""
-        parts = [
-            r.latencies()
-            for r in self.records
-            if model is None or r.model == model
-        ]
-        if not parts:
-            return np.empty(0, dtype=np.float64)
-        return np.concatenate(parts)
+        return self._view(model).latencies()
 
     def completed_requests(self, model: Optional[str] = None) -> int:
-        return sum(
-            r.size for r in self.records if model is None or r.model == model
-        )
+        if model is None:
+            return self.log.n_requests
+        return int(self._view(model)["size"].sum())
 
     # ------------------------------------------------------------------
     # Headline metrics
@@ -154,16 +347,11 @@ class MetricsCollector:
         t0, t1 = window
         if t1 <= t0:
             raise ValueError("empty goodput window")
-        good = 0
-        for r in self.records:
-            if model is not None and r.model != model:
-                continue
-            mask = (r.arrivals >= t0) & (r.arrivals < t1)
-            if not mask.any():
-                continue
-            lat = r.completed_at - r.arrivals[mask]
-            good += int(np.count_nonzero(lat <= slo_seconds))
-        return good / (t1 - t0)
+        rows = self._view(model)
+        lat = rows.latencies()
+        arrivals = rows.arrivals[:lat.size]
+        good = (arrivals >= t0) & (arrivals < t1) & (lat <= slo_seconds)
+        return int(np.count_nonzero(good)) / (t1 - t0)
 
     # ------------------------------------------------------------------
     # Tail-latency breakdown (Figs 1 and 4)
@@ -178,45 +366,28 @@ class MetricsCollector:
         falls in the top ``tail_frac`` of per-batch latencies, average each
         breakdown component.  Returns seconds per component plus 'total'.
         """
-        recs = [r for r in self.records if model is None or r.model == model]
-        if not recs:
-            return {
-                "batching_wait": 0.0,
-                "cold_start_wait": 0.0,
-                "queue_delay": 0.0,
-                "exec_solo": 0.0,
-                "interference_extra": 0.0,
-                "failure_wait": 0.0,
-                "total": 0.0,
-            }
-        worst = np.array([r.completed_at - r.arrivals[0] for r in recs])
-        cut = np.percentile(worst, q)
-        tail = [r for r, w in zip(recs, worst) if w >= cut]
-        if not tail:
-            tail = recs
-        out = {
-            "batching_wait": float(np.mean([r.batching_wait for r in tail])),
-            "cold_start_wait": float(np.mean([r.cold_start_wait for r in tail])),
-            "queue_delay": float(np.mean([r.queue_delay for r in tail])),
-            "exec_solo": float(np.mean([r.exec_solo for r in tail])),
-            "interference_extra": float(
-                np.mean([r.interference_extra for r in tail])
-            ),
-            "failure_wait": float(np.mean([r.failure_wait for r in tail])),
-        }
+        rows = self._view(model)
+        if not len(rows):
+            return {**dict.fromkeys(PHASES, 0.0), "total": 0.0}
+        worst = rows.first_latencies()
+        tail = worst >= np.percentile(worst, q)
+        if not tail.any():
+            tail[:] = True
+        out = {name: float(np.mean(rows[name][tail])) for name in PHASES}
         out["total"] = float(sum(out.values()))
         return out
 
+    def _requests_by(self, column: str) -> dict[str, int]:
+        rows = self._view()
+        names = rows.names[column]
+        counts = np.bincount(rows[column], weights=rows["size"],
+                             minlength=len(names))
+        return {name or "?": int(n) for name, n in zip(names, counts)}
+
     def hardware_usage(self) -> dict[str, int]:
         """Completed-request counts per hardware type."""
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.hardware] = out.get(r.hardware, 0) + r.size
-        return out
+        return self._requests_by("hardware")
 
     def mode_split(self) -> dict[str, int]:
         """Completed-request counts per share mode (spatial/temporal)."""
-        out: dict[str, int] = {}
-        for r in self.records:
-            out[r.mode] = out.get(r.mode, 0) + r.size
-        return out
+        return self._requests_by("mode")

@@ -45,7 +45,10 @@ request's latency actually went.  This package records the path taken:
 
 Components report simulation facts to one ``obs`` attribute, a
 :class:`~repro.telemetry.observers.RunObservers` bundle per traced run
-that fans each fact out to the enabled pillars.
+that fans each fact out to the enabled pillars.  Completed batches are
+the exception: each is one row of the run's
+:class:`~repro.simulator.metrics.BatchLog`, which the pillars read per
+tick, at finalize or at export.
 
 Everything is **zero-overhead when disabled**: the shared
 :data:`NULL_TRACER` singleton short-circuits on a single attribute check,

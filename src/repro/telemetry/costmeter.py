@@ -21,10 +21,12 @@ Every lease-second lands in exactly one bucket, so::
         == RunResult.total_cost          (within float tolerance)
 
 Like the sampler and self-profiler, the meter is a pure observer with a
-zero-overhead disabled path: every instrumented site in the cluster,
-container pool, and framework pays one attribute load plus one ``is
-None`` branch when no meter is installed, proven by deterministic
-call-count gates (``benchmarks/test_bench_costmeter.py``).
+zero-overhead disabled path: every instrumented site in the cluster and
+the container pools pays one attribute load plus one ``is None`` branch
+when no meter is installed, proven by deterministic call-count gates
+(``benchmarks/test_bench_costmeter.py``).  Completed batches are not a
+hook at all: the meter reads their residency from the lanes' batch logs
+when it summarizes.
 
 :class:`CostBudgetMonitor` (shape of
 :class:`~repro.telemetry.slo_monitor.SLOMonitor`) rides the telemetry
@@ -39,6 +41,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
+
+import numpy as np
+
+from repro.simulator.metrics import BatchLog, BatchReader
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.catalog import HardwareSpec
@@ -81,8 +87,10 @@ class _LeaseState:
         self.end: Optional[float] = None
         #: (t0, t1) container-spawn intervals on this node.
         self.spawns: list[tuple[float, float]] = []
-        #: (batch_id, model, n_requests, started_at, completed_at).
-        self.batches: list[tuple[int, str, int, float, float]] = []
+        #: Batches that ran on this node, in completion order, as column
+        #: chunks: (batch ids, models, n_requests, started_at,
+        #: completed_at) — arrays but for the list of model names.
+        self.batches: list[tuple] = []
 
 
 @dataclass
@@ -186,11 +194,11 @@ class CostMeter:
     """Per-lease cost itemization with pro-rata request attribution.
 
     The meter is event-driven and passive: the cluster reports lease
-    acquire/release, container pools report spawn intervals, and the
-    framework reports each completed batch's residency interval.  The
+    acquire/release and container pools report spawn intervals, while
+    each completed batch's residency interval is read from the lanes'
+    batch logs when the meter summarizes (:meth:`on_batch`).  The
     expensive part — the per-lease line sweep that decomposes lease time
-    into buckets — runs once per lease at release (or at
-    :meth:`summarize` for leases still open), never on the hot path.
+    into buckets — runs in :meth:`summarize`, never on the hot path.
     """
 
     def __init__(self) -> None:
@@ -200,6 +208,10 @@ class CostMeter:
         self._closed: list[_LeaseState] = []
         #: Running total of closed-lease dollars (for :meth:`spent`).
         self._closed_dollars = 0.0
+        #: Every lease by node_id, open or closed.
+        self._leases: dict[int, _LeaseState] = {}
+        #: Reads the batch logs of every lane this meter bills.
+        self.batches = BatchReader()
 
     # ------------------------------------------------------------------
     # Hooks (each a single call from an ``is None``-guarded site)
@@ -209,7 +221,7 @@ class CostMeter:
     ) -> None:
         """Billing starts: lease opened at ``now``; the node can serve
         traffic from ``ready_at`` (== ``now`` for instant acquisition)."""
-        self._open[node_id] = _LeaseState(
+        self._open[node_id] = self._leases[node_id] = _LeaseState(
             node_id, spec.name, spec.price_per_second, now, ready_at
         )
 
@@ -228,23 +240,35 @@ class CostMeter:
         if state is not None:
             state.spawns.append((t0, t1))
 
-    def on_batch(
-        self,
-        node_id: int,
-        model: str,
-        batch_id: int,
-        n_requests: int,
-        started_at: float,
-        completed_at: float,
-    ) -> None:
-        """A batch executed on ``node_id`` over ``[started_at,
-        completed_at)``; busy dollars in that span are shared pro-rata
-        with any co-resident batches."""
-        state = self._open.get(node_id)
-        if state is not None:
-            state.batches.append(
-                (batch_id, model, int(n_requests), started_at, completed_at)
-            )
+    def attach(self, log: BatchLog) -> None:
+        """Meter the batches a lane appends to ``log``."""
+        self.batches.attach(log)
+
+    def on_batch(self) -> None:
+        """Read the batches the attached logs completed since the last
+        read into their leases: each executed on its node over
+        ``[started_at, completed_at)``, and busy dollars in that span are
+        shared pro-rata with any co-resident batches."""
+        rows = self.batches.read(copy=False)
+        if not len(rows):
+            return
+        col = rows.rows
+        nodes = col["node_id"]
+        order = np.argsort(nodes, kind="stable")
+        models = rows.labels("model")
+        by_node = nodes[order]
+        starts = [0, *(np.flatnonzero(np.diff(by_node)) + 1).tolist()]
+        for lo, hi in zip(starts, starts[1:] + [len(order)]):
+            state = self._leases.get(int(by_node[lo]))
+            if state is not None:
+                rows_on_node = order[lo:hi]
+                state.batches.append((
+                    col["batch_id"][rows_on_node],
+                    [models[i] for i in rows_on_node.tolist()],
+                    col["size"][rows_on_node],
+                    col["started_at"][rows_on_node],
+                    col["completed_at"][rows_on_node],
+                ))
 
     # ------------------------------------------------------------------
     # Live reads (budget monitor / time-series probes)
@@ -274,83 +298,87 @@ class CostMeter:
         points the resident set and spawn count are constant, so each
         sub-interval lands in exactly one bucket.  Bucket priority:
         busy > reconfiguration > cold-start > idle.
+
+        The sweep runs on arrays but keeps the arithmetic of a
+        one-interval-at-a-time walk: every sum accumulates sequentially
+        in interval order, so the dollars match it bit for bit
+        (``tests/telemetry/test_costmeter_walk.py`` keeps the walk and
+        compares the two).
         """
         start, pps = state.start, state.price_per_second
         ready = min(max(state.ready_at, start), end)
-        # (time, order, kind, payload): order makes removals apply before
-        # additions at the same instant and keeps sorting deterministic.
-        events: list[tuple[float, int, int, tuple]] = []
-        ADD_BATCH, REMOVE_BATCH, ADD_SPAWN, REMOVE_SPAWN = 0, 1, 2, 3
-        for batch_id, model, n, b0, b1 in state.batches:
-            b0, b1 = max(b0, start), min(b1, end)
-            if b1 <= b0:
-                continue
-            events.append((b0, 1, ADD_BATCH, (batch_id, model, n)))
-            events.append((b1, 0, REMOVE_BATCH, (batch_id, model, n)))
-        for s0, s1 in state.spawns:
-            s0, s1 = max(s0, start), min(s1, end)
-            if s1 <= s0:
-                continue
-            events.append((s0, 1, ADD_SPAWN, ()))
-            events.append((s1, 0, REMOVE_SPAWN, ()))
-        if start < ready:
-            events.append((ready, 0, -1, ()))  # bucket boundary only
-        events.sort(key=lambda e: (e[0], e[1]))
+        if state.batches:
+            ids, models, sizes, b0, b1 = (
+                np.concatenate(chunk) for chunk in zip(*state.batches)
+            )
+        else:
+            ids, models = np.empty(0, np.int64), np.empty(0, object)
+            sizes, b0, b1 = np.empty(0, np.int64), np.empty(0), np.empty(0)
+        b0, b1 = np.maximum(b0, start), np.minimum(b1, end)
+        ran = b1 > b0
+        ids, models, sizes, b0, b1 = (a[ran] for a in (ids, models, sizes,
+                                                       b0, b1))
+        spawns = np.array(state.spawns, dtype=float).reshape(-1, 2)
+        s0 = np.maximum(spawns[:, 0], start)
+        s1 = np.minimum(spawns[:, 1], end)
+        s0, s1 = s0[s1 > s0], s1[s1 > s0]
+        # Events in insertion order — each batch's add then removal, each
+        # spawn's, then the ready boundary — stably sorted by (time,
+        # order): removals (order 0) apply before additions at an instant.
+        nb, ns = len(b0), len(s0)
+        times = np.concatenate((np.column_stack((b0, b1)).ravel(),
+                                np.column_stack((s0, s1)).ravel(),
+                                [ready] if start < ready else []))
+        order = np.concatenate((np.tile([1, 0], nb + ns),
+                                [0] if start < ready else []))
+        d_requests = np.concatenate((np.column_stack((sizes, -sizes)).ravel(),
+                                     np.zeros(times.size - 2 * nb, np.int64)))
+        d_spawning = np.concatenate((np.zeros(2 * nb, np.int64),
+                                     np.tile([1, -1], ns),
+                                     np.zeros(times.size - 2 * (nb + ns),
+                                              np.int64)))
+        sort = np.lexsort((order, times))
+        # Interval k ends at event k (the last at ``end``) and sees the
+        # state left by events 0..k-1.
+        until = np.append(times[sort], end)
+        dt = until - np.concatenate(([start], until[:-1]))
+        dollars = dt * pps
+        requests = np.concatenate(([0], np.cumsum(d_requests[sort])))
+        spawning = np.concatenate(([0], np.cumsum(d_spawning[sort])))
+        billed = dt > 0
+        busy = billed & (requests > 0)
+        reconfig = billed & ~busy & (until <= ready)
+        coldstart = billed & ~busy & ~reconfig & (spawning > 0)
+        idle = billed & ~(busy | reconfig | coldstart)
 
-        bucket_dollars = {b: 0.0 for b in BUCKETS}
-        bucket_seconds = {b: 0.0 for b in BUCKETS}
-        batch_dollars: dict[int, float] = {}
-        batch_meta: dict[int, tuple[str, int]] = {}
-        resident: dict[int, int] = {}  # batch_id -> n_requests
-        resident_requests = 0
-        spawning = 0
-        cursor = start
+        def total(values: np.ndarray, mask: np.ndarray) -> float:
+            picked = values[mask]
+            return float(np.cumsum(picked)[-1]) if picked.size else 0.0
 
-        def close_interval(until: float) -> None:
-            nonlocal cursor
-            dt = until - cursor
-            cursor = until
-            if dt <= 0:
-                return
-            dollars = dt * pps
-            if resident_requests > 0:
-                bucket_dollars["busy"] += dollars
-                bucket_seconds["busy"] += dt
-                for bid, n in resident.items():
-                    batch_dollars[bid] = (
-                        batch_dollars.get(bid, 0.0)
-                        + dollars * (n / resident_requests)
-                    )
-            elif until <= ready:
-                bucket_dollars["reconfig"] += dollars
-                bucket_seconds["reconfig"] += dt
-            elif spawning > 0:
-                bucket_dollars["coldstart"] += dollars
-                bucket_seconds["coldstart"] += dt
-            else:
-                bucket_dollars["idle"] += dollars
-                bucket_seconds["idle"] += dt
+        masks = {"busy": busy, "coldstart": coldstart, "idle": idle,
+                 "reconfig": reconfig}
+        bucket_dollars = {b: total(dollars, m) for b, m in masks.items()}
+        bucket_seconds = {b: total(dt, m) for b, m in masks.items()}
 
-        for t, _, kind, payload in events:
-            close_interval(min(t, end))
-            if kind == ADD_BATCH:
-                bid, model, n = payload
-                resident[bid] = resident.get(bid, 0) + n
-                resident_requests += n
-                batch_meta[bid] = (model, n)
-            elif kind == REMOVE_BATCH:
-                bid, _, n = payload
-                resident_requests -= n
-                left = resident.get(bid, 0) - n
-                if left > 0:
-                    resident[bid] = left
-                else:
-                    resident.pop(bid, None)
-            elif kind == ADD_SPAWN:
-                spawning += 1
-            elif kind == REMOVE_SPAWN:
-                spawning -= 1
-        close_interval(end)
+        # Each batch is resident in intervals (add, removal] and takes
+        # its pro-rata share of every billed one, summed in interval order.
+        position = np.empty(sort.size, np.int64)
+        position[sort] = np.arange(sort.size)
+        added, removed = position[0:2 * nb:2], position[1:2 * nb:2]
+        spans = removed - added
+        batch = np.repeat(np.arange(nb), spans)
+        interval = (np.repeat(added + 1 - (np.cumsum(spans) - spans), spans)
+                    + np.arange(spans.sum()))
+        keep = billed[interval]
+        batch, interval = batch[keep], interval[keep]
+        share = dollars[interval] * (sizes[batch] / requests[interval])
+        # ``add.at`` adds element by element, in order: one sequential sum
+        # per batch, in interval order.
+        acc = np.zeros(nb)
+        np.add.at(acc, batch, share)
+        # A walk records the batches in order of addition: a batch that
+        # ran has at least one billed interval, paid from its first.
+        by_added = np.argsort(added, kind="stable")
 
         lease = LeaseCost(
             node_id=state.node_id,
@@ -361,9 +389,12 @@ class CostMeter:
             bucket_dollars=bucket_dollars,
             bucket_seconds=bucket_seconds,
         )
-        # Stash the per-batch attribution on the result for summarize().
-        lease._batch_dollars = batch_dollars  # type: ignore[attr-defined]
-        lease._batch_meta = batch_meta  # type: ignore[attr-defined]
+        # Stash the per-batch attribution on the result for summarize():
+        # (ids, models, requests, dollars) of the batches that ran, in
+        # walk order.
+        lease._batches = tuple(  # type: ignore[attr-defined]
+            a[by_added] for a in (ids, models, sizes, acc)
+        )
         return lease
 
     def summarize(
@@ -375,7 +406,17 @@ class CostMeter:
         meter stays live).  ``node_ids`` restricts the summary to one
         lane's leases in a shared cluster (``MultiModelRun``).
         """
+        self.on_batch()
         out = CostBreakdown()
+
+        def cell_of(model: str, spec: str) -> ModelSpecCost:
+            cell = out.by_model_spec.get((model, spec))
+            if cell is None:
+                cell = out.by_model_spec[(model, spec)] = ModelSpecCost(
+                    model=model, spec=spec
+                )
+            return cell
+
         states = self._closed + list(self._open.values())
         states.sort(key=lambda s: (s.start, s.node_id))
         for state in states:
@@ -392,34 +433,21 @@ class CostMeter:
             for b in BUCKETS:
                 out.bucket_dollars[b] += lease.bucket_dollars[b]
                 out.bucket_seconds[b] += lease.bucket_seconds[b]
-            batch_dollars = lease._batch_dollars  # type: ignore[attr-defined]
-            batch_meta = lease._batch_meta  # type: ignore[attr-defined]
-            for bid, dollars in batch_dollars.items():
-                model, n = batch_meta[bid]
-                out.batch_cost_dollars[bid] = (
-                    out.batch_cost_dollars.get(bid, 0.0) + dollars
-                )
-                out.batch_requests[bid] = max(
-                    out.batch_requests.get(bid, 0), n
-                )
-                key = (model, spec)
-                cell = out.by_model_spec.get(key)
-                if cell is None:
-                    cell = out.by_model_spec[key] = ModelSpecCost(
-                        model=model, spec=spec
-                    )
-                cell.busy_dollars += dollars
-            # Requests/batches count each batch once, on the lease where
-            # it ran (a batch runs on exactly one node).
-            for bid, (model, n) in batch_meta.items():
-                key = (model, spec)
-                cell = out.by_model_spec.get(key)
-                if cell is None:
-                    cell = out.by_model_spec[key] = ModelSpecCost(
-                        model=model, spec=spec
-                    )
-                cell.requests += n
-                cell.batches += 1
+            ids, models, sizes, dollars = lease._batches  # type: ignore[attr-defined]
+            # A log row carries one node id and batch ids are unique in a
+            # cluster, so a batch is paid on one lease only.
+            bids = ids.tolist()
+            out.batch_cost_dollars.update(zip(bids, dollars.tolist()))
+            out.batch_requests.update(zip(bids, sizes.tolist()))
+            # Busy dollars add up per (model, spec) in walk order.
+            for model in dict.fromkeys(models.tolist()):
+                ran = models == model
+                cell = cell_of(model, spec)
+                cell.busy_dollars = float(np.cumsum(np.concatenate(
+                    ([cell.busy_dollars], dollars[ran])
+                ))[-1])
+                cell.requests += int(sizes[ran].sum())
+                cell.batches += int(ran.sum())
         # Busy seconds per (model, spec): re-derive from batch residency
         # is ambiguous under co-run; credit each cell its dollar share of
         # the spec's busy seconds instead (exact when prices are uniform

@@ -14,6 +14,8 @@ from __future__ import annotations
 import bisect
 from typing import Optional, Sequence
 
+import numpy as np
+
 __all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 
@@ -58,6 +60,17 @@ class Histogram:
         self.counts[bisect.bisect_left(self.bounds, value)] += 1
         self.n += 1
         self.sum += value
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """:meth:`observe` each value in order: the same counts, and the
+        same sum (accumulated sequentially, not pairwise)."""
+        if not values.size:
+            return
+        buckets = np.searchsorted(self.bounds, values, side="left")
+        for i, n in enumerate(np.bincount(buckets).tolist()):
+            self.counts[i] += n
+        self.n += int(values.size)
+        self.sum = float(np.cumsum(np.concatenate(([self.sum], values)))[-1])
 
 
 class MetricsRegistry:

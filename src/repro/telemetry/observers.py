@@ -1,14 +1,20 @@
 """The per-run observer bundle: the one hook surface of every pillar.
 
 The simulator, the resilience layer and the framework report *facts* —
-a node was leased, a container started spawning, a batch completed, a
-retry was abandoned — to a single ``obs`` attribute per component.  On
+a node was leased, a container started spawning, a retry was abandoned
+— to a single ``obs`` attribute per component.  On
 untraced runs ``obs`` is ``None``, so each hook site costs one attribute
 load and one ``is None`` branch, and the run never calls into this
 module (gated by ``sys.setprofile`` call counting in
 ``benchmarks/test_bench_costmeter.py`` and ``test_bench_reqtrace.py``).
 On traced runs it holds a :class:`RunObservers`, which fans each fact
 out to whichever pillars the run enabled.
+
+Completed batches are not a fact here: the run appends each one to its
+:class:`~repro.simulator.metrics.BatchLog` once, and every pillar reads
+that log when it needs it — the SLO monitor per evaluation, the cost
+meter and request tracer at finalize, the batch spans and latency
+histogram at export.
 
 Adding a pillar means adding a field here and a line to each fact
 method it observes; no component outside ``telemetry/`` changes.
@@ -41,7 +47,8 @@ class RunObservers:
     bundle is the cluster's: node, container and execution facts flow
     through it, while each lane reports its own batch, retry and
     breaker facts through its own bundle (which shares the cluster
-    bundle's meter and request tracer).
+    bundle's meter and request tracer, each reading every lane's batch
+    log).
     """
 
     __slots__ = ("tracer", "costmeter", "reqtrace", "slo_monitor",
@@ -110,27 +117,8 @@ class RunObservers:
             )
 
     # ------------------------------------------------------------------
-    # Framework: completions, losses, retries, breakers
+    # Framework: losses, retries, breakers
     # ------------------------------------------------------------------
-    def batch_completed(self, batch: "Batch", node_id: int,
-                        now: float) -> None:
-        if self.costmeter is not None:
-            self.costmeter.on_batch(
-                node_id, batch.model.name, batch.batch_id, batch.size,
-                float(batch.started_at), float(batch.completed_at),
-            )
-        if self.reqtrace is not None:
-            self.reqtrace.on_batch_complete(batch, node_id)
-        self.tracer.record_batch_span(batch)
-        self.tracer.metrics.histogram("request.latency_seconds").observe(
-            float(batch.completed_at) - batch.first_arrival
-        )
-        if self.slo_monitor is not None:
-            self.slo_monitor.observe_batch(
-                now, batch.model.name, batch.hardware_name or "?",
-                batch.latencies(),
-            )
-
     def shed(self, now: float, batch_id: Optional[int], n: int,
              reason: str) -> None:
         """``n`` requests were shed; ``batch_id`` is ``None`` for

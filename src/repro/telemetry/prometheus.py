@@ -84,7 +84,11 @@ def to_prometheus_text(
         Optional :class:`~repro.telemetry.costmeter.CostMeter`; its
         summary at ``now`` is exported as ``repro_cost_*`` gauges.
     """
-    reg = source.metrics if isinstance(source, Tracer) else source
+    if isinstance(source, Tracer):
+        source.record_latencies()
+        reg = source.metrics
+    else:
+        reg = source
     lines: list[str] = []
 
     for raw, counter in sorted(reg._counters.items()):

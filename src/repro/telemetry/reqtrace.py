@@ -6,17 +6,20 @@ request slow?".  A :class:`RequestTracer` records, per request id, a
 typed phase timeline — arrival -> window wait -> batch formation
 (batch id, peers, deadline-setting member) -> queue -> cold-start wait
 -> dispatch (hardware, co-run slot) -> interference slowdown -> retry
-attempts -> completion — reported by the framework, the simulator
-devices, the cluster, and the resilience layer through the run's
-observer bundle (:mod:`repro.telemetry.observers`).
+attempts -> completion.  Completed batches come from the lanes' batch
+logs (:class:`~repro.simulator.metrics.BatchLog`), read once when the
+trace is frozen; execution starts, node churn, retries and breaker
+flips are reported by the simulator devices, the cluster, and the
+resilience layer through the run's observer bundle
+(:mod:`repro.telemetry.observers`).
 
 Columnar by construction
 ------------------------
 The simulator never materialises per-request Python objects on the hot
 path (:class:`~repro.framework.request.Batch` carries a sorted arrivals
-array), and neither does the tracer: it records one :class:`BatchTrace`
-per *batch* at completion time and derives per-request waterfall rows
-lazily at read time.  Request ``i`` of a batch shares every phase with
+array), and neither does the tracer: it builds one :class:`BatchTrace`
+per retained *batch* from the batch log and derives per-request
+waterfall rows lazily at read time.  Request ``i`` of a batch shares every phase with
 its peers except the batching wait, which shrinks by how much later it
 arrived::
 
@@ -29,16 +32,18 @@ gated to 1e-9 in ``benchmarks/test_bench_reqtrace.py``.
 Request ids
 -----------
 Request ids are assigned in batch-completion order across *all*
-completed batches, sampled or not, so rid ``r`` always indexes
-``MetricsCollector.latencies()[r]`` exactly and ids are stable across
-sampling rates.
+completed batches, sampled or not — across the lanes of a shared
+cluster too, merged on the completion sequence they share — so rid
+``r`` always indexes a standalone run's ``MetricsCollector.latencies()[r]``
+exactly and ids are stable across sampling rates.
 
 Sampling
 --------
 ``sample`` keeps a deterministic pseudo-random fraction of batches
 (splitmix64 over ``(seed, batch_id)`` — stable across processes, unlike
 ``hash()``), and a tail reservoir of the ``tail_k`` worst batches by
-first-arrival latency is always retained on top.  Because a batch's
+(first-arrival latency, batch id) is always retained on top; both are
+selections over the batch log.  Because a batch's
 first arrival has the largest latency in the batch, the ``tail_k``
 worst *batches* contain at least the ``tail_k`` worst *requests*, so
 worst-K forensics are exact at any sampling rate for ``K <= tail_k``.
@@ -52,16 +57,16 @@ deterministically (``sys.setprofile`` call counting) like the meter's.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
+from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.framework.request import Batch
+from repro.framework.request import PHASES
+from repro.simulator.metrics import BatchLog, BatchReader
 
 __all__ = [
     "PHASES",
@@ -73,44 +78,43 @@ __all__ = [
     "read_reqtrace",
 ]
 
-#: The six causal phases of a request's life, in timeline order.  This
-#: is the single source of truth for phase names: the batch breakdown
-#: (:class:`~repro.framework.request.BatchBreakdown`), the trace-report
-#: latency table, and the attribution causes all cite these names.
-PHASES: tuple[str, ...] = (
-    "batching_wait",
-    "cold_start_wait",
-    "queue_delay",
-    "exec_solo",
-    "interference_extra",
-    "failure_wait",
-)
-
 REQTRACE_SCHEMA = "repro.reqtrace/1"
+
+#: Batches converted to Python records per step when the log is read.
+_CHUNK = 4096
 
 _MASK64 = (1 << 64) - 1
 
 
-def _mix64(seed: int, x: int) -> int:
-    """splitmix64 finalizer over ``(seed, x)``.
+def _mix64(seed: int, x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over ``(seed, x)`` for each id in ``x``.
 
     Explicit integer mixing rather than ``hash()`` so the sampled set is
     a pure function of the seed — identical across processes and Python
-    builds (``PYTHONHASHSEED`` does not reach it).
+    builds (``PYTHONHASHSEED`` does not reach it).  ``uint64`` array
+    arithmetic wraps modulo 2**64, like the masked integer recipe.
     """
-    z = (x + 0x9E3779B97F4A7C15 * (seed + 1)) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+    z = x.astype(np.uint64) + np.uint64(
+        (0x9E3779B97F4A7C15 * (seed + 1)) & _MASK64
+    )
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def sampled_batches(seed: int, batch_ids: np.ndarray,
+                    sample: float) -> np.ndarray:
+    """Which of ``batch_ids`` fall in the deterministic sampled set."""
+    if sample >= 1.0:
+        return np.ones(len(batch_ids), dtype=bool)
+    if sample <= 0.0:
+        return np.zeros(len(batch_ids), dtype=bool)
+    return (_mix64(seed, batch_ids) >> np.uint64(32)) < int(sample * 2.0**32)
 
 
 def sampled_batch(seed: int, batch_id: int, sample: float) -> bool:
     """Whether ``batch_id`` falls in the deterministic sampled set."""
-    if sample >= 1.0:
-        return True
-    if sample <= 0.0:
-        return False
-    return (_mix64(seed, batch_id) >> 32) < int(sample * 2.0**32)
+    return bool(sampled_batches(seed, np.array([batch_id]), sample)[0])
 
 
 @dataclass(slots=True)
@@ -236,8 +240,9 @@ class RequestTracer:
 
     Constructed only when the run is traced *and*
     ``RunConfig.reqtrace`` is set — the disabled path never enters this
-    module.  Its hooks are called from the run's
-    :class:`~repro.telemetry.observers.RunObservers` bundle; none of
+    module.  Each lane attaches its batch log, read by :meth:`data`;
+    the other hooks are called from the run's
+    :class:`~repro.telemetry.observers.RunObservers` bundle.  None of
     them touch the simulation state, so a traced run stays bit-identical
     to an untraced one.
     """
@@ -257,21 +262,24 @@ class RequestTracer:
         self.tail_k = int(tail_k)
         self.seed = int(seed)
         self.event_cap = int(event_cap)
-        #: Next request id == number of requests completed so far; rid
+        #: Next request id == number of requests read so far; rid
         #: therefore indexes ``MetricsCollector.latencies()`` exactly.
         self._next_rid = 0
         self.n_batches_seen = 0
         self.n_requests_seen = 0
         self.events_dropped = 0
         self._records: dict[int, BatchTrace] = {}
-        #: Min-heap of (first-arrival latency, batch_id): the tail
-        #: reservoir of the worst ``tail_k`` batches seen so far.
+        #: The tail reservoir: the ``tail_k`` worst (first-arrival
+        #: latency, batch_id) pairs read so far.
         self._tail: list[tuple[float, int]] = []
-        #: In-flight execution context from the device, keyed by batch
-        #: id; popped at completion, so memory stays bounded by the
-        #: number of batches in flight.  Retries overwrite (last
-        #: dispatch attempt wins — that is the one that completed).
-        self._exec: dict[int, tuple[float, str, int, float]] = {}
+        #: Reads the batch logs of every lane this tracer observes.
+        self.batches = BatchReader()
+        #: Execution starts reported by the devices: the batch id, and
+        #: (start time, co-run level, total FBR) per start.  A retried
+        #: batch starts more than once; its last start is the one that
+        #: completed.
+        self._exec_ids = array("q")
+        self._exec = array("d")
         self._events: list[dict[str, Any]] = []
         self._models: dict[str, float] = {}
         self._horizon = 0.0
@@ -283,67 +291,117 @@ class RequestTracer:
         """Record a served model's SLO (per-model for multi-lane runs)."""
         self._models[name] = float(slo_seconds)
 
+    def attach(self, log: BatchLog) -> None:
+        """Trace the batches a lane appends to ``log``."""
+        self.batches.attach(log)
+
     # ------------------------------------------------------------------
-    # Hot-path hooks (one `is None` branch at each call site)
+    # Hot-path hook (one `is None` branch at the call site)
     # ------------------------------------------------------------------
     def on_execute_start(self, batch_id: int, now: float, hardware: str,
                          co_run: int, total_fbr: float) -> None:
         """A device started executing the batch (from ``GPUDevice._start``)."""
-        self._exec[batch_id] = (float(now), hardware, int(co_run),
-                                float(total_fbr))
+        self._exec_ids.append(batch_id)
+        ex = self._exec
+        ex.append(now)
+        ex.append(co_run)
+        ex.append(total_fbr)
 
-    def on_batch_complete(self, batch: "Batch", node_id: Optional[int]) -> None:
-        """A batch completed: assign rids and retain per sampling policy.
+    # ------------------------------------------------------------------
+    # Reading the batch logs
+    # ------------------------------------------------------------------
+    def on_batch_complete(self) -> None:
+        """Read the batches the attached logs completed since the last
+        read: assign rids and retain per sampling policy.
 
-        Called for *every* completed batch so the rid counter stays in
-        lockstep with the metrics collector regardless of sampling.
+        Every batch advances the rid counter, sampled or not, in the
+        completion order shared by the lanes; a batch is kept when it is
+        sampled or among the ``tail_k`` worst read so far, and a kept
+        batch that later leaves that tail without being sampled is
+        dropped again.
         """
-        first_rid = self._next_rid
-        size = int(batch.arrivals.size)
-        self._next_rid += size
-        self.n_batches_seen += 1
-        self.n_requests_seen += size
-        bid = batch.batch_id
-        exec_info = self._exec.pop(bid, None)
-        keep = sampled_batch(self.seed, bid, self.sample)
-        lat = float(batch.completed_at) - float(batch.arrivals[0])
-        keep_tail = False
-        if self.tail_k > 0:
-            entry = (lat, bid)
-            if len(self._tail) < self.tail_k:
-                heapq.heappush(self._tail, entry)
-                keep_tail = True
-            else:
-                evicted = heapq.heappushpop(self._tail, entry)
-                if evicted is not entry:
-                    keep_tail = True
-                    old = self._records.get(evicted[1])
-                    if old is not None and not old.sampled:
-                        del self._records[evicted[1]]
-        if not (keep or keep_tail):
+        rows = self.batches.read()
+        if not len(rows):
             return
-        bd = batch.breakdown
-        self._records[bid] = BatchTrace(
-            batch_id=bid,
-            first_rid=first_rid,
-            model=batch.model.name,
-            mode=batch.mode,
-            hardware=batch.hardware_name,
-            node_id=node_id,
-            arrivals=np.array(batch.arrivals, dtype=np.float64, copy=True),
-            dispatched_at=float(batch.dispatched_at),
-            started_at=exec_info[0] if exec_info is not None
-            else batch.started_at,
-            completed_at=float(batch.completed_at),
-            retries=int(batch.retries),
-            phases=(
-                bd.batching_wait, bd.cold_start_wait, bd.queue_delay,
-                bd.exec_solo, bd.interference_extra, bd.failure_wait,
-            ),
-            co_run=exec_info[2] if exec_info is not None else 1,
-            total_fbr=exec_info[3] if exec_info is not None else 0.0,
-            sampled=keep,
-        )
+        col = rows.rows
+        size = col["size"]
+        first_rid = self._next_rid + np.cumsum(size) - size
+        n_requests = int(size.sum())
+        self._next_rid += n_requests
+        self.n_batches_seen += len(rows)
+        self.n_requests_seen += n_requests
+        bids = col["batch_id"]
+        keep = sampled_batches(self.seed, bids, self.sample)
+        in_tail = np.zeros(len(rows), dtype=bool)
+        if self.tail_k > 0:
+            lat = np.concatenate(
+                ([t[0] for t in self._tail], rows.first_latencies())
+            )
+            ids = np.concatenate(
+                (np.array([t[1] for t in self._tail], dtype=np.int64), bids)
+            )
+            top = np.lexsort((ids, lat))[::-1][:self.tail_k]
+            tail = set(ids[top].tolist())
+            for _, bid in self._tail:
+                old = self._records.get(bid)
+                if bid not in tail and old is not None and not old.sampled:
+                    del self._records[bid]
+            self._tail = list(zip(lat[top].tolist(), ids[top].tolist()))
+            in_tail = np.isin(bids, ids[top])
+        kept = np.flatnonzero(keep | in_tail)
+        if not kept.size:
+            return
+        sub = col[kept]
+        found, start, co_run, fbr = self._last_starts(sub["batch_id"])
+        # A batch no device reported keeps the start its log row holds.
+        start = np.where(found, start, sub["started_at"])
+        models, modes, hardware = (rows.names[name] for name in
+                                   ("model", "mode", "hardware"))
+        arrivals = rows.arrivals
+        records = self._records
+        # Python rows are built a chunk at a time, to bound the memory of
+        # the column lists.
+        for lo in range(0, kept.size, _CHUNK):
+            part = slice(lo, lo + _CHUNK)
+            cols = sub[part]
+            starts = start[part].tolist()
+            if np.isnan(start[part]).any():
+                starts = [None if math.isnan(t) else t for t in starts]
+            for (bid, rid, model, mode, hw, node_id, first, n, dispatched,
+                 started, done, retries, phases, runs, total_fbr,
+                 sampled) in zip(
+                cols["batch_id"].tolist(), first_rid[kept[part]].tolist(),
+                cols["model"].tolist(), cols["mode"].tolist(),
+                cols["hardware"].tolist(), cols["node_id"].tolist(),
+                cols["first"].tolist(), cols["size"].tolist(),
+                cols["dispatched_at"].tolist(), starts,
+                cols["completed_at"].tolist(), cols["retries"].tolist(),
+                zip(*(cols[name].tolist() for name in PHASES)),
+                co_run[part].tolist(), fbr[part].tolist(),
+                keep[kept[part]].tolist(),
+            ):
+                records[bid] = BatchTrace(
+                    bid, rid, models[model], modes[mode], hardware[hw],
+                    node_id, arrivals[first:first + n], dispatched, started,
+                    done, retries, phases, runs, total_fbr, sampled,
+                )
+
+    def _last_starts(self, batch_ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per batch id: whether a device reported its start, and the
+        (start, co-run level, total FBR) of its last start."""
+        ids = np.array(self._exec_ids, dtype=np.int64)
+        n = batch_ids.size
+        if not ids.size:
+            return (np.zeros(n, dtype=bool), np.full(n, math.nan),
+                    np.ones(n, dtype=np.int64), np.zeros(n))
+        ex = np.array(self._exec).reshape(-1, 3)
+        uniq, rev_first = np.unique(ids[::-1], return_index=True)
+        last = ex[ids.size - 1 - rev_first]
+        pos = np.minimum(np.searchsorted(uniq, batch_ids), uniq.size - 1)
+        found = uniq[pos] == batch_ids
+        last = last[pos]
+        return (found, last[:, 0], np.where(found, last[:, 1], 1).astype(
+            np.int64), np.where(found, last[:, 2], 0.0))
 
     def on_run_end(self, now: float) -> None:
         """Record the run horizon (idempotent; max wins across lanes)."""
@@ -362,7 +420,9 @@ class RequestTracer:
     # Read side
     # ------------------------------------------------------------------
     def data(self) -> "RequestTraceData":
-        """Freeze the recorded state into a :class:`RequestTraceData`."""
+        """Freeze the recorded state into a :class:`RequestTraceData`
+        (reading the batches completed since the last read first)."""
+        self.on_batch_complete()
         records = sorted(self._records.values(), key=lambda r: r.first_rid)
         meta = {
             "schema": REQTRACE_SCHEMA,

@@ -18,62 +18,40 @@ are edge-triggered per key: a window that stays bad fires once.
 
 The monitor is a pure observer: it never touches the control plane, and
 it only exists when tracing is enabled (the framework constructs it in
-``_setup_telemetry``), so a run without it is bit-identical.
+``_setup_telemetry``), so a run without it is bit-identical.  It is not
+called per batch either: every evaluation first reads the batches the
+lane's batch log (:class:`~repro.simulator.metrics.BatchLog`) completed
+since the previous one, so a tick costs a few array operations whatever
+the traffic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
+from repro.simulator.metrics import BatchLog
 from repro.telemetry.tracer import Tracer
 
 __all__ = ["SLOMonitor", "WindowStats"]
 
 
 class _Window:
-    """One (scope, key) sliding window with O(1) running totals.
+    """One (scope, key) sliding window's request and violation totals,
+    kept incrementally as batches enter and leave it."""
 
-    The per-tick evaluation must stay off the latency-percentile path:
-    request and violation counts are maintained incrementally on append
-    and evict, so :meth:`SLOMonitor.sample` touches no latency arrays
-    unless an alert actually transitions (when the p99 for that one
-    window is computed on demand).
-    """
-
-    __slots__ = ("entries", "n", "viol")
+    __slots__ = ("n", "viol")
 
     def __init__(self) -> None:
-        #: (completed_at, latencies, n, n_violations) per observed batch.
-        self.entries: deque = deque()
         self.n = 0
         self.viol = 0
 
-    def append(self, t: float, lat: np.ndarray, n_viol: int) -> None:
-        self.entries.append((t, lat, int(lat.size), n_viol))
-        self.n += int(lat.size)
-        self.viol += n_viol
 
-    def evict_before(self, cutoff: float) -> None:
-        entries = self.entries
-        while entries and entries[0][0] < cutoff:
-            _, _, n, viol = entries.popleft()
-            self.n -= n
-            self.viol -= viol
-
-    def p99(self) -> float:
-        if not self.entries:
-            return 0.0
-        lat = np.concatenate([e[1] for e in self.entries])
-        return float(np.percentile(lat, 99.0))
-
-
-@dataclass(frozen=True)
-class WindowStats:
-    """One (scope, key) window's state at a sample instant."""
+class WindowStats(NamedTuple):
+    """One (scope, key) window's state at a sample instant (a tuple, so
+    the per-tick evaluation stays cheap)."""
 
     scope: str  # "model" | "hardware"
     key: str
@@ -131,24 +109,88 @@ class SLOMonitor:
         self._windows: dict[tuple[str, str], _Window] = {}
         self._firing: set[tuple[str, str]] = set()
         self.alerts_emitted = 0
+        #: The lane's batch log, read forward from row ``_read``.
+        self._log: Optional[BatchLog] = None
+        self._read = 0
+        #: Per scope, the window of each of the log's name codes.
+        self._by_code: dict[str, list[_Window]] = {"model": [], "hardware": []}
+        #: The ingested batches still inside the window, oldest first:
+        #: (completed_at, model window, hardware window, requests,
+        #: violations).  They are the log's rows just before ``_read``.
+        self._entries: deque = deque()
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def observe_batch(
-        self, now: float, model: str, hardware: str, latencies: np.ndarray
-    ) -> None:
-        """Record one completed batch's per-request latencies (seconds)
-        under both its model and its hardware window."""
-        lat = np.asarray(latencies, dtype=np.float64)
-        if lat.size == 0:
+    def attach(self, log: BatchLog) -> None:
+        """Watch the batches a lane appends to ``log``."""
+        if self._log is not None and self._log is not log:
+            raise ValueError("an SLO monitor watches one lane's batch log")
+        self._log = log
+
+    def observe_batch(self) -> None:
+        """Ingest the batches the attached log completed since the last
+        read, each under both its model and its hardware window.
+
+        Called on every evaluation (:meth:`window_stats`), so the windows
+        hold exactly the batches completed by then."""
+        log = self._log
+        if log is None or len(log) == self._read:
             return
-        n_viol = int(np.count_nonzero(lat > self.slo_seconds))
-        for scope, key in (("model", model), ("hardware", hardware)):
-            window = self._windows.get((scope, key))
-            if window is None:
-                window = self._windows[(scope, key)] = _Window()
-            window.append(now, lat, n_viol)
+        lo, self._read = self._read, len(log)
+        by_model = self._windows_of("model")
+        by_hardware = self._windows_of("hardware")
+        entries = self._entries
+        rows = log.view(lo, self._read)
+        first = rows["first"]
+        # Requests over the SLO, summed per batch (no batch is empty).
+        violations = np.add.reduceat(rows.latencies() > self.slo_seconds,
+                                     first - first[0], dtype=np.int64)
+        for done, model, hardware, n, viol in zip(
+            rows["completed_at"].tolist(), rows["model"].tolist(),
+            rows["hardware"].tolist(), rows["size"].tolist(),
+            violations.tolist(),
+        ):
+            mw, hw = by_model[model], by_hardware[hardware]
+            mw.n += n
+            mw.viol += viol
+            hw.n += n
+            hw.viol += viol
+            entries.append((done, mw, hw, n, viol))
+
+    def _key(self, scope: str, name) -> str:
+        return (name or "?") if scope == "hardware" else name
+
+    def _windows_of(self, scope: str) -> list[_Window]:
+        """The window of each name code of ``scope`` in the log."""
+        known, names = self._by_code[scope], self._log.names[scope]
+        while len(known) < len(names):
+            known.append(self._windows.setdefault(
+                (scope, self._key(scope, names[len(known)])), _Window()
+            ))
+        return known
+
+    def _evict_before(self, cutoff: float) -> None:
+        entries = self._entries
+        while entries and entries[0][0] < cutoff:
+            _, mw, hw, n, viol = entries.popleft()
+            mw.n -= n
+            mw.viol -= viol
+            hw.n -= n
+            hw.viol -= viol
+
+    def _p99(self, scope: str, key: str) -> float:
+        """The window's latency p99, from the log rows still inside it."""
+        if not self._entries:
+            return 0.0
+        rows = self._log.view(self._read - len(self._entries), self._read)
+        in_window = np.array([self._key(scope, name) == key
+                              for name in rows.names[scope]])
+        mask = in_window[rows[scope]]
+        if not mask.any():
+            return 0.0
+        lat = rows.latencies()[np.repeat(mask, rows["size"])]
+        return float(np.percentile(lat, 99.0))
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -162,21 +204,37 @@ class SLOMonitor:
         (the only non-O(1) part) and reports 0.0 — the per-tick alerting
         path uses it, since firing is judged on burn rate alone.
         """
+        self.observe_batch()
+        self._evict_before(now - self.window_seconds)
         out: list[WindowStats] = []
-        error_budget = 1.0 - self.compliance_goal
         for (scope, key), window in sorted(self._windows.items()):
-            window.evict_before(now - self.window_seconds)
-            n, n_viol = window.n, window.viol
-            out.append(
-                WindowStats(
-                    scope=scope, key=key, n_requests=n, n_violations=n_viol,
-                    attainment=1.0 - n_viol / n if n else 1.0,
-                    p99_seconds=window.p99() if include_p99 else 0.0,
-                    burn_rate=(n_viol / n) / error_budget if n else 0.0,
-                    firing=(scope, key) in self._firing,
-                )
-            )
+            attainment, burn = self._rates(window)
+            out.append(WindowStats(
+                scope, key, window.n, window.viol, attainment,
+                self._p99(scope, key) if include_p99 else 0.0, burn,
+                (scope, key) in self._firing,
+            ))
         return out
+
+    def worst(self, now: float) -> tuple[float, float]:
+        """The highest burn rate and lowest attainment over the windows
+        at ``now`` — :meth:`window_stats` reduced, for the per-tick
+        time-series columns."""
+        self.observe_batch()
+        self._evict_before(now - self.window_seconds)
+        worst_burn, worst_attainment = 0.0, 1.0
+        for window in self._windows.values():
+            attainment, burn = self._rates(window)
+            worst_burn = max(worst_burn, burn)
+            worst_attainment = min(worst_attainment, attainment)
+        return worst_burn, worst_attainment
+
+    def _rates(self, window: _Window) -> tuple[float, float]:
+        """``(attainment, burn rate)`` of one window."""
+        n, n_viol = window.n, window.viol
+        if not n:
+            return 1.0, 0.0
+        return 1.0 - n_viol / n, (n_viol / n) / (1.0 - self.compliance_goal)
 
     def sample(self, now: float) -> list[WindowStats]:
         """One monitor tick: evaluate windows, emit alert transitions.
@@ -203,19 +261,13 @@ class SLOMonitor:
         # Re-read firing flags so the returned stats reflect transitions.
         return [
             s if s.firing == ((s.scope, s.key) in self._firing)
-            else WindowStats(
-                scope=s.scope, key=s.key, n_requests=s.n_requests,
-                n_violations=s.n_violations, attainment=s.attainment,
-                p99_seconds=s.p99_seconds, burn_rate=s.burn_rate,
-                firing=(s.scope, s.key) in self._firing,
-            )
+            else s._replace(firing=(s.scope, s.key) in self._firing)
             for s in stats
         ]
 
     def _with_p99(self, s: WindowStats) -> WindowStats:
         """Fill in the on-demand p99 for one window's stats."""
-        window = self._windows.get((s.scope, s.key))
-        return replace(s, p99_seconds=window.p99() if window else 0.0)
+        return s._replace(p99_seconds=self._p99(s.scope, s.key))
 
     def _emit(self, now: float, s: WindowStats, state: str) -> None:
         self.alerts_emitted += 1

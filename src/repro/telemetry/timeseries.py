@@ -17,8 +17,11 @@ Cost model
   scheduled — the run executes the exact pre-sampler code path.
 * **Enabled**: one simulator event per interval; each tick is one float
   store per column (probes read state that already exists — nothing is
-  shadow-copied on the hot path).  Columns are preallocated from the run
-  horizon, so steady-state sampling allocates nothing.
+  shadow-copied on the hot path).  One reader may fill several columns
+  (:meth:`StateSampler.probes`), so state that several columns derive
+  from — the lane's live nodes, the SLO windows — is read once per tick.
+  Columns are preallocated from the run horizon, so steady-state
+  sampling allocates nothing.
 
 A probe that raises is disabled after its first failure (its column holds
 NaN from then on) and the error is recorded in ``meta["probe_errors"]``
@@ -38,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,10 +119,15 @@ class StateSampler:
         self.interval_seconds = float(interval_seconds)
         self.meta: dict[str, Any] = dict(meta) if meta else {}
         self._capacity = capacity
-        self._probes: dict[str, Callable[[], float]] = {}
-        self._disabled: set[str] = set()
+        #: Readers in registration order, keyed by the columns each
+        #: fills: one float for a single column, else one per name.
+        self._probes: dict[tuple[str, ...], Callable[[], Any]] = {}
+        self._disabled: set[tuple[str, ...]] = set()
+        #: Column names, in registration order (the probes' names laid
+        #: end to end); column ``j`` of ``_table`` holds ``_names[j]``.
+        self._names: list[str] = []
         self._times: Optional[np.ndarray] = None
-        self._cols: dict[str, np.ndarray] = {}
+        self._table: Optional[np.ndarray] = None
         self._n = 0  # total samples ever taken (>= capacity once wrapped)
         self._handle: Optional[RepeatingEvent] = None
         #: Called as ``observer(now, row)`` after every sample — the live
@@ -139,15 +147,31 @@ class StateSampler:
         Probes registered after sampling began get a new column whose
         already-elapsed rows are NaN.
         """
+        self.probes((name,), fn)
+
+    def probes(self, names: tuple[str, ...],
+               fn: Callable[[], Sequence[float]]) -> None:
+        """Register (or rebind) one reader for several columns: ``fn()``
+        returns one value per name, so state that several columns derive
+        from is read once per sample.  A one-name reader returns a float.
+        """
         if not callable(fn):
-            raise TypeError(f"probe {name!r} must be callable")
-        self._probes[name] = fn
-        self._disabled.discard(name)
-        if self._times is not None and name not in self._cols:
-            self._cols[name] = np.full(self._times.size, np.nan)
+            raise TypeError(f"probe {names[0]!r} must be callable")
+        names = tuple(names)
+        if names not in self._probes:
+            taken = set(names).intersection(self._names)
+            if taken:
+                raise ValueError(f"columns {sorted(taken)} already have a probe")
+            self._names.extend(names)
+            if self._table is not None:
+                self._table = np.hstack(
+                    [self._table, np.full((self._capacity, len(names)), np.nan)]
+                )
+        self._probes[names] = fn
+        self._disabled.discard(names)
 
     def probe_names(self) -> list[str]:
-        return list(self._probes)
+        return list(self._names)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -189,40 +213,51 @@ class StateSampler:
             else:
                 self._capacity = _DEFAULT_CAPACITY
         self._times = np.full(self._capacity, np.nan)
-        for name in self._probes:
-            self._cols[name] = np.full(self._capacity, np.nan)
+        self._table = np.full((self._capacity, len(self._names)), np.nan)
 
     # ------------------------------------------------------------------
     # Sampling
     # ------------------------------------------------------------------
-    def sample(self, now: float) -> dict[str, float]:
-        """Take one sample row at simulated time ``now``."""
+    def sample(self, now: float) -> None:
+        """Take one sample row at simulated time ``now`` (handed to the
+        :attr:`observers` as a ``{"t": now, name: value, ...}`` dict)."""
         prof = self.selfprof
         if prof is not None:
             prof.push("telemetry.sampler")
         self._ensure_buffers()
         idx = self._n % self._capacity
         self._times[idx] = now
-        row: dict[str, float] = {"t": float(now)}
+        values: list[float] = []
         disabled = self._disabled
-        for name, fn in self._probes.items():
-            if name in disabled:
-                value = math.nan
-            else:
-                try:
-                    value = float(fn())
-                except Exception as exc:  # noqa: BLE001 - probe isolation
-                    disabled.add(name)
-                    self.meta.setdefault("probe_errors", {})[name] = repr(exc)
-                    value = math.nan
-            self._cols[name][idx] = value
-            row[name] = value
+        for names, fn in self._probes.items():
+            if disabled and names in disabled:
+                values += [math.nan] * len(names)
+                continue
+            n0 = len(values)
+            try:
+                if len(names) == 1:
+                    values.append(float(fn()))
+                else:
+                    values += map(float, fn())
+                    if len(values) - n0 != len(names):
+                        raise ValueError(f"probe returned {len(values) - n0} "
+                                         f"values for {len(names)} columns")
+            except Exception as exc:  # noqa: BLE001 - probe isolation
+                disabled.add(names)
+                errors = self.meta.setdefault("probe_errors", {})
+                for name in names:
+                    errors[name] = repr(exc)
+                del values[n0:]
+                values += [math.nan] * len(names)
+        self._table[idx] = values
         self._n += 1
-        for observer in self.observers:
-            observer(now, row)
+        if self.observers:
+            row = {"t": float(now)}
+            row.update(zip(self._names, values))
+            for observer in self.observers:
+                observer(now, row)
         if prof is not None:
             prof.pop()
-        return row
 
     # ------------------------------------------------------------------
     # Views
@@ -254,16 +289,20 @@ class StateSampler:
         """One probe's readings, aligned with :meth:`times`."""
         if self._times is None:
             return np.empty(0)
-        return self._unwrap(self._cols[name])
+        return self._unwrap(self._table[:, self._names.index(name)])
 
     def columns(self) -> dict[str, np.ndarray]:
-        return {name: self.column(name) for name in self._cols}
+        if self._times is None:
+            return {}
+        return {name: self._unwrap(self._table[:, j])
+                for j, name in enumerate(self._names)}
 
     def last(self, name: str) -> float:
         """Most recent reading of ``name`` (NaN before the first sample)."""
-        if self._times is None or self._n == 0 or name not in self._cols:
+        if self._times is None or self._n == 0 or name not in self._names:
             return math.nan
-        return float(self._cols[name][(self._n - 1) % self._capacity])
+        return float(self._table[(self._n - 1) % self._capacity,
+                                 self._names.index(name)])
 
     def data(self) -> TimeSeriesData:
         meta = dict(self.meta)

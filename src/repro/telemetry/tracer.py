@@ -13,11 +13,14 @@ microseconds for the Chrome ``trace_event`` format.
 
 Span model
 ----------
-A request batch becomes one ``request`` span covering
+Each completed batch — read from the lane's batch log
+(:class:`~repro.simulator.metrics.BatchLog`) when the spans are read,
+never reported per batch — becomes one ``request`` span covering
 ``[first_arrival, completed_at]`` whose attributes carry the full latency
 breakdown (``batching_wait + cold_start_wait + queue_delay + exec_solo +
-interference_extra`` — the same components :class:`~repro.simulator.metrics.
-MetricsCollector` aggregates), plus three child phase spans:
+interference_extra + failure_wait`` — the same components
+:class:`~repro.simulator.metrics.MetricsCollector` aggregates), plus three
+child phase spans:
 
 * ``batching`` — ``[first_arrival, dispatched_at]``: the gateway window.
 * ``wait`` — ``[dispatched_at, started_at]``: container acquisition
@@ -32,42 +35,40 @@ the audit log survives export/import round trips.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+import math
+from typing import Any, NamedTuple, Optional
 
+from repro.framework.request import PHASES
+from repro.simulator.metrics import BatchLog, BatchReader
 from repro.telemetry.metrics import MetricsRegistry
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.framework.request import Batch
 
 __all__ = ["SpanRecord", "TraceEventRecord", "Tracer", "NULL_TRACER"]
 
 
-@dataclass(frozen=True, slots=True)
-class SpanRecord:
-    """A completed interval on some track of the run timeline."""
+class SpanRecord(NamedTuple):
+    """A completed interval on some track of the run timeline (a tuple:
+    records are immutable and cheap to build)."""
 
     name: str
     cat: str
     track: str
     start: float
     end: float
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any]
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEventRecord:
+class TraceEventRecord(NamedTuple):
     """A point-in-time decision/audit event."""
 
     name: str
     cat: str
     track: str
     time: float
-    attrs: dict[str, Any] = field(default_factory=dict)
+    attrs: dict[str, Any]
 
 
 class Tracer:
@@ -95,7 +96,10 @@ class Tracer:
         self.enabled = bool(enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans: list[SpanRecord] = []
-        self._pending_batches: list["Batch"] = []
+        #: Read the batch logs of the lanes this tracer observes: one
+        #: for the request spans, one for the latency histogram.
+        self.batches = BatchReader()
+        self._latencies = BatchReader()
         self.events: list[TraceEventRecord] = []
         self.meta: dict[str, Any] = {}
         #: The run's :class:`~repro.telemetry.timeseries.StateSampler`,
@@ -110,9 +114,9 @@ class Tracer:
 
     @property
     def spans(self) -> list[SpanRecord]:
-        """All recorded spans (materialising any queued batches first)."""
-        if self._pending_batches:
-            self._flush_batches()
+        """All recorded spans (materialising the request spans of every
+        batch completed so far first)."""
+        self.record_batch_span()
         return self._spans
 
     # ------------------------------------------------------------------
@@ -135,10 +139,7 @@ class Tracer:
         if end < start:
             raise ValueError(f"span {name!r} ends before it starts")
         self._spans.append(
-            SpanRecord(
-                name=name, cat=cat, track=track,
-                start=float(start), end=float(end), attrs=attrs,
-            )
+            SpanRecord(name, cat, track, float(start), float(end), attrs)
         )
 
     def event(
@@ -154,97 +155,111 @@ class Tracer:
         if not self.enabled:
             return
         self.events.append(
-            TraceEventRecord(
-                name=name, cat=cat, track=track, time=float(time), attrs=attrs
-            )
+            TraceEventRecord(name, cat, track, float(time), attrs)
         )
 
     # ------------------------------------------------------------------
     # High-level helpers
     # ------------------------------------------------------------------
-    def record_batch_span(self, batch: "Batch") -> None:
-        """Queue the request span (plus phase children) for a completed batch.
+    def attach(self, log: BatchLog) -> None:
+        """Observe the batches a lane appends to ``log``: their request
+        spans (:meth:`record_batch_span`) and latency histogram
+        (:meth:`record_latencies`)."""
+        self.batches.attach(log)
+        self._latencies.attach(log)
 
-        The attributes carry the exact breakdown components
+    def record_latencies(self) -> None:
+        """Fold the first-arrival latency of every batch the attached logs
+        completed since the last call into the ``request.latency_seconds``
+        histogram.
+
+        Called by the Prometheus export (the histogram's one reader)
+        before it reads the registry, as :attr:`spans` calls
+        :meth:`record_batch_span`."""
+        if self.enabled and self._latencies.pending():
+            self.metrics.histogram("request.latency_seconds").observe_many(
+                self._latencies.read(copy=False).first_latencies()
+            )
+
+    def record_batch_span(self) -> None:
+        """Materialise the request span (plus phase children) of every
+        batch the attached logs completed since the last read.
+
+        Called on access to :attr:`spans`, so the four span records per
+        batch are built at export time, never inside the simulation loop.
+        Their attributes carry the exact breakdown components
         :class:`~repro.simulator.metrics.MetricsCollector` aggregates, so a
         trace file can reproduce the collector's numbers independently.
-
-        This is the highest-frequency hook in a traced run (once per
-        completed batch, inside the simulation loop), so it only enqueues
-        the batch here; the four span records per batch materialise
-        lazily on first access to :attr:`spans` — at export time, off the
-        hot path.  A batch is immutable once completed (the same contract
-        :class:`MetricsCollector` snapshots rely on).
         """
-        if not self.enabled:
+        if not (self.enabled and self.batches.pending()):
             return
-        if batch.completed_at is None:
-            raise ValueError(f"batch {batch.batch_id} has not completed")
-        self._pending_batches.append(batch)
-
-    def _flush_batches(self) -> None:
-        pending, self._pending_batches = self._pending_batches, []
-        for batch in pending:
-            self._materialise_batch(batch)
-
-    def _materialise_batch(self, batch: "Batch") -> None:
-        bd = batch.breakdown
-        track = batch.hardware_name or "?"
-        first = batch.first_arrival
-        done = float(batch.completed_at)
-        started = batch.started_at if batch.started_at is not None else done
-        dispatched = min(batch.dispatched_at, done)
+        rows = self.batches.read(copy=False)
+        col = rows.rows
         append = self._spans.append
-        append(SpanRecord(
-            name=f"batch#{batch.batch_id}",
-            cat="request",
-            track=track,
-            start=first,
-            end=done,
-            attrs={
-                "batch_id": batch.batch_id,
-                "model": batch.model.name,
-                "n": batch.size,
-                "mode": batch.mode,
-                "hardware": track,
-                "dispatched_at": dispatched,
-                "started_at": started,
-                "batching_wait": bd.batching_wait,
-                "cold_start_wait": bd.cold_start_wait,
-                "queue_delay": bd.queue_delay,
-                "exec_solo": bd.exec_solo,
-                "interference_extra": bd.interference_extra,
-                "failure_wait": bd.failure_wait,
-                "retries": batch.retries,
-            },
-        ))
-        # Phase children: clamp to the parent interval so float slop in the
-        # accounting can never produce a negative-duration phase.
-        started = min(max(started, first), done)
-        dispatched = min(max(dispatched, first), started)
-        append(SpanRecord(
-            name="batching", cat="phase", track=track,
-            start=first, end=dispatched,
-            attrs={"batch_id": batch.batch_id},
-        ))
-        append(SpanRecord(
-            name="wait", cat="phase", track=track,
-            start=dispatched, end=started,
-            attrs={
-                "batch_id": batch.batch_id,
-                "cold_start_wait": bd.cold_start_wait,
-                "queue_delay": bd.queue_delay,
-            },
-        ))
-        append(SpanRecord(
-            name="execute", cat="phase", track=track,
-            start=started, end=done,
-            attrs={
-                "batch_id": batch.batch_id,
-                "exec_solo": bd.exec_solo,
-                "interference_extra": bd.interference_extra,
-            },
-        ))
+        for (batch_id, model, n, mode, hardware, first, done, started,
+             dispatched, retries, *phases) in zip(
+            col["batch_id"].tolist(), rows.labels("model"),
+            col["size"].tolist(), rows.labels("mode"),
+            rows.labels("hardware"), rows.arrivals[col["first"]].tolist(),
+            col["completed_at"].tolist(), col["started_at"].tolist(),
+            col["dispatched_at"].tolist(), col["retries"].tolist(),
+            *(col[name].tolist() for name in PHASES),
+        ):
+            track = hardware or "?"
+            if math.isnan(started):
+                started = done
+            dispatched = min(dispatched, done)
+            wait, cold, queue, solo, extra, failure = phases
+            append(SpanRecord(
+                name=f"batch#{batch_id}",
+                cat="request",
+                track=track,
+                start=first,
+                end=done,
+                attrs={
+                    "batch_id": batch_id,
+                    "model": model,
+                    "n": n,
+                    "mode": mode,
+                    "hardware": track,
+                    "dispatched_at": dispatched,
+                    "started_at": started,
+                    "batching_wait": wait,
+                    "cold_start_wait": cold,
+                    "queue_delay": queue,
+                    "exec_solo": solo,
+                    "interference_extra": extra,
+                    "failure_wait": failure,
+                    "retries": retries,
+                },
+            ))
+            # Phase children: clamp to the parent interval so float slop
+            # in the accounting can never produce a negative-duration phase.
+            started = min(max(started, first), done)
+            dispatched = min(max(dispatched, first), started)
+            append(SpanRecord(
+                name="batching", cat="phase", track=track,
+                start=first, end=dispatched,
+                attrs={"batch_id": batch_id},
+            ))
+            append(SpanRecord(
+                name="wait", cat="phase", track=track,
+                start=dispatched, end=started,
+                attrs={
+                    "batch_id": batch_id,
+                    "cold_start_wait": cold,
+                    "queue_delay": queue,
+                },
+            ))
+            append(SpanRecord(
+                name="execute", cat="phase", track=track,
+                start=started, end=done,
+                attrs={
+                    "batch_id": batch_id,
+                    "exec_solo": solo,
+                    "interference_extra": extra,
+                },
+            ))
 
     # ------------------------------------------------------------------
     # Views

@@ -16,26 +16,20 @@ from repro.analysis.trace_report import slowest_request_rows
 from repro.telemetry.exporters import TraceData
 from repro.telemetry.reqtrace import PHASES, RequestTracer
 
-from tests.telemetry.test_reqtrace import make_batch
+from tests.telemetry.test_reqtrace import complete, make_batch, make_tracer
 
 
 @pytest.fixture()
 def data():
     """A small trace: three batches, one retry event, one SLO lane."""
-    tracer = RequestTracer()
+    tracer = make_tracer()
     tracer.register_model("resnet50", 0.8)
     tracer.on_execute_start(0, 0.5, "A100", 2, 0.9)
-    tracer.on_batch_complete(
-        make_batch([0.0, 0.2, 0.4], 1.0, batch_id=0), node_id=0
-    )
+    complete(tracer, make_batch([0.0, 0.2, 0.4], 1.0, batch_id=0), node_id=0)
     tracer.event("retry.dispatch", 2.1, batch_id=1, attempt=1, hardware="T4")
-    tracer.on_batch_complete(
-        make_batch([2.0], 4.5, batch_id=1, hardware="T4", retries=1),
-        node_id=1,
-    )
-    tracer.on_batch_complete(
-        make_batch([5.0, 5.1], 5.6, batch_id=2), node_id=0
-    )
+    complete(tracer, make_batch([2.0], 4.5, batch_id=1, hardware="T4",
+                                retries=1), node_id=1)
+    complete(tracer, make_batch([5.0, 5.1], 5.6, batch_id=2), node_id=0)
     tracer.on_run_end(60.0)
     return tracer.data()
 

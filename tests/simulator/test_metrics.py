@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.framework.request import Batch, ShareMode
-from repro.simulator.metrics import MetricsCollector
+from repro.simulator.metrics import BatchReader, MetricsCollector
 from repro.workloads.models import get_model
 
 
@@ -40,6 +40,26 @@ class TestRecording:
         m.record_batch(completed_batch(model="vgg19"))
         assert m.latencies("resnet50").size == 2
         assert m.completed_requests("vgg19") == 2
+
+    def test_reader_merges_logs_on_completion_sequence(self):
+        # Lanes of a shared cluster log separately but draw their
+        # completion sequence from one counter; a reader of both sees one
+        # timeline, read forward.
+        a, b = MetricsCollector(), MetricsCollector()
+        a.record_batch(completed_batch(arrivals=(0.0,), done_at=1.0), seq=1)
+        b.record_batch(completed_batch(model="vgg19", arrivals=(0.1, 0.2),
+                                       done_at=0.5), seq=0)
+        a.record_batch(completed_batch(arrivals=(0.3,), done_at=2.0), seq=2)
+        reader = BatchReader()
+        reader.attach(a.log)
+        reader.attach(b.log)
+        rows = reader.read()
+        assert rows["seq"].tolist() == [0, 1, 2]
+        assert rows.labels("model") == ["vgg19", "resnet50", "resnet50"]
+        assert rows.latencies().tolist() == pytest.approx([0.4, 0.3, 1.0, 1.7])
+        assert len(reader.read()) == 0
+        b.record_batch(completed_batch(model="vgg19", done_at=3.0), seq=3)
+        assert reader.read()["seq"].tolist() == [3]
 
 
 class TestCompliance:

@@ -1,10 +1,14 @@
 """Tests for the cost meter: line sweep, conservation, budget monitor."""
 
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from repro.framework.request import Batch
 from repro.hardware.catalog import HardwareKind, HardwareSpec
+from repro.simulator.metrics import MetricsCollector
 from repro.telemetry import Tracer
 from repro.telemetry.costmeter import (
     BUCKETS,
@@ -31,6 +35,19 @@ def make_spec(price_per_hour=3600.0, provision_seconds=5.0):
     )
 
 
+def log_batch(meter, node_id, model, batch_id, n, started_at, completed_at):
+    """Log a batch of ``n`` requests that ran on ``node_id`` over
+    ``[started_at, completed_at)`` to a batch log ``meter`` reads."""
+    if not hasattr(meter, "collector"):
+        meter.collector = MetricsCollector()
+        meter.attach(meter.collector.log)
+    batch = Batch(model=SimpleNamespace(name=model), arrivals=np.zeros(n),
+                  dispatched_at=started_at, batch_id=batch_id)
+    batch.started_at = started_at
+    batch.complete(completed_at)
+    meter.collector.record_batch(batch, node_id)
+
+
 class TestLineSweep:
     def test_reference_lease_itemization(self):
         """acquire t=0 (ready 5), spawn [5,7), batch A [8,10) n=4,
@@ -39,8 +56,8 @@ class TestLineSweep:
         meter = CostMeter()
         meter.on_acquire(1, make_spec(), 0.0, 5.0)
         meter.on_spawn(1, 5.0, 7.0)
-        meter.on_batch(1, "m", 10, 4, 8.0, 10.0)
-        meter.on_batch(1, "m", 11, 4, 9.0, 10.0)
+        log_batch(meter, 1, "m", 10, 4, 8.0, 10.0)
+        log_batch(meter, 1, "m", 11, 4, 9.0, 10.0)
         meter.on_release(1, 12.0)
         bd = meter.summarize(12.0)
 
@@ -59,7 +76,7 @@ class TestLineSweep:
         meter = CostMeter()
         meter.on_acquire(1, make_spec(), 0.0, 5.0)
         meter.on_spawn(1, 5.0, 7.0)
-        meter.on_batch(1, "m", 1, 2, 6.0, 9.0)  # overlaps the spawn
+        log_batch(meter, 1, "m", 1, 2, 6.0, 9.0)  # overlaps the spawn
         meter.on_release(1, 10.0)
         bd = meter.summarize(10.0)
         assert sum(bd.bucket_seconds.values()) == pytest.approx(10.0)
@@ -99,7 +116,7 @@ class TestLineSweep:
         meter.on_acquire(1, make_spec(), 0.0, 0.0)
         meter.on_release(1, 2.0)
         meter.on_spawn(1, 2.0, 4.0)  # ContainerPool event firing late
-        meter.on_batch(1, "m", 1, 4, 2.0, 3.0)
+        log_batch(meter, 1, "m", 1, 4, 2.0, 3.0)  # outside the lease
         bd = meter.summarize(5.0)
         assert bd.total_dollars == pytest.approx(2.0)
         assert bd.bucket_dollars["busy"] == 0.0
@@ -151,10 +168,10 @@ class TestLineSweep:
         """Busy attribution stays within the lease the batch ran on."""
         meter = CostMeter()
         meter.on_acquire(1, make_spec(), 0.0, 0.0)
-        meter.on_batch(1, "m", 1, 8, 1.0, 2.0)
+        log_batch(meter, 1, "m", 1, 8, 1.0, 2.0)
         meter.on_release(1, 2.0)
         meter.on_acquire(2, make_spec(), 2.0, 2.0)
-        meter.on_batch(2, "m", 2, 8, 2.0, 4.0)
+        log_batch(meter, 2, "m", 2, 8, 2.0, 4.0)
         meter.on_release(2, 4.0)
         bd = meter.summarize(4.0)
         assert bd.batch_cost_dollars[1] == pytest.approx(1.0)

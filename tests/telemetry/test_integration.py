@@ -71,10 +71,9 @@ class TestBreakdownAgreement:
     def test_trace_breakdown_matches_collector(self, traced_run):
         result, tracer = traced_run
         totals = breakdown_totals(_as_trace_data(tracer))
+        rows = result.metrics.log.rows()
         for component in BREAKDOWN_COMPONENTS:
-            collector_sum = sum(
-                getattr(r, component) for r in result.metrics.records
-            )
+            collector_sum = float(rows[component].sum())
             assert totals[component] == pytest.approx(
                 collector_sum, abs=1e-9
             ), component
@@ -87,7 +86,7 @@ class TestBreakdownAgreement:
     def test_span_intervals_are_the_batch_latencies(self, traced_run):
         result, tracer = traced_run
         span_ends = sorted(s.end for s in tracer.request_spans())
-        record_ends = sorted(r.completed_at for r in result.metrics.records)
+        record_ends = sorted(result.metrics.log.rows()["completed_at"])
         assert span_ends == pytest.approx(record_ends)
 
 

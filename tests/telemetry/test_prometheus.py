@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.simulator.metrics import MetricsCollector
 from repro.telemetry import (
     MetricsRegistry,
     SLOMonitor,
@@ -13,6 +14,10 @@ from repro.telemetry import (
     to_prometheus_text,
     write_prometheus,
 )
+
+from tests.telemetry.test_costmeter import log_batch
+from tests.telemetry.test_slo_monitor import observe
+from tests.telemetry.test_tracer import make_completed_batch, record
 
 #: A sample line: name{labels} value
 _SAMPLE_RE = re.compile(
@@ -72,14 +77,29 @@ class TestExposition:
         tracer.metrics.counter("dispatches").inc()
         assert "repro_dispatches_total 1" in to_prometheus_text(tracer)
 
+    def test_latency_histogram_filled_from_the_log_at_export(self, resnet50):
+        # The export reads the batches completed so far: no finalize
+        # step stands between a run and a complete histogram.
+        tracer = Tracer()
+        collector = record(tracer, make_completed_batch(resnet50))
+        text = to_prometheus_text(tracer)
+        assert "repro_request_latency_seconds_count 1" in text
+        collector.record_batch(
+            make_completed_batch(resnet50, completed_at=1.5)
+        )
+        text = to_prometheus_text(tracer)
+        assert "repro_request_latency_seconds_count 2" in text
+        assert (f"repro_request_latency_seconds_sum "
+                f"{(1.35 - 1.0) + (1.5 - 1.0)!r}") in text
+
 
 class TestMonitorSeries:
     def make_monitor(self):
         m = SLOMonitor(0.2, window_seconds=30.0, min_window_requests=10)
-        m.observe_batch(
-            0.0, "resnet50", "g3s.xlarge",
-            np.concatenate([np.full(95, 0.05), np.full(5, 0.5)]),
-        )
+        m.collector = MetricsCollector()
+        m.attach(m.collector.log)
+        observe(m, 0.0, "resnet50", "g3s.xlarge",
+                np.concatenate([np.full(95, 0.05), np.full(5, 0.5)]))
         m.sample(1.0)
         return m
 
@@ -118,7 +138,7 @@ class TestCostSeries:
         )
         meter = CostMeter()
         meter.on_acquire(0, spec, 0.0, ready_at=5.0)
-        meter.on_batch(0, "resnet50", 1, 4, 6.0, 8.0)
+        log_batch(meter, 0, "resnet50", 1, 4, 6.0, 8.0)
         meter.on_release(0, 10.0)
         return meter
 

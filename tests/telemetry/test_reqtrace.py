@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.framework.request import Batch
+from repro.simulator.metrics import MetricsCollector
 from repro.telemetry.reqtrace import (
     PHASES,
     REQTRACE_SCHEMA,
@@ -52,10 +53,20 @@ def make_batch(
 
 
 def make_tracer(batches=(), **kwargs):
+    """A tracer reading a log of ``batches``; returns it with the log's
+    collector attached as ``tracer.collector`` for further batches."""
     tracer = RequestTracer(**kwargs)
+    tracer.collector = MetricsCollector()
+    tracer.attach(tracer.collector.log)
     for batch in batches:
-        tracer.on_batch_complete(batch, node_id=0)
+        tracer.collector.record_batch(batch, node_id=0)
     return tracer
+
+
+def complete(tracer, batch, node_id=0):
+    """Log ``batch`` as completed and let the tracer read it."""
+    tracer.collector.record_batch(batch, node_id)
+    tracer.on_batch_complete()
 
 
 class TestSampledBatch:
@@ -120,16 +131,13 @@ class TestRidAssignment:
     def test_rids_advance_past_sampled_out_batches(self):
         # rid must stay in lockstep with the metrics collector even for
         # batches that are neither sampled nor in the tail reservoir.
-        tracer = RequestTracer(sample=0.0, tail_k=1)
-        tracer.on_batch_complete(
-            make_batch([0.0, 0.1], 5.0, batch_id=0), node_id=None
-        )  # lat 5.0 -> tail
-        tracer.on_batch_complete(
-            make_batch([1.0], 1.5, batch_id=1), node_id=None
-        )  # lat 0.5 -> discarded
-        tracer.on_batch_complete(
-            make_batch([2.0, 2.1, 2.2], 9.0, batch_id=2), node_id=None
-        )  # lat 7.0 -> evicts batch 0
+        tracer = make_tracer(sample=0.0, tail_k=1)
+        # lat 5.0 -> tail
+        complete(tracer, make_batch([0.0, 0.1], 5.0, batch_id=0))
+        # lat 0.5 -> discarded
+        complete(tracer, make_batch([1.0], 1.5, batch_id=1))
+        # lat 7.0 -> evicts batch 0
+        complete(tracer, make_batch([2.0, 2.1, 2.2], 9.0, batch_id=2))
         data = tracer.data()
         assert tracer.n_requests_seen == 6
         assert [r.first_rid for r in data.records] == [3]
@@ -158,11 +166,9 @@ class TestTailReservoir:
 
     def test_evicted_sampled_batches_are_retained(self):
         # A batch kept by the *sampler* must survive tail eviction.
-        tracer = RequestTracer(sample=1.0, tail_k=1)
+        tracer = make_tracer(sample=1.0, tail_k=1)
         for i, lat in enumerate([3.0, 9.0]):
-            tracer.on_batch_complete(
-                make_batch([float(i)], i + lat, batch_id=i), node_id=None
-            )
+            complete(tracer, make_batch([float(i)], i + lat, batch_id=i))
         kept = {r.batch_id for r in tracer.data().records}
         assert kept == {0, 1}
 
@@ -193,11 +199,8 @@ class TestPhases:
         assert second.deadline_rid == first.rid
 
     def test_slo_verdict_from_registered_model(self):
-        tracer = RequestTracer()
+        tracer = make_tracer([make_batch([0.0, 0.8], 1.0, batch_id=0)])
         tracer.register_model("resnet50", 0.5)
-        tracer.on_batch_complete(
-            make_batch([0.0, 0.8], 1.0, batch_id=0), node_id=None
-        )
         slow, fast = tracer.data().iter_requests()
         assert slow.violated is True  # 1.0 s latency > 0.5 s SLO
         assert fast.violated is False  # 0.2 s latency
@@ -224,14 +227,16 @@ class TestPhases:
         assert [v.rid for v in data.worst(7)] == [v.rid for v in brute[:7]]
 
     def test_execute_start_context_lands_on_batch(self):
-        tracer = RequestTracer()
+        tracer = make_tracer()
+        # A retried batch starts twice; the last start is the one that
+        # completed.
+        tracer.on_execute_start(5, 0.1, "V100", co_run=1, total_fbr=0.5)
+        tracer.on_execute_start(6, 0.2, "A100", co_run=2, total_fbr=1.0)
         tracer.on_execute_start(5, 0.4, "A100", co_run=3, total_fbr=1.5)
-        tracer.on_batch_complete(make_batch([0.0], 1.0, batch_id=5),
-                                 node_id=2)
+        complete(tracer, make_batch([0.0], 1.0, batch_id=5), node_id=2)
         (rec,) = tracer.data().records
         assert (rec.co_run, rec.total_fbr, rec.started_at) == (3, 1.5, 0.4)
         assert rec.node_id == 2
-        assert tracer._exec == {}  # popped: in-flight map stays bounded
 
 
 class TestEvents:
@@ -262,12 +267,10 @@ class TestEvents:
 
 class TestRoundTrip:
     def _sample_tracer(self):
-        tracer = RequestTracer(sample=0.9, tail_k=8, seed=3)
+        tracer = make_tracer(sample=0.9, tail_k=8, seed=3)
         tracer.register_model("resnet50", 0.5)
         tracer.on_execute_start(0, 0.5, "A100", 2, 0.8)
-        tracer.on_batch_complete(
-            make_batch([0.0, 0.25], 1.0, batch_id=0), node_id=1
-        )
+        complete(tracer, make_batch([0.0, 0.25], 1.0, batch_id=0), node_id=1)
         tracer.event("retry.dispatch", 0.2, batch_id=0, attempt=1,
                      hardware="A100")
         tracer.on_run_end(60.0)

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from repro.framework.request import Batch, ShareMode
+from repro.simulator.metrics import MetricsCollector
 from repro.telemetry import NULL_TRACER, Tracer
+
+
+def record(tracer, *batches):
+    """Attach a batch log holding ``batches`` to ``tracer``."""
+    collector = MetricsCollector()
+    for batch in batches:
+        collector.record_batch(batch)
+    tracer.attach(collector.log)
+    return collector
 
 
 def make_completed_batch(model, *, started_at=1.2, completed_at=1.35):
@@ -68,8 +78,10 @@ class TestDisabledTracer:
         tr = Tracer(enabled=False)
         tr.span("work", 0.0, 1.0)
         tr.event("tick", 0.5)
-        tr.record_batch_span(make_completed_batch(resnet50))
+        record(tr, make_completed_batch(resnet50))
+        tr.record_latencies()
         assert tr.spans == [] and tr.events == []
+        assert tr.metrics.histogram("request.latency_seconds").n == 0
 
     def test_disabled_skips_validation(self):
         # The guard returns before any argument inspection.
@@ -82,7 +94,7 @@ class TestBatchSpans:
     def test_request_span_carries_full_breakdown(self, resnet50):
         tr = Tracer()
         batch = make_completed_batch(resnet50)
-        tr.record_batch_span(batch)
+        record(tr, batch)
         (req,) = tr.request_spans()
         assert req.start == batch.first_arrival
         assert req.end == batch.completed_at
@@ -97,7 +109,7 @@ class TestBatchSpans:
 
     def test_phase_children_tile_the_request_span(self, resnet50):
         tr = Tracer()
-        tr.record_batch_span(make_completed_batch(resnet50))
+        record(tr, make_completed_batch(resnet50))
         req = tr.request_spans()[0]
         phases = [s for s in tr.spans if s.cat == "phase"]
         assert [p.name for p in phases] == ["batching", "wait", "execute"]
@@ -112,14 +124,27 @@ class TestBatchSpans:
         # negative-duration phase.
         tr = Tracer()
         batch = make_completed_batch(resnet50, started_at=9.0, completed_at=1.4)
-        tr.record_batch_span(batch)
+        record(tr, batch)
         for s in tr.spans:
             assert s.duration >= 0.0
 
     def test_incomplete_batch_rejected(self, resnet50):
-        tr = Tracer()
+        # Only completed batches reach the log the tracer reads.
         batch = Batch(
             model=resnet50, arrivals=np.array([0.0]), dispatched_at=0.1
         )
         with pytest.raises(ValueError):
-            tr.record_batch_span(batch)
+            record(Tracer(), batch)
+
+    def test_each_batch_read_once(self, resnet50):
+        tr = Tracer()
+        collector = record(tr, make_completed_batch(resnet50))
+        tr.record_latencies()
+        assert len(tr.request_spans()) == 1
+        collector.record_batch(make_completed_batch(resnet50,
+                                                    completed_at=1.5))
+        assert len(tr.request_spans()) == 2
+        tr.record_latencies()
+        hist = tr.metrics.histogram("request.latency_seconds")
+        assert hist.n == 2
+        assert hist.sum == (1.35 - 1.0) + (1.5 - 1.0)
