@@ -71,14 +71,6 @@ class WindowPlan:
         return any(b.mode == ShareMode.TEMPORAL for b in self.batches)
 
 
-def _plan_all_one_mode(n: int, batch_size: int, mode: str) -> WindowPlan:
-    sizes = carve_sizes(n, batch_size)
-    return WindowPlan(
-        batches=tuple(PlannedBatch(size=s, mode=mode) for s in sizes),
-        y=n if mode == ShareMode.TEMPORAL else 0,
-    )
-
-
 class HysteresisGate:
     """The paper's ``wait_ctr`` mechanism, reusable by every policy.
 
@@ -129,9 +121,10 @@ class Policy(ABC):
 
     name: str = "abstract"
     instant_switch: bool = False
-    #: Cache pure profile lookups (``batch_size_on``).  Policies exposing
-    #: an uncached reference mode (Paldia's ``vectorized=False``) flip
-    #: this off so the seed's call pattern is reproduced exactly.
+    #: Cache pure profile lookups (``batch_size_on``) and carved window
+    #: plans (``plan_one_mode``).  Policies exposing an uncached reference
+    #: mode (Paldia's ``vectorized=False``) flip this off so the seed's
+    #: call pattern is reproduced exactly.
     _memoize_profiles: bool = True
 
     def __init__(
@@ -144,6 +137,7 @@ class Policy(ABC):
         self.profiles = profiles
         self.slo_seconds = float(slo_seconds)
         self._batch_size_cache: dict[str, int] = {}
+        self._plan_cache: dict[tuple[int, int, str], WindowPlan] = {}
         #: Decision-audit sink (disabled by default; the framework binds
         #: the run's tracer before the first decision is made).
         self.tracer: Tracer = NULL_TRACER
@@ -217,6 +211,29 @@ class Policy(ABC):
         if self._memoize_profiles:
             self._batch_size_cache[hw.name] = b
         return b
+
+    def plan_one_mode(self, n: int, batch_size: int, mode: str) -> WindowPlan:
+        """``n`` requests carved into ``mode`` sub-batches of at most
+        ``batch_size`` (the all-spatial or all-temporal plan).
+
+        A pure function of its arguments, so the plan (a frozen value) is
+        memoised per ``(n, batch_size, mode)`` unless the policy runs in
+        reference mode, where every call carves a fresh one."""
+        key = (n, batch_size, mode)
+        if self._memoize_profiles:
+            plan = self._plan_cache.get(key)
+            if plan is not None:
+                return plan
+        plan = WindowPlan(
+            batches=tuple(
+                PlannedBatch(size=s, mode=mode)
+                for s in carve_sizes(n, batch_size)
+            ),
+            y=n if mode == ShareMode.TEMPORAL else 0,
+        )
+        if self._memoize_profiles:
+            self._plan_cache[key] = plan
+        return plan
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(model={self.model.name})"

@@ -20,13 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.baselines.base import (
-    HysteresisGate,
-    PlannedBatch,
-    Policy,
-    WindowPlan,
-    _plan_all_one_mode,
-)
+from repro.baselines.base import HysteresisGate, Policy, WindowPlan
 from repro.core.predictor import EWMAPredictor
 from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
@@ -146,6 +140,6 @@ class InflessLlamaPolicy(Policy):
     ) -> WindowPlan:
         batch = self.batch_size_on(hw)
         if not hw.is_gpu:
-            return _plan_all_one_mode(n, batch, ShareMode.TEMPORAL)
+            return self.plan_one_mode(n, batch, ShareMode.TEMPORAL)
         # Everything is co-located via MPS, whatever the consequences.
-        return _plan_all_one_mode(n, batch, ShareMode.SPATIAL)
+        return self.plan_one_mode(n, batch, ShareMode.SPATIAL)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.baselines.base import Policy, WindowPlan, _plan_all_one_mode
+from repro.baselines.base import WindowPlan
 from repro.baselines.infless_llama import InflessLlamaPolicy
 from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
@@ -56,4 +56,4 @@ class MoleculePolicy(InflessLlamaPolicy):
     ) -> WindowPlan:
         batch = self.batch_size_on(hw)
         # One batch at a time on the device, CPU or GPU alike.
-        return _plan_all_one_mode(n, batch, ShareMode.TEMPORAL)
+        return self.plan_one_mode(n, batch, ShareMode.TEMPORAL)

@@ -84,13 +84,7 @@ class OfflineHybridPolicy(Policy):
     ) -> WindowPlan:
         batch = self.batch_size_on(hw)
         if not hw.is_gpu:
-            sizes = carve_sizes(n, batch)
-            return WindowPlan(
-                batches=tuple(
-                    PlannedBatch(size=s, mode=ShareMode.TEMPORAL) for s in sizes
-                ),
-                y=n,
-            )
+            return self.plan_one_mode(n, batch, ShareMode.TEMPORAL)
         y = int(round(self.temporal_fraction * n))
         y = min(max(y, 0), n)
         spatial_sizes = carve_sizes(n - y, batch)

@@ -139,13 +139,7 @@ class PaldiaPolicy(Policy):
         if not hw.is_gpu:
             # CPU nodes use the framework's batched CPU mode; modes are
             # ignored by the device, lanes do the parallelism.
-            sizes = carve_sizes(n, batch)
-            return WindowPlan(
-                batches=tuple(
-                    PlannedBatch(size=s, mode=ShareMode.TEMPORAL) for s in sizes
-                ),
-                y=n,
-            )
+            return self.plan_one_mode(n, batch, ShareMode.TEMPORAL)
         solo = self._effective_solo(hw, batch)
         key = (hw.name, n, batch, solo, existing_fbr, existing_queue)
         cached = self._split_cache.get(key) if self.vectorized else None

@@ -47,7 +47,7 @@ from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalo
 from repro.hardware.profiles import ProfileService
 from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec
 from repro.simulator.cluster import Cluster, NodeInstance
-from repro.simulator.containers import AcquireTicket
+from repro.simulator.containers import AcquireTicket, ContainerPool
 from repro.simulator.engine import Simulator
 from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
@@ -316,6 +316,8 @@ class ServerlessRun:
         #: Memoised per-(hardware, batch size) submission constants —
         #: solo time, FBR, and memory footprint are pure profile lookups.
         self._submit_consts: dict[tuple[str, int], tuple[float, float, float]] = {}
+        #: Per node id, the (on_complete, on_evict) hooks of its jobs.
+        self._job_hooks: dict[int, tuple] = {}
         self.n_switches = 0
         self.switch_log: list[tuple[float, str, str]] = []
         #: The nodes this run leased by node_id, in acquisition order (in
@@ -741,33 +743,39 @@ class ServerlessRun:
         Windows in the :class:`WindowTable` are sorted by dispatch time,
         so all rows sharing the current timestamp are consecutive; they
         are delivered in plan order within this one engine event (the same
-        relative order the per-window scheduling gave them)."""
+        relative order the per-window scheduling gave them).  A window is
+        its slice of the table's arrival column; only a window that must
+        wait for a node becomes a :class:`DispatchWindow`."""
         table = self._window_table
+        dispatch_at, starts, ends = table.dispatch_at, table.starts, table.ends
+        arrivals = table.arrivals
+        metrics, tracker = self.metrics, self.tracker
+        # Disabled-profiler contract: bare `is None` branches, no calls.
+        prof = self.selfprof
         i = self._window_idx
-        n = len(table)
-        t = table.dispatch_at[i]
-        while i < n and table.dispatch_at[i] == t:
-            self._on_window(table.window(i))
+        n = len(dispatch_at)
+        t = dispatch_at[i]
+        while i < n and dispatch_at[i] == t:
+            if prof is not None:
+                prof.push("arrivals.window")
+            window = arrivals[starts[i]:ends[i]]
+            metrics.record_offered(window.size)
+            tracker.count(window.size)
+            node = self._current
+            if node is None or not node.available:
+                self._pending_windows.append(
+                    DispatchWindow(dispatch_at=float(t), arrivals=window)
+                )
+            else:
+                self._dispatch(window, node)
+            if prof is not None:
+                prof.pop()
             i += 1
         self._window_idx = i
         if i < n:
             self.sim.schedule_at(
-                float(table.dispatch_at[i]), self._pump_windows, priority=10
+                float(dispatch_at[i]), self._pump_windows, priority=10
             )
-
-    def _on_window(self, window: DispatchWindow) -> None:
-        # Disabled-profiler contract: bare `is None` branches, no calls.
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("arrivals.window")
-        self.metrics.record_offered(window.n)
-        self.tracker.count(window.n)
-        if self._current is None or not self._current.available:
-            self._pending_windows.append(window)
-        else:
-            self._dispatch(window, self._current)
-        if prof is not None:
-            prof.pop()
 
     def _existing_fbr(self, node: NodeInstance) -> float:
         device = node.device
@@ -782,43 +790,45 @@ class ServerlessRun:
         backlog += pool.n_waiting * max(1, self.policy.batch_size_on(node.spec))
         return backlog
 
-    def _dispatch(self, window: DispatchWindow, node: NodeInstance) -> None:
+    def _dispatch(self, arrivals: np.ndarray, node: NodeInstance) -> None:
+        """Plan one window's requests (``arrivals``, sorted) on ``node``
+        and hand each planned batch to a container."""
         now = self.sim.now
-        degraded = self.resilience is not None and self.resilience.degraded(now)
-        if degraded and self.config.resilience.shed_expired:
+        res = self.resilience
+        degraded = res is not None and res.degraded(now)
+        if degraded and res.config.shed_expired:
             # Graceful degradation, rung 1: requests whose deadline has
             # already passed are lost either way — shed them instead of
             # adding their load to an impaired fleet.
-            expired = window.arrivals + self.slo.target_seconds <= now
+            expired = arrivals + self.slo.target_seconds <= now
             n_shed = int(expired.sum())
             if n_shed:
-                self.resilience.shed(n_shed)
+                res.shed(n_shed)
                 obs = self.obs
                 if obs is not None:
                     obs.shed(now, None, n_shed, "deadline_passed")
-                kept = window.arrivals[~expired]
-                if kept.size == 0:
+                arrivals = arrivals[~expired]
+                if arrivals.size == 0:
                     return
-                window = DispatchWindow(
-                    dispatch_at=window.dispatch_at, arrivals=kept
-                )
         # Rung 2/3: shrink batches and force temporal-only while impaired
         # (an MPS fault alone also forces temporal, healthy breakers or
         # not — spatial sharing is simply unavailable).
         force_temporal = (
             self._chaos is not None and self._chaos.mps_down
-        ) or (degraded and self.config.resilience.degrade_force_temporal)
-        cap = self.config.resilience.degraded_batch_cap if degraded else None
+        ) or (degraded and res.config.degrade_force_temporal)
+        cap = res.config.degraded_batch_cap if degraded else None
         # Device-state inputs are read outside the batch.plan frame: they
         # are dispatch-side queries, not policy planning work.
+        spec = node.spec
         fbr_now = self._existing_fbr(node)
         queue_now = node.device.queued_requests()
+        n = arrivals.size
         prof = self.selfprof
         if prof is not None:
             prof.push("batch.plan")
         plan = self.policy.plan_window(
-            window.n,
-            node.spec,
+            n,
+            spec,
             fbr_now,
             now,
             existing_queue=queue_now,
@@ -831,20 +841,19 @@ class ServerlessRun:
             pool,
             containers_for_split(
                 plan.n - plan.y,
-                max(1, self.policy.batch_size_on(node.spec)),
+                max(1, self.policy.batch_size_on(spec)),
                 has_temporal=plan.has_temporal,
             ),
         )
         offset = 0
         for planned in plan.batches:
-            arrivals = window.arrivals[offset : offset + planned.size]
-            offset += planned.size
+            end = offset + planned.size
             mode = ShareMode.TEMPORAL if force_temporal else planned.mode
             step = planned.size if cap is None else min(cap, planned.size)
-            for i in range(0, planned.size, step):
+            for lo in range(offset, end, step):
                 batch = Batch(
                     model=self.model,
-                    arrivals=arrivals[i : i + step],
+                    arrivals=arrivals[lo : min(lo + step, end)],
                     dispatched_at=now,
                     mode=mode,
                     batch_id=next(self._batch_ids),
@@ -852,14 +861,24 @@ class ServerlessRun:
                 batch.breakdown.batching_wait = max(
                     0.0, now - batch.first_arrival
                 )
-                self._acquire_and_submit(batch, node)
-        if offset != window.n:  # pragma: no cover - plan invariant
+                self._acquire_and_submit(batch, node, pool)
+            offset = end
+        if offset != n:  # pragma: no cover - plan invariant
             raise RuntimeError(
-                f"plan covered {offset} of {window.n} window requests"
+                f"plan covered {offset} of {n} window requests"
             )
 
-    def _acquire_and_submit(self, batch: Batch, node: NodeInstance) -> None:
-        pool = node.pool(self.model.name)
+    def _acquire_and_submit(
+        self, batch: Batch, node: NodeInstance, pool: ContainerPool
+    ) -> None:
+        """Give ``batch`` a container of ``pool`` on ``node``, then submit
+        it; a batch that finds no warm idle container waits in the pool."""
+        if pool.take_warm():
+            if node.available:
+                self._submit(batch, node, pool)
+            else:
+                self._handle_failed_batch(batch)
+            return
 
         def on_container(ticket: AcquireTicket) -> None:
             if ticket.cold:
@@ -903,7 +922,9 @@ class ServerlessRun:
         if obs is not None:
             obs.dropped(batch.batch_id, self.sim.now, batch.size)
 
-    def _submit(self, batch: Batch, node: NodeInstance, pool) -> None:
+    def _submit(
+        self, batch: Batch, node: NodeInstance, pool: ContainerPool
+    ) -> None:
         spec = node.spec
         consts = self._submit_consts.get((spec.name, batch.size))
         if consts is None:
@@ -915,21 +936,13 @@ class ServerlessRun:
             )
             self._submit_consts[(spec.name, batch.size)] = consts
         solo, fbr, mem = consts
+        hooks = self._job_hooks.get(node.node_id)
+        if hooks is None:
+            hooks = self._job_hooks[node.node_id] = self._hooks_for(node, pool)
+        on_complete, on_evict = hooks
         slowdown = (
             self._chaos.slowdown_factor if self._chaos is not None else 1.0
         )
-
-        def on_complete(job: Job) -> None:
-            pool.release()
-            if self.resilience is not None:
-                self.resilience.record_success(spec.name, self.sim.now)
-            self.metrics.record_batch(
-                batch, node.node_id, next(self._completions)
-            )
-
-        def on_evict(job: Job) -> None:
-            pool.release()
-
         node.device.submit(
             Job(
                 batch=batch,
@@ -942,6 +955,28 @@ class ServerlessRun:
                 slowdown=slowdown,
             )
         )
+
+    def _hooks_for(self, node: NodeInstance, pool: ContainerPool) -> tuple:
+        """The completion and eviction hooks of every job this lane runs
+        on ``node`` (built once per node; the job carries its batch).
+
+        They close over the run's parts, not the run: the run keeps them,
+        and a reference back would leave every finished run to the cycle
+        collector instead of freeing it when its last reference goes."""
+        name, node_id = node.spec.name, node.node_id
+        sim, metrics, resilience = self.sim, self.metrics, self.resilience
+        completions = self._completions
+
+        def on_complete(job: Job) -> None:
+            pool.release()
+            if resilience is not None:
+                resilience.record_success(name, sim.now)
+            metrics.record_batch(job.batch, node_id, next(completions))
+
+        def on_evict(job: Job) -> None:
+            pool.release()
+
+        return on_complete, on_evict
 
     # ------------------------------------------------------------------
     # Monitoring / reconfiguration
@@ -1093,11 +1128,12 @@ class ServerlessRun:
 
     def _migrate_queue(self, old: NodeInstance, node: NodeInstance) -> None:
         """Move not-yet-started jobs from ``old``'s device to ``node``."""
+        pool = node.pool(self.model.name)
         for job in old.device.evict_queued():
             job.batch.breakdown.queue_delay += self.sim.now - job.submitted_at
             if job.on_evict is not None:
                 job.on_evict(job)
-            self._acquire_and_submit(job.batch, node)
+            self._acquire_and_submit(job.batch, node, pool)
 
     def _release_drained(self) -> None:
         still = []
@@ -1116,7 +1152,7 @@ class ServerlessRun:
     def _flush_pending(self, node: NodeInstance) -> None:
         pending, self._pending_windows = self._pending_windows, []
         for window in pending:
-            self._dispatch(window, node)
+            self._dispatch(window.arrivals, node)
 
     # ------------------------------------------------------------------
     # Autoscaling loop
@@ -1221,10 +1257,7 @@ class ServerlessRun:
                 return
         # Requeue (default): unlike a node outage the node itself is still
         # healthy, so the evicted work redispatches immediately.
-        self._dispatch(
-            DispatchWindow(dispatch_at=self.sim.now, arrivals=job.batch.arrivals),
-            node,
-        )
+        self._dispatch(job.batch.arrivals, node)
 
     # ------------------------------------------------------------------
     # Deadline-aware retry (resilience layer)
@@ -1290,7 +1323,7 @@ class ServerlessRun:
         obs = self.obs
         if obs is not None:
             obs.retry_dispatched(batch, now, deadline, node.spec.name)
-        self._acquire_and_submit(batch, node)
+        self._acquire_and_submit(batch, node, node.pool(self.model.name))
 
     # ------------------------------------------------------------------
     # Result assembly

@@ -8,6 +8,8 @@ Section IV-C) become visible to requests:
 
 * ``ensure(n)`` — scale the pool towards ``n`` containers, spawning the
   missing ones; a spawn becomes *warm* after the node's cold-start delay.
+* ``take_warm()`` — take a warm idle container now, if there is one (no
+  wait, so nothing to attribute and no callback).
 * ``request(cb)`` — acquire a warm container now, or join the waiter queue.
   Wait time is attributed to ``cold_start_wait`` when a cold-starting
   container ends up serving the waiter and to ``queue_delay`` when a busy
@@ -178,15 +180,26 @@ class ContainerPool:
     # ------------------------------------------------------------------
     # Acquisition / release
     # ------------------------------------------------------------------
+    def take_warm(self) -> bool:
+        """Take a warm idle container now, if there is one.
+
+        Returns whether a container was taken; it is then *busy* until
+        :meth:`release` is called.  The dispatch hot path takes this
+        route and falls back to :meth:`request` only when it must wait.
+        """
+        if self._idle:
+            self._idle.pop()
+            self._busy += 1
+            return True
+        return False
+
     def request(self, callback: Callable[[AcquireTicket], None]) -> None:
         """Acquire a container, immediately or after a wait.
 
         ``callback`` receives an :class:`AcquireTicket`; the container is
         then *busy* until :meth:`release` is called.
         """
-        if self._idle:
-            self._idle.pop()
-            self._busy += 1
+        if self.take_warm():
             callback(AcquireTicket(wait=0.0, cold=False))
             return
         self._waiters.append((self.sim.now, callback))

@@ -79,7 +79,8 @@ class CPUDevice:
 
     def queued_requests(self) -> int:
         """Requests sitting in the lane queue (``curr_queue_info``)."""
-        return sum(j.batch.size for j in self._queue)
+        queue = self._queue
+        return sum(j.batch.size for j in queue) if queue else 0
 
     def evict_queued(self) -> list[Job]:
         """Remove not-yet-started jobs (hardware switch re-routes them)."""
@@ -119,10 +120,18 @@ class CPUDevice:
     # Submission / execution
     # ------------------------------------------------------------------
     def submit(self, job: Job) -> None:
-        """Queue a batch; it starts as soon as a lane frees up."""
+        """Start a batch on a free lane, or queue it until one frees up.
+
+        A job that finds the FIFO empty and a lane free starts at once.
+        Otherwise it joins the FIFO, whose head takes any free lane: a
+        lane can be free with jobs queued while a completion hook runs,
+        and those jobs go first."""
         job.submitted_at = self.sim.now
-        self._queue.append(job)
-        self._dispatch()
+        if not self._queue and len(self._running) < self.spec.cpu_lanes:
+            self._start(job)
+        else:
+            self._queue.append(job)
+            self._dispatch()
 
     def evict_all(self) -> list[Job]:
         """Node failure: abandon everything, returning unfinished jobs."""
@@ -152,19 +161,21 @@ class CPUDevice:
 
     def _dispatch(self) -> None:
         while self._queue and len(self._running) < self.spec.cpu_lanes:
-            job = self._queue.popleft()
-            job.started_at = self.sim.now
-            noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
-            service = (
-                job.solo_time * max(0.5, noise) * self.contention_factor
-                * job.slowdown
-            )
-            self._running.append(job)
-            obs = self.obs
-            if obs is not None:
-                obs.execution_started(self, job, self.sim.now)
-            self._mark_busy_transition()
-            self.sim.schedule(service, lambda j=job: self._finish(j))
+            self._start(self._queue.popleft())
+
+    def _start(self, job: Job) -> None:
+        job.started_at = self.sim.now
+        noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
+        service = (
+            job.solo_time * max(0.5, noise) * self.contention_factor
+            * job.slowdown
+        )
+        self._running.append(job)
+        obs = self.obs
+        if obs is not None:
+            obs.execution_started(self, job, self.sim.now)
+        self._mark_busy_transition()
+        self.sim.schedule(service, lambda j=job: self._finish(j))
 
     def _finish(self, job: Job) -> None:
         if job not in self._running:

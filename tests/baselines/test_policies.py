@@ -173,3 +173,63 @@ class TestPaldiaPolicy:
         pol = PaldiaPolicy(resnet50, profiles, 0.2)
         plan = pol.plan_window(8, cpu_node, 0.0, 0.0)
         assert all(b.mode == ShareMode.TEMPORAL for b in plan.batches)
+
+
+def _one_mode_policies(resnet50, profiles, hw):
+    """``(policy, mode)`` for every policy that plans ``hw`` windows with
+    the shared one-mode carve (Paldia and Offline Hybrid on CPU only)."""
+    gpu = hw.is_gpu
+    cases = [
+        (InflessLlamaPolicy(resnet50, profiles, 0.2, cost_effective=ce),
+         ShareMode.SPATIAL if gpu else ShareMode.TEMPORAL)
+        for ce in (True, False)
+    ] + [
+        (MoleculePolicy(resnet50, profiles, 0.2, cost_effective=ce),
+         ShareMode.TEMPORAL)
+        for ce in (True, False)
+    ]
+    if not gpu:
+        cases.append((PaldiaPolicy(resnet50, profiles, 0.2),
+                      ShareMode.TEMPORAL))
+        cases.append((OfflineHybridPolicy(resnet50, profiles, 0.2, hw, 0.5),
+                      ShareMode.TEMPORAL))
+    return cases
+
+
+class TestOneModePlans:
+    """One memoised carve behind every all-spatial / all-temporal plan."""
+
+    @staticmethod
+    def _carved(n, batch, mode):
+        from repro.framework.batching import carve_sizes
+
+        return WindowPlan(
+            batches=tuple(PlannedBatch(s, mode) for s in carve_sizes(n, batch)),
+            y=n if mode == ShareMode.TEMPORAL else 0,
+        )
+
+    def test_plans_equal_a_fresh_carve_and_are_reused(
+        self, resnet50, profiles, catalog
+    ):
+        for hw in catalog:
+            for policy, mode in _one_mode_policies(resnet50, profiles, hw):
+                batch = policy.batch_size_on(hw)
+                for n in range(1, 3 * batch + 1):
+                    plan = policy.plan_window(n, hw, 0.0, 0.0)
+                    assert plan == self._carved(n, batch, mode), (
+                        policy.name, hw.name, n)
+                    assert plan.n == n
+                    assert policy.plan_window(n, hw, 0.5, 1.0, 3) is plan
+
+    def test_reference_mode_carves_every_call(
+        self, resnet50, profiles, catalog
+    ):
+        for hw in catalog:
+            for policy, mode in _one_mode_policies(resnet50, profiles, hw):
+                policy._memoize_profiles = False
+                batch = policy.batch_size_on(hw)
+                for n in range(1, 3 * batch + 1):
+                    first = policy.plan_window(n, hw, 0.0, 0.0)
+                    second = policy.plan_window(n, hw, 0.0, 0.0)
+                    assert first == second == self._carved(n, batch, mode)
+                    assert first is not second

@@ -1,5 +1,8 @@
 """End-to-end framework tests: every scheme over short traces."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.baselines.infless_llama import InflessLlamaPolicy
@@ -37,6 +40,24 @@ class TestConservation:
         run.execute()
         with pytest.raises(RuntimeError):
             run.execute()
+
+    def test_finished_run_is_freed_without_the_cycle_collector(
+        self, resnet50, profiles, slo, short_trace
+    ):
+        """Nothing the dispatch path keeps (job hooks, container waiters)
+        refers back to the run, so a sweep of many runs does not hold the
+        finished ones until the cycle collector runs."""
+        policy = MoleculePolicy(resnet50, profiles, slo.target_seconds)
+        run = ServerlessRun(resnet50, short_trace, policy, profiles, slo)
+        result = run.execute()
+        assert result.completed_requests > 0
+        alive = weakref.ref(run)
+        gc.disable()
+        try:
+            del run, policy
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestCostInvariants:

@@ -128,3 +128,65 @@ class TestKeepAlive:
         assert pool.n_warm_idle == 0
         assert pool.n_busy == 1
         pool.release()  # must still balance
+
+
+class TestTakeWarm:
+    """The dispatch hot path's synchronous acquisition, and the waiter
+    path it falls back to."""
+
+    def test_moves_one_idle_container_to_busy(self, sim):
+        pool = make_pool(sim)
+        pool.add_warm(2)
+        assert pool.take_warm() is True
+        assert (pool.n_warm_idle, pool.n_busy, pool.n_waiting) == (1, 1, 0)
+        assert pool.cold_starts == 0
+        assert pool.n_spawning == 0
+        assert sim.pending() == 0  # no ticket, callback or event
+
+    def test_nothing_idle_leaves_the_pool_untouched(self, sim):
+        pool = make_pool(sim)
+        pool.ensure(1)
+        before = pool.snapshot()
+        assert pool.take_warm() is False
+        assert pool.snapshot() == before
+
+    def test_taken_container_releases_like_a_requested_one(self, sim):
+        pool = make_pool(sim)
+        pool.add_warm(1)
+        assert pool.take_warm()
+        pool.release()
+        assert (pool.n_warm_idle, pool.n_busy) == (1, 0)
+        with pytest.raises(RuntimeError):
+            pool.release()
+
+    def test_waiter_behind_a_taken_container_is_queue_attributed(self, sim):
+        pool = make_pool(sim, max_total=1)
+        pool.add_warm(1)
+        assert pool.take_warm()
+        assert not pool.take_warm()
+        got = []
+        pool.request(lambda t: got.append((sim.now, t.wait, t.cold)))
+        assert pool.n_waiting == 1
+        sim.schedule(0.5, pool.release)
+        sim.run()
+        assert got == [(0.5, pytest.approx(0.5), False)]
+        assert pool.cold_starts == 0
+
+    def test_waiter_on_an_empty_pool_is_cold_attributed(self, sim):
+        pool = make_pool(sim, cold=1.0)
+        assert not pool.take_warm()
+        got = []
+        pool.request(lambda t: got.append((sim.now, t.wait, t.cold)))
+        sim.run()
+        assert got == [(1.0, pytest.approx(1.0), True)]
+        assert pool.cold_starts == 1
+
+    def test_request_still_hands_an_idle_container_a_ticket_at_once(self, sim):
+        from repro.simulator.containers import AcquireTicket
+
+        pool = make_pool(sim)
+        pool.add_warm(1)
+        got = []
+        pool.request(got.append)
+        assert got == [AcquireTicket(wait=0.0, cold=False)]
+        assert (pool.n_warm_idle, pool.n_busy) == (0, 1)

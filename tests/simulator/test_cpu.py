@@ -117,3 +117,63 @@ class TestEvictionAndAccounting:
             dev.submit(make_job())
         sim.run()
         assert dev.jobs_completed == 3
+
+
+class TestSubmitAndEviction:
+    def test_free_lanes_start_at_submit_and_one_queues(self, sim, cpu_node):
+        lanes = cpu_node.cpu_lanes
+        dev = make_device(sim, cpu_node)
+        done = []
+        jobs = [make_job(done=lambda j, i=i: done.append((i, sim.now)))
+                for i in range(lanes + 1)]
+        for job in jobs:
+            dev.submit(job)
+        # Before any event fires: L batches running, one waiting.
+        assert (dev.n_active, dev.n_queued) == (lanes, 1)
+        assert all(job.started_at == 0.0 for job in jobs[:lanes])
+        assert jobs[-1].started_at is None
+        sim.run()
+        assert [i for i, _ in done] == list(range(lanes + 1))
+        assert done[-1][1] == pytest.approx(0.2, rel=1e-6)
+
+    def test_oom_evicted_batch_never_completes(self, sim, cpu_node):
+        from repro.simulator.containers import ContainerPool
+
+        lanes = cpu_node.cpu_lanes
+        dev = make_device(sim, cpu_node)
+        pool = ContainerPool(sim, cold_start_seconds=1.0)
+        pool.add_warm(lanes + 1)
+        completed = []
+
+        def on_complete(job):
+            completed.append(job)
+            pool.release()
+
+        jobs = []
+        for _ in range(lanes + 1):
+            assert pool.take_warm()
+            job = make_job(done=on_complete)
+            job.on_evict = lambda j: pool.release()
+            jobs.append(job)
+            dev.submit(job)
+        evicted = []
+
+        def oom():
+            job = dev.evict_one()
+            job.on_evict(job)  # the framework balances the acquisition
+            evicted.append(job)
+
+        sim.schedule(0.05, oom)
+        sim.run()
+        (victim,) = evicted
+        assert victim is jobs[lanes - 1]  # the youngest running batch
+        assert victim.started_at is None
+        assert victim.batch.completed_at is None
+        assert victim not in completed
+        # The queued batch took the freed lane at the eviction instant.
+        assert jobs[-1].started_at == pytest.approx(0.05)
+        assert len(completed) == lanes == len(set(map(id, completed)))
+        assert dev.jobs_completed == lanes
+        # Each acquisition was released exactly once.
+        assert (pool.n_busy, pool.n_warm_idle) == (0, lanes + 1)
+        assert dev.idle
