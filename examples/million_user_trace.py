@@ -9,9 +9,11 @@ simulator.  The run prints arrival statistics, the headline serving
 metrics, and the simulator's own throughput (simulated requests per
 wall-clock second).
 
-``--self-profile`` installs a :class:`~repro.telemetry.RunProfiler` and
-prints the hierarchical phase table afterwards, so you can see where the
-planning time goes at this scale (the policy frames — ``batch.plan`` and
+``--self-profile`` runs the day inside a ``with``
+:class:`~repro.telemetry.RunProfiler` block, which frames the program's
+methods from outside for the length of the run, and prints the
+hierarchical phase table afterwards, so you can see where the planning
+time goes at this scale (the policy frames — ``batch.plan`` and
 ``select.choose_best_HW`` — stay well under a third of the attributed
 wall clock).
 
@@ -21,6 +23,7 @@ Run:  python examples/million_user_trace.py                  # ~1M requests (tak
 """
 
 import argparse
+import contextlib
 import time
 
 from repro import (
@@ -63,7 +66,7 @@ def main(argv=None) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--self-profile", action="store_true",
-        help="install a RunProfiler and print the phase table",
+        help="run under a RunProfiler and print the phase table",
     )
     args = parser.parse_args(argv)
 
@@ -80,10 +83,11 @@ def main(argv=None) -> None:
 
     policy = PaldiaPolicy(model, profiles, slo.target_seconds)
     prof = RunProfiler() if args.self_profile else None
-    run = ServerlessRun(model, trace, policy, profiles, slo, selfprof=prof)
+    run = ServerlessRun(model, trace, policy, profiles, slo)
 
     t0 = time.perf_counter()
-    result = run.execute()
+    with prof or contextlib.nullcontext():
+        result = run.execute()
     wall = time.perf_counter() - t0
 
     print()

@@ -87,6 +87,7 @@ DEBUG for component diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from typing import Callable, Optional, Sequence
@@ -575,17 +576,23 @@ def _cmd_profiles(args) -> int:
 
 
 def _run_one(scheme: str, model, trace, profiles, slo, config=None,
-             tracer=None, selfprof=None):
+             tracer=None):
     """Execute one scheme; returns ``(RunResult, ServerlessRun)`` so
     callers can reach post-run state (telemetry pillars, sim clock)."""
     logger.debug("running scheme %s on %s (%d requests)",
                  scheme, model.name, trace.n_requests)
     policy = make_policy(scheme, model, profiles, slo.target_seconds, trace)
     run = ServerlessRun(
-        model, trace, policy, profiles, slo, config, tracer=tracer,
-        selfprof=selfprof,
+        model, trace, policy, profiles, slo, config, tracer=tracer
     )
     return run.execute(), run
+
+
+def _scenario_profiler(args, track_alloc: bool = False) -> RunProfiler:
+    """A self-profiler whose metadata names the scenario in ``args``."""
+    keys = ("model", "scheme", "trace", "duration", "seed")
+    meta = {key: getattr(args, key) for key in keys}
+    return RunProfiler(track_alloc=track_alloc, meta=meta)
 
 
 def _cmd_run(args) -> int:
@@ -600,15 +607,10 @@ def _cmd_run(args) -> int:
         or args.budget is not None or reqtrace
     )
     tracer = Tracer() if tracing else None
-    selfprof = None
-    if args.self_profile or args.profile_out:
-        selfprof = RunProfiler(
-            meta={
-                "model": args.model, "scheme": args.scheme,
-                "trace": args.trace, "duration": args.duration,
-                "seed": args.seed,
-            },
-        )
+    profiler = (
+        _scenario_profiler(args)
+        if args.self_profile or args.profile_out else None
+    )
     config = None
     if args.chaos or args.recovery or tracing:
         try:
@@ -640,12 +642,10 @@ def _cmd_run(args) -> int:
             },
         )
         tracer.timeseries_observers.append(dashboard.on_sample)
-    result, run = _run_one(
-        args.scheme, model, trace, profiles, slo, config,
-        tracer=tracer, selfprof=selfprof,
-    )
-    if selfprof is not None:
-        selfprof.finish()
+    with profiler or contextlib.nullcontext():
+        result, run = _run_one(
+            args.scheme, model, trace, profiles, slo, config, tracer=tracer
+        )
     if dashboard is not None:
         dashboard.finish(run.sim.now)
         emit("")
@@ -737,7 +737,7 @@ def _cmd_run(args) -> int:
                     f"request-trace {args.reqtrace_out})"
                 )
         if args.ledger:
-            top = selfprof.top_phases(1) if selfprof is not None else []
+            top = profiler.top_phases(1) if profiler is not None else []
             profile = (
                 {"top_phase": top[0][0], "top_phase_share": top[0][1]}
                 if top else {}
@@ -755,12 +755,12 @@ def _cmd_run(args) -> int:
                     )
                 if run_id >= 0:
                     emit(f"recorded run #{run_id} in {args.ledger}")
-    if selfprof is not None:
+    if profiler is not None:
         if args.self_profile:
             emit("")
-            emit(selfprof.rendered())
+            emit(profiler.rendered())
         if args.profile_out:
-            selfprof.save(args.profile_out)
+            profiler.save(args.profile_out)
             emit(f"wrote self-profile JSON to {args.profile_out}")
     return 0
 
@@ -920,18 +920,9 @@ def _cmd_profile(args) -> int:
     profiles = ProfileService()
     slo = SLO()
     trace = _TRACES[args.trace](model, args.duration, args.seed)
-    prof = RunProfiler(
-        track_alloc=args.alloc,
-        meta={
-            "model": args.model, "scheme": args.scheme,
-            "trace": args.trace, "duration": args.duration,
-            "seed": args.seed,
-        },
-    )
-    result, _run = _run_one(
-        args.scheme, model, trace, profiles, slo, selfprof=prof
-    )
-    prof.finish()
+    prof = _scenario_profiler(args, track_alloc=args.alloc)
+    with prof:
+        result, _run = _run_one(args.scheme, model, trace, profiles, slo)
     emit(prof.rendered(top=args.top))
     emit("")
     attributed = prof.total_seconds

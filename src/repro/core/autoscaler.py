@@ -16,7 +16,6 @@ Three cooperating behaviours, re-purposed for inference apps:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
 
 from repro.core.predictor import RatePredictor
 from repro.hardware.catalog import HardwareSpec
@@ -24,9 +23,6 @@ from repro.hardware.profiles import ProfileService
 from repro.simulator.containers import ContainerPool
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.telemetry.selfprof import RunProfiler
 
 __all__ = ["Autoscaler", "containers_for_split"]
 
@@ -73,7 +69,6 @@ class Autoscaler:
         plan_horizon_seconds: float = 1.0,
         *,
         tracer: Tracer = NULL_TRACER,
-        selfprof: Optional["RunProfiler"] = None,
     ) -> None:
         self.model = model
         self.profiles = profiles
@@ -86,9 +81,6 @@ class Autoscaler:
         #: still works (the framework's pre-injection idiom) but new code
         #: should pass ``tracer=`` here.
         self.tracer: Tracer = tracer
-        #: Self-profiler for the predictive/reap sub-phases; ``None``
-        #: keeps tick() on a bare `is None` branch per sub-phase.
-        self.selfprof = selfprof
         #: Last predictive-tick forecast (rps) and the warm-pool target it
         #: implied — the time-series sampler's autoscaler probes.
         self.last_prediction: float = 0.0
@@ -130,16 +122,8 @@ class Autoscaler:
 
     def tick(self, pool: ContainerPool, hw: HardwareSpec, now: float) -> dict[str, int]:
         """One predictive-scaling interval: pre-warm then reap."""
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("autoscaler.predictive")
         spawned = self.predictive(pool, hw, now)
-        if prof is not None:
-            prof.pop()
-            prof.push("autoscaler.reap")
         reaped = self.reap(pool)
-        if prof is not None:
-            prof.pop()
         if self.tracer.enabled:
             self.tracer.event(
                 "autoscaler.tick",

@@ -43,7 +43,6 @@ from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry.observers import RunObservers
-    from repro.telemetry.selfprof import RunProfiler
 
 __all__ = [
     "BreakerPolicy",
@@ -248,16 +247,8 @@ class ResilienceController:
     * :meth:`degraded` — should dispatch run in the degraded regime?
     """
 
-    def __init__(
-        self,
-        config: ResilienceConfig,
-        *,
-        selfprof: Optional["RunProfiler"] = None,
-    ) -> None:
+    def __init__(self, config: ResilienceConfig) -> None:
         self.config = config
-        #: Self-profiler for retry planning; ``None`` keeps plan_retry on
-        #: a bare `is None` branch.
-        self.selfprof = selfprof
         #: The run's observer bundle (assigned by the framework's
         #: telemetry setup); handed to every breaker created after
         #: assignment.
@@ -378,26 +369,18 @@ class ResilienceController:
         The returned ``backoff`` feeds the next call's ``prev_backoff``.
         """
         p = self.config.retry
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("resilience.plan_retry")
-        out: Optional[tuple[float, float]] = None
         if attempt >= p.max_attempts:
             self.retries_abandoned += 1
-        else:
-            backoff = self.next_backoff(prev_backoff)
-            remaining = deadline - now
-            if backoff >= remaining:
-                # Even the earliest admissible retry lands past the
-                # deadline: dispatching it would burn capacity on a
-                # guaranteed miss.
-                self.retries_abandoned += 1
-            else:
-                self.retries_scheduled += 1
-                out = (backoff, backoff)
-        if prof is not None:
-            prof.pop()
-        return out
+            return None
+        backoff = self.next_backoff(prev_backoff)
+        remaining = deadline - now
+        if backoff >= remaining:
+            # Even the earliest admissible retry lands past the deadline:
+            # dispatching it would burn capacity on a guaranteed miss.
+            self.retries_abandoned += 1
+            return None
+        self.retries_scheduled += 1
+        return backoff, backoff
 
     def shed(self, n: int = 1) -> None:
         self.requests_shed += n

@@ -55,7 +55,6 @@ from repro.simulator.power import cluster_energy_joules, node_energy_joules
 from repro.telemetry.costmeter import CostBreakdown, CostBudgetMonitor, CostMeter
 from repro.telemetry.observers import RunObservers
 from repro.telemetry.reqtrace import RequestTraceData, RequestTracer
-from repro.telemetry.selfprof import RunProfiler
 from repro.telemetry.slo_monitor import SLOMonitor
 from repro.telemetry.timeseries import StateSampler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -240,15 +239,6 @@ class ServerlessRun:
         Telemetry sink (keyword-only).  Defaults to the shared disabled
         tracer: no spans, no decision events, no sampler events — the run
         is bit-identical to an untraced one.
-    selfprof:
-        Optional :class:`~repro.telemetry.selfprof.RunProfiler`
-        (keyword-only).  When attached, the run records a hierarchical
-        phase tree of its *own* wall-clock (selection, batching, GPU
-        interference math, autoscaler ticks, telemetry overhead) and —
-        unless a dispatch profiler already owns the engine — engine
-        callback sites become frames inside that tree.  ``None`` (the
-        default) keeps every instrumented site a single ``is None``
-        branch; results are bit-identical either way.
     """
 
     def __init__(
@@ -263,7 +253,6 @@ class ServerlessRun:
         sim: Optional[Simulator] = None,
         cluster: Optional[Cluster] = None,
         tracer: Optional[Tracer] = None,
-        selfprof: Optional[RunProfiler] = None,
     ) -> None:
         self.model = model
         self.trace = trace
@@ -272,7 +261,6 @@ class ServerlessRun:
         self.slo = slo if slo is not None else SLO()
         self.config = config if config is not None else RunConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.selfprof = selfprof
 
         # A multi-model deployment (see MultiModelRun) passes a shared
         # simulator and cluster so every function's lane lives on one
@@ -284,10 +272,6 @@ class ServerlessRun:
             interference=self.profiles.interference,
             seed=self.config.seed,
         )
-        if selfprof is not None:
-            # Phase attribution for component internals (GPU completion
-            # math, interference law, autoscaler sub-phases, retries).
-            self.cluster.selfprof = selfprof
         self.metrics = MetricsCollector()
         self._batch_ids = self.cluster.batch_ids
         self._completions = self.cluster.completions
@@ -301,7 +285,6 @@ class ServerlessRun:
             keep_alive_seconds=self.config.keep_alive_seconds,
             interval_seconds=self.config.autoscale_interval_seconds,
             tracer=self.tracer,
-            selfprof=selfprof,
         )
 
         self._current: Optional[NodeInstance] = None
@@ -326,7 +309,7 @@ class ServerlessRun:
         self._sebs: Optional[SebsColocator] = None
         cfg = self.config
         self.resilience: Optional[ResilienceController] = (
-            ResilienceController(cfg.resilience, selfprof=selfprof)
+            ResilienceController(cfg.resilience)
             if cfg.resilience is not None
             else None
         )
@@ -366,24 +349,10 @@ class ServerlessRun:
             raise RuntimeError("a ServerlessRun can only execute once")
         self._executed = True
         horizon = self.trace.duration + self.config.drain_grace_seconds
-        prof = self.selfprof
         wall_t0 = perf_counter()
-        if prof is None:
-            self._setup()
-            self.sim.run(until=horizon)
-            result = self._finalize()
-        else:
-            with prof.phase("run"):
-                with prof.phase("setup"):
-                    self._setup()
-                if self.sim._profiler is None:
-                    # Callback sites become frames inside the tree; a
-                    # pre-attached dispatch profiler keeps the engine.
-                    self.sim.set_profiler(prof)
-                with prof.phase("engine"):
-                    self.sim.run(until=horizon)
-                with prof.phase("finalize"):
-                    result = self._finalize()
+        self._setup()
+        self.sim.run(until=horizon)
+        result = self._finalize()
         result.wall_seconds = perf_counter() - wall_t0
         return result
 
@@ -703,7 +672,6 @@ class ServerlessRun:
 
         sampler.probes(("cache.hits", "cache.misses"), cache_counters)
 
-        sampler.selfprof = self.selfprof
         sampler.start(
             self.sim,
             self.trace.duration + cfg.drain_grace_seconds,
@@ -715,18 +683,9 @@ class ServerlessRun:
     def _telemetry_tick(self) -> None:
         now = self.sim.now
         obs = self.obs
-        prof = self.selfprof
-        for frame, pillar in (
-            ("telemetry.monitor", obs.slo_monitor),
-            ("telemetry.cost", obs.cost_monitor),
-        ):
-            if pillar is None:
-                continue
-            if prof is not None:
-                prof.push(frame)
-            pillar.sample(now)
-            if prof is not None:
-                prof.pop()
+        for pillar in (obs.slo_monitor, obs.cost_monitor):
+            if pillar is not None:
+                pillar.sample(now)
         if now < self.trace.duration + self.config.drain_grace_seconds:
             self.sim.schedule(
                 TELEMETRY_SAMPLE_INTERVAL_SECONDS,
@@ -750,14 +709,10 @@ class ServerlessRun:
         dispatch_at, starts, ends = table.dispatch_at, table.starts, table.ends
         arrivals = table.arrivals
         metrics, tracker = self.metrics, self.tracker
-        # Disabled-profiler contract: bare `is None` branches, no calls.
-        prof = self.selfprof
         i = self._window_idx
         n = len(dispatch_at)
         t = dispatch_at[i]
         while i < n and dispatch_at[i] == t:
-            if prof is not None:
-                prof.push("arrivals.window")
             window = arrivals[starts[i]:ends[i]]
             metrics.record_offered(window.size)
             tracker.count(window.size)
@@ -768,8 +723,6 @@ class ServerlessRun:
                 )
             else:
                 self._dispatch(window, node)
-            if prof is not None:
-                prof.pop()
             i += 1
         self._window_idx = i
         if i < n:
@@ -817,24 +770,12 @@ class ServerlessRun:
             self._chaos is not None and self._chaos.mps_down
         ) or (degraded and res.config.degrade_force_temporal)
         cap = res.config.degraded_batch_cap if degraded else None
-        # Device-state inputs are read outside the batch.plan frame: they
-        # are dispatch-side queries, not policy planning work.
         spec = node.spec
-        fbr_now = self._existing_fbr(node)
-        queue_now = node.device.queued_requests()
         n = arrivals.size
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("batch.plan")
         plan = self.policy.plan_window(
-            n,
-            spec,
-            fbr_now,
-            now,
-            existing_queue=queue_now,
+            n, spec, self._existing_fbr(node), now,
+            existing_queue=node.device.queued_requests(),
         )
-        if prof is not None:
-            prof.pop()
         pool = node.pool(self.model.name)
         # Reactive scale-up: one container per spatial batch (+1 temporal).
         self.autoscaler.reactive(
@@ -1000,20 +941,11 @@ class ServerlessRun:
                 if self._reconfig_target is not None
                 else self._current.spec
             )
-            fbr_now = self._existing_fbr(self._current)
-            backlog_now = self._backlog(self._current)
-            prof = self.selfprof
-            if prof is not None:
-                prof.push("select.choose_best_HW")
             desired = self.policy.desired_hardware(
-                now,
-                reference,
-                fbr_now,
-                backlog_requests=backlog_now,
+                now, reference, self._existing_fbr(self._current),
+                backlog_requests=self._backlog(self._current),
                 is_available=self._is_available,
             )
-            if prof is not None:
-                prof.pop()
             if desired is not None and desired.name != reference.name:
                 # Failure coping (Fig 13b): while an induced outage is
                 # active, every scheme is modified to hold "the more

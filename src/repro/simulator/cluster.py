@@ -80,16 +80,13 @@ class NodeInstance:
         rng: np.random.Generator,
         *,
         node_id: int,
-        selfprof=None,
         obs: Optional["RunObservers"] = None,
     ) -> None:
         self.sim = sim
         self.spec = spec
         self.node_id = node_id
         if spec.is_gpu:
-            self.device: Device = GPUDevice(
-                sim, spec, interference, rng, selfprof=selfprof
-            )
+            self.device: Device = GPUDevice(sim, spec, interference, rng)
         else:
             self.device = CPUDevice(sim, spec, rng)
         self.device.obs = obs
@@ -194,12 +191,6 @@ class Cluster:
         #: (possibly inflated) spawn delay; propagated to every node
         #: acquired after it is set (see ChaosEngine.cold_start_delay).
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: Optional :class:`~repro.telemetry.selfprof.RunProfiler`
-        #: propagated to every subsequently acquired node's device so GPU
-        #: submit/completion internals and interference math show up as
-        #: phase-tree frames; ``None`` (the default) leaves devices
-        #: entirely uninstrumented.
-        self.selfprof = None
         #: The observer bundle of the first traced run on this cluster,
         #: told about every lease transition and handed to every node
         #: acquired after it is set (and their devices and pools);
@@ -228,7 +219,6 @@ class Cluster:
             self.interference,
             np.random.default_rng(self._root_rng.integers(2**63)),
             node_id=next(self.node_ids),
-            selfprof=self.selfprof,
             obs=self.obs,
         )
         node.spawn_delay_fn = self.spawn_delay_fn

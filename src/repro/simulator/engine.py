@@ -55,10 +55,9 @@ _INF = math.inf
 
 
 class DispatchProfiler(Protocol):
-    """What the engine needs from a profiler (see
-    :class:`repro.telemetry.selfprof.RunProfiler`).  The engine only
-    duck-types this so the hot loop stays import-free of the telemetry
-    package.
+    """What the engine needs from a profiler attached with
+    :meth:`Simulator.set_profiler`.  The engine only duck-types this so
+    the hot loop stays import-free of any profiler implementation.
 
     Each dispatch is bracketed by ``push_site(fn)`` before the callback
     runs and ``pop()`` after it, so phases the profiler records inside

@@ -32,11 +32,7 @@ import numpy as np
 from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
 from repro.simulator.engine import Event, Simulator
-from repro.simulator.interference import (
-    DEFAULT_INTERFERENCE,
-    InterferenceModel,
-    ProfiledInterference,
-)
+from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.simulator.job import Job
 
 __all__ = ["GPUDevice"]
@@ -62,13 +58,6 @@ class GPUDevice:
     exec_noise_sigma:
         Lognormal-ish multiplicative noise on each job's work requirement
         (real kernels jitter a few percent run to run).
-    selfprof:
-        Optional :class:`~repro.telemetry.selfprof.RunProfiler`
-        (keyword-only).  When attached, submissions and completion
-        processing record ``gpu.submit`` / ``gpu.complete`` frames and
-        the interference law is wrapped so its calls surface as
-        ``gpu.interference`` leaves; ``None`` keeps both hot paths on a
-        bare ``is None`` branch and the law un-wrapped.
     """
 
     def __init__(
@@ -78,16 +67,11 @@ class GPUDevice:
         interference: InterferenceModel = DEFAULT_INTERFERENCE,
         rng: Optional[np.random.Generator] = None,
         exec_noise_sigma: float = 0.02,
-        *,
-        selfprof=None,
     ) -> None:
         if not spec.is_gpu:
             raise ValueError(f"{spec.name} is not a GPU node")
         self.sim = sim
         self.spec = spec
-        self.selfprof = selfprof
-        if selfprof is not None:
-            interference = ProfiledInterference(interference, selfprof)
         self.interference = interference
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.exec_noise_sigma = float(exec_noise_sigma)
@@ -205,9 +189,6 @@ class GPUDevice:
         they wait in the pending queue.  Temporal jobs join the FIFO and
         start when the device empties.
         """
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("gpu.submit")
         self._advance()
         job.submitted_at = self.sim.now
         noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
@@ -224,8 +205,6 @@ class GPUDevice:
             self._temporal_q.append(job)
             self._maybe_promote()
         self._reschedule()
-        if prof is not None:
-            prof.pop()
 
     # ------------------------------------------------------------------
     # Failure support
@@ -338,26 +317,21 @@ class GPUDevice:
         self._completion_ev = self.sim.schedule(delay, self._on_completion)
 
     def _on_completion(self) -> None:
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("gpu.complete")
         self._completion_ev = None
         self._advance()
         finished = [j for j in self._active if j.work <= _WORK_EPS]
         if not finished:
             # Numerical underrun: re-arm and let the set run to completion.
             self._reschedule()
-        else:
-            for job in finished:
-                self._active.remove(job)
-                self._mem_used -= job.mem_gb
-                self._complete(job)
-            self._drain_pending()
-            self._maybe_promote()
-            self._mark_busy_transition()
-            self._reschedule()
-        if prof is not None:
-            prof.pop()
+            return
+        for job in finished:
+            self._active.remove(job)
+            self._mem_used -= job.mem_gb
+            self._complete(job)
+        self._drain_pending()
+        self._maybe_promote()
+        self._mark_busy_transition()
+        self._reschedule()
 
     def _complete(self, job: Job) -> None:
         now = self.sim.now

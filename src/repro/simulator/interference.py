@@ -20,15 +20,10 @@ carry realistic error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-__all__ = [
-    "InterferenceModel",
-    "ProfiledInterference",
-    "DEFAULT_INTERFERENCE",
-]
+__all__ = ["InterferenceModel", "DEFAULT_INTERFERENCE"]
 
 
 @dataclass(frozen=True)
@@ -99,39 +94,6 @@ class InterferenceModel:
             ratio ** self.alpha + self.sub_knee_slope * self.knee,
         )
         return out
-
-
-class ProfiledInterference:
-    """Transparent interference-model wrapper crediting slowdown-law wall
-    time to a ``gpu.interference`` leaf of a
-    :class:`~repro.telemetry.selfprof.RunProfiler`.
-
-    Installed per :class:`~repro.simulator.gpu.GPUDevice` only when the
-    device carries a self-profiler, so unprofiled devices keep calling
-    the frozen :class:`InterferenceModel` directly with zero indirection.
-    Attribute reads (``alpha``, ``knee``…) delegate to the wrapped model.
-    """
-
-    __slots__ = ("model", "_selfprof")
-
-    def __init__(self, model: InterferenceModel, selfprof) -> None:
-        self.model = model
-        self._selfprof = selfprof
-
-    def slowdown(self, total_fbr: float) -> float:
-        t0 = perf_counter()
-        out = self.model.slowdown(total_fbr)
-        self._selfprof.leaf("gpu.interference", perf_counter() - t0)
-        return out
-
-    def slowdown_array(self, total_fbr: np.ndarray) -> np.ndarray:
-        t0 = perf_counter()
-        out = self.model.slowdown_array(total_fbr)
-        self._selfprof.leaf("gpu.interference", perf_counter() - t0)
-        return out
-
-    def __getattr__(self, name: str):
-        return getattr(self.model, name)
 
 
 #: The physics every experiment uses unless it overrides it.

@@ -6,21 +6,21 @@ wall-clock go" with a **phase tree** over one
 ``choose_best_HW`` → batch formation → GPU interference math →
 completions → autoscaler ticks → sampler/tracer overhead) with per-frame
 counts, inclusive/exclusive wall seconds, and opt-in ``tracemalloc``
-allocation deltas.  Engine callback sites become ``cb:<module>.<qualname>``
-frames *inside* the tree (the engine brackets each dispatch with
-:meth:`RunProfiler.push_site` / :meth:`RunProfiler.pop`, so every phase
-entered during the callback nests under its site frame).
+allocation deltas.
 
-Cost model — the :class:`~repro.telemetry.timeseries.StateSampler`
-contract:
+The profiler times the program from outside: while a ``with
+RunProfiler():`` block lasts, every method in :data:`FRAMES` is wrapped
+at class level to run inside a frame of the listed name (the originals
+are restored on exit, also when the block raises).  The ``engine`` frame
+also makes the profiler the simulator's dispatch profiler, so engine
+callback sites become ``cb:<module>.<qualname>`` frames *inside* the
+tree via :meth:`RunProfiler.push_site` / :meth:`RunProfiler.pop`.
 
-* **Disabled** (the default): no profiler object is constructed and every
-  instrumented site pays a single ``is None`` branch (no calls, no
-  context managers).  A run without a profiler is bit-identical to one
-  before this module existed.
-* **Enabled**: two ``perf_counter()`` reads per frame enter/exit plus one
-  dict lookup; frames are aggregated in place (one node per distinct
-  path), so steady-state profiling allocates nothing.
+Outside the block nothing from this module runs: the program carries no
+profiler code, and profiled runs are bit-identical to unprofiled ones.
+Inside it, a frame costs one wrapper call, two ``perf_counter()`` reads
+and a dict lookup; frames aggregate in place (one node per distinct
+path), so steady-state profiling allocates nothing.
 
 Exports
 -------
@@ -40,11 +40,14 @@ measured run wall-clock is therefore a single root-level comparison.
 
 from __future__ import annotations
 
+import functools
+import importlib
 import json
 from time import perf_counter
 from typing import Any, Callable, Iterator, Optional
 
 __all__ = [
+    "FRAMES",
     "RunProfiler",
     "SELFPROF_SCHEMA",
     "SUBSYSTEMS",
@@ -86,6 +89,41 @@ _PHASE_SUBSYSTEM = {
 }
 
 
+#: ``(module, "Class.method", frame name)`` of every framed method.  A
+#: method must be defined in the class's own body: an entry that no
+#: longer resolves fails :meth:`RunProfiler.__enter__` by name.
+FRAMES: tuple[tuple[str, str, str], ...] = (
+    ("repro.framework.system", "ServerlessRun.execute", "run"),
+    ("repro.framework.system", "ServerlessRun._setup", "setup"),
+    ("repro.simulator.engine", "Simulator.run", "engine"),
+    ("repro.framework.system", "ServerlessRun._finalize", "finalize"),
+    ("repro.framework.system", "ServerlessRun._dispatch", "arrivals.window"),
+    ("repro.core.paldia", "PaldiaPolicy.plan_window", "batch.plan"),
+    ("repro.baselines.infless_llama", "InflessLlamaPolicy.plan_window", "batch.plan"),
+    ("repro.baselines.molecule", "MoleculePolicy.plan_window", "batch.plan"),
+    ("repro.baselines.offline_hybrid", "OfflineHybridPolicy.plan_window", "batch.plan"),
+    ("repro.core.paldia", "PaldiaPolicy.desired_hardware", "select.choose_best_HW"),
+    ("repro.baselines.infless_llama", "InflessLlamaPolicy.desired_hardware",
+     "select.choose_best_HW"),
+    ("repro.baselines.offline_hybrid", "OfflineHybridPolicy.desired_hardware",
+     "select.choose_best_HW"),
+    ("repro.simulator.gpu", "GPUDevice.submit", "gpu.submit"),
+    ("repro.simulator.gpu", "GPUDevice._on_completion", "gpu.complete"),
+    # The Equation-(1) solvers call the unframed ``_slowdown_raw``, so
+    # only the device physics (and the seed reference path) land here.
+    ("repro.simulator.interference", "InterferenceModel.slowdown", "gpu.interference"),
+    ("repro.simulator.interference", "InterferenceModel.slowdown_array",
+     "gpu.interference"),
+    ("repro.core.autoscaler", "Autoscaler.predictive", "autoscaler.predictive"),
+    ("repro.core.autoscaler", "Autoscaler.reap", "autoscaler.reap"),
+    ("repro.core.resilience", "ResilienceController.plan_retry",
+     "resilience.plan_retry"),
+    ("repro.telemetry.timeseries", "StateSampler.sample", "telemetry.sampler"),
+    ("repro.telemetry.slo_monitor", "SLOMonitor.sample", "telemetry.monitor"),
+    ("repro.telemetry.costmeter", "CostBudgetMonitor.sample", "telemetry.cost"),
+)
+
+
 def subsystem_of(name: str) -> str:
     """Map one frame name to its :data:`SUBSYSTEMS` bucket.
 
@@ -121,38 +159,16 @@ class _Frame:
         )
 
 
-class _PhaseContext:
-    """Reusable (cached per name) context manager over push/pop.
-
-    Stateless by design — the enter/exit bookkeeping lives entirely in
-    the profiler's stacks, so one cached instance per phase name is
-    reentrancy-safe and the profiled path allocates nothing per use.
-    """
-
-    __slots__ = ("_prof", "_name")
-
-    def __init__(self, prof: "RunProfiler", name: str) -> None:
-        self._prof = prof
-        self._name = name
-
-    def __enter__(self) -> "RunProfiler":
-        self._prof.push(self._name)
-        return self._prof
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self._prof.pop()
-
-
 class RunProfiler:
-    """Hierarchical wall-clock profiler for one serverless run.
+    """Hierarchical wall-clock profiler of the runs in its ``with`` block.
 
     Parameters
     ----------
     track_alloc:
         Also record net ``tracemalloc`` allocation deltas per frame.
         Starts ``tracemalloc`` if it is not already tracing (and
-        :meth:`finish` stops it again in that case).  Considerably slows
-        the run; wall times remain self-consistent but are not
+        :meth:`finish`, run on exit, stops it again then).  Considerably
+        slows the run; wall times remain self-consistent but are not
         comparable to an untracked profile.
     meta:
         Free-form scenario metadata carried through :meth:`as_dict`.
@@ -160,9 +176,10 @@ class RunProfiler:
     Examples
     --------
     >>> prof = RunProfiler()
-    >>> with prof.phase("run"):
-    ...     with prof.phase("setup"):
-    ...         pass
+    >>> prof.push("run")
+    >>> prof.push("setup")
+    >>> prof.pop()
+    >>> prof.pop()
     >>> [f.name for f in prof.walk()]
     ['run', 'setup']
     """
@@ -177,7 +194,8 @@ class RunProfiler:
         self._root = _Frame("<run>")
         self._stack: list[_Frame] = [self._root]
         self._t0: list[float] = []
-        self._phase_cache: dict[str, _PhaseContext] = {}
+        #: ``(class, attribute, original)`` of each installed wrapper.
+        self._restore: list[tuple[type, str, Any]] = []
         self.track_alloc = bool(track_alloc)
         self._alloc_t0: list[int] = []
         self._started_tracemalloc = False
@@ -217,35 +235,12 @@ class RunProfiler:
                 self._tracemalloc.get_traced_memory()[0] - self._alloc_t0.pop()
             )
 
-    def phase(self, name: str) -> _PhaseContext:
-        """Context manager wrapping :meth:`push`/:meth:`pop`.
-
-        For coarse, non-hot-path frames (``setup``, ``engine``,
-        ``finalize``).  Hot paths should use the explicit
-        ``if prof is not None: prof.push(...)`` bracketing instead so
-        the disabled path stays a bare branch.
-        """
-        ctx = self._phase_cache.get(name)
-        if ctx is None:
-            ctx = self._phase_cache[name] = _PhaseContext(self, name)
-        return ctx
-
-    def leaf(self, name: str, seconds: float) -> None:
-        """Credit pre-measured time to a child of the current frame
-        without entering it (e.g. per-call interference-law timing)."""
-        top = self._stack[-1]
-        frame = top.children.get(name)
-        if frame is None:
-            frame = top.children[name] = _Frame(name)
-        frame.count += 1
-        frame.seconds += seconds
-
     def push_site(self, fn: Callable[[], None]) -> None:
         """Enter a frame for one engine callback dispatch.
 
         This is the :class:`~repro.simulator.engine.DispatchProfiler`
         hook: the engine pushes *before* invoking the callback (and
-        calls :meth:`pop` after), so phases entered during the callback
+        calls :meth:`pop` after), so frames entered during the callback
         nest under the site frame.
         """
         qual = getattr(fn, "__qualname__", None)
@@ -263,6 +258,67 @@ class RunProfiler:
         if self._started_tracemalloc:
             self._tracemalloc.stop()
             self._started_tracemalloc = False
+
+    # ------------------------------------------------------------------
+    # Installation
+    # ------------------------------------------------------------------
+    def __enter__(self) -> "RunProfiler":
+        if self._restore:
+            raise RuntimeError("RunProfiler is already entered")
+        # Resolve every entry before patching any, so a stale entry
+        # leaves the program untouched.
+        targets = []
+        for module, attr, name in FRAMES:
+            cls_name, _, method = attr.partition(".")
+            try:
+                cls = getattr(importlib.import_module(module), cls_name)
+                targets.append((cls, method, cls.__dict__[method], name))
+            except (ImportError, AttributeError, KeyError) as exc:
+                raise LookupError(
+                    f"self-profiler frame {name!r}: {module}.{attr} is not "
+                    f"defined in its class body ({exc!r})"
+                ) from None
+        for cls, method, original, name in targets:
+            wrap = self._engine_frame if name == "engine" else self._frame
+            self._restore.append((cls, method, original))
+            setattr(cls, method, wrap(name, original))
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        while self._restore:
+            cls, method, original = self._restore.pop()
+            setattr(cls, method, original)
+        self.finish()
+
+    def _frame(self, name: str, fn: Callable) -> Callable:
+        push, pop = self.push, self.pop
+
+        @functools.wraps(fn)
+        def framed(*args: Any, **kwargs: Any) -> Any:
+            push(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                pop()
+
+        return framed
+
+    def _engine_frame(self, name: str, fn: Callable) -> Callable:
+        """The ``engine`` frame also makes this profiler the simulator's
+        dispatch profiler for the call, unless one is attached already."""
+        framed = self._frame(name, fn)
+
+        @functools.wraps(fn)
+        def run(sim: Any, *args: Any, **kwargs: Any) -> Any:
+            if sim._profiler is not None:
+                return framed(sim, *args, **kwargs)
+            sim.set_profiler(self)
+            try:
+                return framed(sim, *args, **kwargs)
+            finally:
+                sim.set_profiler(None)
+
+        return run
 
     # ------------------------------------------------------------------
     # Views
@@ -469,7 +525,12 @@ class RunProfiler:
 # Loading and diffing saved profiles
 # ----------------------------------------------------------------------
 def load_profile(path: str) -> dict[str, Any]:
-    """Load and validate a ``repro.selfprof/1`` JSON profile."""
+    """Load and validate a ``repro.selfprof/1`` JSON profile.
+
+    Raises :class:`ValueError` unless every frame below ``root`` has a
+    string ``name``, a numeric ``seconds``, an optional integer
+    ``count`` and an optional list of ``children``.
+    """
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict) or data.get("schema") != SELFPROF_SCHEMA:
@@ -477,7 +538,27 @@ def load_profile(path: str) -> dict[str, Any]:
             f"{path}: not a {SELFPROF_SCHEMA} profile "
             f"(schema={data.get('schema') if isinstance(data, dict) else None!r})"
         )
+    if not isinstance(data.get("root"), dict) or (
+        type(data.get("total_seconds", 0.0)) not in (int, float)
+    ):
+        raise ValueError(f"{path}: no 'root' object or numeric total_seconds")
+    _check_frames(data["root"], f"{path}: root")
     return data
+
+
+def _check_frames(node: dict[str, Any], where: str) -> None:
+    children = node.get("children", [])
+    if not isinstance(children, list):
+        raise ValueError(f"{where}: 'children' is not a list")
+    for child in children:
+        if not (
+            isinstance(child, dict)
+            and isinstance(child.get("name"), str)
+            and type(child.get("seconds")) in (int, float)
+            and type(child.get("count", 0)) is int
+        ):
+            raise ValueError(f"{where}: malformed frame {child!r:.80}")
+        _check_frames(child, f"{where} > {child['name']}")
 
 
 def _flatten(profile: dict[str, Any]) -> dict[tuple[str, ...], dict[str, float]]:

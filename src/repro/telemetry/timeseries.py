@@ -133,10 +133,6 @@ class StateSampler:
         #: Called as ``observer(now, row)`` after every sample — the live
         #: dashboard's hook point.
         self.observers: list[Callable[[float, dict[str, float]], None]] = []
-        #: Optional :class:`~repro.telemetry.selfprof.RunProfiler` — when
-        #: set, each sample brackets itself as a ``telemetry.sampler``
-        #: frame so the sampler's own cost shows up in the phase tree.
-        self.selfprof = None
 
     # ------------------------------------------------------------------
     # Probe registration
@@ -221,9 +217,6 @@ class StateSampler:
     def sample(self, now: float) -> None:
         """Take one sample row at simulated time ``now`` (handed to the
         :attr:`observers` as a ``{"t": now, name: value, ...}`` dict)."""
-        prof = self.selfprof
-        if prof is not None:
-            prof.push("telemetry.sampler")
         self._ensure_buffers()
         idx = self._n % self._capacity
         self._times[idx] = now
@@ -256,8 +249,6 @@ class StateSampler:
             row.update(zip(self._names, values))
             for observer in self.observers:
                 observer(now, row)
-        if prof is not None:
-            prof.pop()
 
     # ------------------------------------------------------------------
     # Views

@@ -103,6 +103,22 @@ class TestProfileCommand:
             json.dump({"schema": "nope"}, fh)
         assert main(["profile", "--diff", a, a]) == 1
 
+    @pytest.mark.parametrize("profile", [
+        {"schema": SELFPROF_SCHEMA, "meta": {}, "total_seconds": 1.0},
+        {"schema": SELFPROF_SCHEMA, "meta": {}, "total_seconds": 1.0,
+         "root": {"name": "<run>", "children": [
+             {"name": "run", "count": 1, "children": []}]}},
+    ], ids=["no_root", "node_without_seconds"])
+    def test_diff_rejects_malformed_profile(self, capsys, tmp_path, profile):
+        a = str(tmp_path / "a.json")
+        with open(a, "w") as fh:
+            json.dump(profile, fh)
+        assert main(["profile", "--diff", a, a]) == 1
+        captured = capsys.readouterr()
+        text = captured.out + captured.err
+        assert "not a valid self-profile" in text
+        assert "Traceback" not in text
+
 
 class TestRunSelfProfile:
     def test_profile_out_standalone(self, capsys, tmp_path):

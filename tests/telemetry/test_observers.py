@@ -5,7 +5,7 @@ telemetry pillars.  These tests pin its fan-out, the shared-cluster
 rule (the first traced lane's bundle is the cluster's; later lanes
 reuse its meter and request tracer), that both drop paths reach the
 request trace, and the seam itself: no simulator or core module names
-a pillar.
+a pillar, and no module the self-profiler frames names the profiler.
 """
 
 import math
@@ -136,5 +136,25 @@ def test_pillars_stay_behind_the_observer_seam(package):
         for path in sorted(root.rglob("*.py"))
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if PILLAR_NAMES.search(line)
+    ]
+    assert hits == []
+
+
+PROFILER_NAMES = re.compile(r"selfprof|RunProfiler|ProfiledInterference")
+
+
+@pytest.mark.parametrize(
+    "package", ["simulator", "core", "framework", "baselines"]
+)
+def test_program_carries_no_profiler_code(package):
+    # The self-profiler frames the program from outside, with class-level
+    # wrappers installed for the length of a ``with RunProfiler()``
+    # block; naming it here would re-open an in-program hook.
+    root = Path(repro.__file__).parent / package
+    hits = [
+        f"{path.relative_to(root.parent)}:{lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if PROFILER_NAMES.search(line)
     ]
     assert hits == []

@@ -1,16 +1,31 @@
-"""Tests for the hierarchical self-profiler (RunProfiler)."""
+"""Tests for the hierarchical self-profiler (RunProfiler) and the frame
+table it installs from outside the program."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 
 import pytest
 
+import repro.baselines
+import repro.core
 import repro.telemetry.selfprof as selfprof_mod
-from repro.experiments.schemes import make_policy
+from repro.core.paldia import PaldiaPolicy
+from repro.core.resilience import ResilienceConfig
+from repro.experiments.schemes import SCHEMES, make_policy
 from repro.framework.slo import SLO
-from repro.framework.system import ServerlessRun
+from repro.framework.system import RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
+from repro.simulator.chaos import (
+    ChaosSpec,
+    MPSFaults,
+    Slowdowns,
+    StochasticCrashes,
+)
 from repro.simulator.engine import Simulator
 from repro.telemetry.selfprof import (
+    FRAMES,
     SELFPROF_SCHEMA,
     SUBSYSTEMS,
     RunProfiler,
@@ -19,6 +34,7 @@ from repro.telemetry.selfprof import (
     render_profile_diff,
     subsystem_of,
 )
+from repro.telemetry.tracer import Tracer
 from repro.workloads.models import get_model
 from repro.workloads.traces import poisson_trace
 
@@ -79,15 +95,6 @@ class TestRecording:
         assert tick.seconds == pytest.approx(2.5)
         assert len(prof.root.children) == 1
 
-    def test_phase_context_manager_is_cached(self, clock):
-        prof = RunProfiler()
-        ctx_a = prof.phase("setup")
-        ctx_b = prof.phase("setup")
-        assert ctx_a is ctx_b
-        with prof.phase("setup"):
-            clock.advance(1.0)
-        assert frame(prof, "setup").seconds == pytest.approx(1.0)
-
     def test_pop_without_push_raises(self, clock):
         prof = RunProfiler()
         prof.push("a")
@@ -95,34 +102,27 @@ class TestRecording:
         with pytest.raises(RuntimeError, match="without a matching push"):
             prof.pop()
 
-    def test_leaf_credits_without_entering(self, clock):
-        prof = RunProfiler()
-        prof.push("gpu.submit")
-        clock.advance(1.0)
-        prof.leaf("gpu.interference", 0.25)
-        prof.leaf("gpu.interference", 0.25)
-        prof.pop()
-        leaf = frame(prof, "gpu.submit", "gpu.interference")
-        assert leaf.count == 2
-        assert leaf.seconds == pytest.approx(0.5)
-        # Leaf time is a child, so the parent's exclusive time shrinks.
-        assert frame(prof, "gpu.submit").exclusive() == pytest.approx(0.5)
-
     def test_telescoping_identity(self, clock):
         prof = RunProfiler()
-        with prof.phase("run"):
-            clock.advance(0.1)
-            with prof.phase("a"):
-                clock.advance(0.2)
-                with prof.phase("b"):
-                    clock.advance(0.3)
-            with prof.phase("a"):
-                clock.advance(0.4)
-            prof.leaf("c", 0.05)
+        prof.push("run")
+        clock.advance(0.05)
+        prof.push("a")
+        clock.advance(0.2)
+        prof.push("b")
+        clock.advance(0.3)
+        prof.pop()
+        prof.pop()
+        prof.push("a")
+        clock.advance(0.4)
+        prof.pop()
+        prof.push("c")
+        clock.advance(0.05)
+        prof.pop()
+        prof.pop()
         total_exclusive = sum(excl for *_rest, excl in prof.rows())
         assert total_exclusive == pytest.approx(prof.total_seconds)
-        # leaf() time is carved out of the parent, not added to the
-        # clock, so the root total is exactly the elapsed wall time.
+        # Child time is carved out of its parent, so the root total is
+        # exactly the elapsed wall time.
         assert prof.total_seconds == pytest.approx(1.0)
 
 
@@ -131,8 +131,9 @@ class TestEngineIntegration:
         prof = RunProfiler()
 
         def callback():
-            with prof.phase("batch.plan"):
-                clock.advance(1.0)
+            prof.push("batch.plan")
+            clock.advance(1.0)
+            prof.pop()
 
         prof.push_site(callback)
         clock.advance(0.5)
@@ -149,8 +150,8 @@ class TestEngineIntegration:
         sim.set_profiler(prof)
 
         def tick():
-            with prof.phase("select.choose_best_HW"):
-                pass
+            prof.push("select.choose_best_HW")
+            prof.pop()
 
         sim.schedule(1.0, tick)
         sim.run()
@@ -239,10 +240,12 @@ class TestSubsystems:
 
     def test_shares_cover_all_buckets_and_sum_to_one(self, clock):
         prof = RunProfiler()
-        with prof.phase("run"):
-            clock.advance(1.0)
-            with prof.phase("gpu.submit"):
-                clock.advance(3.0)
+        prof.push("run")
+        clock.advance(1.0)
+        prof.push("gpu.submit")
+        clock.advance(3.0)
+        prof.pop()
+        prof.pop()
         shares = prof.subsystem_shares()
         assert set(shares) == set(SUBSYSTEMS)
         assert sum(shares.values()) == pytest.approx(1.0)
@@ -256,13 +259,17 @@ class TestSubsystems:
 
     def test_top_phases_merges_across_positions(self, clock):
         prof = RunProfiler()
-        with prof.phase("a"):
-            with prof.phase("hot"):
-                clock.advance(2.0)
-        with prof.phase("b"):
-            with prof.phase("hot"):
-                clock.advance(2.0)
-            clock.advance(1.0)
+        prof.push("a")
+        prof.push("hot")
+        clock.advance(2.0)
+        prof.pop()
+        prof.pop()
+        prof.push("b")
+        prof.push("hot")
+        clock.advance(2.0)
+        prof.pop()
+        clock.advance(1.0)
+        prof.pop()
         top = prof.top_phases(1)
         assert top[0][0] == "hot"
         assert top[0][1] == pytest.approx(4.0 / 5.0)
@@ -272,10 +279,12 @@ class TestSubsystems:
 class TestExport:
     def make_profile(self, clock):
         prof = RunProfiler(meta={"scheme": "paldia"})
-        with prof.phase("run"):
-            clock.advance(0.5)
-            with prof.phase("engine"):
-                clock.advance(1.5)
+        prof.push("run")
+        clock.advance(0.5)
+        prof.push("engine")
+        clock.advance(1.5)
+        prof.pop()
+        prof.pop()
         return prof
 
     def test_as_dict_save_load_roundtrip(self, clock, tmp_path):
@@ -340,8 +349,9 @@ class TestExport:
 
     def test_rendered_with_alloc_column(self, clock):
         prof = RunProfiler(track_alloc=True)
-        with prof.phase("setup"):
-            clock.advance(1.0)
+        prof.push("setup")
+        clock.advance(1.0)
+        prof.pop()
         out = prof.rendered()
         prof.finish()
         assert "alloc_kb" in out
@@ -351,10 +361,12 @@ class TestDiff:
     def saved(self, clock, tmp_path, name, engine_s):
         clock.t = 0.0
         prof = RunProfiler()
-        with prof.phase("run"):
-            clock.advance(1.0)
-            with prof.phase("engine"):
-                clock.advance(engine_s)
+        prof.push("run")
+        clock.advance(1.0)
+        prof.push("engine")
+        clock.advance(engine_s)
+        prof.pop()
+        prof.pop()
         path = str(tmp_path / name)
         prof.save(path)
         return load_profile(path)
@@ -373,9 +385,11 @@ class TestDiff:
         a = self.saved(clock, tmp_path, "a.json", 2.0)
         clock.t = 0.0
         prof = RunProfiler()
-        with prof.phase("run"):
-            with prof.phase("brand.new"):
-                clock.advance(4.0)
+        prof.push("run")
+        prof.push("brand.new")
+        clock.advance(4.0)
+        prof.pop()
+        prof.pop()
         path = str(tmp_path / "c.json")
         prof.save(path)
         c = load_profile(path)
@@ -393,8 +407,9 @@ class TestAllocTracking:
         prof = RunProfiler(track_alloc=True)
         try:
             keep = []
-            with prof.phase("allocate"):
-                keep.append(bytearray(1 << 20))
+            prof.push("allocate")
+            keep.append(bytearray(1 << 20))
+            prof.pop()
             assert frame(prof, "allocate").alloc_bytes >= (1 << 20) * 0.9
         finally:
             prof.finish()
@@ -431,12 +446,10 @@ class TestServerlessRunIntegration:
         policy = make_policy(
             "paldia", model, profiles, slo.target_seconds, trace
         )
-        prof = RunProfiler()
-        run = ServerlessRun(
-            model, trace, policy, profiles, slo, selfprof=prof
-        )
-        result = run.execute()
-        prof.finish()
+        with RunProfiler() as prof:
+            result = ServerlessRun(
+                model, trace, policy, profiles, slo
+            ).execute()
         return result, prof
 
     def test_phase_tree_shape(self):
@@ -474,3 +487,139 @@ class TestServerlessRunIntegration:
             model, trace, policy, profiles, slo
         ).execute()
         assert result.wall_seconds > 0
+
+
+def short_run(scheme="paldia", config=None, tracer=None, duration=10.0):
+    model = get_model("resnet50")
+    profiles = ProfileService()
+    slo = SLO()
+    trace = poisson_trace(rate_rps=model.peak_rps, duration=duration, seed=0)
+    policy = make_policy(scheme, model, profiles, slo.target_seconds, trace)
+    return ServerlessRun(
+        model, trace, policy, profiles, slo, config, tracer=tracer
+    )
+
+
+def installed():
+    """``{FRAMES entry: the class attribute it names}`` right now."""
+    out = {}
+    for module, attr, name in FRAMES:
+        cls_name, method = attr.split(".")
+        cls = getattr(importlib.import_module(module), cls_name)
+        out[(module, attr, name)] = cls.__dict__[method]
+    return out
+
+
+class Exploding(PaldiaPolicy):
+    def plan_window(self, *args, **kwargs):
+        raise RuntimeError("boom")
+
+
+class TestFrameTable:
+    @pytest.mark.parametrize("entry", [
+        ("repro.no_such_module", "Policy.plan_window", "batch.plan"),
+        ("repro.core.paldia", "NoSuchPolicy.plan_window", "batch.plan"),
+        ("repro.core.paldia", "PaldiaPolicy.no_such_method", "batch.plan"),
+        # Inherited, not defined in the class's own body.
+        ("repro.baselines.oracle", "OraclePolicy.plan_window", "batch.plan"),
+    ], ids=["module", "class", "method", "inherited"])
+    def test_stale_entry_fails_by_name(self, monkeypatch, entry):
+        before = installed()
+        monkeypatch.setattr(selfprof_mod, "FRAMES", FRAMES + (entry,))
+        with pytest.raises(LookupError, match=entry[1]):
+            with RunProfiler():
+                pass  # pragma: no cover - never entered
+        monkeypatch.undo()
+        # Nothing was patched before the stale entry was found.
+        assert all(installed()[k] is v for k, v in before.items())
+
+    def test_every_policy_override_has_a_frame(self):
+        framed = {(module, attr): name for module, attr, name in FRAMES}
+        want = {"plan_window": "batch.plan",
+                "desired_hardware": "select.choose_best_HW"}
+        missing = []
+        for pkg in (repro.core, repro.baselines):
+            for info in pkgutil.iter_modules(pkg.__path__):
+                module = importlib.import_module(f"{pkg.__name__}.{info.name}")
+                for cls in vars(module).values():
+                    if not inspect.isclass(cls) or (
+                        cls.__module__ != module.__name__
+                    ):
+                        continue
+                    for method, name in want.items():
+                        fn = cls.__dict__.get(method)
+                        # Abstract declarations are never called.
+                        if fn is None or getattr(
+                            fn, "__isabstractmethod__", False
+                        ):
+                            continue
+                        key = (module.__name__, f"{cls.__name__}.{method}")
+                        if framed.get(key) != name:
+                            missing.append(key)
+        assert missing == []
+
+    def test_exit_restores_originals_and_detaches(self):
+        before = installed()
+        run = short_run(duration=5.0)
+        with RunProfiler() as prof:
+            assert all(installed()[k] is not v for k, v in before.items())
+            with pytest.raises(RuntimeError, match="already entered"):
+                prof.__enter__()
+            run.execute()
+        assert all(installed()[k] is v for k, v in before.items())
+        assert run.sim._profiler is None
+
+    def test_exit_restores_originals_when_the_run_raises(self):
+        before = installed()
+        model = get_model("resnet50")
+        profiles = ProfileService()
+        slo = SLO()
+        trace = poisson_trace(rate_rps=model.peak_rps, duration=5.0, seed=0)
+        run = ServerlessRun(
+            model, trace, Exploding(model, profiles, slo.target_seconds),
+            profiles, slo,
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            with RunProfiler():
+                run.execute()
+        assert all(installed()[k] is v for k, v in before.items())
+        assert run.sim._profiler is None
+
+    def test_keeps_a_dispatch_profiler_already_attached(self):
+        run = short_run(duration=5.0)
+        owner = RunProfiler()
+        run.sim.set_profiler(owner)
+        with RunProfiler() as prof:
+            run.execute()
+        assert run.sim._profiler is owner
+        assert not any(f.name.startswith("cb:") for f in prof.walk())
+        assert any(f.name.startswith("cb:") for f in owner.walk())
+
+    def test_fault_and_telemetry_run_enters_every_frame(self):
+        chaos = ChaosSpec(faults=(
+            StochasticCrashes(
+                mean_interarrival_seconds=20, downtime_seconds=10
+            ),
+            MPSFaults(),
+            Slowdowns(),
+        ))
+        config = RunConfig(
+            chaos=chaos,
+            resilience=ResilienceConfig(recovery="retry"),
+            reqtrace=True,
+            cost_budget_dollars=0.01,
+        )
+        run = short_run(config=config, tracer=Tracer(), duration=60.0)
+        with RunProfiler() as prof:
+            run.execute()
+        names = {f.name for f in prof.walk()}
+        expected = {name for _module, _attr, name in FRAMES}
+        assert len(expected) == 16
+        assert expected <= names
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_every_scheme_enters_the_policy_frames(self, scheme):
+        with RunProfiler() as prof:
+            short_run(scheme, duration=5.0).execute()
+        names = {f.name for f in prof.walk()}
+        assert {"batch.plan", "select.choose_best_HW"} <= names
