@@ -89,6 +89,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import logging
+import math
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -212,6 +213,33 @@ def configure_logging(verbose: bool = False) -> None:
     )
 
 
+def _checked(convert: Callable, ok: Callable, requirement: str) -> Callable:
+    """An argparse ``type=`` that rejects what ``convert`` cannot parse or
+    ``ok`` refuses, so a bad flag is a usage error (exit 2) before
+    anything runs."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {requirement}, got {text!r}"
+            )
+        return value
+
+    return parse
+
+
+_duration = _checked(float, lambda v: 0 < v < math.inf,
+                     "a positive finite number of seconds")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_positive = _checked(float, lambda v: v > 0, "positive")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -235,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scheme", default="paldia",
                        choices=list(SCHEMES) + ["oracle"])
         p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
-        p.add_argument("--duration", type=float, default=300.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--duration", type=_duration, default=300.0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         if name == "run":
             p.add_argument(
                 "--chaos", metavar="FILE",
@@ -301,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                 f"run ledger (default file: {DEFAULT_LEDGER_PATH})",
             )
             p.add_argument(
-                "--budget", type=float, metavar="DOLLARS", default=None,
+                "--budget", type=_positive, metavar="DOLLARS", default=None,
                 help="dollar budget for the run; the cost monitor emits "
                 "edge-triggered budget_alert events when the projected "
                 "end-of-run spend crosses it (implies telemetry)",
@@ -313,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "print the worst-request summary (implies telemetry)",
             )
             p.add_argument(
-                "--reqtrace-sample", type=float, metavar="P", default=1.0,
+                "--reqtrace-sample", type=_fraction, metavar="P", default=1.0,
                 help="fraction of batches to retain in the request "
                 "trace (deterministic per seed; the worst batches are "
                 "always kept, so worst-K forensics stay exact; "
@@ -328,9 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", parents=[common],
                        help="regenerate a paper figure/table")
     p.add_argument("experiment_id", choices=experiment_ids())
-    p.add_argument("--duration", type=float, default=300.0)
-    p.add_argument("--repetitions", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=_duration, default=300.0)
+    p.add_argument("--repetitions", type=_positive_int, default=2)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
         "--no-cache", action="store_true",
         help="recompute every matrix cell instead of replaying the "
@@ -348,13 +376,13 @@ def build_parser() -> argparse.ArgumentParser:
         "variants inject deterministic faults for testing)",
     )
     p.add_argument(
-        "--cell-retries", type=int, default=None, metavar="N",
+        "--cell-retries", type=_non_negative_int, default=None, metavar="N",
         help="retry each failing matrix cell up to N times (crash, "
         "timeout, and exception faults are classified and retried with "
         "decorrelated-jitter backoff; default: no retries)",
     )
     p.add_argument(
-        "--cell-timeout", type=float, default=None, metavar="SECONDS",
+        "--cell-timeout", type=_positive, default=None, metavar="SECONDS",
         help="per-cell wall-clock budget; stragglers past it are "
         "abandoned and retried (default: no timeout)",
     )
@@ -389,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", default="paldia",
                    choices=list(SCHEMES) + ["oracle"])
     p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=_duration, default=60.0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
         "--json", metavar="FILE", dest="json_out",
         help="write the repro.selfprof/1 JSON snapshot here "
@@ -548,10 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"(available: {', '.join(list(SCHEMES) + ['oracle'])})",
     )
     p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
-    p.add_argument("--duration", type=float, default=120.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--duration", type=_duration, default=120.0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
-        "--budget", type=float, metavar="DOLLARS", default=None,
+        "--budget", type=_positive, metavar="DOLLARS", default=None,
         help="dollar budget handed to the cost monitor (budget_alert "
         "events are counted per scheme)",
     )
@@ -849,9 +877,6 @@ def _write_experiment_prom(path: str) -> None:
 
 def _cmd_experiment(args) -> int:
     entry = get_experiment(args.experiment_id)
-    if args.cell_retries is not None and args.cell_retries < 0:
-        logger.error("--cell-retries must be non-negative")
-        return 2
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     previous = set_active_cache(cache)
     previous_exec = set_active_execution(_execution_settings(args))

@@ -29,7 +29,7 @@ suite holds them to it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -237,10 +237,6 @@ class CandidateTable:
     # ------------------------------------------------------------------
     # Vectorised selection (choose_best_HW on arrays)
     # ------------------------------------------------------------------
-    def feasible_mask(self, budget: float) -> np.ndarray:
-        """Boolean mask of candidates whose best T_max fits ``budget``."""
-        return self.least_t_max <= budget
-
     def choose_best_index(self, budget: float, slack: float) -> int:
         """Vectorised ``choose_best_HW``: cheapest candidate within
         ``slack`` of the most performant (see
@@ -487,24 +483,6 @@ class HardwareSelector:
         self._consts[hw.name] = entry
         return entry
 
-    def evaluate_pool(
-        self,
-        pool: list[HardwareSpec],
-        n_future: int,
-        current_hw: Optional[HardwareSpec] = None,
-        existing_fbr: float = 0.0,
-    ) -> CandidateTable:
-        """Columnar candidate scan: the whole pool solved as one
-        ``(candidates x y)`` grid (see
-        :func:`repro.core.model.optimal_split_batch`).
-
-        Residency (``existing_fbr``) only burdens the incumbent row — a
-        candidate we would switch to starts empty.  Results are memoised
-        on the exact solve inputs; repeated ticks under a steady rate are
-        dictionary lookups.
-        """
-        return self._table_entry(pool, n_future, current_hw, existing_fbr)[0]
-
     def _table_entry(
         self,
         pool: list[HardwareSpec],
@@ -512,10 +490,16 @@ class HardwareSelector:
         current_hw: Optional[HardwareSpec],
         existing_fbr: float,
     ) -> list:
-        """Cache entry ``[table, chosen_index_or_None]`` for one scan.
+        """Cache entry ``[table, chosen_index_or_None]`` for one columnar
+        candidate scan: the whole pool solved as one ``(candidates x y)``
+        grid (see :func:`repro.core.model.optimal_split_batch`).
 
-        The chosen index is filled in lazily by :meth:`tick` — budget and
-        slack are selector constants, so a table's verdict never changes."""
+        Residency (``existing_fbr``) only burdens the incumbent row — a
+        candidate we would switch to starts empty.  Entries are memoised
+        on the exact solve inputs, so repeated ticks under a steady rate
+        are dictionary lookups.  The chosen index is filled in lazily by
+        :meth:`tick` — budget and slack are selector constants, so a
+        table's verdict never changes."""
         contentions = tuple(
             max(1.0, self.contention_for(hw)) for hw in pool
         )

@@ -24,16 +24,15 @@ alike, preserving the comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from repro.analysis.stats import compliance_percent
 from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID
 from repro.framework.batching import DispatchWindow, carve_sizes, window_groups
 from repro.framework.request import Batch, ShareMode
 from repro.framework.slo import SLO
+from repro.framework.system import BATCH_WINDOW_SECONDS
 from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster, NodeInstance
@@ -52,6 +51,10 @@ __all__ = [
     "sweep_offline_hybrid",
     "MOTIVATION_SCHEMES",
 ]
+
+#: Extra sim time after the longest tenant trace ends, so in-flight
+#: work can finish.
+PINNED_DRAIN_GRACE_SECONDS = 20.0
 
 #: Fig 1's workload rates (mean rps of the Wiki trace driving each model).
 SENET_MEAN_RPS = 575.0
@@ -88,9 +91,7 @@ class PinnedColocationRun:
         hardware: HardwareSpec,
         profiles: Optional[ProfileService] = None,
         slo: Optional[SLO] = None,
-        batch_window_seconds: float = 0.075,
         seed: int = 0,
-        drain_grace_seconds: float = 20.0,
     ) -> None:
         if not tenants:
             raise ValueError("need at least one tenant")
@@ -98,8 +99,6 @@ class PinnedColocationRun:
         self.hardware = hardware
         self.profiles = profiles if profiles is not None else ProfileService()
         self.slo = slo if slo is not None else SLO()
-        self.batch_window_seconds = float(batch_window_seconds)
-        self.drain_grace_seconds = float(drain_grace_seconds)
         self.sim = Simulator()
         self.cluster = Cluster(
             self.sim, self.profiles.catalog, self.profiles.interference, seed=seed
@@ -120,10 +119,10 @@ class PinnedColocationRun:
             # Generous warm pool: enough containers for peak concurrency.
             peak = tenant.trace.peak_rps
             pool.add_warm(
-                max(4, math.ceil(peak * self.batch_window_seconds / batch_size) * 4)
+                max(4, math.ceil(peak * BATCH_WINDOW_SECONDS / batch_size) * 4)
             )
             for window in window_groups(
-                tenant.trace.arrivals, self.batch_window_seconds, tenant.model.max_batch
+                tenant.trace.arrivals, BATCH_WINDOW_SECONDS, tenant.model.max_batch
             ):
                 self.sim.schedule_at(
                     window.dispatch_at,
@@ -133,7 +132,7 @@ class PinnedColocationRun:
                     priority=10,
                 )
             self.metrics.record_offered(tenant.trace.n_requests)
-        self.sim.run(until=horizon + self.drain_grace_seconds)
+        self.sim.run(until=horizon + PINNED_DRAIN_GRACE_SECONDS)
         completed = self.metrics.completed_requests()
         self.metrics.record_unserved(
             max(0, self.metrics.total_requests_offered - completed)

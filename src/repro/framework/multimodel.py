@@ -21,7 +21,9 @@ from typing import Optional, Sequence
 
 from repro.baselines.base import Policy
 from repro.framework.slo import SLO
-from repro.framework.system import RunConfig, RunResult, ServerlessRun
+from repro.framework.system import (
+    DRAIN_GRACE_SECONDS, RunConfig, RunResult, ServerlessRun,
+)
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulator
@@ -114,7 +116,7 @@ class MultiModelRun:
             self._lanes[dep.model.name] = lane
             lane.arm()
         horizon = max(d.trace.duration for d in self.deployments)
-        self.sim.run(until=horizon + self.config.drain_grace_seconds)
+        self.sim.run(until=horizon + DRAIN_GRACE_SECONDS)
         per_model = {
             name: lane.finalize() for name, lane in self._lanes.items()
         }

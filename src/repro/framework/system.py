@@ -28,22 +28,20 @@ Every scheme runs through this same machinery; only the policy differs.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
-from itertools import islice
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.baselines.base import Policy, WindowPlan
+from repro.baselines.base import Policy
 from repro.core.autoscaler import Autoscaler, containers_for_split
 from repro.core.resilience import ResilienceConfig, ResilienceController
 from repro.framework.batching import DispatchWindow, WindowTable
 from repro.core.predictor import EWMAPredictor, RateTracker
 from repro.framework.request import Batch, ShareMode
 from repro.framework.slo import SLO
-from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalog
+from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
 from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec
 from repro.simulator.cluster import Cluster, NodeInstance
@@ -51,28 +49,28 @@ from repro.simulator.containers import AcquireTicket, ContainerPool
 from repro.simulator.engine import Simulator
 from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
-from repro.simulator.power import cluster_energy_joules, node_energy_joules
-from repro.telemetry.costmeter import CostBreakdown, CostBudgetMonitor, CostMeter
+from repro.simulator.power import node_energy_joules
 from repro.telemetry.observers import RunObservers
-from repro.telemetry.reqtrace import RequestTraceData, RequestTracer
-from repro.telemetry.slo_monitor import SLOMonitor
-from repro.telemetry.timeseries import StateSampler
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
 from repro.workloads.sebs import SebsColocator
 from repro.workloads.traces import Trace
 
+if TYPE_CHECKING:  # pragma: no cover - annotates RunResult only
+    from repro.telemetry.costmeter import CostBreakdown
+    from repro.telemetry.reqtrace import RequestTraceData
+
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
 
-#: Sim-time cadence of the SLO and cost budget monitors on traced runs.
-TELEMETRY_SAMPLE_INTERVAL_SECONDS = 1.0
-#: Windowed burn rate (violation rate / error budget) at which the SLO
-#: monitor emits a ``slo_alert`` event.
-SLO_BURN_RATE_THRESHOLD = 2.0
-#: Sliding-window width of the cost budget monitor's burn-rate estimate.
-COST_BUDGET_WINDOW_SECONDS = 30.0
-#: Size of the request tracer's always-kept tail reservoir.
-REQTRACE_TAIL_K = 64
+#: Gateway batching window.
+BATCH_WINDOW_SECONDS = 0.075
+#: Hardware-selection / rate-sampling cadence (Algorithm 1's ``W``).
+MONITOR_INTERVAL_SECONDS = 0.5
+#: Predictive-scaling cadence (~10 s).
+AUTOSCALE_INTERVAL_SECONDS = 10.0
+#: Extra simulated time after the trace ends so in-flight work can
+#: finish.
+DRAIN_GRACE_SECONDS = 30.0
 
 
 @dataclass(frozen=True)
@@ -81,17 +79,8 @@ class RunConfig:
 
     Attributes
     ----------
-    batch_window_seconds:
-        Gateway batching window.
-    monitor_interval_seconds:
-        Hardware-selection / rate-sampling cadence (Algorithm 1's ``W``).
-    autoscale_interval_seconds:
-        Predictive-scaling cadence (~10 s).
     keep_alive_seconds:
         Delayed-termination window (~10 min).
-    drain_grace_seconds:
-        Extra simulated time after the trace ends so in-flight work can
-        finish.
     warm_start:
         Start with the policy's initial node leased and containers warm.
     chaos:
@@ -140,16 +129,12 @@ class RunConfig:
         ``is None`` branch per hook site and stay bit-identical.
     reqtrace_sample:
         Fraction of batches retained in full (deterministic splitmix64
-        over ``(seed, batch_id)``); the :data:`REQTRACE_TAIL_K` worst
-        batches by first-arrival latency are always kept on top, so
-        worst-K forensics stay exact under sampling.
+        over ``(seed, batch_id)``); the request tracer's ``tail_k``
+        worst batches by first-arrival latency are always kept on top,
+        so worst-K forensics stay exact under sampling.
     """
 
-    batch_window_seconds: float = 0.075
-    monitor_interval_seconds: float = 0.5
-    autoscale_interval_seconds: float = 10.0
     keep_alive_seconds: float = 600.0
-    drain_grace_seconds: float = 30.0
     warm_start: bool = True
     chaos: Optional[ChaosSpec] = None
     resilience: Optional[ResilienceConfig] = None
@@ -275,7 +260,7 @@ class ServerlessRun:
         self.metrics = MetricsCollector()
         self._batch_ids = self.cluster.batch_ids
         self._completions = self.cluster.completions
-        self.tracker = RateTracker(self.config.monitor_interval_seconds)
+        self.tracker = RateTracker(MONITOR_INTERVAL_SECONDS)
         self.policy.bind_tracer(self.tracer)
         self.autoscaler = Autoscaler(
             model=model,
@@ -283,7 +268,7 @@ class ServerlessRun:
             predictor=getattr(policy, "predictor", EWMAPredictor()),
             slo_seconds=self.slo.target_seconds,
             keep_alive_seconds=self.config.keep_alive_seconds,
-            interval_seconds=self.config.autoscale_interval_seconds,
+            interval_seconds=AUTOSCALE_INTERVAL_SECONDS,
             tracer=self.tracer,
         )
 
@@ -335,9 +320,11 @@ class ServerlessRun:
                 self.cluster.spawn_delay_fn = self._chaos.cold_start_delay
         #: The run's telemetry pillars (tracer, cost meter, request
         #: tracer, SLO and budget monitors, time-series sampler) behind
-        #: one hook surface; built in ``_setup_telemetry`` only when
+        #: one hook surface; built by ``RunObservers.for_run`` only when
         #: tracing is enabled, so an untraced run keeps ``None``.
         self.obs: Optional[RunObservers] = None
+        #: Sim time at which the run stops: the trace plus drain grace.
+        self.horizon = trace.duration + DRAIN_GRACE_SECONDS
         self._executed = False
 
     # ------------------------------------------------------------------
@@ -348,10 +335,9 @@ class ServerlessRun:
         if self._executed:
             raise RuntimeError("a ServerlessRun can only execute once")
         self._executed = True
-        horizon = self.trace.duration + self.config.drain_grace_seconds
         wall_t0 = perf_counter()
         self._setup()
-        self.sim.run(until=horizon)
+        self.sim.run(until=self.horizon)
         result = self._finalize()
         result.wall_seconds = perf_counter() - wall_t0
         return result
@@ -377,7 +363,7 @@ class ServerlessRun:
     def _setup(self) -> None:
         cfg = self.config
         if self.tracer.enabled:
-            self._setup_telemetry()
+            self.obs = RunObservers.for_run(self)
         # Initial hardware, warm-started.
         hint = max(self.trace.rate_window(0.0, 10.0), 1.0)
         initial_hw = self.policy.initial_hardware(hint)
@@ -409,7 +395,7 @@ class ServerlessRun:
         # distinct timestamp.  Engine-queue traffic drops from O(windows)
         # events at setup to one live event.
         self._window_table = WindowTable.plan(
-            self.trace.arrivals, cfg.batch_window_seconds, max(1, chunk)
+            self.trace.arrivals, BATCH_WINDOW_SECONDS, max(1, chunk)
         )
         self._window_idx = 0
         if len(self._window_table):
@@ -420,9 +406,9 @@ class ServerlessRun:
             )
 
         # Monitor + autoscale loops.
-        self.sim.schedule(cfg.monitor_interval_seconds, self._monitor_tick, priority=20)
+        self.sim.schedule(MONITOR_INTERVAL_SECONDS, self._monitor_tick, priority=20)
         self.sim.schedule(
-            cfg.autoscale_interval_seconds, self._autoscale_tick, priority=20
+            AUTOSCALE_INTERVAL_SECONDS, self._autoscale_tick, priority=20
         )
 
         # Optional sensitivity-study machinery.
@@ -436,262 +422,6 @@ class ServerlessRun:
             )
             self._sebs.attach(self._current)
             self._sebs.start()
-
-    # ------------------------------------------------------------------
-    # Telemetry (only reached when the tracer is enabled)
-    # ------------------------------------------------------------------
-    def _setup_telemetry(self) -> None:
-        """Build the run's observer bundle and start the time-series
-        sampler and the monitor loop."""
-        cfg = self.config
-        self.tracer.meta.update(
-            {
-                "scheme": self.policy.name,
-                "model": self.model.name,
-                "slo_seconds": self.slo.target_seconds,
-                "trace_duration": self.trace.duration,
-                "n_requests": self.trace.n_requests,
-                "seed": cfg.seed,
-            }
-        )
-        self.tracer.metrics.histogram("request.latency_seconds")
-        log = self.metrics.log
-        self.tracer.attach(log)
-        obs = self.obs = RunObservers(self.tracer)
-        # This runs before the initial acquire, so the cluster's bundle
-        # sees every lease.  In a shared cluster the first traced lane
-        # installs its bundle; later lanes reuse its meter and request
-        # tracer (each lane's summary filters to its own node ids at
-        # finalize, and each registers its own model's SLO so verdicts
-        # stay per-model) but keep their own SLO monitor.  Every pillar
-        # reads the lane's batch log rather than hearing of each batch.
-        host = self.cluster.obs
-        if host is None:
-            host = self.cluster.obs = obs
-        if self.resilience is not None:
-            self.resilience.obs = obs
-        if cfg.slo_monitor_window_seconds > 0:
-            obs.slo_monitor = SLOMonitor(
-                slo_seconds=self.slo.target_seconds,
-                tracer=self.tracer,
-                window_seconds=cfg.slo_monitor_window_seconds,
-                compliance_goal=self.slo.compliance_goal,
-                burn_rate_threshold=SLO_BURN_RATE_THRESHOLD,
-            )
-            obs.slo_monitor.attach(log)
-        if cfg.cost_meter:
-            if host.costmeter is None:
-                host.costmeter = CostMeter()
-            obs.costmeter = host.costmeter
-            obs.costmeter.attach(log)
-            obs.cost_monitor = CostBudgetMonitor(
-                obs.costmeter,
-                tracer=self.tracer,
-                budget_dollars=cfg.cost_budget_dollars,
-                window_seconds=COST_BUDGET_WINDOW_SECONDS,
-                horizon_seconds=self.trace.duration + cfg.drain_grace_seconds,
-            )
-        if cfg.reqtrace:
-            if host.reqtrace is None:
-                host.reqtrace = RequestTracer(
-                    sample=cfg.reqtrace_sample, tail_k=REQTRACE_TAIL_K,
-                    seed=cfg.seed,
-                )
-            rt = obs.reqtrace = host.reqtrace
-            rt.register_model(self.model.name, self.slo.target_seconds)
-            rt.attach(log)
-            self.sim.add_run_end_hook(rt.on_run_end)
-        if cfg.timeseries_interval_seconds > 0:
-            self._setup_timeseries()
-        self.sim.schedule(
-            TELEMETRY_SAMPLE_INTERVAL_SECONDS, self._telemetry_tick, priority=90
-        )
-
-    def _setup_timeseries(self) -> None:
-        """Build the time-series :class:`StateSampler` and its probes.
-
-        Columns are fixed at start: the per-spec node columns cover the
-        whole catalog (NaN while a spec holds no live lease), so two runs
-        over the same catalog export alignable bundles regardless of
-        which hardware their policies visited.
-        """
-        cfg = self.config
-        obs = self.obs
-        catalog = self.profiles.catalog
-        hardware_codes = {spec.name: i for i, spec in enumerate(catalog)}
-        sampler = StateSampler(
-            cfg.timeseries_interval_seconds,
-            meta={
-                "scheme": self.policy.name,
-                "model": self.model.name,
-                "slo_seconds": self.slo.target_seconds,
-                "trace_duration": self.trace.duration,
-                "seed": cfg.seed,
-                "hardware_codes": hardware_codes,
-                "hardware_kinds": {s.name: s.kind for s in catalog},
-            },
-        )
-        sampler.observers.extend(self.tracer.timeseries_observers)
-
-        # Each reader below fills a group of columns from one read of the
-        # state they share, so a tick reads the serving node, the lane's
-        # live nodes and the SLO windows once each.
-        now = lambda: self.sim.now
-        # Offered vs. predicted rate (the Fig 9/11 x-axis pair).
-        predictor = getattr(self.policy, "predictor", None) or self.autoscaler.predictor
-        sampler.probes(
-            ("rate.offered", "rate.predicted"),
-            lambda: (
-                self.tracker.current_rate,
-                predictor.predict(now(), cfg.monitor_interval_seconds),
-            ),
-        )
-
-        # Which hardware is serving (numeric code; NaN during failover),
-        # the backlog shape, the serving node's container pool and its
-        # device's in-flight jobs (MPS co-runners vs. promoted temporal).
-        def serving() -> tuple:
-            pending = len(self._pending_windows)
-            node = self._current
-            if node is None or not node.available:
-                return (math.nan, math.nan, pending) + (math.nan,) * 8
-            device, pool = node.device, node.pool(self.model.name)
-            return (
-                hardware_codes[node.spec.name], device.queued_requests(),
-                pending, pool.n_warm_idle, pool.n_spawning, pool.n_busy,
-                pool.n_waiting, getattr(device, "n_active_spatial", 0),
-                getattr(device, "n_active_temporal", device.n_active),
-                getattr(device, "total_fbr", 0.0),
-                getattr(device, "mem_used_gb", 0.0),
-            )
-
-        sampler.probes(
-            ("hw.selected", "queue.device", "queue.pending_windows",
-             "pool.warm_idle", "pool.spawning", "pool.busy", "pool.waiting",
-             "jobs.active_spatial", "jobs.active_temporal", "gpu.total_fbr",
-             "gpu.mem_used_gb"),
-            serving,
-        )
-        sampler.probes(
-            ("autoscaler.predicted_rps", "autoscaler.pool_target"),
-            lambda: (self.autoscaler.last_prediction,
-                     self.autoscaler.last_pool_target),
-        )
-        # The lane's nodes, read once per tick: cold starts so far, and
-        # per-type occupancy / MPS co-run level across live leases (NaN
-        # for a type with none).  A released node's pools are terminated
-        # and get no more work, so its cold starts are settled once and
-        # only nodes still leased are read again.
-        column_of = {spec.name: 1 + 2 * i for i, spec in enumerate(catalog)}
-        unsettled: dict[int, NodeInstance] = {}
-        settled = seen = 0
-
-        def lane_nodes() -> list[float]:
-            nonlocal settled, seen
-            owned = self._owned
-            if len(owned) > seen:
-                unsettled.update(islice(owned.items(), seen, None))
-                seen = len(owned)
-            leased = self.cluster._active_leases
-            out = [math.nan] * (1 + 2 * len(column_of))
-            out[0] = settled
-            live: dict[str, list[NodeInstance]] = {}
-            released = []
-            for node_id, node in unsettled.items():
-                out[0] += node.cold_starts
-                if node_id in leased:
-                    live.setdefault(node.spec.name, []).append(node)
-                else:
-                    released.append(node_id)
-            for node_id in released:
-                settled += unsettled.pop(node_id).cold_starts
-            for name, nodes in live.items():
-                j = column_of.get(name)
-                if j is None:
-                    continue
-                occupancy = [node.occupancy for node in nodes]
-                co_run = [node.co_run_level for node in nodes]
-                out[j] = float(sum(occupancy)) / len(occupancy)
-                out[j + 1] = float(sum(co_run)) / len(co_run)
-            return out
-
-        sampler.probes(
-            ("cold_starts.total",) + tuple(
-                f"node.{name}.{attr}" for name in column_of
-                for attr in ("occupancy", "co_run")
-            ),
-            lane_nodes,
-        )
-
-        # Resilience layer (only when configured).
-        if self.resilience is not None:
-            res = self.resilience
-
-            def resilience() -> tuple:
-                counts = res.breaker_state_counts()
-                return (counts["open"], counts["half_open"],
-                        res.retries_scheduled, res.retries_abandoned,
-                        res.requests_shed, self.requests_dropped)
-
-            sampler.probes(
-                ("breaker.open", "breaker.half_open",
-                 "resilience.retries_scheduled", "resilience.retries_abandoned",
-                 "resilience.requests_shed", "resilience.requests_dropped"),
-                resilience,
-            )
-
-        # Live SLO burn rate and attainment (worst window) when the
-        # monitor exists; it is created just before this method runs.
-        mon = obs.slo_monitor
-        if mon is not None:
-            sampler.probes(("slo.burn_rate", "slo.attainment"),
-                           lambda: mon.worst(now()))
-
-        # Cumulative dollars + $/hour burn rate (cost pillar).
-        meter, budget_mon = obs.costmeter, obs.cost_monitor
-        if meter is not None:
-            sampler.probes(
-                ("cost.cumulative_dollars", "cost.burn_rate_per_hour",
-                 "cost.projected_dollars"),
-                lambda: (meter.spent(now()), budget_mon.burn_rate_per_hour,
-                         budget_mon.projected_dollars),
-            )
-
-        # Experiment result-cache counters (a process-level registry; flat
-        # zero outside experiment harness runs).  Only read when the
-        # experiments' cache module is already loaded: nothing can have
-        # counted a hit or a miss without loading it, and importing it
-        # would load the whole experiments package into every traced run.
-        def cache_counters() -> tuple:
-            cache = sys.modules.get("repro.experiments.cache")
-            if cache is None:
-                return (0.0, 0.0)
-            counter = cache.CACHE_METRICS.counter
-            return (counter("experiment_cache.hits").value,
-                    counter("experiment_cache.misses").value)
-
-        sampler.probes(("cache.hits", "cache.misses"), cache_counters)
-
-        sampler.start(
-            self.sim,
-            self.trace.duration + cfg.drain_grace_seconds,
-            priority=90,
-        )
-        obs.sampler = sampler
-        self.tracer.timeseries = sampler
-
-    def _telemetry_tick(self) -> None:
-        now = self.sim.now
-        obs = self.obs
-        for pillar in (obs.slo_monitor, obs.cost_monitor):
-            if pillar is not None:
-                pillar.sample(now)
-        if now < self.trace.duration + self.config.drain_grace_seconds:
-            self.sim.schedule(
-                TELEMETRY_SAMPLE_INTERVAL_SECONDS,
-                self._telemetry_tick,
-                priority=90,
-            )
 
     # ------------------------------------------------------------------
     # Dispatch path
@@ -956,9 +686,9 @@ class ServerlessRun:
                 )
                 if not (self._failed_specs and deescalating):
                     self._reconfigure(desired)
-        if now < self.trace.duration + self.config.drain_grace_seconds:
+        if now < self.horizon:
             self.sim.schedule(
-                self.config.monitor_interval_seconds, self._monitor_tick, priority=20
+                MONITOR_INTERVAL_SECONDS, self._monitor_tick, priority=20
             )
 
     def _is_available(self, hw: HardwareSpec) -> bool:
@@ -1098,9 +828,7 @@ class ServerlessRun:
             )
         if self.sim.now < self.trace.duration:
             self.sim.schedule(
-                self.config.autoscale_interval_seconds,
-                self._autoscale_tick,
-                priority=20,
+                AUTOSCALE_INTERVAL_SECONDS, self._autoscale_tick, priority=20
             )
 
     # ------------------------------------------------------------------

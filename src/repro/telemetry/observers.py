@@ -16,34 +16,46 @@ that log when it needs it — the SLO monitor per evaluation, the cost
 meter and request tracer at finalize, the batch spans and latency
 histogram at export.
 
-Adding a pillar means adding a field here and a line to each fact
-method it observes; no component outside ``telemetry/`` changes.
+:meth:`RunObservers.for_run` is the one place that wires a traced run:
+it decides which pillars the run has, how the lanes of a shared cluster
+share them, which state the time-series sampler reads and on what
+clock the monitors tick.  Adding a pillar means adding a field here, a
+line to ``for_run`` that builds it and a line to each fact method it
+observes; no component outside ``telemetry/`` changes.
 """
 
 from __future__ import annotations
 
+import math
+import sys
+from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
+
+from repro.telemetry.costmeter import CostBudgetMonitor, CostMeter
+from repro.telemetry.reqtrace import RequestTracer
+from repro.telemetry.slo_monitor import SLOMonitor
+from repro.telemetry.timeseries import StateSampler
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.framework.request import Batch
+    from repro.framework.system import ServerlessRun
     from repro.simulator.cluster import LeaseRecord, NodeInstance
     from repro.simulator.job import Job
-    from repro.telemetry.costmeter import CostBudgetMonitor, CostMeter
-    from repro.telemetry.reqtrace import RequestTracer
-    from repro.telemetry.slo_monitor import SLOMonitor
-    from repro.telemetry.timeseries import StateSampler
     from repro.telemetry.tracer import Tracer
 
-__all__ = ["RunObservers"]
+__all__ = ["RunObservers", "TELEMETRY_SAMPLE_INTERVAL_SECONDS"]
+
+#: Sim-time cadence of the SLO and cost budget monitors on traced runs.
+TELEMETRY_SAMPLE_INTERVAL_SECONDS = 1.0
 
 
 class RunObservers:
     """The telemetry pillars of one traced run, one method per fact.
 
     A bundle exists only when the run's :class:`Tracer` is enabled, so
-    ``tracer`` is always present; the other pillars are set by the
-    run's telemetry setup when enabled, and a fact skips the pillars
-    that are ``None``.  In a shared cluster the first traced lane's
+    ``tracer`` is always present; the other pillars are set by
+    :meth:`for_run` when enabled, and a fact skips the pillars that are
+    ``None``.  In a shared cluster the first traced lane's
     bundle is the cluster's: node, container and execution facts flow
     through it, while each lane reports its own batch, retry and
     breaker facts through its own bundle (which shares the cluster
@@ -61,6 +73,83 @@ class RunObservers:
         self.slo_monitor: Optional["SLOMonitor"] = None
         self.cost_monitor: Optional["CostBudgetMonitor"] = None
         self.sampler: Optional["StateSampler"] = None
+
+    @classmethod
+    def for_run(cls, run: "ServerlessRun") -> "RunObservers":
+        """Build the traced ``run``'s bundle and start its clocks.
+
+        The run calls this before its initial acquire, so the cluster's
+        bundle sees every lease.  In a shared cluster the first traced
+        lane installs its bundle; later lanes reuse its meter and
+        request tracer (each lane's summary filters to its own node ids
+        at finalize, and each registers its own model's SLO so verdicts
+        stay per-model) but keep their own SLO monitor.  Every pillar
+        reads the lane's batch log rather than hearing of each batch.
+        The time-series sampler starts before the monitor clock, which
+        fixes the order of their events at a shared instant.
+        """
+        cfg, tracer, sim, slo = run.config, run.tracer, run.sim, run.slo
+        tracer.meta.update(
+            {
+                "scheme": run.policy.name,
+                "model": run.model.name,
+                "slo_seconds": slo.target_seconds,
+                "trace_duration": run.trace.duration,
+                "n_requests": run.trace.n_requests,
+                "seed": cfg.seed,
+            }
+        )
+        tracer.metrics.histogram("request.latency_seconds")
+        log = run.metrics.log
+        tracer.attach(log)
+        obs = cls(tracer)
+        host = run.cluster.obs
+        if host is None:
+            host = run.cluster.obs = obs
+        if run.resilience is not None:
+            run.resilience.obs = obs
+        if cfg.slo_monitor_window_seconds > 0:
+            obs.slo_monitor = SLOMonitor(
+                slo_seconds=slo.target_seconds,
+                tracer=tracer,
+                window_seconds=cfg.slo_monitor_window_seconds,
+                compliance_goal=slo.compliance_goal,
+            )
+            obs.slo_monitor.attach(log)
+        if cfg.cost_meter:
+            if host.costmeter is None:
+                host.costmeter = CostMeter()
+            obs.costmeter = host.costmeter
+            obs.costmeter.attach(log)
+            obs.cost_monitor = CostBudgetMonitor(
+                obs.costmeter,
+                tracer=tracer,
+                budget_dollars=cfg.cost_budget_dollars,
+                horizon_seconds=run.horizon,
+            )
+        if cfg.reqtrace:
+            if host.reqtrace is None:
+                host.reqtrace = RequestTracer(
+                    sample=cfg.reqtrace_sample, seed=cfg.seed
+                )
+            rt = obs.reqtrace = host.reqtrace
+            rt.register_model(run.model.name, slo.target_seconds)
+            rt.attach(log)
+            sim.add_run_end_hook(rt.on_run_end)
+        if cfg.timeseries_interval_seconds > 0:
+            obs.sampler = tracer.timeseries = _start_sampler(run, obs)
+        monitors = [
+            m for m in (obs.slo_monitor, obs.cost_monitor) if m is not None
+        ]
+
+        def tick() -> None:
+            now = sim.now
+            for monitor in monitors:
+                monitor.sample(now)
+
+        sim.every(TELEMETRY_SAMPLE_INTERVAL_SECONDS, tick, until=run.horizon,
+                  priority=90)
+        return obs
 
     # ------------------------------------------------------------------
     # Cluster, containers, devices
@@ -201,3 +290,171 @@ class RunObservers:
         if breakdown is not None:
             self.tracer.meta["cost_buckets"] = dict(breakdown.bucket_dollars)
         return breakdown, data, alerts
+
+
+def _start_sampler(run: "ServerlessRun", obs: RunObservers) -> StateSampler:
+    """Build the run's time-series :class:`StateSampler`, register its
+    probes and start it on the run's clock.
+
+    Columns are fixed at start: the per-spec node columns cover the
+    whole catalog (NaN while a spec holds no live lease), so two runs
+    over the same catalog export alignable bundles regardless of which
+    hardware their policies visited.
+    """
+    cfg, sim, model = run.config, run.sim, run.model
+    catalog = run.profiles.catalog
+    hardware_codes = {spec.name: i for i, spec in enumerate(catalog)}
+    sampler = StateSampler(
+        cfg.timeseries_interval_seconds,
+        meta={
+            "scheme": run.policy.name,
+            "model": model.name,
+            "slo_seconds": run.slo.target_seconds,
+            "trace_duration": run.trace.duration,
+            "seed": cfg.seed,
+            "hardware_codes": hardware_codes,
+            "hardware_kinds": {s.name: s.kind for s in catalog},
+        },
+    )
+    sampler.observers.extend(run.tracer.timeseries_observers)
+
+    # Each reader below fills a group of columns from one read of the
+    # state they share, so a tick reads the serving node, the lane's
+    # live nodes and the SLO windows once each.
+    now = lambda: sim.now
+    # Offered vs. predicted rate (the Fig 9/11 x-axis pair).
+    tracker, autoscaler = run.tracker, run.autoscaler
+    predictor = getattr(run.policy, "predictor", None) or autoscaler.predictor
+    sampler.probes(
+        ("rate.offered", "rate.predicted"),
+        lambda: (
+            tracker.current_rate,
+            predictor.predict(now(), tracker.window_seconds),
+        ),
+    )
+
+    # Which hardware is serving (numeric code; NaN during failover),
+    # the backlog shape, the serving node's container pool and its
+    # device's in-flight jobs (MPS co-runners vs. promoted temporal).
+    def serving() -> tuple:
+        pending = len(run._pending_windows)
+        node = run._current
+        if node is None or not node.available:
+            return (math.nan, math.nan, pending) + (math.nan,) * 8
+        device, pool = node.device, node.pool(model.name)
+        return (
+            hardware_codes[node.spec.name], device.queued_requests(),
+            pending, pool.n_warm_idle, pool.n_spawning, pool.n_busy,
+            pool.n_waiting, getattr(device, "n_active_spatial", 0),
+            getattr(device, "n_active_temporal", device.n_active),
+            getattr(device, "total_fbr", 0.0),
+            getattr(device, "mem_used_gb", 0.0),
+        )
+
+    sampler.probes(
+        ("hw.selected", "queue.device", "queue.pending_windows",
+         "pool.warm_idle", "pool.spawning", "pool.busy", "pool.waiting",
+         "jobs.active_spatial", "jobs.active_temporal", "gpu.total_fbr",
+         "gpu.mem_used_gb"),
+        serving,
+    )
+    sampler.probes(
+        ("autoscaler.predicted_rps", "autoscaler.pool_target"),
+        lambda: (autoscaler.last_prediction, autoscaler.last_pool_target),
+    )
+    # The lane's nodes, read once per tick: cold starts so far, and
+    # per-type occupancy / MPS co-run level across live leases (NaN
+    # for a type with none).  A released node's pools are terminated
+    # and get no more work, so its cold starts are settled once and
+    # only nodes still leased are read again.
+    column_of = {spec.name: 1 + 2 * i for i, spec in enumerate(catalog)}
+    unsettled: dict[int, NodeInstance] = {}
+    settled = seen = 0
+
+    def lane_nodes() -> list[float]:
+        nonlocal settled, seen
+        owned = run._owned
+        if len(owned) > seen:
+            unsettled.update(islice(owned.items(), seen, None))
+            seen = len(owned)
+        leased = run.cluster._active_leases
+        out = [math.nan] * (1 + 2 * len(column_of))
+        out[0] = settled
+        live: dict[str, list[NodeInstance]] = {}
+        released = []
+        for node_id, node in unsettled.items():
+            out[0] += node.cold_starts
+            if node_id in leased:
+                live.setdefault(node.spec.name, []).append(node)
+            else:
+                released.append(node_id)
+        for node_id in released:
+            settled += unsettled.pop(node_id).cold_starts
+        for name, nodes in live.items():
+            j = column_of.get(name)
+            if j is None:
+                continue
+            occupancy = [node.occupancy for node in nodes]
+            co_run = [node.co_run_level for node in nodes]
+            out[j] = float(sum(occupancy)) / len(occupancy)
+            out[j + 1] = float(sum(co_run)) / len(co_run)
+        return out
+
+    sampler.probes(
+        ("cold_starts.total",) + tuple(
+            f"node.{name}.{attr}" for name in column_of
+            for attr in ("occupancy", "co_run")
+        ),
+        lane_nodes,
+    )
+
+    # Resilience layer (only when configured).
+    res = run.resilience
+    if res is not None:
+        def resilience() -> tuple:
+            counts = res.breaker_state_counts()
+            return (counts["open"], counts["half_open"],
+                    res.retries_scheduled, res.retries_abandoned,
+                    res.requests_shed, run.requests_dropped)
+
+        sampler.probes(
+            ("breaker.open", "breaker.half_open",
+             "resilience.retries_scheduled", "resilience.retries_abandoned",
+             "resilience.requests_shed", "resilience.requests_dropped"),
+            resilience,
+        )
+
+    # Live SLO burn rate and attainment (worst window) when the monitor
+    # exists.
+    mon = obs.slo_monitor
+    if mon is not None:
+        sampler.probes(("slo.burn_rate", "slo.attainment"),
+                       lambda: mon.worst(now()))
+
+    # Cumulative dollars + $/hour burn rate (cost pillar).
+    meter, budget_mon = obs.costmeter, obs.cost_monitor
+    if meter is not None:
+        sampler.probes(
+            ("cost.cumulative_dollars", "cost.burn_rate_per_hour",
+             "cost.projected_dollars"),
+            lambda: (meter.spent(now()), budget_mon.burn_rate_per_hour,
+                     budget_mon.projected_dollars),
+        )
+
+    # Experiment result-cache counters (a process-level registry; flat
+    # zero outside experiment harness runs).  Only read when the
+    # experiments' cache module is already loaded: nothing can have
+    # counted a hit or a miss without loading it, and importing it
+    # would load the whole experiments package into every traced run.
+    def cache_counters() -> tuple:
+        cache = sys.modules.get("repro.experiments.cache")
+        if cache is None:
+            return (0.0, 0.0)
+        counter = cache.CACHE_METRICS.counter
+        return (counter("experiment_cache.hits").value,
+                counter("experiment_cache.misses").value)
+
+    sampler.probes(("cache.hits", "cache.misses"), cache_counters)
+
+    sampler.start(sim, run.horizon, priority=90)
+    return sampler

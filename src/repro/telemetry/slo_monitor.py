@@ -17,8 +17,8 @@ decisions that caused it, not only in a post-mortem aggregate.  Alerts
 are edge-triggered per key: a window that stays bad fires once.
 
 The monitor is a pure observer: it never touches the control plane, and
-it only exists when tracing is enabled (the framework constructs it in
-``_setup_telemetry``), so a run without it is bit-identical.  It is not
+it only exists when tracing is enabled (``RunObservers.for_run``
+constructs it), so a run without it is bit-identical.  It is not
 called per batch either: every evaluation first reads the batches the
 lane's batch log (:class:`~repro.simulator.metrics.BatchLog`) completed
 since the previous one, so a tick costs a few array operations whatever

@@ -304,3 +304,54 @@ class TestTraceDiff:
         assert args.baseline == "a.jsonl"
         assert args.candidate == "b.jsonl"
         assert args.slo == pytest.approx(300.0)
+
+
+#: One malformed numeric flag per row: the command line, and the flag
+#: argparse must name.
+MALFORMED_FLAGS = [
+    (["run", "resnet50", "--reqtrace", "--reqtrace-sample", "2"],
+     "--reqtrace-sample"),
+    (["run", "resnet50", "--reqtrace-sample", "-0.1"], "--reqtrace-sample"),
+    (["run", "resnet50", "--budget", "0"], "--budget"),
+    (["run", "resnet50", "--budget", "-1"], "--budget"),
+    (["cost-report", "resnet50", "--budget", "-1"], "--budget"),
+    (["run", "resnet50", "--duration", "0"], "--duration"),
+    (["run", "resnet50", "--duration", "-1"], "--duration"),
+    (["run", "resnet50", "--duration", "nan"], "--duration"),
+    (["run", "resnet50", "--duration", "inf"], "--duration"),
+    (["compare", "resnet50", "--duration", "-1"], "--duration"),
+    (["profile", "resnet50", "--duration", "0"], "--duration"),
+    (["cost-report", "resnet50", "--duration", "0"], "--duration"),
+    (["experiment", "fig3", "--duration", "-5"], "--duration"),
+    (["run", "resnet50", "--seed", "-1"], "--seed"),
+    (["compare", "resnet50", "--seed", "-1"], "--seed"),
+    (["profile", "resnet50", "--seed", "-1"], "--seed"),
+    (["cost-report", "resnet50", "--seed", "-1"], "--seed"),
+    (["experiment", "fig3", "--seed", "-1"], "--seed"),
+    (["experiment", "fig3", "--repetitions", "0"], "--repetitions"),
+    (["experiment", "fig3", "--cell-retries", "-1"], "--cell-retries"),
+    (["experiment", "fig3", "--cell-timeout", "0"], "--cell-timeout"),
+    (["run", "resnet50", "--duration", "soon"], "--duration"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", MALFORMED_FLAGS,
+    ids=[f"{argv[0]}{flag}={argv[-1]}" for argv, flag in MALFORMED_FLAGS],
+)
+def test_malformed_numeric_flag_is_one_usage_line(argv, flag, capsys,
+                                                  monkeypatch):
+    import repro.cli
+
+    started = []
+    for handler in ("_cmd_run", "_cmd_compare", "_cmd_profile",
+                    "_cmd_cost_report", "_cmd_experiment"):
+        monkeypatch.setattr(repro.cli, handler,
+                            lambda args, name=handler: started.append(name))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert started == []

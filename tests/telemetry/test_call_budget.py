@@ -15,7 +15,7 @@ from pathlib import Path
 import repro.telemetry
 from repro.core.paldia import PaldiaPolicy
 from repro.framework.slo import SLO
-from repro.framework.system import RunConfig, ServerlessRun
+from repro.framework.system import DRAIN_GRACE_SECONDS, RunConfig, ServerlessRun
 from repro.hardware.profiles import ProfileService
 from repro.telemetry import Tracer
 from repro.workloads.models import get_model
@@ -46,7 +46,7 @@ def test_telemetry_calls_per_completed_batch():
 
     sys.setprofile(profiler)
     try:
-        run.sim.run(until=trace.duration + config.drain_grace_seconds)
+        run.sim.run(until=trace.duration + DRAIN_GRACE_SECONDS)
     finally:
         sys.setprofile(None)
     run.finalize()

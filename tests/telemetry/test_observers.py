@@ -5,9 +5,11 @@ telemetry pillars.  These tests pin its fan-out, the shared-cluster
 rule (the first traced lane's bundle is the cluster's; later lanes
 reuse its meter and request tracer), that both drop paths reach the
 request trace, and the seam itself: no simulator or core module names
-a pillar, and no module the self-profiler frames names the profiler.
+a pillar, no framework module builds one, and no module the
+self-profiler frames names the profiler.
 """
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -17,7 +19,7 @@ import pytest
 import repro
 from repro.core.paldia import PaldiaPolicy
 from repro.core.resilience import BreakerPolicy, CircuitBreaker, ResilienceConfig
-from repro.framework.system import RunConfig, ServerlessRun
+from repro.framework.system import DRAIN_GRACE_SECONDS, RunConfig, ServerlessRun
 from repro.simulator.chaos import ChaosSpec, StochasticCrashes
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulator
@@ -86,7 +88,7 @@ def test_shared_cluster_lanes_share_meter_and_request_tracer(profiles, slo):
         ))
     for lane in lanes:
         lane.arm()
-    sim.run(until=60.0 + config.drain_grace_seconds)
+    sim.run(until=60.0 + DRAIN_GRACE_SECONDS)
     results = [lane.finalize() for lane in lanes]
     first, second = (lane.obs for lane in lanes)
     assert cluster.obs is first
@@ -137,6 +139,31 @@ def test_pillars_stay_behind_the_observer_seam(package):
         for lineno, line in enumerate(path.read_text().splitlines(), 1)
         if PILLAR_NAMES.search(line)
     ]
+    assert hits == []
+
+
+PILLAR_CLASSES = {"CostMeter", "CostBudgetMonitor", "RequestTracer",
+                  "SLOMonitor", "StateSampler"}
+
+
+def test_framework_builds_no_pillar():
+    # Which pillars a traced run has, how lanes share them and on what
+    # clock they tick is decided by ``RunObservers.for_run``; the
+    # framework only asks for the bundle.  Only imports and calls count,
+    # so docstring cross-references to a pillar stay allowed.
+    root = Path(repro.__file__).parent / "framework"
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+            elif isinstance(node, ast.Call):
+                names = {getattr(node.func, "id", None),
+                         getattr(node.func, "attr", None)}
+            else:
+                continue
+            if names & PILLAR_CLASSES:
+                hits.append(f"{path.relative_to(root.parent)}:{node.lineno}")
     assert hits == []
 
 

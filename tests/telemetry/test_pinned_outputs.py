@@ -77,6 +77,7 @@ def _faults_run():
 def _lanes_run():
     from repro import PaldiaPolicy, ProfileService, RunConfig, SLO
     from repro import ServerlessRun, get_model
+    from repro.framework.system import DRAIN_GRACE_SECONDS
     from repro.simulator.cluster import Cluster
     from repro.simulator.engine import Simulator
     from repro.telemetry.tracer import Tracer
@@ -97,7 +98,7 @@ def _lanes_run():
         ))
     for lane in lanes:
         lane.arm()
-    sim.run(until=60.0 + config.drain_grace_seconds)
+    sim.run(until=60.0 + DRAIN_GRACE_SECONDS)
     return [(lane, lane.finalize()) for lane in lanes]
 
 
