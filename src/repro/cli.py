@@ -238,6 +238,9 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _checked(float, lambda v: v > 0, "positive")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_slo_ms = _checked(float, lambda v: 0 < v < math.inf,
+                   "a positive finite number of milliseconds")
+_panel_width = _checked(int, lambda v: v >= 8, "an integer >= 8")  # renderer's floor
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="show one request's causal waterfall by request id",
     )
     p.add_argument(
-        "--worst", type=int, metavar="K", default=10,
+        "--worst", type=_positive_int, metavar="K", default=10,
         help="worst-K requests to show full waterfalls for "
         "(default: 10; ignored with --request)",
     )
@@ -492,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="render panels from a saved time-series bundle",
     )
     p.add_argument("bundle", help="bundle written by run --timeseries-out")
-    p.add_argument("--width", type=int, default=72,
+    p.add_argument("--width", type=_panel_width, default=72,
                    help="panel width in characters")
     p.add_argument(
         "--svg", metavar="FILE", dest="svg_out",
@@ -539,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("trace_file")
     p.add_argument(
-        "--slo", type=float, metavar="MS", default=None,
+        "--slo", type=_slo_ms, metavar="MS", default=None,
         help="SLO deadline in milliseconds (default: the trace's own)",
     )
     p.add_argument(
@@ -561,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("baseline")
     p.add_argument("candidate")
     p.add_argument(
-        "--slo", type=float, metavar="MS", default=None,
+        "--slo", type=_slo_ms, metavar="MS", default=None,
         help="SLO deadline in milliseconds (default: baseline trace's own)",
     )
 

@@ -90,6 +90,8 @@ class Autoscaler:
     def reactive(self, pool: ContainerPool, n_containers: int) -> int:
         """Ensure the pool can serve a dispatch needing ``n_containers``;
         returns the number of cold starts initiated."""
+        if pool.n_total >= n_containers:
+            return 0  # ``ensure`` would spawn nothing
         spawned = pool.ensure(n_containers)
         if spawned and self.tracer.enabled:
             self.tracer.event(

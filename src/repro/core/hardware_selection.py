@@ -124,6 +124,11 @@ def _choose_best_generic(rows, t_of, cost_of, budget: float, slack: float):
     return min(pool, key=lambda r: (cost_of(r), t_of(r)))
 
 
+def _no_contention(hw: HardwareSpec) -> float:
+    """The default contention hook: the paper's model, no inflation."""
+    return 1.0
+
+
 def _lexmin_index(primary: np.ndarray, secondary: np.ndarray) -> int:
     """First index minimising ``(primary, secondary)`` lexicographically —
     the vectorised twin of ``min(rows, key=lambda r: (p(r), s(r)))``,
@@ -392,7 +397,7 @@ class HardwareSelector:
         #: Host-contention inflation per candidate (>= 1).  The default —
         #: no inflation — is the paper's model; the contention-aware
         #: extension (its stated future work) plugs in live estimates.
-        self.contention_for: Callable[[HardwareSpec], float] = lambda hw: 1.0
+        self.contention_for: Callable[[HardwareSpec], float] = _no_contention
         self._wait_ctr = 0
         self.switches_requested = 0
         #: Decision-audit sink; every tick emits a
@@ -411,6 +416,8 @@ class HardwareSelector:
         #: only burdens the incumbent, so the other rows survive every
         #: ``existing_fbr`` variation.
         self._row_cache: dict[tuple, tuple] = {}
+        #: ``get_HW_pool``'s profiled table for this model, resolved once.
+        self._hw_pool = profiles.hw_pool_table(model, self.slo_seconds)
 
     # ------------------------------------------------------------------
     # Candidate evaluation (the par_for body of Algorithm 1)
@@ -500,17 +507,16 @@ class HardwareSelector:
         are dictionary lookups.  The chosen index is filled in lazily by
         :meth:`tick` — budget and slack are selector constants, so a
         table's verdict never changes."""
-        contentions = tuple(
-            max(1.0, self.contention_for(hw)) for hw in pool
-        )
         inc = current_hw.name if current_hw is not None else None
-        key = (
-            tuple(hw.name for hw in pool),
-            n_future,
-            inc,
-            existing_fbr,
-            contentions,
-        )
+        key = [hw.name for hw in pool]
+        contention_for = self.contention_for
+        if contention_for is _no_contention:
+            contentions = None
+        else:
+            contentions = [max(1.0, contention_for(hw)) for hw in pool]
+            key += contentions
+        key += (n_future, inc, existing_fbr)
+        key = tuple(key)
         cached = self._table_cache.get(key)
         if cached is not None:
             return cached
@@ -525,6 +531,8 @@ class HardwareSelector:
 
         row_cache = self._row_cache
         unsolved: list[int] = []
+        if contentions is None:
+            contentions = [1.0] * c
         for i, hw in enumerate(pool):
             batch, solo_base, _fbr, _mc, _ss, _price = consts[i]
             if batch == 0:
@@ -644,20 +652,18 @@ class HardwareSelector:
         effective_rate = rate + max(0, backlog) / max(
             self.lookahead_seconds, 1e-9
         )
+        is_available = self.is_available
         pool = [
-            hw
-            for hw in self.profiles.get_hw_pool(
-                self.model, effective_rate, self.slo_seconds
-            )
-            if self.is_available(hw)
+            hw for hw in self._hw_pool.admit(effective_rate)
+            if is_available(hw)
         ]
         if not pool:
-            pool = [hw for hw in self.profiles.catalog.by_cost() if self.is_available(hw)]
+            pool = [hw for hw in self.profiles.catalog.by_cost() if is_available(hw)]
         if not pool:
             raise RuntimeError("no available hardware in the catalog")
-        if current_hw is not None and all(
-            hw.name != current_hw.name for hw in pool
-        ):
+        if current_hw is not None and current_hw.name not in [
+            hw.name for hw in pool
+        ]:
             # Keep the incumbent in the comparison: its (in)feasibility is
             # what emergency escalation is judged against.
             pool.append(current_hw)
@@ -737,9 +743,6 @@ class HardwareSelector:
         if switch:
             self._wait_ctr = 0
             self.switches_requested += 1
-        return SelectionOutcome(
-            chosen=chosen,
-            table=table,
-            switch_requested=switch,
-            predicted_rps=rate,
-        )
+        # Positional arguments (chosen, table, switch_requested,
+        # predicted_rps): keywords cost more once per tick.
+        return SelectionOutcome(chosen, table, switch, rate)

@@ -41,6 +41,7 @@ PHASES: tuple[str, ...] = (
 )
 
 _batch_ids = itertools.count()
+_FLOAT64 = np.dtype(np.float64)
 
 
 def new_batch_id() -> int:
@@ -154,9 +155,12 @@ class Batch:
     retries: int = 0
 
     def __post_init__(self) -> None:
-        self.arrivals = np.asarray(self.arrivals, dtype=np.float64)
-        if self.arrivals.ndim != 1 or self.arrivals.size == 0:
-            raise ValueError("a batch needs a 1-D, non-empty arrivals array")
+        a = self.arrivals  # a non-empty 1-D float64 ndarray is kept as is
+        if (type(a) is not np.ndarray or a.dtype is not _FLOAT64
+                or a.ndim != 1 or a.size == 0):
+            a = self.arrivals = np.asarray(a, dtype=np.float64)
+            if a.ndim != 1 or a.size == 0:
+                raise ValueError("a batch needs a 1-D, non-empty arrivals array")
 
     @property
     def size(self) -> int:

@@ -39,7 +39,7 @@ from repro.core.autoscaler import Autoscaler, containers_for_split
 from repro.core.resilience import ResilienceConfig, ResilienceController
 from repro.framework.batching import DispatchWindow, WindowTable
 from repro.core.predictor import EWMAPredictor, RateTracker
-from repro.framework.request import Batch, ShareMode
+from repro.framework.request import Batch, BatchBreakdown, ShareMode
 from repro.framework.slo import SLO
 from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
@@ -286,6 +286,10 @@ class ServerlessRun:
         self._submit_consts: dict[tuple[str, int], tuple[float, float, float]] = {}
         #: Per node id, the (on_complete, on_evict) hooks of its jobs.
         self._job_hooks: dict[int, tuple] = {}
+        #: ``containers_for_split`` per (spatial requests, batch, temporal?).
+        self._reactive_need: dict[tuple[int, int, bool], int] = {}
+        #: The policy's host-contention feedback hook, if it has one.
+        self._observe_contention = getattr(policy, "observe_contention", None)
         self.n_switches = 0
         self.switch_log: list[tuple[float, str, str]] = []
         #: The nodes this run leased by node_id, in acquisition order (in
@@ -436,20 +440,22 @@ class ServerlessRun:
         its slice of the table's arrival column; only a window that must
         wait for a node becomes a :class:`DispatchWindow`."""
         table = self._window_table
+        # ``.item`` reads Python scalars (as lists the table would be big).
         dispatch_at, starts, ends = table.dispatch_at, table.starts, table.ends
         arrivals = table.arrivals
         metrics, tracker = self.metrics, self.tracker
         i = self._window_idx
         n = len(dispatch_at)
-        t = dispatch_at[i]
-        while i < n and dispatch_at[i] == t:
-            window = arrivals[starts[i]:ends[i]]
-            metrics.record_offered(window.size)
-            tracker.count(window.size)
+        t = dispatch_at.item(i)
+        while i < n and dispatch_at.item(i) == t:
+            window = arrivals[starts.item(i):ends.item(i)]
+            size = window.size
+            metrics.record_offered(size)
+            tracker.count(size)
             node = self._current
             if node is None or not node.available:
                 self._pending_windows.append(
-                    DispatchWindow(dispatch_at=float(t), arrivals=window)
+                    DispatchWindow(dispatch_at=t, arrivals=window)
                 )
             else:
                 self._dispatch(window, node)
@@ -457,12 +463,8 @@ class ServerlessRun:
         self._window_idx = i
         if i < n:
             self.sim.schedule_at(
-                float(dispatch_at[i]), self._pump_windows, priority=10
+                dispatch_at.item(i), self._pump_windows, priority=10
             )
-
-    def _existing_fbr(self, node: NodeInstance) -> float:
-        device = node.device
-        return getattr(device, "total_fbr", 0.0)
 
     def _backlog(self, node: NodeInstance) -> int:
         """Requests queued at the node (device queues + container waits)."""
@@ -500,39 +502,40 @@ class ServerlessRun:
             self._chaos is not None and self._chaos.mps_down
         ) or (degraded and res.config.degrade_force_temporal)
         cap = res.config.degraded_batch_cap if degraded else None
-        spec = node.spec
+        spec, device, policy = node.spec, node.device, self.policy
         n = arrivals.size
-        plan = self.policy.plan_window(
-            n, spec, self._existing_fbr(node), now,
-            existing_queue=node.device.queued_requests(),
+        plan = policy.plan_window(
+            n, spec, device.total_fbr if spec.is_gpu else 0.0, now,
+            existing_queue=device.queued_requests(),
         )
         pool = node.pool(self.model.name)
         # Reactive scale-up: one container per spatial batch (+1 temporal).
-        self.autoscaler.reactive(
-            pool,
-            containers_for_split(
-                plan.n - plan.y,
-                max(1, self.policy.batch_size_on(spec)),
-                has_temporal=plan.has_temporal,
-            ),
-        )
+        key = (plan.n - plan.y, policy.batch_size_on(spec), plan.has_temporal)
+        need = self._reactive_need.get(key)
+        if need is None:
+            need = self._reactive_need[key] = containers_for_split(
+                key[0], max(1, key[1]), has_temporal=key[2]
+            )
+        self.autoscaler.reactive(pool, need)
+        model, batch_ids = self.model, self._batch_ids
         offset = 0
         for planned in plan.batches:
             end = offset + planned.size
             mode = ShareMode.TEMPORAL if force_temporal else planned.mode
             step = planned.size if cap is None else min(cap, planned.size)
             for lo in range(offset, end, step):
+                # Positional arguments: keywords cost a third more here.
                 batch = Batch(
-                    model=self.model,
-                    arrivals=arrivals[lo : min(lo + step, end)],
-                    dispatched_at=now,
-                    mode=mode,
-                    batch_id=next(self._batch_ids),
+                    model, arrivals[lo : min(lo + step, end)], now, mode,
+                    next(batch_ids),
+                    BatchBreakdown(max(0.0, now - arrivals.item(lo))),
                 )
-                batch.breakdown.batching_wait = max(
-                    0.0, now - batch.first_arrival
-                )
-                self._acquire_and_submit(batch, node, pool)
+                if not pool.take_warm():
+                    self._acquire_and_submit(batch, node, pool)
+                elif node.available:
+                    self._submit(batch, node, pool)
+                else:
+                    self._handle_failed_batch(batch)
             offset = end
         if offset != n:  # pragma: no cover - plan invariant
             raise RuntimeError(
@@ -597,15 +600,15 @@ class ServerlessRun:
         self, batch: Batch, node: NodeInstance, pool: ContainerPool
     ) -> None:
         spec = node.spec
-        consts = self._submit_consts.get((spec.name, batch.size))
+        size = batch.arrivals.size
+        consts = self._submit_consts.get((spec.name, size))
         if consts is None:
             consts = (
-                self.profiles.solo_time(self.model, spec, batch.size),
+                self.profiles.solo_time(self.model, spec, size),
                 self.profiles.fbr(self.model, spec) if spec.is_gpu else 0.0,
-                self.model.mem_gb_per_batch
-                * (batch.size / self.model.max_batch),
+                self.model.mem_gb_per_batch * (size / self.model.max_batch),
             )
-            self._submit_consts[(spec.name, batch.size)] = consts
+            self._submit_consts[(spec.name, size)] = consts
         solo, fbr, mem = consts
         hooks = self._job_hooks.get(node.node_id)
         if hooks is None:
@@ -614,17 +617,10 @@ class ServerlessRun:
         slowdown = (
             self._chaos.slowdown_factor if self._chaos is not None else 1.0
         )
+        # Positional arguments, in field order (keywords cost more).
         node.device.submit(
-            Job(
-                batch=batch,
-                solo_time=solo,
-                fbr=fbr,
-                mem_gb=mem,
-                mode=batch.mode,
-                on_complete=on_complete,
-                on_evict=on_evict,
-                slowdown=slowdown,
-            )
+            Job(batch, solo, fbr, mem, batch.mode, on_complete, on_evict,
+                slowdown)
         )
 
     def _hooks_for(self, node: NodeInstance, pool: ContainerPool) -> tuple:
@@ -656,12 +652,14 @@ class ServerlessRun:
         now = self.sim.now
         rate = self.tracker.sample(now)
         self.policy.observe_rate(rate, now)
-        if self._current is not None and hasattr(self.policy, "observe_contention"):
-            self.policy.observe_contention(
+        if self._current is not None and self._observe_contention is not None:
+            self._observe_contention(
                 self._current.device.contention_factor, self._current.spec
             )
-        self._release_drained()
-        if self._current is not None and self._current.available:
+        if self._draining:
+            self._release_drained()
+        current = self._current
+        if current is not None and current.available:
             # While a reconfiguration is in flight the in-flight target is
             # what the policy's choice is compared against, so a surge that
             # outgrows the node being procured re-targets immediately
@@ -669,11 +667,12 @@ class ServerlessRun:
             reference = (
                 self._reconfig_target
                 if self._reconfig_target is not None
-                else self._current.spec
+                else current.spec
             )
             desired = self.policy.desired_hardware(
-                now, reference, self._existing_fbr(self._current),
-                backlog_requests=self._backlog(self._current),
+                now, reference,
+                current.device.total_fbr if current.spec.is_gpu else 0.0,
+                backlog_requests=self._backlog(current),
                 is_available=self._is_available,
             )
             if desired is not None and desired.name != reference.name:
@@ -681,9 +680,7 @@ class ServerlessRun:
                 # active, every scheme is modified to hold "the more
                 # performant hardware with the least cost" — policy-driven
                 # de-escalation resumes only after recovery.
-                deescalating = (
-                    desired.perf_rank > self._current.spec.perf_rank
-                )
+                deescalating = desired.perf_rank > current.spec.perf_rank
                 if not (self._failed_specs and deescalating):
                     self._reconfigure(desired)
         if now < self.horizon:

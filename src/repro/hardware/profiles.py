@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalo
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.workloads.models import ModelSpec
 
-__all__ = ["ProfileService", "V100_BANDWIDTH_GBPS", "FBR_CAP"]
+__all__ = ["HardwarePoolTable", "ProfileService", "V100_BANDWIDTH_GBPS", "FBR_CAP"]
 
 #: Bandwidth of the anchor device (the V100's HBM2).
 V100_BANDWIDTH_GBPS = 900.0
@@ -59,6 +59,23 @@ FBR_CAP = 0.95
 #: Fraction of device memory usable for batches (the rest is runtime/CUDA
 #: context overhead).
 _MEMORY_USABLE_FRACTION = 0.9
+
+
+class HardwarePoolTable(NamedTuple):
+    """``get_hw_pool`` with everything profiled resolved: the capable
+    nodes cheapest-first as ``(hw, sweet_spot_rps, headroom)`` rows (the
+    GPU or CPU headroom, as applies), and the fallback node."""
+
+    rows: tuple[tuple[HardwareSpec, float, float], ...]
+    fallback: HardwareSpec
+
+    def admit(self, predicted_rps: float) -> list[HardwareSpec]:
+        """The rows that cover ``predicted_rps`` with headroom, or ``[fallback]``."""
+        if predicted_rps < 0:
+            raise ValueError("predicted rate cannot be negative")
+        pool = [hw for hw, sweet, headroom in self.rows
+                if sweet >= predicted_rps * headroom]
+        return pool if pool else [self.fallback]
 
 
 @dataclass
@@ -89,11 +106,10 @@ class ProfileService:
     #: a device serving rate ``r`` sees batches of ``r * window`` requests,
     #: so per-batch fixed overhead bounds throughput at small windows.
     dispatch_window_seconds: float = 0.075
-    #: Memoised sweet-spot goodputs per (model, slo) — pure functions of
-    #: the profiles, recomputed for the catalog's cost order and for the
-    #: degenerate-pool fallback.  ``get_hw_pool`` runs every monitoring
-    #: tick with a continuously-varying rate, but the rate only enters a
-    #: final comparison; everything profiled is cacheable.
+    #: Memoised :class:`HardwarePoolTable` per (model, slo, headrooms) —
+    #: pure functions of the profiles.  ``get_hw_pool`` runs every
+    #: monitoring tick with a continuously-varying rate, but the rate
+    #: only enters a final comparison; everything profiled is cacheable.
     _pool_cache: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -234,11 +250,17 @@ class ProfileService:
         the most performant node(s) are returned so the framework degrades
         instead of refusing.
         """
-        if predicted_rps < 0:
-            raise ValueError("predicted rate cannot be negative")
-        key = (model, slo_seconds)
-        cached = self._pool_cache.get(key)
-        if cached is None:
+        table = self.hw_pool_table(model, slo_seconds, headroom, cpu_headroom)
+        return table.admit(predicted_rps)
+
+    def hw_pool_table(self, model: ModelSpec, slo_seconds: float,
+                      headroom: float = 1.25, cpu_headroom: float = 1.5,
+                      ) -> HardwarePoolTable:
+        """The memoised table behind :meth:`get_hw_pool` (a caller asking
+        every tick resolves it once and calls its ``admit``)."""
+        key = (model, slo_seconds, headroom, cpu_headroom)
+        table = self._pool_cache.get(key)
+        if table is None:
             sweets = [
                 (hw, self.sweet_spot_rps(model, hw, slo_seconds))
                 for hw in self.catalog.by_cost()
@@ -250,17 +272,15 @@ class ProfileService:
                     h.price_per_hour,
                 ),
             )
-            cached = (sweets, fallback)
-            self._pool_cache[key] = cached
-        sweets, fallback = cached
-        pool = [
-            hw
-            for hw, sweet in sweets
-            if sweet > 0.0
-            and sweet
-            >= predicted_rps * (headroom if hw.is_gpu else cpu_headroom)
-        ]
-        return pool if pool else [fallback]
+            table = self._pool_cache[key] = HardwarePoolTable(
+                tuple(
+                    (hw, sweet, headroom if hw.is_gpu else cpu_headroom)
+                    for hw, sweet in sweets
+                    if sweet > 0.0
+                ),
+                fallback,
+            )
+        return table
 
     def capable(
         self,

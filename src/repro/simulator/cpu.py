@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.hardware.catalog import HardwareSpec
 from repro.simulator.engine import Simulator
-from repro.simulator.job import Job
+from repro.simulator.job import NOISE_BLOCK, Job
 
 __all__ = ["CPUDevice"]
 
@@ -53,6 +53,8 @@ class CPUDevice:
         self.spec = spec
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.exec_noise_sigma = float(exec_noise_sigma)
+        #: A block of ``rng``'s standard normals; ``_noise_at`` is the next.
+        self._noise, self._noise_at = None, NOISE_BLOCK
 
         self._queue: deque[Job] = deque()
         self._running: list[Job] = []
@@ -126,9 +128,9 @@ class CPUDevice:
         Otherwise it joins the FIFO, whose head takes any free lane: a
         lane can be free with jobs queued while a completion hook runs,
         and those jobs go first."""
-        job.submitted_at = self.sim.now
+        now = job.submitted_at = self.sim.now
         if not self._queue and len(self._running) < self.spec.cpu_lanes:
-            self._start(job)
+            self._start(job, now)
         else:
             self._queue.append(job)
             self._dispatch()
@@ -161,11 +163,15 @@ class CPUDevice:
 
     def _dispatch(self) -> None:
         while self._queue and len(self._running) < self.spec.cpu_lanes:
-            self._start(self._queue.popleft())
+            self._start(self._queue.popleft(), self.sim.now)
 
-    def _start(self, job: Job) -> None:
-        job.started_at = self.sim.now
-        noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
+    def _start(self, job: Job, now: float) -> None:
+        job.started_at = now
+        i = self._noise_at
+        if i == NOISE_BLOCK:
+            self._noise, i = self.rng.standard_normal(NOISE_BLOCK), 0
+        self._noise_at = i + 1
+        noise = 1.0 + self.exec_noise_sigma * self._noise.item(i)
         service = (
             job.solo_time * max(0.5, noise) * self.contention_factor
             * job.slowdown
@@ -173,14 +179,16 @@ class CPUDevice:
         self._running.append(job)
         obs = self.obs
         if obs is not None:
-            obs.execution_started(self, job, self.sim.now)
-        self._mark_busy_transition()
+            obs.execution_started(self, job, now)
+        if self._busy_since is None:
+            self._busy_since = now
         self.sim.schedule(service, lambda j=job: self._finish(j))
 
     def _finish(self, job: Job) -> None:
-        if job not in self._running:
+        try:
+            self._running.remove(job)
+        except ValueError:
             return  # evicted by a failure while in flight
-        self._running.remove(job)
         self.jobs_completed += 1
         now = self.sim.now
         job.completed_at = now
@@ -197,12 +205,15 @@ class CPUDevice:
         )
         # Contention inflation is the CPU analogue of interference.
         batch.breakdown.interference_extra += max(0.0, exec_time - inflated_solo)
-        batch.complete(now)
+        batch.completed_at = now
         batch.hardware_name = self.spec.name
         if job.on_complete is not None:
             job.on_complete(job)
-        self._mark_busy_transition()
-        self._dispatch()
+        if not self._running and self._busy_since is not None:
+            self.busy_seconds += now - self._busy_since
+            self._busy_since = None
+        if self._queue:
+            self._dispatch()
 
     def _mark_busy_transition(self) -> None:
         now = self.sim.now

@@ -33,7 +33,7 @@ from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
 from repro.simulator.engine import Event, Simulator
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
-from repro.simulator.job import Job
+from repro.simulator.job import NOISE_BLOCK, Job
 
 __all__ = ["GPUDevice"]
 
@@ -75,8 +75,13 @@ class GPUDevice:
         self.interference = interference
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.exec_noise_sigma = float(exec_noise_sigma)
+        #: A block of ``rng``'s standard normals; ``_noise_at`` is the next.
+        self._noise, self._noise_at = None, NOISE_BLOCK
 
         self._active: list[Job] = []
+        #: Aggregate bandwidth demand of the resident set: the fresh sum,
+        #: recomputed whenever the set changes (never updated in place).
+        self.total_fbr = 0.0
         self._pending_spatial: deque[Job] = deque()
         self._temporal_q: deque[Job] = deque()
         self._mem_used = 0.0
@@ -110,8 +115,9 @@ class GPUDevice:
     def queued_requests(self) -> int:
         """Requests sitting in the device queues (Algorithm 1's
         ``curr_queue_info``)."""
-        return sum(j.batch.size for j in self._pending_spatial) + sum(
-            j.batch.size for j in self._temporal_q
+        pending, temporal = self._pending_spatial, self._temporal_q
+        return (sum(j.batch.size for j in pending) if pending else 0) + (
+            sum(j.batch.size for j in temporal) if temporal else 0
         )
 
     def evict_queued(self) -> list[Job]:
@@ -132,11 +138,6 @@ class GPUDevice:
     def n_active_temporal(self) -> int:
         """Promoted temporal jobs currently executing (time-series probe)."""
         return sum(1 for j in self._active if not j.is_spatial)
-
-    @property
-    def total_fbr(self) -> float:
-        """Aggregate bandwidth demand of the resident set."""
-        return float(sum(j.fbr for j in self._active))
 
     @property
     def mem_used_gb(self) -> float:
@@ -191,7 +192,11 @@ class GPUDevice:
         """
         self._advance()
         job.submitted_at = self.sim.now
-        noise = 1.0 + self.exec_noise_sigma * float(self.rng.standard_normal())
+        i = self._noise_at
+        if i == NOISE_BLOCK:
+            self._noise, i = self.rng.standard_normal(NOISE_BLOCK), 0
+        self._noise_at = i + 1
+        noise = 1.0 + self.exec_noise_sigma * self._noise.item(i)
         job.work = (
             job.solo_time * max(0.5, noise) * self.contention_factor
             * job.slowdown
@@ -227,6 +232,7 @@ class GPUDevice:
         self._pending_spatial.clear()
         self._temporal_q.clear()
         self._mem_used = 0.0
+        self.total_fbr = 0.0
         self._mark_busy_transition()
         if self._completion_ev is not None:
             self._completion_ev.cancel()
@@ -244,9 +250,9 @@ class GPUDevice:
         self._advance()
         if not self._active:
             return None
-        job = self._active[-1]
-        self._active.remove(job)
+        job = self._active.pop()
         self._mem_used -= job.mem_gb
+        self.total_fbr = float(sum(j.fbr for j in self._active))
         job.started_at = None
         job.work = 0.0
         self._drain_pending()
@@ -259,13 +265,15 @@ class GPUDevice:
     # Internals
     # ------------------------------------------------------------------
     def _start(self, job: Job) -> None:
-        job.started_at = self.sim.now
+        now = job.started_at = self.sim.now
         self._active.append(job)
         self._mem_used += job.mem_gb
+        self.total_fbr = float(sum(j.fbr for j in self._active))
         obs = self.obs
         if obs is not None:
-            obs.execution_started(self, job, self.sim.now)
-        self._mark_busy_transition()
+            obs.execution_started(self, job, now)
+        if self._busy_since is None:
+            self._busy_since = now
 
     def _maybe_promote(self) -> None:
         """Move the temporal head onto the device if it is idle."""
@@ -327,6 +335,8 @@ class GPUDevice:
         for job in finished:
             self._active.remove(job)
             self._mem_used -= job.mem_gb
+            # Before the completion hook: it may submit the next batch.
+            self.total_fbr = float(sum(j.fbr for j in self._active))
             self._complete(job)
         self._drain_pending()
         self._maybe_promote()
@@ -358,7 +368,7 @@ class GPUDevice:
             0.0, min(exec_time, inflated_solo) - job.solo_time
         )
         batch.breakdown.interference_extra += interference_extra
-        batch.complete(now)
+        batch.completed_at = now
         batch.hardware_name = self.spec.name
         if job.on_complete is not None:
             job.on_complete(job)

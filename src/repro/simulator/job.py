@@ -13,7 +13,11 @@ from typing import Callable, Optional
 
 from repro.framework.request import Batch, ShareMode
 
-__all__ = ["Job"]
+__all__ = ["Job", "NOISE_BLOCK"]
+
+#: Devices draw execution noise this many values at a time (the same
+#: values as one ``standard_normal()`` per job, in order).
+NOISE_BLOCK = 64
 
 
 @dataclass(eq=False, slots=True)
@@ -66,14 +70,16 @@ class Job:
     completed_at: Optional[float] = field(default=None)
 
     def __post_init__(self) -> None:
-        if self.solo_time <= 0:
-            raise ValueError("solo_time must be positive")
-        if self.fbr < 0:
-            raise ValueError("fbr cannot be negative")
-        if self.mem_gb < 0:
-            raise ValueError("mem_gb cannot be negative")
-        if self.slowdown < 1.0:
-            raise ValueError("slowdown cannot speed execution up")
+        if not (self.solo_time > 0 and self.fbr >= 0 and self.mem_gb >= 0
+                and self.slowdown >= 1.0):
+            if self.solo_time <= 0:
+                raise ValueError("solo_time must be positive")
+            if self.fbr < 0:
+                raise ValueError("fbr cannot be negative")
+            if self.mem_gb < 0:
+                raise ValueError("mem_gb cannot be negative")
+            if self.slowdown < 1.0:
+                raise ValueError("slowdown cannot speed execution up")
 
     @property
     def is_spatial(self) -> bool:

@@ -332,6 +332,16 @@ MALFORMED_FLAGS = [
     (["experiment", "fig3", "--cell-retries", "-1"], "--cell-retries"),
     (["experiment", "fig3", "--cell-timeout", "0"], "--cell-timeout"),
     (["run", "resnet50", "--duration", "soon"], "--duration"),
+    (["timeseries-report", "bundle.npz", "--width", "0"], "--width"),
+    (["timeseries-report", "bundle.npz", "--width", "7"], "--width"),
+    (["timeseries-report", "bundle.npz", "--width", "-5"], "--width"),
+    (["request-trace", "trace.jsonl", "--worst", "0"], "--worst"),
+    (["request-trace", "trace.jsonl", "--worst", "-1"], "--worst"),
+    (["trace-attribution", "trace.jsonl", "--slo", "-5"], "--slo"),
+    (["trace-attribution", "trace.jsonl", "--slo", "0"], "--slo"),
+    (["trace-attribution", "trace.jsonl", "--slo", "nan"], "--slo"),
+    (["trace-diff", "a.jsonl", "b.jsonl", "--slo", "-5"], "--slo"),
+    (["trace-diff", "a.jsonl", "b.jsonl", "--slo", "inf"], "--slo"),
 ]
 
 
@@ -345,7 +355,9 @@ def test_malformed_numeric_flag_is_one_usage_line(argv, flag, capsys,
 
     started = []
     for handler in ("_cmd_run", "_cmd_compare", "_cmd_profile",
-                    "_cmd_cost_report", "_cmd_experiment"):
+                    "_cmd_cost_report", "_cmd_experiment",
+                    "_cmd_timeseries_report", "_cmd_request_trace",
+                    "_cmd_trace_attribution", "_cmd_trace_diff"):
         monkeypatch.setattr(repro.cli, handler,
                             lambda args, name=handler: started.append(name))
     with pytest.raises(SystemExit) as exc:

@@ -64,6 +64,27 @@ class TestLanes:
         assert dev.queued_requests() == 5
 
 
+class TestNoise:
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_block_drawn_noise_equals_one_draw_per_job(self, sim, cpu_node,
+                                                       seed):
+        """The device draws its noise in blocks; each job still gets the
+        next value of the stream, across block edges (150 jobs cross two):
+        the engine completes it at ``started_at + service``."""
+        dev = CPUDevice(sim, cpu_node, np.random.default_rng(seed),
+                        exec_noise_sigma=0.1)
+        twin = np.random.default_rng(seed)
+        for i in range(150):
+            solo = 0.01 * (1 + i % 7)
+            job = make_job(solo=solo)
+            dev.submit(job)
+            sim.run()
+            noise = 1.0 + 0.1 * float(twin.standard_normal())
+            service = solo * max(0.5, noise) * 1.0 * 1.0
+            assert job.completed_at == job.started_at + service, i
+        assert dev.jobs_completed == 150
+
+
 class TestContention:
     def test_contention_inflates_service(self, sim, cpu_node):
         dev = make_device(sim, cpu_node)

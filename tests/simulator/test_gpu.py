@@ -249,3 +249,20 @@ class TestAccounting:
         sim.run()
         assert done[0] != pytest.approx(0.1, abs=1e-6)
         assert 0.05 < done[0] < 0.2
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_block_drawn_noise_equals_one_draw_per_job(self, sim, v100, seed):
+        """The device draws its noise in blocks; each job still gets the
+        next value of the stream, across block edges (150 jobs cross two)."""
+        interference = InterferenceModel(sub_knee_slope=0.0)
+        dev = GPUDevice(sim, v100, interference, np.random.default_rng(seed),
+                        exec_noise_sigma=0.1)
+        twin = np.random.default_rng(seed)
+        for i in range(150):
+            solo = 0.01 * (1 + i % 7)
+            job = make_job(solo=solo, mode=(ShareMode.SPATIAL, ShareMode.TEMPORAL)[i % 2])
+            dev.submit(job)
+            noise = 1.0 + 0.1 * float(twin.standard_normal())
+            assert job.work == solo * max(0.5, noise) * 1.0 * 1.0, i
+            sim.run()
+        assert dev.jobs_completed == 150

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.framework.request import Batch, ShareMode
 from repro.simulator.engine import Simulator
@@ -89,3 +89,50 @@ class TestConservation:
     def test_busy_time_bounded_by_makespan(self, specs):
         sim, dev, _ = run_workload(specs)
         assert dev.busy_seconds <= sim.now + 1e-9
+
+
+#: One step of a device's life: a submit (FBR, spatial?, solo time), a
+#: clock advance (which completes jobs), an OOM eviction or a failure.
+#: FBRs are hundredths, which binary floats mostly cannot hold exactly,
+#: so a running total updated in place drifts from the fresh sum.
+step_strategy = st.one_of(
+    st.tuples(st.just("submit"),
+              st.integers(min_value=0, max_value=95).map(lambda k: k / 100),
+              st.booleans(), st.floats(min_value=0.01, max_value=0.5)),
+    st.tuples(st.just("advance"), st.floats(min_value=0.0, max_value=0.5)),
+    st.tuples(st.just("evict_one")),
+    st.tuples(st.just("evict_all")),
+)
+
+
+class TestHeldFBR:
+    @given(st.lists(step_strategy, min_size=1, max_size=40))
+    @example([("submit", 0.1, True, 0.1), ("submit", 0.2, True, 0.4),
+              ("advance", 0.3)])
+    @example([("submit", 0.01, True, 0.4), ("submit", 0.1, False, 0.4),
+              ("submit", 0.02, True, 0.4), ("evict_one",)])
+    @settings(max_examples=150, deadline=None)
+    def test_held_total_fbr_is_the_fresh_sum(self, steps):
+        """The device holds the resident set's FBR; after every step it
+        has the bits of the sum over the resident set, as computed anew."""
+        sim = Simulator()
+        dev = GPUDevice(
+            sim, V100, InterferenceModel(sub_knee_slope=0.0),
+            np.random.default_rng(0), exec_noise_sigma=0.0,
+        )
+        for step in steps:
+            kind = step[0]
+            if kind == "submit":
+                _, fbr, spatial, solo = step
+                mode = ShareMode.SPATIAL if spatial else ShareMode.TEMPORAL
+                batch = Batch(model=MODEL, arrivals=np.array([sim.now]),
+                              dispatched_at=sim.now, mode=mode)
+                dev.submit(Job(batch=batch, solo_time=solo, fbr=fbr,
+                               mem_gb=1.5, mode=mode))
+            elif kind == "advance":
+                sim.run(until=sim.now + step[1])
+            elif kind == "evict_one":
+                dev.evict_one()
+            else:
+                dev.evict_all()
+            assert dev.total_fbr == float(sum(j.fbr for j in dev._active))
