@@ -14,6 +14,10 @@ every configuration's simulated outcome fixed:
 * ``chaos_<recovery>`` -- Paldia/resnet50 on a 300 s Twitter trace with
   stochastic crashes and MPS faults under one-failure breakers, once per
   recovery mode (``retry``, ``requeue``, ``drop``);
+* ``faults_all_<recovery>`` -- the same run with every scheduled fault
+  kind (the periodic outage, crashes, slowdowns, OOM kills and MPS
+  faults; cold-start failures are left out), once per recovery mode and
+  once as ``faults_all_legacy``, with no resilience policy at all;
 * ``lanes`` -- a two-lane ``MultiModelRun`` (resnet50 and vgg19 at
   their Poisson peaks).
 
@@ -90,11 +94,30 @@ def _baseline(scheme: str):
     return [ServerlessRun(model, trace, policy, profiles, slo).execute()]
 
 
-def chaos_run(recovery: str, tracer=None, spy=None):
+def every_fault() -> tuple:
+    """The ``faults_all_*`` fault mix: every kind the chaos engine
+    schedules on the clock (cold-start failures are drawn per spawn)."""
+    from repro.simulator.chaos import (
+        MPSFaults, OOMKills, PeriodicOutage, Slowdowns, StochasticCrashes,
+    )
+
+    return (
+        PeriodicOutage(),
+        StochasticCrashes(mean_interarrival_seconds=60, downtime_seconds=20),
+        Slowdowns(),
+        OOMKills(mean_interarrival_seconds=30),
+        MPSFaults(),
+    )
+
+
+def chaos_run(recovery, tracer=None, spy=None, faults=None):
     """The chaos configuration's :class:`ServerlessRun` (not executed).
 
-    ``spy``, when given, wraps the policy's ``plan_window`` before the
-    run is built: ``spy(run, plan_window)`` returns the replacement.
+    ``recovery=None`` runs without a resilience policy (the legacy
+    requeue path).  ``faults`` replaces the default crashes and MPS
+    faults.  ``spy``, when given, wraps the policy's ``plan_window``
+    before the run is built: ``spy(run, plan_window)`` returns the
+    replacement.
     """
     from repro import PaldiaPolicy, ProfileService, RunConfig, SLO
     from repro import ServerlessRun, get_model, twitter_trace
@@ -107,13 +130,14 @@ def chaos_run(recovery: str, tracer=None, spy=None):
         mean_rps=5.0 * model.peak_rps / AZURE_PEAK_TO_MEAN,
         duration=300.0, seed=0,
     )
-    chaos = ChaosSpec(
-        faults=(StochasticCrashes(mean_interarrival_seconds=60,
-                                  downtime_seconds=20),
-                MPSFaults()),
-        seed=0,
-    )
-    resilience = ResilienceConfig(
+    if faults is None:
+        faults = (
+            StochasticCrashes(mean_interarrival_seconds=60,
+                              downtime_seconds=20),
+            MPSFaults(),
+        )
+    chaos = ChaosSpec(faults=faults, seed=0)
+    resilience = None if recovery is None else ResilienceConfig(
         recovery=recovery,
         breaker=BreakerPolicy(failure_threshold=1, cooldown_seconds=60),
     )
@@ -150,6 +174,12 @@ CONFIGS = {
     **{f"azure_{s}": (lambda s=s: _baseline(s)) for s in BASELINES},
     **{f"chaos_{r}": (lambda r=r: [chaos_run(r).execute()])
        for r in RECOVERIES},
+    **{f"faults_all_{r}": (
+        lambda r=r: [chaos_run(r, faults=every_fault()).execute()]
+    ) for r in RECOVERIES},
+    "faults_all_legacy": lambda: [
+        chaos_run(None, faults=every_fault()).execute()
+    ],
     "lanes": _lanes,
 }
 
@@ -198,6 +228,22 @@ def test_pins_cover_cpu_gpu_and_the_fault_paths():
     assert pins["chaos_drop"][0]["dropped"] > 0
     assert pins["azure_cpu"][0]["n_switches"] > 0
     assert len(pins["lanes"]) == 2
+    # Each recovery route leaves its own mark on the every-fault run.
+    assert pins["faults_all_retry"][0]["retries"] > 0
+    assert pins["faults_all_drop"][0]["dropped"] > 0
+    assert pins["faults_all_requeue"][0]["shed"] > 0
+    legacy = pins["faults_all_legacy"][0]
+    assert (legacy["retries"], legacy["shed"], legacy["dropped"]) == (0, 0, 0)
+
+
+def test_faults_all_legacy_fires_every_kind_and_loses_nothing():
+    """The every-fault configuration injects each of its five kinds, and
+    the legacy requeue path still completes every offered request."""
+    run = chaos_run(None, faults=every_fault())
+    result = run.execute()
+    injected = run._chaos.injected
+    assert all(injected[fault.kind] >= 1 for fault in every_fault()), injected
+    assert result.completed_requests == result.offered_requests
 
 
 class TestDegradedDispatch:
