@@ -17,7 +17,7 @@ paper's evaluation.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -28,7 +28,7 @@ from repro.hardware.profiles import ProfileService
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
 
-__all__ = ["PlannedBatch", "WindowPlan", "Policy", "HysteresisGate"]
+__all__ = ["PlannedBatch", "WindowPlan", "Policy", "HysteresisGate", "split_plan"]
 
 
 @dataclass(frozen=True)
@@ -69,6 +69,24 @@ class WindowPlan:
     def has_temporal(self) -> bool:
         """Whether any sub-batch waits in the device FIFO."""
         return any(b.mode == ShareMode.TEMPORAL for b in self.batches)
+
+
+def split_plan(
+    n: int, y: int, batch_size: int, predicted_t_max: Optional[float] = None
+) -> WindowPlan:
+    """Job Distribution's carve of one window: ``n - y`` requests into
+    spatial sub-batches of at most ``batch_size``, then ``y`` into
+    temporal ones (``y = 0`` and ``y = n`` are the one-mode plans)."""
+    return WindowPlan(
+        batches=tuple(
+            [PlannedBatch(s, ShareMode.SPATIAL)
+             for s in carve_sizes(n - y, batch_size)]
+            + [PlannedBatch(s, ShareMode.TEMPORAL)
+               for s in carve_sizes(y, batch_size)]
+        ),
+        y=y,
+        predicted_t_max=predicted_t_max,
+    )
 
 
 class HysteresisGate:
@@ -224,12 +242,8 @@ class Policy(ABC):
             plan = self._plan_cache.get(key)
             if plan is not None:
                 return plan
-        plan = WindowPlan(
-            batches=tuple(
-                PlannedBatch(size=s, mode=mode)
-                for s in carve_sizes(n, batch_size)
-            ),
-            y=n if mode == ShareMode.TEMPORAL else 0,
+        plan = split_plan(
+            n, n if mode == ShareMode.TEMPORAL else 0, batch_size
         )
         if self._memoize_profiles:
             self._plan_cache[key] = plan

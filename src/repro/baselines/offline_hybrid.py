@@ -8,16 +8,16 @@ and the reason Paldia needs an *online* model (Equation (1)) instead of an
 impractical offline sweep.
 
 :class:`OfflineHybridPolicy` serves with a fixed hardware choice and a fixed
-temporal fraction; :func:`sweep_fractions` is the offline sweep harness that
-finds the best fraction for a given workload/trace.
+temporal fraction; :func:`repro.experiments.motivation.sweep_offline_hybrid`
+is the offline sweep harness that finds the best fraction for a given
+workload/trace.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from repro.baselines.base import PlannedBatch, Policy, WindowPlan
-from repro.framework.batching import carve_sizes
+from repro.baselines.base import Policy, WindowPlan, split_plan
 from repro.framework.request import ShareMode
 from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
@@ -86,16 +86,4 @@ class OfflineHybridPolicy(Policy):
         if not hw.is_gpu:
             return self.plan_one_mode(n, batch, ShareMode.TEMPORAL)
         y = int(round(self.temporal_fraction * n))
-        y = min(max(y, 0), n)
-        spatial_sizes = carve_sizes(n - y, batch)
-        temporal_sizes = carve_sizes(y, batch)
-        return WindowPlan(
-            batches=tuple(
-                [PlannedBatch(size=s, mode=ShareMode.SPATIAL) for s in spatial_sizes]
-                + [
-                    PlannedBatch(size=s, mode=ShareMode.TEMPORAL)
-                    for s in temporal_sizes
-                ]
-            ),
-            y=y,
-        )
+        return split_plan(n, min(max(y, 0), n), batch)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -43,7 +43,6 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
 
 __all__ = [
-    "CandidateEvaluation",
     "CandidateRow",
     "CandidateTable",
     "SelectionOutcome",
@@ -53,32 +52,15 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class CandidateEvaluation:
-    """One row of Algorithm 1's ``HW_dict``: a candidate's best latency."""
-
-    hw: HardwareSpec
-    least_t_max: float
-    best_y: Optional[int]
-    cost: float
-
-
-@dataclass(frozen=True, slots=True)
 class CandidateRow:
-    """A recorded ``HW_dict`` row, decoupled from live catalog objects.
+    """One row of Algorithm 1's ``HW_dict``: a candidate's best latency.
 
-    This is the replay-side twin of :class:`CandidateEvaluation`: the
-    ``hardware_selection.tick`` trace event serialises each evaluation as
-    ``{hw, least_t_max, best_y, cost_per_hour}`` (with ``inf`` written as
-    ``null``), and :meth:`from_attrs` parses that back so the
+    The reference scan (:meth:`HardwareSelector.evaluate`) builds one per
+    candidate.  The ``hardware_selection.tick`` trace event serialises
+    each row as ``{hw, least_t_max, best_y, cost_per_hour}`` (with ``inf``
+    written as ``null``), and :meth:`from_attrs` parses that back so the
     counterfactual engine can re-run ``choose_best_HW`` over logged state
     without re-simulation.
-
-    .. deprecated:: on the hot path
-        The live selection loop no longer materialises dict-shaped rows;
-        it runs on :class:`CandidateTable`'s parallel arrays and exposes
-        rows only as lazily-built views (:meth:`CandidateTable.row`).
-        :meth:`from_attrs` remains the supported entry point for *replay*
-        consumers (attribution, reports) parsing recorded trace events.
     """
 
     hw_name: str
@@ -99,34 +81,14 @@ class CandidateRow:
         )
 
 
-def _choose_best_generic(rows, t_of, cost_of, budget: float, slack: float):
-    """``choose_best_HW`` over any row shape (live or replayed).
-
-    Shared by :meth:`HardwareSelector.choose_best` (live
-    :class:`CandidateEvaluation` objects) and :func:`choose_best_row`
-    (recorded :class:`CandidateRow` rows) so the counterfactual replay can
-    never drift from the online selection rule.
-    """
-    if not rows:
-        raise ValueError("no candidates to choose from")
-    best_t = min(t_of(r) for r in rows)
-    fitting = [r for r in rows if t_of(r) <= budget]
-    if not fitting:
-        return min(rows, key=lambda r: (t_of(r), cost_of(r)))
-    # "Within ~50 ms of the most performant" (the paper's rule), but
-    # when every candidate sits far inside the budget the comparison
-    # degenerates (at light load T_max values are all tiny and the
-    # fastest GPU always "wins" by more than the slack); any node with
-    # comfortable margin is equally good, so cost decides.
-    threshold = max(best_t + slack, 0.8 * budget)
-    window = [r for r in fitting if t_of(r) <= threshold]
-    pool = window or fitting
-    return min(pool, key=lambda r: (cost_of(r), t_of(r)))
-
-
 def _no_contention(hw: HardwareSpec) -> float:
     """The default contention hook: the paper's model, no inflation."""
     return 1.0
+
+
+def _all_available(hw: HardwareSpec) -> bool:
+    """The default availability test: every node can be leased."""
+    return True
 
 
 def _lexmin_index(primary: np.ndarray, secondary: np.ndarray) -> int:
@@ -144,20 +106,31 @@ def choose_best_row(
     slo_budget: float,
     perf_slack_seconds: float = 0.050,
 ) -> CandidateRow:
-    """Replay ``choose_best_HW`` over a recorded candidate table.
+    """``choose_best_HW``: the cheapest candidate within
+    ``perf_slack_seconds`` of the most performant.
 
-    Given the rows of one ``hardware_selection.tick`` event (see
-    :meth:`CandidateRow.from_attrs`) and the latency budget the selector
-    was judging against, returns the row the live algorithm would pick —
-    the primitive the offline counterfactual engine
-    (:mod:`repro.analysis.attribution`) builds on.
+    Candidates violating ``slo_budget`` are only chosen when *nothing*
+    fits, in which case the fastest wins (graceful degradation — the Fig
+    13a regime).  The reference scan runs this on live rows and the
+    counterfactual engine (:mod:`repro.analysis.attribution`) on the rows
+    of recorded ``hardware_selection.tick`` events;
+    :meth:`CandidateTable.choose_best_index` is its columnar twin.
     """
-    return _choose_best_generic(
-        rows,
-        t_of=lambda r: r.least_t_max,
-        cost_of=lambda r: r.cost_per_hour,
-        budget=slo_budget,
-        slack=perf_slack_seconds,
+    if not rows:
+        raise ValueError("no candidates to choose from")
+    best_t = min(r.least_t_max for r in rows)
+    fitting = [r for r in rows if r.least_t_max <= slo_budget]
+    if not fitting:
+        return min(rows, key=lambda r: (r.least_t_max, r.cost_per_hour))
+    # "Within ~50 ms of the most performant" (the paper's rule), but
+    # when every candidate sits far inside the budget the comparison
+    # degenerates (at light load T_max values are all tiny and the
+    # fastest GPU always "wins" by more than the slack); any node with
+    # comfortable margin is equally good, so cost decides.
+    threshold = max(best_t + perf_slack_seconds, 0.8 * slo_budget)
+    window = [r for r in fitting if r.least_t_max <= threshold]
+    return min(
+        window or fitting, key=lambda r: (r.cost_per_hour, r.least_t_max)
     )
 
 
@@ -166,11 +139,10 @@ class CandidateTable:
     """Algorithm 1's ``HW_dict`` as parallel (columnar) numpy arrays.
 
     This is the public selection API: one tick's candidate scan lives in
-    one table — no per-candidate Python objects on the hot path.  Rows
-    (for attribution and report consumers) are materialised lazily via
-    :meth:`row` / :meth:`rows`; the recorded ``hardware_selection.tick``
-    payload (:meth:`as_trace_rows`) keeps the exact seed schema, so
-    ``repro.attribution/1`` replay is unchanged.
+    one table — no per-candidate Python objects on the hot path.  The
+    recorded ``hardware_selection.tick`` payload (:meth:`as_trace_rows`)
+    keeps the exact seed schema, so ``repro.attribution/1`` replay is
+    unchanged.
 
     Attributes
     ----------
@@ -186,7 +158,7 @@ class CandidateTable:
         Lease price per candidate.
     co_run:
         Co-located batch count implied by ``best_y`` (``None`` on tables
-        packed from scalar evaluations, which never computed it).
+        packed from reference-scan rows, which never computed it).
     occupancy:
         Planned aggregate FBR (existing + new residents) at ``best_y``.
 
@@ -211,31 +183,25 @@ class CandidateTable:
     def __len__(self) -> int:
         return len(self.specs)
 
-    def __iter__(self) -> Iterator[CandidateRow]:
-        return iter(self.rows())
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
-    def from_evaluations(
-        cls, evaluations: list[CandidateEvaluation]
+    def from_rows(
+        cls, specs: list[HardwareSpec], rows: list[CandidateRow]
     ) -> "CandidateTable":
-        """Pack scalar :class:`CandidateEvaluation` rows into a table
-        (the ``vectorized=False`` reference path; no co-run/occupancy
-        columns — the scalar scan never computed them)."""
+        """Pack the reference scan's rows (one per spec, in order) into a
+        table; no co-run/occupancy columns — that scan never computed
+        them."""
         return cls(
-            specs=tuple(e.hw for e in evaluations),
+            specs=tuple(specs),
             least_t_max=np.array(
-                [e.least_t_max for e in evaluations], dtype=np.float64
+                [r.least_t_max for r in rows], dtype=np.float64
             ),
             best_y=np.array(
-                [math.nan if e.best_y is None else float(e.best_y)
-                 for e in evaluations],
+                [math.nan if r.best_y is None else float(r.best_y)
+                 for r in rows],
                 dtype=np.float64,
             ),
             cost_per_hour=np.array(
-                [e.cost for e in evaluations], dtype=np.float64
+                [r.cost_per_hour for r in rows], dtype=np.float64
             ),
         )
 
@@ -244,9 +210,9 @@ class CandidateTable:
     # ------------------------------------------------------------------
     def choose_best_index(self, budget: float, slack: float) -> int:
         """Vectorised ``choose_best_HW``: cheapest candidate within
-        ``slack`` of the most performant (see
-        :func:`_choose_best_generic`, whose semantics — including
-        first-index tie-breaking — this reproduces exactly)."""
+        ``slack`` of the most performant (see :func:`choose_best_row`,
+        whose semantics — including first-index tie-breaking — this
+        reproduces exactly)."""
         t = self.least_t_max
         if t.size == 0:
             raise ValueError("no candidates to choose from")
@@ -267,36 +233,9 @@ class CandidateTable:
                 return i
         return None
 
-    # ------------------------------------------------------------------
-    # Lazily-materialised row views (attribution / report consumers)
-    # ------------------------------------------------------------------
     def _best_y_at(self, i: int) -> Optional[int]:
         y = float(self.best_y[i])
         return None if math.isnan(y) else int(y)
-
-    def row(self, i: int) -> CandidateRow:
-        """Materialise row ``i`` as a replay-shaped :class:`CandidateRow`."""
-        return CandidateRow(
-            hw_name=self.specs[i].name,
-            least_t_max=float(self.least_t_max[i]),
-            best_y=self._best_y_at(i),
-            cost_per_hour=float(self.cost_per_hour[i]),
-        )
-
-    def rows(self) -> list[CandidateRow]:
-        return [self.row(i) for i in range(len(self.specs))]
-
-    def evaluations(self) -> list[CandidateEvaluation]:
-        """Materialise live-shaped rows (back-compat view)."""
-        return [
-            CandidateEvaluation(
-                hw=self.specs[i],
-                least_t_max=float(self.least_t_max[i]),
-                best_y=self._best_y_at(i),
-                cost=float(self.cost_per_hour[i]),
-            )
-            for i in range(len(self.specs))
-        ]
 
     def as_trace_rows(self) -> list[dict]:
         """The ``hardware_selection.tick`` candidate payload — the exact
@@ -314,20 +253,12 @@ class CandidateTable:
 
 @dataclass
 class SelectionOutcome:
-    """Result of one monitoring tick.
-
-    ``table`` is the columnar candidate scan; ``evaluations`` remains as a
-    lazily-materialised object view of the same rows.
-    """
+    """Result of one monitoring tick; ``table`` is its candidate scan."""
 
     chosen: HardwareSpec
     table: CandidateTable
     switch_requested: bool
     predicted_rps: float
-
-    @property
-    def evaluations(self) -> list[CandidateEvaluation]:
-        return self.table.evaluations()
 
 
 class HardwareSelector:
@@ -379,7 +310,6 @@ class HardwareSelector:
         wait_limit: int = 3,
         wait_limit_down: int = 20,
         latency_budget_fraction: float = 0.85,
-        is_available: Optional[Callable[[HardwareSpec], bool]] = None,
         vectorized: bool = True,
     ) -> None:
         self.model = model
@@ -392,7 +322,6 @@ class HardwareSelector:
         self.wait_limit = int(wait_limit)
         self.wait_limit_down = int(wait_limit_down)
         self.latency_budget_fraction = float(latency_budget_fraction)
-        self.is_available = is_available or (lambda hw: True)
         self.vectorized = bool(vectorized)
         #: Host-contention inflation per candidate (>= 1).  The default —
         #: no inflation — is the paper's model; the contention-aware
@@ -424,16 +353,13 @@ class HardwareSelector:
     # ------------------------------------------------------------------
     def evaluate(
         self, hw: HardwareSpec, n_future: int, existing_fbr: float = 0.0
-    ) -> CandidateEvaluation:
+    ) -> CandidateRow:
         """Best achievable worst-case latency of ``hw`` for ``n_future``
         requests (Algorithm 1 steps c/d) — the scalar reference scan."""
         budget = self.slo_seconds * self.latency_budget_fraction
         batch = self.profiles.best_batch(self.model, hw, self.slo_seconds)
         if batch == 0:
-            return CandidateEvaluation(
-                hw=hw, least_t_max=float("inf"), best_y=None,
-                cost=hw.price_per_hour,
-            )
+            return CandidateRow(hw.name, float("inf"), None, hw.price_per_hour)
         solo = self.profiles.solo_time(self.model, hw, batch) * max(
             1.0, self.contention_for(hw)
         )
@@ -442,9 +368,7 @@ class HardwareSelector:
                 n_future, batch, solo, hw.cpu_lanes,
                 horizon=self.plan_horizon_seconds,
             )
-            return CandidateEvaluation(
-                hw=hw, least_t_max=t, best_y=None, cost=hw.price_per_hour
-            )
+            return CandidateRow(hw.name, t, None, hw.price_per_hour)
         # The seed's per-call solve (frozen in _reference_model): this
         # scalar scan is the cost oracle the vectorized table is measured
         # against, so it must pay the seed's exact work.
@@ -459,11 +383,8 @@ class HardwareSelector:
             max_coresident=self.profiles.max_coresident(self.model, hw),
             solo_single=self.profiles.solo_time(self.model, hw, 1),
         )
-        return CandidateEvaluation(
-            hw=hw,
-            least_t_max=decision.t_max,
-            best_y=decision.y,
-            cost=hw.price_per_hour,
+        return CandidateRow(
+            hw.name, decision.t_max, decision.y, hw.price_per_hour
         )
 
     def _hw_consts(self, hw: HardwareSpec) -> tuple:
@@ -612,25 +533,6 @@ class HardwareSelector:
         return entry
 
     # ------------------------------------------------------------------
-    # choose_best_HW (Algorithm 1 step e)
-    # ------------------------------------------------------------------
-    def choose_best(
-        self, evaluations: list[CandidateEvaluation]
-    ) -> HardwareSpec:
-        """Cheapest candidate within ``perf_slack`` of the most performant.
-
-        Candidates violating the SLO budget are only chosen when *nothing*
-        fits, in which case the fastest option wins (graceful degradation —
-        the Fig 13a regime)."""
-        return _choose_best_generic(
-            evaluations,
-            t_of=lambda e: e.least_t_max,
-            cost_of=lambda e: e.cost,
-            budget=self.slo_seconds * self.latency_budget_fraction,
-            slack=self.perf_slack_seconds,
-        ).hw
-
-    # ------------------------------------------------------------------
     # One monitoring tick (the outer loop of Algorithm 1)
     # ------------------------------------------------------------------
     def tick(
@@ -639,12 +541,15 @@ class HardwareSelector:
         current_hw: Optional[HardwareSpec],
         existing_fbr: float = 0.0,
         backlog: int = 0,
+        is_available: Callable[[HardwareSpec], bool] = _all_available,
     ) -> SelectionOutcome:
         """Run one Hardware_Selection pass; applies hysteresis.
 
         ``backlog`` is the current software-queue depth (Algorithm 1 reads
         ``curr_request_queue`` before predicting): hardware must be able to
         drain what has already accumulated *and* what is coming.
+        ``is_available`` excludes failed or breaker-blocked hardware from
+        the pool (the selector keeps no reference to it).
         ``switch_requested`` is only True after ``wait_limit`` consecutive
         mismatches (the paper's ``wait_ctr``)."""
         rate = self.predictor.predict(now, self.lookahead_seconds)
@@ -652,7 +557,6 @@ class HardwareSelector:
         effective_rate = rate + max(0, backlog) / max(
             self.lookahead_seconds, 1e-9
         )
-        is_available = self.is_available
         pool = [
             hw for hw in self._hw_pool.admit(effective_rate)
             if is_available(hw)
@@ -679,7 +583,7 @@ class HardwareSelector:
                 )
             chosen = table.specs[entry[1]]
         else:
-            evaluations = [
+            rows = [
                 self.evaluate(
                     hw,
                     n_future,
@@ -691,8 +595,9 @@ class HardwareSelector:
                 )
                 for hw in pool
             ]
-            chosen = self.choose_best(evaluations)
-            table = CandidateTable.from_evaluations(evaluations)
+            best = choose_best_row(rows, budget, self.perf_slack_seconds)
+            table = CandidateTable.from_rows(pool, rows)
+            chosen = table.specs[table.index_of(best.hw_name)]
 
         switch = False
         emergency = False

@@ -178,7 +178,6 @@ def optimal_split(
     max_coresident: Optional[int] = None,
     max_total_fbr: Optional[float] = None,
     solo_single: float = 0.0,
-    y_step: int = 1,
 ) -> SplitDecision:
     """Solve Equation (1): the ``y`` minimising predicted T_max.
 
@@ -206,9 +205,6 @@ def optimal_split(
     max_total_fbr:
         Occupancy cap on the aggregate (existing + planned) bandwidth
         demand; Paldia uses ~2x the interference knee.
-    y_step:
-        Evaluate every ``y_step``-th candidate (ablation knob; the paper
-        probes the full range in parallel threads).
 
     Returns
     -------
@@ -223,9 +219,7 @@ def optimal_split(
     # y < N merely marks where the interference term is meaningful, but an
     # online scheduler must be able to fall back to pure time sharing —
     # e.g. one straggler window on a device already saturated by residents.
-    y = np.arange(0, n + 1, max(1, int(y_step)), dtype=np.int64)
-    if y[-1] != n:
-        y = np.append(y, n)
+    y = np.arange(0, n + 1, dtype=np.int64)
     if n < 0 or batch_size < 1 or solo <= 0 or fbr < 0:
         raise ValueError("invalid model parameters")
     if existing_queue < 0:

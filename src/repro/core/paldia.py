@@ -16,8 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.baselines.base import PlannedBatch, Policy, WindowPlan
-from repro.framework.batching import carve_sizes
+from repro.baselines.base import Policy, WindowPlan, split_plan
 from repro.core._reference_model import reference_optimal_split
 from repro.core.hardware_selection import HardwareSelector
 from repro.core.model import optimal_split
@@ -115,9 +114,8 @@ class PaldiaPolicy(Policy):
         backlog_requests: int,
         is_available: Callable[[HardwareSpec], bool],
     ) -> Optional[HardwareSpec]:
-        self.selector.is_available = is_available
         outcome = self.selector.tick(
-            now, current, existing_fbr=existing_fbr, backlog=backlog_requests
+            now, current, existing_fbr, backlog_requests, is_available
         )
         return outcome.chosen if outcome.switch_requested else None
 
@@ -163,22 +161,7 @@ class PaldiaPolicy(Policy):
                 * self.profiles.interference.knee,
                 solo_single=self.profiles.solo_time(self.model, hw, 1),
             )
-            spatial_sizes = carve_sizes(decision.n_spatial, batch)
-            temporal_sizes = carve_sizes(decision.y, batch)
-            plan = WindowPlan(
-                batches=tuple(
-                    [
-                        PlannedBatch(size=s, mode=ShareMode.SPATIAL)
-                        for s in spatial_sizes
-                    ]
-                    + [
-                        PlannedBatch(size=s, mode=ShareMode.TEMPORAL)
-                        for s in temporal_sizes
-                    ]
-                ),
-                y=decision.y,
-                predicted_t_max=decision.t_max,
-            )
+            plan = split_plan(n, decision.y, batch, decision.t_max)
             if self.vectorized:
                 if len(self._split_cache) >= 4096:
                     self._split_cache.clear()

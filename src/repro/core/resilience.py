@@ -125,10 +125,6 @@ class ResilienceConfig:
     recovery: str = "requeue"
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerPolicy = field(default_factory=BreakerPolicy)
-    #: Shed requests whose deadline already passed instead of retrying.
-    shed_expired: bool = True
-    #: While degraded, force the temporal-only execution path.
-    degrade_force_temporal: bool = True
     #: While degraded, cap planned sub-batch sizes at this many requests.
     degraded_batch_cap: int = 8
     seed: int = 0

@@ -5,8 +5,8 @@ Not a paper figure — these benches justify Paldia's knobs:
 * ``hysteresis``     — wait_limit (escalation) x wait_limit_down sweeps;
 * ``perf_slack``     — the ~50 ms choose_best window;
 * ``keep_alive``     — delayed-termination duration vs cold starts;
-* ``predictive``     — predictive scale-up on/off (reactive-only);
-* ``y_step``         — y-sweep granularity vs decision quality.
+* ``contention_awareness`` — the contention-aware model (the paper's
+  future work) under SeBS co-location.
 """
 
 from __future__ import annotations

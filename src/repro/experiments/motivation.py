@@ -28,9 +28,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.analysis.stats import compliance_percent
+from repro.baselines.base import split_plan
 from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID
-from repro.framework.batching import DispatchWindow, carve_sizes, window_groups
-from repro.framework.request import Batch, ShareMode
+from repro.framework.batching import DispatchWindow, window_groups
+from repro.framework.request import Batch
 from repro.framework.slo import SLO
 from repro.framework.system import BATCH_WINDOW_SECONDS
 from repro.hardware.catalog import HardwareSpec
@@ -145,19 +146,15 @@ class PinnedColocationRun:
     ) -> None:
         n = window.n
         y = int(round(tenant.temporal_fraction * n))
-        y = min(max(y, 0), n)
-        plan = [
-            (size, ShareMode.SPATIAL) for size in carve_sizes(n - y, bs)
-        ] + [(size, ShareMode.TEMPORAL) for size in carve_sizes(y, bs)]
         offset = 0
-        for size, mode in plan:
-            arrivals = window.arrivals[offset : offset + size]
-            offset += size
+        for planned in split_plan(n, min(max(y, 0), n), bs).batches:
+            arrivals = window.arrivals[offset : offset + planned.size]
+            offset += planned.size
             batch = Batch(
                 model=tenant.model,
                 arrivals=arrivals,
                 dispatched_at=self.sim.now,
-                mode=mode,
+                mode=planned.mode,
                 batch_id=next(self.cluster.batch_ids),
             )
             batch.breakdown.batching_wait = max(

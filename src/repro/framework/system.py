@@ -481,7 +481,7 @@ class ServerlessRun:
         now = self.sim.now
         res = self.resilience
         degraded = res is not None and res.degraded(now)
-        if degraded and res.config.shed_expired:
+        if degraded:
             # Graceful degradation, rung 1: requests whose deadline has
             # already passed are lost either way — shed them instead of
             # adding their load to an impaired fleet.
@@ -498,9 +498,9 @@ class ServerlessRun:
         # Rung 2/3: shrink batches and force temporal-only while impaired
         # (an MPS fault alone also forces temporal, healthy breakers or
         # not — spatial sharing is simply unavailable).
-        force_temporal = (
+        force_temporal = degraded or (
             self._chaos is not None and self._chaos.mps_down
-        ) or (degraded and res.config.degrade_force_temporal)
+        )
         cap = res.config.degraded_batch_cap if degraded else None
         spec, device, policy = node.spec, node.device, self.policy
         n = arrivals.size
@@ -573,21 +573,27 @@ class ServerlessRun:
 
         pool.request(on_container)
 
-    def _handle_failed_batch(self, batch: Batch) -> None:
-        """Route a batch that lost its node to the configured recovery."""
+    def _handle_failed_batch(self, *batches: Batch) -> None:
+        """Route batches that lost their node to the configured recovery:
+        retry or drop each, or (``requeue``, the legacy default) put all
+        their arrivals back into the pending queue as one window."""
         recovery = (
             self.resilience.config.recovery
             if self.resilience is not None
             else "requeue"
         )
-        if recovery == "retry":
-            self._plan_retry(batch)
-        elif recovery == "drop":
-            self._drop(batch)
-        else:  # requeue (legacy): back into the pending queue
-            self._pending_windows.append(
-                DispatchWindow(dispatch_at=self.sim.now, arrivals=batch.arrivals)
-            )
+        if recovery == "requeue":
+            if batches:
+                merged = np.sort(np.concatenate([b.arrivals for b in batches]))
+                self._pending_windows.append(
+                    DispatchWindow(dispatch_at=self.sim.now, arrivals=merged)
+                )
+            return
+        for batch in batches:
+            if recovery == "retry":
+                self._plan_retry(batch)
+            else:
+                self._drop(batch)
 
     def _drop(self, batch: Batch) -> None:
         """Lose a batch that lost its node (``recovery="drop"``)."""
@@ -855,26 +861,7 @@ class ServerlessRun:
         self._current = None
         self._reconfig_target = None
         self._reconfig_gen += 1  # cancel any in-flight reconfiguration
-        recovery = (
-            self.resilience.config.recovery
-            if self.resilience is not None
-            else "requeue"
-        )
-        if recovery == "retry":
-            for job in evicted:
-                self._plan_retry(job.batch)
-        elif recovery == "drop":
-            for job in evicted:
-                self._drop(job.batch)
-        else:
-            # Requeue (legacy): evicted requests go back into the pending
-            # queue, arrivals intact, merged into one window.
-            arrivals = [j.batch.arrivals for j in evicted]
-            if arrivals:
-                merged = np.sort(np.concatenate(arrivals))
-                self._pending_windows.append(
-                    DispatchWindow(dispatch_at=self.sim.now, arrivals=merged)
-                )
+        self._handle_failed_batch(*[job.batch for job in evicted])
         failover = self._failover_choice(node.spec)
 
         def on_ready(new_node: NodeInstance) -> None:
@@ -926,7 +913,7 @@ class ServerlessRun:
         assert res is not None, "retry planned without a resilience policy"
         now = self.sim.now
         deadline = batch.first_arrival + self.slo.target_seconds
-        if res.config.shed_expired and now >= deadline:
+        if now >= deadline:
             res.shed(batch.size)
             obs = self.obs
             if obs is not None:

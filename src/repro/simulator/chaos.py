@@ -265,16 +265,14 @@ class ChaosHooks:
 
     All optional: an engine with a missing hook silently skips that fault
     effect (the spec still advances its RNG stream, so adding a hook
-    later never shifts the other streams).
+    later never shifts the other streams).  Slowdowns and MPS faults need
+    no hook: the framework reads :attr:`ChaosEngine.slowdown_factor` and
+    :attr:`ChaosEngine.mps_down` when it submits and plans work.
     """
 
     on_node_fail: Optional[Callable[[], None]] = None
     on_node_recover: Optional[Callable[[], None]] = None
-    on_slowdown: Optional[Callable[[float], None]] = None
-    on_slowdown_end: Optional[Callable[[], None]] = None
     on_oom_kill: Optional[Callable[[], None]] = None
-    on_mps_fault: Optional[Callable[[], None]] = None
-    on_mps_recover: Optional[Callable[[], None]] = None
 
 
 class ChaosEngine:
@@ -347,27 +345,55 @@ class ChaosEngine:
     # Arming
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Arm every fault stream.  Idempotence is not supported: call once."""
+        """Arm every scheduled fault stream.  Call once."""
         if self._started:
             raise RuntimeError("a ChaosEngine can only start once")
         self._started = True
         for index, fault in enumerate(self.spec.faults):
             if isinstance(fault, PeriodicOutage):
                 self._arm_periodic(fault)
-            elif isinstance(fault, StochasticCrashes):
-                self._arm_crashes(fault, self._rng(index, fault.kind))
-            elif isinstance(fault, Slowdowns):
-                self._arm_slowdowns(fault, self._rng(index, fault.kind))
+                continue
+            rng = self._rng(index, fault.kind)
+            if isinstance(fault, StochasticCrashes):
+                self._recur(fault, rng, fault.first_crash_after,
+                            fault.downtime_seconds, self._crash)
             elif isinstance(fault, ColdStartFailures):
-                self._cold_start_streams.append(
-                    (fault, self._rng(index, fault.kind))
-                )
+                self._cold_start_streams.append((fault, rng))
+            elif isinstance(fault, Slowdowns):
+                self._recur(fault, rng, fault.first_after,
+                            fault.duration_seconds, self._slow_start)
             elif isinstance(fault, OOMKills):
-                self._arm_oom(fault, self._rng(index, fault.kind))
+                self._recur(fault, rng, fault.first_after, 0.0, self._oom)
             elif isinstance(fault, MPSFaults):
-                self._arm_mps(fault, self._rng(index, fault.kind))
+                self._recur(fault, rng, fault.first_after,
+                            fault.duration_seconds, self._mps_fail)
             else:  # pragma: no cover - exhaustive over FaultSpec
                 raise TypeError(f"unknown fault spec {fault!r}")
+
+    def _recur(
+        self,
+        fault: FaultSpec,
+        rng: np.random.Generator,
+        first_after: float,
+        window: float,
+        fire: Callable[[FaultSpec], None],
+    ) -> None:
+        """Drive one recurring fault: the first onset at ``first_after``
+        plus an exponential gap, each later one ``window`` (the fault's
+        own duration) plus a fresh gap after the previous onset.  No onset
+        is scheduled at or past the horizon, so ``fire`` never runs
+        there."""
+        mean = fault.mean_interarrival_seconds
+
+        def onset() -> None:
+            fire(fault)
+            at = self.sim.now + window + float(rng.exponential(mean))
+            if not self._past_horizon(at):
+                self.sim.schedule_at(at, onset)
+
+        at = first_after + float(rng.exponential(mean))
+        if not self._past_horizon(at):
+            self.sim.schedule_at(at, onset)
 
     # ------------------------------------------------------------------
     # Node outages
@@ -391,18 +417,7 @@ class ChaosEngine:
         if self.horizon is None or self.sim.now + next_onset < self.horizon:
             self.sim.schedule(next_onset, lambda: self._periodic_fail(fault))
 
-    def _arm_crashes(
-        self, fault: StochasticCrashes, rng: np.random.Generator
-    ) -> None:
-        onset = fault.first_crash_after + float(
-            rng.exponential(fault.mean_interarrival_seconds)
-        )
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._crash(fault, rng))
-
-    def _crash(self, fault: StochasticCrashes, rng: np.random.Generator) -> None:
-        if self._past_horizon(self.sim.now):
-            return
+    def _crash(self, fault: StochasticCrashes) -> None:
         if not self.node_down:
             # A crash landing during another outage merges into it rather
             # than nesting fail/recover pairs.
@@ -410,10 +425,6 @@ class ChaosEngine:
             self.sim.schedule(
                 fault.downtime_seconds, lambda: self._end_outage(fault.kind)
             )
-        gap = float(rng.exponential(fault.mean_interarrival_seconds))
-        onset = self.sim.now + fault.downtime_seconds + gap
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._crash(fault, rng))
 
     def _begin_outage(self, kind: str, downtime: float) -> None:
         self.injected[kind] += 1
@@ -436,44 +447,24 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # Slowdowns
     # ------------------------------------------------------------------
-    def _arm_slowdowns(
-        self, fault: Slowdowns, rng: np.random.Generator
-    ) -> None:
-        onset = fault.first_after + float(
-            rng.exponential(fault.mean_interarrival_seconds)
+    def _slow_start(self, fault: Slowdowns) -> None:
+        self.injected[fault.kind] += 1
+        # Concurrent windows compound (two stragglers are worse than
+        # one); recovery divides the factor back out.
+        self.slowdown_factor *= fault.factor
+        self._emit(
+            "chaos.inject",
+            fault.kind,
+            factor=fault.factor,
+            duration_seconds=fault.duration_seconds,
         )
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._slow_start(fault, rng))
-
-    def _slow_start(self, fault: Slowdowns, rng: np.random.Generator) -> None:
-        if not self._past_horizon(self.sim.now):
-            self.injected[fault.kind] += 1
-            # Concurrent windows compound (two stragglers are worse than
-            # one); recovery divides the factor back out.
-            self.slowdown_factor *= fault.factor
-            self._emit(
-                "chaos.inject",
-                fault.kind,
-                factor=fault.factor,
-                duration_seconds=fault.duration_seconds,
-            )
-            if self.hooks.on_slowdown is not None:
-                self.hooks.on_slowdown(self.slowdown_factor)
-            self.sim.schedule(
-                fault.duration_seconds, lambda: self._slow_end(fault)
-            )
-        gap = float(rng.exponential(fault.mean_interarrival_seconds))
-        onset = self.sim.now + fault.duration_seconds + gap
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._slow_start(fault, rng))
+        self.sim.schedule(fault.duration_seconds, lambda: self._slow_end(fault))
 
     def _slow_end(self, fault: Slowdowns) -> None:
         self.slowdown_factor /= fault.factor
         if abs(self.slowdown_factor - 1.0) < 1e-12:
             self.slowdown_factor = 1.0  # snap float residue
         self._emit("chaos.recover", fault.kind, factor=self.slowdown_factor)
-        if self.hooks.on_slowdown_end is not None:
-            self.hooks.on_slowdown_end()
 
     # ------------------------------------------------------------------
     # Cold-start failures (pull hook: the pool asks for the spawn delay)
@@ -501,60 +492,30 @@ class ChaosEngine:
     # ------------------------------------------------------------------
     # OOM kills
     # ------------------------------------------------------------------
-    def _arm_oom(self, fault: OOMKills, rng: np.random.Generator) -> None:
-        onset = fault.first_after + float(
-            rng.exponential(fault.mean_interarrival_seconds)
-        )
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._oom(fault, rng))
-
-    def _oom(self, fault: OOMKills, rng: np.random.Generator) -> None:
-        if not self._past_horizon(self.sim.now):
-            self.injected[fault.kind] += 1
-            self._emit("chaos.inject", fault.kind)
-            if self.hooks.on_oom_kill is not None:
-                self.hooks.on_oom_kill()
-        onset = self.sim.now + float(
-            rng.exponential(fault.mean_interarrival_seconds)
-        )
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._oom(fault, rng))
+    def _oom(self, fault: OOMKills) -> None:
+        self.injected[fault.kind] += 1
+        self._emit("chaos.inject", fault.kind)
+        if self.hooks.on_oom_kill is not None:
+            self.hooks.on_oom_kill()
 
     # ------------------------------------------------------------------
     # MPS faults
     # ------------------------------------------------------------------
-    def _arm_mps(self, fault: MPSFaults, rng: np.random.Generator) -> None:
-        onset = fault.first_after + float(
-            rng.exponential(fault.mean_interarrival_seconds)
-        )
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._mps_fail(fault, rng))
-
-    def _mps_fail(self, fault: MPSFaults, rng: np.random.Generator) -> None:
-        if not self._past_horizon(self.sim.now):
-            if not self.mps_down:
-                self.injected[fault.kind] += 1
-                self.mps_down = True
-                self._emit(
-                    "chaos.inject",
-                    fault.kind,
-                    duration_seconds=fault.duration_seconds,
-                )
-                if self.hooks.on_mps_fault is not None:
-                    self.hooks.on_mps_fault()
-                self.sim.schedule(
-                    fault.duration_seconds, lambda: self._mps_recover(fault)
-                )
-        gap = float(rng.exponential(fault.mean_interarrival_seconds))
-        onset = self.sim.now + fault.duration_seconds + gap
-        if not self._past_horizon(onset):
-            self.sim.schedule_at(onset, lambda: self._mps_fail(fault, rng))
+    def _mps_fail(self, fault: MPSFaults) -> None:
+        if not self.mps_down:
+            self.injected[fault.kind] += 1
+            self.mps_down = True
+            self._emit(
+                "chaos.inject", fault.kind,
+                duration_seconds=fault.duration_seconds,
+            )
+            self.sim.schedule(
+                fault.duration_seconds, lambda: self._mps_recover(fault)
+            )
 
     def _mps_recover(self, fault: MPSFaults) -> None:
         self.mps_down = False
         self._emit("chaos.recover", fault.kind)
-        if self.hooks.on_mps_recover is not None:
-            self.hooks.on_mps_recover()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         active = [k for k, v in self.injected.items() if v]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.hardware_selection import HardwareSelector
+from repro.core.hardware_selection import HardwareSelector, choose_best_row
 from repro.core.predictor import EWMAPredictor
 
 
@@ -19,6 +19,15 @@ def make_selector(profiles, model, predictor=None, **kw):
 def prime(selector, rate):
     for _ in range(6):
         selector.predictor.observe(rate, 0.0)
+
+
+def choose(selector, rows):
+    """``choose_best_row`` with the selector's budget and slack."""
+    return choose_best_row(
+        rows,
+        selector.slo_seconds * selector.latency_budget_fraction,
+        selector.perf_slack_seconds,
+    )
 
 
 class TestEvaluate:
@@ -44,18 +53,18 @@ class TestChooseBest:
     def test_cheapest_wins_when_all_comfortable(self, profiles, resnet50, cpu_node):
         sel = make_selector(profiles, resnet50)
         evs = [sel.evaluate(hw, 3) for hw in profiles.catalog.by_cost()]
-        chosen = sel.choose_best([e for e in evs if e.least_t_max != float("inf")])
-        assert chosen.price_per_hour <= profiles.catalog.get("g3s.xlarge").price_per_hour
+        chosen = choose(sel, [e for e in evs if e.least_t_max != float("inf")])
+        assert chosen.cost_per_hour <= profiles.catalog.get("g3s.xlarge").price_per_hour
 
     def test_degrades_to_fastest_when_nothing_fits(self, profiles, resnet50):
         sel = make_selector(profiles, resnet50)
         evs = [sel.evaluate(hw, 100000) for hw in profiles.catalog.gpus()]
-        chosen = sel.choose_best(evs)
-        assert chosen.name == "p3.2xlarge"
+        chosen = choose(sel, evs)
+        assert chosen.hw_name == "p3.2xlarge"
 
     def test_empty_candidates_rejected(self, profiles, resnet50):
         with pytest.raises(ValueError):
-            make_selector(profiles, resnet50).choose_best([])
+            choose(make_selector(profiles, resnet50), [])
 
 
 class TestTick:
@@ -118,10 +127,9 @@ class TestTick:
         assert out.chosen.perf_rank <= m60.perf_rank
 
     def test_unavailable_hardware_excluded(self, profiles, resnet50, v100):
-        sel = make_selector(
-            profiles, resnet50,
-            is_available=lambda hw: hw.name != "c6i.4xlarge",
-        )
+        sel = make_selector(profiles, resnet50)
         prime(sel, 8.0)
-        out = sel.tick(0.0, None)
+        out = sel.tick(
+            0.0, None, is_available=lambda hw: hw.name != "c6i.4xlarge"
+        )
         assert out.chosen.name != "c6i.4xlarge"

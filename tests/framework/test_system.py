@@ -41,13 +41,18 @@ class TestConservation:
         with pytest.raises(RuntimeError):
             run.execute()
 
+    @pytest.mark.parametrize(
+        "policy_cls", [MoleculePolicy, PaldiaPolicy, OraclePolicy]
+    )
     def test_finished_run_is_freed_without_the_cycle_collector(
-        self, resnet50, profiles, slo, short_trace
+        self, policy_cls, resnet50, profiles, slo, short_trace
     ):
         """Nothing the dispatch path keeps (job hooks, container waiters)
-        refers back to the run, so a sweep of many runs does not hold the
-        finished ones until the cycle collector runs."""
-        policy = MoleculePolicy(resnet50, profiles, slo.target_seconds)
+        or the policy keeps (Paldia's selector) refers back to the run, so
+        a sweep of many runs does not hold the finished ones until the
+        cycle collector runs."""
+        extra = (short_trace,) if policy_cls is OraclePolicy else ()
+        policy = policy_cls(resnet50, profiles, slo.target_seconds, *extra)
         run = ServerlessRun(resnet50, short_trace, policy, profiles, slo)
         result = run.execute()
         assert result.completed_requests > 0

@@ -19,6 +19,7 @@ from repro.simulator.chaos import (
     StochasticCrashes,
 )
 from repro.simulator.engine import Simulator
+from repro.telemetry.tracer import Tracer
 from repro.workloads.models import get_model
 from repro.workloads.traces import azure_trace
 
@@ -184,38 +185,45 @@ class TestHorizon:
         assert engine.injected["periodic_outage"] == 0
 
 
+def _engine_state_at_events(fault, horizon, state):
+    """Run one fault stream traced; return ``(event name, state(engine))``
+    as each ``chaos.inject`` / ``chaos.recover`` event is emitted."""
+    sim, tracer, seen = Simulator(), Tracer(), []
+    engine = ChaosEngine(
+        sim, ChaosSpec(faults=(fault,), seed=1), ChaosHooks(),
+        horizon=horizon, tracer=tracer,
+    )
+    emit = tracer.event
+
+    def event(name, time, **attrs):
+        seen.append((name, state(engine)))
+        emit(name, time, **attrs)
+
+    tracer.event = event
+    engine.start()
+    sim.run()
+    assert [e.name for e in tracer.events] == [name for name, _ in seen]
+    return engine, seen
+
+
 class TestFaultEffects:
     def test_slowdown_factor_window(self):
-        sim = Simulator()
-        seen = []
-        engine = ChaosEngine(
-            sim,
-            ChaosSpec(faults=(Slowdowns(20.0, 5.0, factor=2.0),), seed=1),
-            ChaosHooks(on_slowdown=lambda f: seen.append(f)),
-            horizon=200.0,
+        engine, seen = _engine_state_at_events(
+            Slowdowns(20.0, 5.0, factor=2.0), 200.0,
+            lambda e: e.slowdown_factor,
         )
-        engine.start()
-        sim.run()
-        assert seen and all(f == 2.0 for f in seen)
+        injects = [f for name, f in seen if name == "chaos.inject"]
+        assert injects and all(f == 2.0 for f in injects)
+        assert len(injects) == engine.injected["slowdowns"]
         assert engine.slowdown_factor == 1.0  # every window recovered
 
     def test_mps_down_toggles(self):
-        sim = Simulator()
-        transitions = []
-        engine = ChaosEngine(
-            sim,
-            ChaosSpec(faults=(MPSFaults(40.0, 10.0),), seed=1),
-            ChaosHooks(
-                on_mps_fault=lambda: transitions.append(("down", engine.mps_down)),
-                on_mps_recover=lambda: transitions.append(("up", engine.mps_down)),
-            ),
-            horizon=300.0,
+        _, seen = _engine_state_at_events(
+            MPSFaults(40.0, 10.0), 300.0, lambda e: e.mps_down
         )
-        engine.start()
-        sim.run()
-        assert transitions
-        assert all(down for kind, down in transitions if kind == "down")
-        assert all(not down for kind, down in transitions if kind == "up")
+        assert seen
+        assert all(down for name, down in seen if name == "chaos.inject")
+        assert all(not down for name, down in seen if name == "chaos.recover")
 
     def test_cold_start_delay_inflates(self):
         engine = ChaosEngine(
