@@ -318,7 +318,14 @@ class ChaosEngine:
         self.mps_down = False
         #: Current multiplicative slowdown on newly submitted work.
         self.slowdown_factor = 1.0
-        self._cold_start_streams: list[tuple[ColdStartFailures, np.random.Generator]] = []
+        #: Cold-start failures are drawn per spawn, not scheduled, so
+        #: their streams exist before :meth:`start`: the framework asks
+        #: :attr:`perturbs_cold_starts` when it builds the run.
+        self._cold_start_streams: list[tuple[ColdStartFailures, np.random.Generator]] = [
+            (fault, self._rng(index, fault.kind))
+            for index, fault in enumerate(spec.faults)
+            if isinstance(fault, ColdStartFailures)
+        ]
         self._started = False
 
     # ------------------------------------------------------------------
@@ -353,12 +360,12 @@ class ChaosEngine:
             if isinstance(fault, PeriodicOutage):
                 self._arm_periodic(fault)
                 continue
+            if isinstance(fault, ColdStartFailures):
+                continue  # drawn per spawn (see cold_start_delay)
             rng = self._rng(index, fault.kind)
             if isinstance(fault, StochasticCrashes):
                 self._recur(fault, rng, fault.first_crash_after,
                             fault.downtime_seconds, self._crash)
-            elif isinstance(fault, ColdStartFailures):
-                self._cold_start_streams.append((fault, rng))
             elif isinstance(fault, Slowdowns):
                 self._recur(fault, rng, fault.first_after,
                             fault.duration_seconds, self._slow_start)

@@ -21,7 +21,7 @@ from repro.simulator.chaos import (
 from repro.simulator.engine import Simulator
 from repro.telemetry.tracer import Tracer
 from repro.workloads.models import get_model
-from repro.workloads.traces import azure_trace
+from repro.workloads.traces import azure_trace, poisson_trace
 
 ALL_FAULTS = (
     PeriodicOutage(90.0, 30.0, first_failure_at=10.0),
@@ -319,6 +319,26 @@ class TestRunLevelContracts:
         first = _run("bert", 180.0, config, slo_seconds=10.0)
         second = _run("bert", 180.0, config, slo_seconds=10.0)
         assert _fingerprint(first) == _fingerprint(second)
+
+    def test_cold_start_failures_fire_inside_a_run(self):
+        """A cold-start failure stream reaches the run's own cold starts:
+        the spawn-delay hook is installed when the run is built."""
+        model, profiles, slo = get_model("resnet50"), ProfileService(), SLO()
+
+        def run(chaos):
+            trace = poisson_trace(rate_rps=model.peak_rps, duration=60.0, seed=0)
+            policy = PaldiaPolicy(model, profiles, slo.target_seconds)
+            run = ServerlessRun(
+                model, trace, policy, profiles, slo, RunConfig(chaos=chaos)
+            )
+            return run, run.execute()
+
+        _, calm = run(None)
+        faulted_run, faulted = run(
+            ChaosSpec(faults=(ColdStartFailures(probability=0.9),))
+        )
+        assert faulted_run._chaos.injected["cold_start_failures"] > 0
+        assert _fingerprint(faulted) != _fingerprint(calm)
 
     def test_oom_kills_are_requeued(self):
         r = _run(
