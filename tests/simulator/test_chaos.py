@@ -325,7 +325,7 @@ class TestRunLevelContracts:
         the spawn-delay hook is installed when the run is built."""
         model, profiles, slo = get_model("resnet50"), ProfileService(), SLO()
 
-        def run(chaos):
+        def execute(chaos):
             trace = poisson_trace(rate_rps=model.peak_rps, duration=60.0, seed=0)
             policy = PaldiaPolicy(model, profiles, slo.target_seconds)
             run = ServerlessRun(
@@ -333,8 +333,8 @@ class TestRunLevelContracts:
             )
             return run, run.execute()
 
-        _, calm = run(None)
-        faulted_run, faulted = run(
+        _, calm = execute(None)
+        faulted_run, faulted = execute(
             ChaosSpec(faults=(ColdStartFailures(probability=0.9),))
         )
         assert faulted_run._chaos.injected["cold_start_failures"] > 0
