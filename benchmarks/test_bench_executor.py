@@ -3,8 +3,8 @@
 Two contracts from the fault-tolerance PR:
 
 * **Zero disabled overhead** — a plain ``run_matrix`` call with no
-  fault policy, no chaos wrapper, and no journal executes no code from
-  the chaos or journal modules and constructs no ``CellFaultPolicy``.
+  fault policy and no chaos wrapper executes no code from the chaos
+  module and constructs no ``CellFaultPolicy``.
   Gated on *work executed* (deterministic call counts via
   ``sys.setprofile``), the same way the self-profiler and cost-meter
   disabled paths are gated.
@@ -25,7 +25,6 @@ from repro.experiments.executors import (
 )
 from repro.experiments.executors import base as base_mod
 from repro.experiments.executors import chaos as chaos_mod
-from repro.experiments import journal as journal_mod
 from repro.experiments.runner import run_matrix
 from repro.workloads.traces import constant_trace
 
@@ -72,15 +71,13 @@ def profile_files(fn, filenames):
 
 
 def test_disabled_path_runs_no_fault_machinery():
-    files = (chaos_mod.__file__, journal_mod.__file__, base_mod.__file__)
+    files = (chaos_mod.__file__, base_mod.__file__)
     _, counts, policy_ctors = profile_files(
         lambda: run_matrix(executor=SerialExecutor(), **_KW), files
     )
     print(f"\ndisabled-path calls: chaos={counts[chaos_mod.__file__]}, "
-          f"journal={counts[journal_mod.__file__]}, "
           f"policy ctors={policy_ctors}")
     assert counts[chaos_mod.__file__] == 0
-    assert counts[journal_mod.__file__] == 0
     assert policy_ctors == 0
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.framework.system import RunResult
 from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalog
+from repro.telemetry.dashboard import sparkline
 from repro.workloads.traces import Trace
 
 __all__ = [
@@ -22,9 +23,6 @@ __all__ = [
     "hardware_timeline",
     "render_run_timeline",
 ]
-
-_BLOCKS = " ▁▂▃▄▅▆▇█"
-
 
 def node_code(spec: HardwareSpec) -> str:
     """One-letter timeline code for a hardware spec.
@@ -60,14 +58,9 @@ def rate_sparkline(trace: Trace, width: int = 80) -> str:
     if rates.size == 0:
         return ""
     edges = np.linspace(0, rates.size, width + 1).astype(int)
-    buckets = [
+    return sparkline([
         rates[a:b].mean() if b > a else 0.0 for a, b in zip(edges, edges[1:])
-    ]
-    peak = max(max(buckets), 1e-12)
-    return "".join(
-        _BLOCKS[min(len(_BLOCKS) - 1, int(round(v / peak * (len(_BLOCKS) - 1))))]
-        for v in buckets
-    )
+    ])
 
 
 def hardware_timeline(

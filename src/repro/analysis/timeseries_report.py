@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.analysis.timeline import node_codes
+from repro.telemetry.dashboard import sparkline
 from repro.telemetry.timeseries import TimeSeriesData, read_timeseries
 
 __all__ = [
@@ -34,8 +35,6 @@ __all__ = [
     "render_timeseries_file",
     "write_timeseries_svg",
 ]
-
-_BLOCKS = " ▁▂▃▄▅▆▇█"
 
 #: Columns rendered in the pools & control panel, with display labels.
 _CONTROL_SERIES = (
@@ -59,24 +58,6 @@ def _bucket(values: np.ndarray, width: int) -> list[float]:
         finite = chunk[~np.isnan(chunk)]
         out.append(float(finite.mean()) if finite.size else math.nan)
     return out
-
-
-def _spark(buckets: Sequence[float], peak: Optional[float] = None) -> str:
-    """Sparkline over bucketed values; NaN buckets render as spaces."""
-    finite = [v for v in buckets if not math.isnan(v)]
-    if not finite:
-        return " " * len(buckets)
-    top = peak if peak is not None else max(max(finite), 1e-12)
-    top = max(top, 1e-12)
-    chars = []
-    for v in buckets:
-        if math.isnan(v):
-            chars.append(" ")
-        else:
-            idx = min(len(_BLOCKS) - 1,
-                      int(round(v / top * (len(_BLOCKS) - 1))))
-            chars.append(_BLOCKS[max(0, idx)])
-    return "".join(chars)
 
 
 def _stat(values: np.ndarray) -> str:
@@ -147,7 +128,7 @@ def render_timeseries_report(data: TimeSeriesData, width: int = 72) -> str:
             continue
         col = data.column(name)
         lines.append(f"  {label:<{label_w}s}"
-                     f"{_spark(_bucket(col, width))}  {_stat(col)}")
+                     f"{sparkline(_bucket(col, width))}  {_stat(col)}")
     if "hw.selected" in data.names():
         strip, legend = _hardware_strip(data, width)
         lines.append(f"  {'serving node':<{label_w}s}{strip}")
@@ -167,7 +148,7 @@ def render_timeseries_report(data: TimeSeriesData, width: int = 72) -> str:
             spec = name[len("node."):-len(".occupancy")]
             col = data.column(name)
             lines.append(f"  {spec:<{label_w}s}"
-                         f"{_spark(_bucket(col, width), peak=1.0)}  "
+                         f"{sparkline(_bucket(col, width), peak=1.0)}  "
                          f"{_stat(col)}")
         lines.append("")
 
@@ -178,7 +159,7 @@ def render_timeseries_report(data: TimeSeriesData, width: int = 72) -> str:
         for name, label in present:
             col = data.column(name)
             lines.append(f"  {label:<{label_w}s}"
-                         f"{_spark(_bucket(col, width))}  {_stat(col)}")
+                         f"{sparkline(_bucket(col, width))}  {_stat(col)}")
         lines.append("")
 
     errors = meta.get("probe_errors") or {}

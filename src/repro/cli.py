@@ -24,15 +24,16 @@ Commands
     All schemes side by side on the same trace.
 ``experiment ID [--no-cache] [--cache-dir DIR] [--executor E]
     [--cell-retries N] [--cell-timeout S] [--on-cell-failure fail|skip]
-    [--resume] [--prom-out F.prom] [...]``
+    [--prom-out F.prom] [...]``
     Regenerate one paper figure/table (fig1, fig3, ..., table3, ablations).
     The available IDs derive from the experiment registry
     (:mod:`repro.experiments.registry`); matrix cells are replayed from
     the on-disk result cache when their content hash is unchanged.
     Execution is pluggable (serial, local process pool, or seeded
-    chaos-injection wrappers) with per-cell retry, wall-clock timeouts,
-    and a durable run journal enabling ``--resume`` after an
-    interruption — see ``docs/EXECUTION.md``.
+    chaos-injection wrappers) with per-cell retry and wall-clock
+    timeouts; an interrupted sweep resumes when the same command runs
+    again, since every finished cell is in the cache — see
+    ``docs/EXECUTION.md``.
 ``profile [MODEL] [--scheme S] [--trace T] [--duration D] [--seed N]
     [--json F] [--speedscope F] [--collapsed F] [--alloc] [--top N]``
     Run one scenario under the hierarchical self-profiler
@@ -394,12 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="after retries are exhausted: 'fail' aborts the "
         "experiment, 'skip' records the hole and continues "
         "(summaries touching a holed cell still refuse loudly)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted sweep from its run journal: "
-        "journaled cells replay from the result cache, only the "
-        "remainder is recomputed",
     )
     p.add_argument(
         "--chaos-seed", type=int, default=0, metavar="N",
@@ -824,30 +819,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _resume_command(args) -> str:
-    """The exact command that resumes an interrupted experiment."""
-    parts = ["python -m repro experiment", args.experiment_id, "--resume"]
-    if args.duration != 300.0:
-        parts.append(f"--duration {args.duration:g}")
-    if args.repetitions != 2:
-        parts.append(f"--repetitions {args.repetitions}")
-    if args.seed:
-        parts.append(f"--seed {args.seed}")
-    if args.cache_dir != DEFAULT_CACHE_DIR:
-        parts.append(f"--cache-dir {args.cache_dir}")
-    if args.executor != "auto":
-        parts.append(f"--executor {args.executor}")
-    if args.chaos_seed:
-        parts.append(f"--chaos-seed {args.chaos_seed}")
-    if args.cell_retries is not None:
-        parts.append(f"--cell-retries {args.cell_retries}")
-    if args.cell_timeout is not None:
-        parts.append(f"--cell-timeout {args.cell_timeout:g}")
-    if args.on_cell_failure != "fail":
-        parts.append(f"--on-cell-failure {args.on_cell_failure}")
-    return " ".join(parts)
-
-
 def _execution_settings(args) -> ExecutionSettings:
     policy = None
     if args.cell_retries is not None or args.cell_timeout is not None:
@@ -862,8 +833,6 @@ def _execution_settings(args) -> ExecutionSettings:
         executor=None if args.executor == "auto" else args.executor,
         fault_policy=policy,
         on_cell_failure=args.on_cell_failure,
-        journal=not args.no_cache,
-        resume=args.resume,
         chaos_seed=args.chaos_seed,
     )
 
@@ -878,6 +847,13 @@ def _write_experiment_prom(path: str) -> None:
     emit(f"wrote executor + cache counters to {path}")
 
 
+def _rerun_hint(cache: Optional[ResultCache]) -> None:
+    """After an interrupted or failed sweep: where its finished cells are."""
+    if cache is not None:
+        emit(f"finished cells are cached in {cache.cache_dir}; run the "
+             "same command again to compute only the rest")
+
+
 def _cmd_experiment(args) -> int:
     entry = get_experiment(args.experiment_id)
     cache = None if args.no_cache else ResultCache(args.cache_dir)
@@ -890,14 +866,12 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
         )
     except KeyboardInterrupt:
-        emit("interrupted — resume with:")
-        emit(f"  {_resume_command(args)}")
+        emit("interrupted")
+        _rerun_hint(cache)
         return 130
     except CellExecutionError as exc:
         logger.error("experiment aborted: %s", exc)
-        if cache is not None:
-            emit("completed cells are cached and journaled — resume with:")
-            emit(f"  {_resume_command(args)}")
+        _rerun_hint(cache)
         return 1
     finally:
         set_active_cache(previous)

@@ -37,7 +37,6 @@ from repro.experiments.executors import (
     make_executor,
     set_active_execution,
 )
-from repro.experiments.journal import RunJournal, matrix_fingerprint
 from repro.experiments.registry import (
     ExperimentEntry,
     all_experiments,
@@ -52,12 +51,11 @@ __all__ = [
     "CellExecutionError", "CellFaultPolicy", "CellSpec", "ChaosExecutor",
     "ExecutionSettings", "ExperimentEntry", "ExperimentReport",
     "LocalPoolExecutor", "MatrixResult", "PAPER_CLAIMS", "ResultCache",
-    "RunJournal", "SCHEMES", "SerialExecutor", "ablations",
-    "all_experiments", "experiment_ids", "fig01", "fig03", "fig04",
-    "fig05", "fig06", "fig07", "fig08", "fig09_10", "fig11", "fig12",
-    "fig13", "get_active_cache", "get_active_execution", "get_experiment",
-    "make_executor", "make_policy", "matrix_fingerprint",
-    "register_experiment", "resilience", "run_cell", "run_matrix",
-    "set_active_cache", "set_active_execution", "sweeps", "table2",
-    "table3",
+    "SCHEMES", "SerialExecutor", "ablations", "all_experiments",
+    "experiment_ids", "fig01", "fig03", "fig04", "fig05", "fig06",
+    "fig07", "fig08", "fig09_10", "fig11", "fig12", "fig13",
+    "get_active_cache", "get_active_execution", "get_experiment",
+    "make_executor", "make_policy", "register_experiment", "resilience",
+    "run_cell", "run_matrix", "set_active_cache", "set_active_execution",
+    "sweeps", "table2", "table3",
 ]

@@ -1,8 +1,8 @@
 """Pluggable, fault-tolerant execution backends for experiment matrices.
 
 See :mod:`repro.experiments.executors.base` for the interface and
-``docs/EXECUTION.md`` for the workflow (backends, fault policy, the
-durable run journal, and ``--resume``).
+``docs/EXECUTION.md`` for the workflow (backends, fault policy, and
+resuming an interrupted sweep from the result cache).
 """
 
 from repro.experiments.executors.base import (

@@ -5,9 +5,9 @@ An :class:`Executor` turns a sequence of
 :class:`CellOutcome` records, applying an optional
 :class:`CellFaultPolicy` (per-cell retry with decorrelated-jitter
 backoff, per-cell wall-clock timeout, crash/timeout/exception
-classification).  ``run_matrix`` is a thin planner on top: it resolves
-caching and journaling, picks an executor, and folds the outcome stream
-back into a :class:`~repro.experiments.runner.MatrixResult`.
+classification).  ``run_matrix`` is a thin planner on top: it replays
+the result cache, picks an executor, and folds the outcome stream back
+into a :class:`~repro.experiments.runner.MatrixResult`.
 
 Implementations
 ---------------
@@ -28,7 +28,7 @@ Disabled path
 -------------
 With no fault policy and no chaos wrapper, an executor constructs no
 retry machinery: no :class:`CellFaultPolicy`, no backoff RNG, and zero
-calls into the chaos or journal modules (gated deterministically by
+calls into the chaos module (gated deterministically by
 ``benchmarks/test_bench_executor.py``, the same way the self-profiler
 and cost-meter disabled paths are gated).
 """
@@ -39,7 +39,7 @@ import abc
 import logging
 import os
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 from repro.telemetry.metrics import MetricsRegistry
@@ -54,6 +54,7 @@ __all__ = [
     "CellFailure",
     "CellFaultPolicy",
     "CellOutcome",
+    "CellState",
     "Executor",
     "ExecutionSettings",
     "InjectedFault",
@@ -70,12 +71,6 @@ logger = logging.getLogger(__name__)
 #: repro metric and are Prometheus-exportable
 #: (``repro experiment --prom-out``).
 EXECUTOR_METRICS = MetricsRegistry()
-
-#: Failure classifications carried by :class:`CellOutcome` and the run
-#: journal.  ``crash`` — the worker process died (OOM, SIGKILL, pickling
-#: bug); ``timeout`` — the cell exceeded its wall-clock budget;
-#: ``exception`` — the cell raised.
-FAILURE_KINDS = ("crash", "timeout", "exception")
 
 
 def worker_count(n_tasks: int, n_cpus: int) -> int:
@@ -210,6 +205,55 @@ class CellOutcome:
         return max(0, self.attempts - 1)
 
 
+#: Per failure kind, the :class:`CellOutcome` tally and the executor
+#: counter one failed attempt adds to.  ``crash`` — the worker process
+#: died (OOM, SIGKILL, pickling bug); ``timeout`` — the cell exceeded its
+#: wall-clock budget; ``exception`` — the cell raised.
+_FAULT_TALLIES = {
+    "crash": ("crashes", "executor.worker_crash"),
+    "timeout": ("timeouts", "executor.cell_timeout"),
+    "exception": ("exceptions", "executor.cell_exception"),
+}
+
+
+@dataclass
+class CellState:
+    """One cell across its attempts: its outcome so far and the retry
+    state every executor keeps (the pool's wall-clock deadline, the last
+    backoff and the lazily built per-cell backoff RNG)."""
+
+    pos: int
+    spec: "CellSpec"
+    out: CellOutcome
+    deadline: float = float("inf")
+    backoff: float = 0.0
+    rng: Optional[random.Random] = None
+
+    def failed(
+        self, kind: str, error: str, policy: Optional[CellFaultPolicy]
+    ) -> Optional[float]:
+        """Charge the attempt that just failed with ``kind``.
+
+        Returns the backoff to wait before the next attempt, or ``None``
+        when the cell is out of attempts (``out`` is then terminal).
+        """
+        out = self.out
+        tally, counter = _FAULT_TALLIES[kind]
+        setattr(out, tally, getattr(out, tally) + 1)
+        out.error = error
+        EXECUTOR_METRICS.counter(counter).inc()
+        if policy is None or out.attempts >= policy.max_attempts:
+            out.failure_kind = kind
+            out.result = None
+            EXECUTOR_METRICS.counter("executor.cell_failure").inc()
+            return None
+        EXECUTOR_METRICS.counter("executor.cell_retry").inc()
+        if self.rng is None and policy.jitter:
+            self.rng = policy.backoff_rng(self.pos)
+        self.backoff = policy.next_backoff(self.backoff, self.rng)
+        return self.backoff
+
+
 @dataclass(frozen=True)
 class CellFailure:
     """A terminally failed cell, as recorded on a ``MatrixResult``."""
@@ -273,16 +317,6 @@ class Executor(abc.ABC):
     ) -> Iterator[CellOutcome]:
         """Execute every cell, yielding outcomes as they complete."""
 
-    # -- shared retry bookkeeping --------------------------------------
-    @staticmethod
-    def _record_fault(kind: str) -> None:
-        if kind == "crash":
-            EXECUTOR_METRICS.counter("executor.worker_crash").inc()
-        elif kind == "timeout":
-            EXECUTOR_METRICS.counter("executor.cell_timeout").inc()
-        else:
-            EXECUTOR_METRICS.counter("executor.cell_exception").inc()
-
 
 # ----------------------------------------------------------------------
 # Process-wide execution settings (configured by the CLI, consumed by
@@ -295,16 +329,12 @@ class ExecutionSettings:
     say explicitly.
 
     ``executor`` is an :data:`EXECUTOR_NAMES` name (``None`` keeps the
-    size-based serial/pool heuristic); ``journal`` enables the durable
-    JSONL run manifest next to the active result cache; ``resume``
-    reports previously journaled cells instead of rotating the journal.
+    size-based serial/pool heuristic).
     """
 
     executor: Optional[str] = None
     fault_policy: Optional[CellFaultPolicy] = None
     on_cell_failure: str = "fail"
-    journal: bool = False
-    resume: bool = False
     chaos_seed: int = 0
 
     def __post_init__(self) -> None:

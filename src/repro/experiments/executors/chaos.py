@@ -5,8 +5,8 @@ worker crashes, timeouts (stragglers slower than the cell budget),
 stragglers (slow but inside the budget), and in-cell exceptions.  The
 simulator-side chaos engine (:mod:`repro.simulator.chaos`) breaks the
 *simulated* fleet; this wrapper breaks the *experiment harness* — the
-worker processes and futures that produce every figure — so the retry,
-respawn, and journal machinery can be tested end to end.
+worker processes and futures that produce every figure — so the retry
+and respawn machinery can be tested end to end.
 
 Determinism contract (the same per-(seed, index) stream discipline as
 ``ChaosSpec``): whether cell ``i`` is faulted, and with which kind, is a

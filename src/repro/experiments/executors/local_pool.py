@@ -40,13 +40,13 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.experiments.executors.base import (
     EXECUTOR_METRICS,
     CellFaultPolicy,
     CellOutcome,
+    CellState,
     Executor,
     worker_count,
 )
@@ -94,18 +94,6 @@ def _pool_cell_task(
     return run_cell(spec)
 
 
-@dataclass
-class _CellState:
-    """Parent-side bookkeeping for one cell across its attempts."""
-
-    pos: int
-    spec: "CellSpec"
-    out: CellOutcome
-    deadline: float = float("inf")
-    backoff: float = 0.0
-    rng: object = None  # lazily built per-cell backoff RNG
-
-
 class LocalPoolExecutor(Executor):
     """Per-cell futures over a respawnable ``ProcessPoolExecutor``."""
 
@@ -143,19 +131,18 @@ class LocalPoolExecutor(Executor):
             if self.max_workers
             else worker_count(len(cells), os.cpu_count() or 1)
         )
-        max_attempts = policy.max_attempts if policy is not None else 1
         timeout = policy.cell_timeout_seconds if policy is not None else None
 
-        queue: deque[_CellState] = deque(
-            _CellState(pos=i, spec=spec, out=CellOutcome(i, None, attempts=0))
+        queue: deque[CellState] = deque(
+            CellState(pos=i, spec=spec, out=CellOutcome(i, None, attempts=0))
             for i, spec in enumerate(cells)
         )
-        waiting: list[tuple[float, int, _CellState]] = []  # backoff heap
-        inflight: dict[Future, _CellState] = {}
-        abandoned: dict[Future, _CellState] = {}
+        waiting: list[tuple[float, int, CellState]] = []  # backoff heap
+        inflight: dict[Future, CellState] = {}
+        abandoned: dict[Future, CellState] = {}
         pool = self._new_pool(workers)
 
-        def launch(st: _CellState, now: float) -> None:
+        def launch(st: CellState, now: float) -> None:
             fault = (
                 self.inject(st.pos, st.out.attempts)
                 if self.inject is not None
@@ -171,21 +158,15 @@ class LocalPoolExecutor(Executor):
             )
             inflight[fut] = st
 
-        def after_fault(st: _CellState, kind: str) -> Optional[CellOutcome]:
-            """Retry ``st`` (returns None) or fail it terminally."""
-            self._record_fault(kind)
-            if st.out.attempts >= max_attempts:
-                st.out.failure_kind = kind
-                st.out.result = None
-                EXECUTOR_METRICS.counter("executor.cell_failure").inc()
+        def after_fault(
+            st: CellState, kind: str, error: str
+        ) -> Optional[CellOutcome]:
+            """Queue ``st`` for a retry (returns None) or return its
+            terminal outcome."""
+            backoff = st.failed(kind, error, policy)
+            if backoff is None:
                 return st.out
-            EXECUTOR_METRICS.counter("executor.cell_retry").inc()
-            if st.rng is None and policy is not None and policy.jitter:
-                st.rng = policy.backoff_rng(st.pos)
-            st.backoff = policy.next_backoff(st.backoff, st.rng)  # type: ignore[union-attr]
-            heapq.heappush(
-                waiting, (time.monotonic() + st.backoff, st.pos, st)
-            )
+            heapq.heappush(waiting, (time.monotonic() + backoff, st.pos, st))
             return None
 
         def respawn(reason: str) -> None:
@@ -238,15 +219,13 @@ class LocalPoolExecutor(Executor):
                         result = fut.result()
                     except BrokenProcessPool as exc:
                         broken = True
-                        st.out.crashes += 1
-                        st.out.error = f"worker crashed: {exc!r}"
-                        terminal = after_fault(st, "crash")
+                        terminal = after_fault(
+                            st, "crash", f"worker crashed: {exc!r}"
+                        )
                         if terminal is not None:
                             yield terminal
                     except Exception as exc:  # noqa: BLE001 - classified
-                        st.out.exceptions += 1
-                        st.out.error = repr(exc)
-                        terminal = after_fault(st, "exception")
+                        terminal = after_fault(st, "exception", repr(exc))
                         if terminal is not None:
                             yield terminal
                     else:
@@ -258,9 +237,9 @@ class LocalPoolExecutor(Executor):
                     # collateral of the crash.  Charge them a crash
                     # attempt (they were genuinely lost) and rebuild.
                     for fut, st in list(inflight.items()):
-                        st.out.crashes += 1
-                        st.out.error = "worker pool broke while in flight"
-                        terminal = after_fault(st, "crash")
+                        terminal = after_fault(
+                            st, "crash", "worker pool broke while in flight"
+                        )
                         if terminal is not None:
                             yield terminal
                     inflight.clear()
@@ -277,11 +256,10 @@ class LocalPoolExecutor(Executor):
                             # Already running: abandon it; the worker
                             # frees up whenever the straggler returns.
                             abandoned[fut] = st
-                        st.out.timeouts += 1
-                        st.out.error = (
-                            f"cell exceeded {timeout:.3f}s wall-clock budget"
+                        terminal = after_fault(
+                            st, "timeout",
+                            f"cell exceeded {timeout:.3f}s wall-clock budget",
                         )
-                        terminal = after_fault(st, "timeout")
                         if terminal is not None:
                             yield terminal
                     if len(abandoned) >= workers:

@@ -18,13 +18,11 @@ straggler costs one cell one attempt, not the whole sweep.
 
 Durability
 ----------
-When journaling is active (the CLI enables it whenever the result cache
-is), every completed cell is appended to a JSONL run manifest next to
-the cache (:mod:`repro.experiments.journal`).  An interrupted sweep
-(SIGINT, SIGKILL, OOM) is resumed with ``repro experiment ID --resume``:
-journaled cells replay from the cache, nothing is recomputed.
-KeyboardInterrupt flushes the journal before propagating, so Ctrl-C is
-always a clean stopping point.
+The result cache is a sweep's only record: each computed cell is
+stored as soon as its outcome arrives, written atomically, so an
+interrupted sweep (SIGINT, SIGKILL, OOM) is resumed by running the same
+command again — finished cells replay from the cache, only the rest
+compute.
 
 Failure policy
 --------------
@@ -40,7 +38,7 @@ from __future__ import annotations
 import logging
 import os
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from repro.analysis.stats import RunSummary, summarize_runs
 from repro.experiments.cache import ResultCache, get_active_cache
@@ -164,10 +162,6 @@ class MatrixResult:
     cell_retries: int = 0
     cell_timeouts: int = 0
     worker_crashes: int = 0
-    #: Cells the run journal already had marked done (``--resume``).
-    journal_replayed: int = 0
-    #: Name of the executor that computed the pending cells.
-    executor_name: str = "serial"
 
     @property
     def complete(self) -> bool:
@@ -230,39 +224,6 @@ def _resolve_executor(
     return SerialExecutor()
 
 
-def _setup_journal(
-    journal: Union[bool, str, None],
-    resume: bool,
-    cache: Optional[ResultCache],
-    keys: list[Optional[str]],
-):
-    """Build the run journal when requested (``None`` = settings say)."""
-    if journal is False or journal is None:
-        return None
-    from repro.experiments.journal import (
-        RunJournal,
-        journal_path,
-        matrix_fingerprint,
-    )
-
-    fingerprint = matrix_fingerprint(keys)
-    if isinstance(journal, str):
-        path = journal
-    else:
-        if cache is None:
-            logger.warning(
-                "journaling requires an active result cache; disabled"
-            )
-            return None
-        path = journal_path(cache.cache_dir, fingerprint)
-    return RunJournal(
-        path,
-        fingerprint=fingerprint,
-        n_cells=len(keys),
-        resume=resume,
-    )
-
-
 def run_matrix(
     schemes: Sequence[str],
     model_names: Sequence[str],
@@ -277,8 +238,6 @@ def run_matrix(
     executor: Union[str, Executor, None] = None,
     fault_policy: Optional[CellFaultPolicy] = None,
     on_cell_failure: Optional[str] = None,
-    journal: Union[bool, str, None] = None,
-    resume: Optional[bool] = None,
 ) -> MatrixResult:
     """Run the full (scheme x model x repetition) matrix.
 
@@ -288,11 +247,11 @@ def run_matrix(
         ``None`` (default) consults the process-wide active cache (CLI
         ``--cache-dir`` / ``REPRO_CACHE_DIR``); ``False`` disables caching
         for this call; a :class:`ResultCache` uses that instance.
-    executor / fault_policy / on_cell_failure / journal / resume:
+    executor / fault_policy / on_cell_failure:
         Explicit execution controls; each defaults to the process-wide
         :class:`~repro.experiments.executors.ExecutionSettings`
         installed by the CLI (``--executor``, ``--cell-retries``,
-        ``--cell-timeout``, ``--on-cell-failure``, ``--resume``), and to
+        ``--cell-timeout``, ``--on-cell-failure``), and to
         the historical behaviour when none are installed.  Without an
         executor (or with ``"auto"``), cells fan out over a process pool
         when more than 4 still need computing and more than one worker
@@ -310,10 +269,6 @@ def run_matrix(
         raise ValueError("on_cell_failure must be 'fail' or 'skip'")
     if executor is None and settings is not None:
         executor = settings.executor
-    if journal is None and settings is not None and settings.journal:
-        journal = True
-    if resume is None:
-        resume = settings.resume if settings is not None else False
     chaos_seed = settings.chaos_seed if settings is not None else 0
 
     base_config = config if config is not None else RunConfig()
@@ -343,11 +298,9 @@ def run_matrix(
     # -- cache replay --------------------------------------------------
     results: list[Optional[RunResult]] = [None] * len(cells)
     pending: list[int] = []
-    keys: list[Optional[str]] = [None] * len(cells)
     hits = 0
     if active_cache is not None:
         for i, spec in enumerate(cells):
-            keys[i] = active_cache.key(spec)
             cached = active_cache.get(spec)
             if cached is not None:
                 results[i] = cached
@@ -360,26 +313,6 @@ def run_matrix(
             )
     else:
         pending = list(range(len(cells)))
-
-    # -- journal -------------------------------------------------------
-    run_journal = _setup_journal(journal, resume, active_cache, keys)
-    journal_replayed = 0
-    if run_journal is not None:
-        journal_replayed = sum(
-            1 for i in run_journal.done if results[i] is not None
-        )
-        stale = [i for i in run_journal.done if results[i] is None]
-        if stale:
-            logger.warning(
-                "%d journaled cell(s) are missing from the result cache "
-                "and will be recomputed", len(stale),
-            )
-        if resume and run_journal.n_done:
-            logger.info(
-                "resuming: %d/%d cells already journaled "
-                "(%d replayed from cache)",
-                run_journal.n_done, len(cells), journal_replayed,
-            )
 
     # -- execute the remainder -----------------------------------------
     backend = _resolve_executor(executor, len(pending), chaos_seed)
@@ -408,10 +341,6 @@ def run_matrix(
                     misses += 1
                     if active_cache is not None:
                         active_cache.put(cells[idx], outcome.result)
-                    if run_journal is not None:
-                        run_journal.mark_done(
-                            idx, keys[idx], attempts=outcome.attempts
-                        )
                 else:
                     spec = cells[idx]
                     failure = CellFailure(
@@ -424,13 +353,6 @@ def run_matrix(
                         error=outcome.error or "",
                     )
                     failures.append(failure)
-                    if run_journal is not None:
-                        run_journal.mark_failed(
-                            idx, keys[idx],
-                            kind=failure.kind,
-                            attempts=failure.attempts,
-                            error=failure.error,
-                        )
                 done += 1
                 # Log intermediate progress only for matrices with at
                 # least 10 pending cells (a tiny sweep would log every
@@ -440,26 +362,10 @@ def run_matrix(
                     logger.debug(
                         "matrix progress: %d/%d cells", done, len(pending)
                     )
-        except KeyboardInterrupt:
-            if run_journal is not None:
-                run_journal.flush()
-                run_journal.close()
-                logger.warning(
-                    "interrupted: %d/%d cells journaled — re-run with "
-                    "--resume to continue without recomputing them",
-                    run_journal.n_done, len(cells),
-                )
-            raise
         finally:
             close = getattr(outcomes, "close", None)
             if close is not None:
                 close()
-    else:
-        misses = 0
-
-    if run_journal is not None:
-        run_journal.flush()
-        run_journal.close()
 
     # One consistent end-of-matrix summary, always including the final
     # cell count (the old 10%-step debug line skipped it for matrix
@@ -489,6 +395,4 @@ def run_matrix(
         cell_retries=n_retries,
         cell_timeouts=n_timeouts,
         worker_crashes=n_crashes,
-        journal_replayed=journal_replayed,
-        executor_name=backend.name,
     )

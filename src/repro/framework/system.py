@@ -884,24 +884,26 @@ class ServerlessRun:
     def _on_node_recovery(self) -> None:
         self._failed_specs.clear()
 
-    def _on_oom_kill(self) -> None:
-        """Chaos OOM: one resident batch's container dies mid-execution."""
+    def _on_oom_kill(self) -> bool:
+        """Chaos OOM: one resident batch's container dies mid-execution.
+        Returns whether a running batch was there to kill."""
         node = self._current
         if node is None or not node.available:
-            return
+            return False
         job = node.device.evict_one()
         if job is None:
-            return
+            return False
         if job.on_evict is not None:
             job.on_evict(job)  # balances the container acquisition
         if self.resilience is not None:
             self.resilience.record_failure(node.spec.name, self.sim.now)
             if self.resilience.config.recovery != "requeue":
                 self._handle_failed_batch(job.batch)
-                return
+                return True
         # Requeue (default): unlike a node outage the node itself is still
         # healthy, so the evicted work redispatches immediately.
         self._dispatch(job.batch.arrivals, node)
+        return True
 
     # ------------------------------------------------------------------
     # Deadline-aware retry (resilience layer)

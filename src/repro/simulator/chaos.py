@@ -268,11 +268,13 @@ class ChaosHooks:
     later never shifts the other streams).  Slowdowns and MPS faults need
     no hook: the framework reads :attr:`ChaosEngine.slowdown_factor` and
     :attr:`ChaosEngine.mps_down` when it submits and plans work.
+    ``on_oom_kill`` returns whether it evicted a running batch; an OOM
+    kill with nothing to kill is not counted as injected.
     """
 
     on_node_fail: Optional[Callable[[], None]] = None
     on_node_recover: Optional[Callable[[], None]] = None
-    on_oom_kill: Optional[Callable[[], None]] = None
+    on_oom_kill: Optional[Callable[[], bool]] = None
 
 
 class ChaosEngine:
@@ -500,10 +502,9 @@ class ChaosEngine:
     # OOM kills
     # ------------------------------------------------------------------
     def _oom(self, fault: OOMKills) -> None:
-        self.injected[fault.kind] += 1
-        self._emit("chaos.inject", fault.kind)
-        if self.hooks.on_oom_kill is not None:
-            self.hooks.on_oom_kill()
+        if self.hooks.on_oom_kill is not None and self.hooks.on_oom_kill():
+            self.injected[fault.kind] += 1
+            self._emit("chaos.inject", fault.kind)
 
     # ------------------------------------------------------------------
     # MPS faults

@@ -1,12 +1,12 @@
 """Warn-once degrade latch for best-effort I/O side channels.
 
-Three telemetry/persistence side channels (the experiment result cache,
-the sweep journal, the run ledger) share one failure philosophy: a full
-disk or bad permissions must *degrade* the side channel, never abort
-the experiment — and a degraded channel must say so exactly once, not
-once per write.  This module is the one implementation of that latch;
-each owner keeps its own counters and cleanup and delegates the
-warn-exactly-once bookkeeping here.
+Two persistence side channels (the experiment result cache and the run
+ledger) share one failure philosophy: a full disk or bad permissions
+must *degrade* the side channel, never abort the experiment — and a
+degraded channel must say so exactly once, not once per write.  This
+module is the one implementation of that latch; each owner keeps its
+own counters and cleanup and delegates the warn-exactly-once
+bookkeeping here.
 """
 
 from __future__ import annotations
@@ -45,12 +45,3 @@ class WarnOnce:
         if not self.warned:
             self.warned = True
             self._logger.warning(self._message, *args)
-
-    def rearm(self) -> None:
-        """Start a new episode: the next :meth:`note` warns again.
-
-        Owners call this when the channel *recovered* in between (e.g.
-        a journal file handle was successfully reopened) — a fresh
-        failure after recovery is news, a repeat of the same one is not.
-        """
-        self.warned = False

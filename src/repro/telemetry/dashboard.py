@@ -22,26 +22,33 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Optional, TextIO
+from typing import Any, Optional, Sequence, TextIO
 
-__all__ = ["LiveDashboard"]
+__all__ = ["LiveDashboard", "sparkline"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
 
 
+def sparkline(values: Sequence[float], peak: Optional[float] = None) -> str:
+    """One block character per value, scaled so ``peak`` (default: the
+    largest value) is a full block; a NaN value renders as a space."""
+    finite = [v for v in values if not math.isnan(v)]
+    if not finite:
+        return " " * len(values)
+    top = max(peak if peak is not None else max(finite), 1e-12)
+    full = len(_BLOCKS) - 1
+    return "".join(
+        " " if math.isnan(v)
+        else _BLOCKS[max(0, min(full, int(round(v / top * full))))]
+        for v in values
+    )
+
+
 def _spark(values: list[float], width: int) -> str:
     """Right-aligned sparkline of the most recent ``width`` readings."""
-    tail = [v for v in values[-width:] if not math.isnan(v)]
-    if not tail:
-        return " " * width
-    peak = max(max(tail), 1e-12)
-    chars = "".join(
-        _BLOCKS[min(len(_BLOCKS) - 1,
-                    int(round(v / peak * (len(_BLOCKS) - 1))))]
-        for v in values[-width:]
-        if not math.isnan(v)
-    )
-    return chars.rjust(width)
+    return sparkline(
+        [v for v in values[-width:] if not math.isnan(v)]
+    ).rjust(width)
 
 
 def _fmt(value: float, unit: str = "") -> str:

@@ -253,7 +253,7 @@ class TestResume:
         kw = dict(
             schemes=("paldia",), model_names=["resnet50"],
             trace_factory=_tiny_trace, repetitions=4,
-            executor=SerialExecutor(), journal=True,
+            executor=SerialExecutor(),
         )
 
         calls = {"n": 0}
@@ -276,20 +276,7 @@ class TestResume:
             return _fake_run_cell(spec)
 
         monkeypatch.setattr(runner_mod, "run_cell", counting)
-        m = run_matrix(cache=cache, resume=True, **kw)
+        m = run_matrix(cache=cache, **kw)  # the same call, run again
         assert m.complete
         assert recomputed["n"] == 2  # only the cells the interrupt lost
-        assert m.journal_replayed == 2
         assert m.cache_hits == 2
-
-    def test_journal_without_cache_degrades(self, caplog):
-        import logging
-
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            m = run_matrix(
-                schemes=("paldia",), model_names=["resnet50"],
-                trace_factory=_tiny_trace, repetitions=1,
-                cache=False, executor=SerialExecutor(), journal=True,
-            )
-        assert m.complete
-        assert any("journaling requires" in r.message for r in caplog.records)

@@ -1,6 +1,7 @@
 """Tests for the chaos engine: spec JSON, replay, and the pinned Fig 13b
 outage."""
 
+import numpy as np
 import pytest
 
 from repro.core.paldia import PaldiaPolicy
@@ -21,7 +22,7 @@ from repro.simulator.chaos import (
 from repro.simulator.engine import Simulator
 from repro.telemetry.tracer import Tracer
 from repro.workloads.models import get_model
-from repro.workloads.traces import azure_trace, poisson_trace
+from repro.workloads.traces import Trace, azure_trace, poisson_trace
 
 ALL_FAULTS = (
     PeriodicOutage(90.0, 30.0, first_failure_at=10.0),
@@ -349,6 +350,33 @@ class TestRunLevelContracts:
         )
         assert r.completed_requests + r.unserved_requests == r.offered_requests
         assert r.completed_requests > 0
+
+    def test_oom_kill_on_an_idle_device_is_not_counted(self, monkeypatch):
+        """OOM kills that land after the last batch finished kill nothing,
+        so the run reports no injected OOM kill."""
+        fired = []
+        on_oom_kill = ServerlessRun._on_oom_kill
+
+        def recording(run):
+            fired.append(run.sim.now)
+            return on_oom_kill(run)
+
+        monkeypatch.setattr(ServerlessRun, "_on_oom_kill", recording)
+        model, profiles, slo = get_model("resnet50"), ProfileService(), SLO()
+        rates = np.zeros(60)
+        rates[:5] = 20.0  # 20 rps for 5 s, then nothing until 60 s
+        trace = Trace("burst", np.arange(100) * 0.05, 60.0, rates, 1.0)
+        run = ServerlessRun(
+            model, trace, PaldiaPolicy(model, profiles, slo.target_seconds),
+            profiles, slo,
+            RunConfig(chaos=ChaosSpec(
+                faults=(OOMKills(5.0, first_after=20.0),), seed=0,
+            )),
+        )
+        result = run.execute()
+        assert fired and min(fired) >= 20.0
+        assert run._chaos.injected["oom_kills"] == 0
+        assert result.completed_requests == trace.n_requests
 
     def test_mps_fault_forces_temporal(self):
         """With MPS down for the whole trace, nothing runs spatially —

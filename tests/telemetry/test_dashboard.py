@@ -1,10 +1,11 @@
 """Tests for the live TTY dashboard and its non-TTY fallback."""
 
 import io
+import math
 
 import pytest
 
-from repro.telemetry.dashboard import LiveDashboard
+from repro.telemetry.dashboard import LiveDashboard, sparkline
 
 
 class _TtyBuffer(io.StringIO):
@@ -95,3 +96,22 @@ class TestRobustness:
     def test_invalid_fallback_every_rejected(self):
         with pytest.raises(ValueError):
             LiveDashboard(io.StringIO(), fallback_every=0)
+
+
+class TestSparkline:
+    def test_scaled_to_the_largest_value(self):
+        assert sparkline([0.0, 1.0, 2.0, 4.0, 8.0]) == " ▁▂▄█"
+
+    def test_peak_sets_the_scale(self):
+        assert sparkline([0.5, 1.0], peak=1.0) == "▄█"
+        assert sparkline([0.5, 1.0], peak=2.0) == "▂▄"
+
+    def test_nan_renders_as_space(self):
+        assert sparkline([1.0, math.nan, 1.0]) == "█ █"
+        assert sparkline([math.nan, math.nan]) == "  "
+        assert sparkline([]) == ""
+
+    def test_dashboard_panel_drops_nan_and_right_justifies(self):
+        from repro.telemetry.dashboard import _spark
+
+        assert _spark([1.0, math.nan, 2.0], width=5) == "   ▄█"

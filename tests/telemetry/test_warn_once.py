@@ -1,13 +1,10 @@
-"""Tests for the shared warn-once degrade latch and its three owners
-(result cache, sweep journal, run ledger)."""
+"""Tests for the shared warn-once degrade latch and its two owners
+(result cache, run ledger)."""
 
 import logging
 import sqlite3
 
-import pytest
-
 from repro.experiments.cache import ResultCache
-from repro.experiments.journal import RunJournal
 from repro.telemetry._warn_once import WarnOnce
 from repro.telemetry.ledger import RunLedger
 
@@ -26,18 +23,6 @@ class TestWarnOnce:
         assert len(caplog.records) == 1
         assert "channel broke writing /a (disk full)" in caplog.text
 
-    def test_rearm_starts_new_episode(self, caplog):
-        logger = logging.getLogger("test.warn_once")
-        latch = WarnOnce(logger, "broke: %s")
-        with caplog.at_level(logging.WARNING, logger="test.warn_once"):
-            latch.note("first")
-            latch.rearm()
-            latch.note("second")
-            latch.note("third")
-        assert [r.getMessage() for r in caplog.records] == \
-               ["broke: first", "broke: second"]
-        assert latch.count == 3
-
 
 class TestCacheDegrade:
     def test_io_errors_warn_once_but_count(self, tmp_path, caplog):
@@ -49,39 +34,6 @@ class TestCacheDegrade:
         assert cache.n_io_errors == 2
         assert len(caplog.records) == 1
         assert "continuing without caching" in caplog.text
-
-
-class _BrokenFH:
-    """A file handle whose writes always fail (disk-full stand-in)."""
-
-    def write(self, s):
-        raise OSError("no space left on device")
-
-    def flush(self):  # pragma: no cover - never reached after write
-        raise OSError("no space left on device")
-
-
-class TestJournalDegrade:
-    def test_warns_once_per_episode(self, tmp_path, caplog):
-        journal = RunJournal(
-            # The journal path *is* a directory, so reopening fails too.
-            str(tmp_path),
-            fingerprint="f" * 24,
-            n_cells=4,
-        )
-        with caplog.at_level(logging.WARNING,
-                             logger="repro.experiments.journal"):
-            journal._fh = _BrokenFH()
-            journal.mark_done(0, "k0")  # live handle dies: warn
-            journal.mark_done(1, "k1")  # still-dead channel: silent
-            journal._fh = _BrokenFH()   # "recovered", then dies again
-            journal.mark_done(2, "k2")  # fresh episode: warn again
-        assert journal._fh is None
-        assert len(caplog.records) == 2
-        assert all("not be resumable" in r.getMessage()
-                   for r in caplog.records)
-        # The in-memory manifest still tracked every cell.
-        assert journal.n_done == 3
 
 
 class TestLedgerDegrade:
