@@ -44,8 +44,9 @@ from __future__ import annotations
 import bisect
 import html
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from repro.analysis.report import render_kv, render_table
 from repro.analysis.trace_report import BREAKDOWN_COMPONENTS, load_trace
@@ -71,7 +72,8 @@ __all__ = [
 ATTRIBUTION_CAUSES: tuple[str, ...] = BREAKDOWN_COMPONENTS + ("unattributed",)
 
 #: Fallback latency-budget fraction when a decision event predates the
-#: ``slo_budget`` attribute (matches HardwareSelector's default).
+#: ``slo_budget`` attribute (matches HardwareSelector's default); the
+#: cost report's replay uses it too.
 DEFAULT_BUDGET_FRACTION = 0.85
 
 #: Fallback choose_best_HW performance slack (seconds).
@@ -208,21 +210,49 @@ def _decision_index(
     return [float(e.get("t", 0.0)) for e in decisions], decisions
 
 
+class TickReplay(NamedTuple):
+    """One recorded ``hardware_selection.tick``, parsed for replay."""
+
+    budget: float
+    chosen_name: Optional[str]
+    #: The chosen node's candidate row (None if the table lacks it).
+    chosen: Optional[CandidateRow]
+    #: The candidate rows whose predicted tail fits the budget.
+    feasible: list[CandidateRow]
+
+
+def replay_tick(
+    event: dict[str, Any], slo_seconds: Optional[float]
+) -> TickReplay:
+    """Parse one logged candidate table against its latency budget.
+
+    The budget is the tick's recorded ``slo_budget``; a tick that
+    predates it gets ``DEFAULT_BUDGET_FRACTION`` of ``slo_seconds``, and
+    with no SLO either, no budget (every candidate is feasible).
+    """
+    attrs = event.get("attrs", {})
+    budget = attrs.get("slo_budget")
+    if budget is None:
+        budget = (
+            float(slo_seconds) * DEFAULT_BUDGET_FRACTION
+            if slo_seconds is not None
+            else math.inf
+        )
+    budget = float(budget)
+    rows = [CandidateRow.from_attrs(c) for c in attrs.get("candidates", [])]
+    chosen_name = attrs.get("chosen")
+    chosen = next((r for r in rows if r.hw_name == chosen_name), None)
+    feasible = [r for r in rows if r.least_t_max <= budget]
+    return TickReplay(budget, chosen_name, chosen, feasible)
+
+
 def _replay_decision(
     event: dict[str, Any], slo_seconds: float
 ) -> CounterfactualVerdict:
     """Re-run ``choose_best_HW`` over one logged candidate table and
     judge whether the violation it governed was avoidable."""
-    attrs = event.get("attrs", {})
-    budget = attrs.get("slo_budget")
-    if budget is None:  # pre-PR-2 trace: reconstruct the default budget
-        budget = slo_seconds * DEFAULT_BUDGET_FRACTION
-    budget = float(budget)
-    rows = [CandidateRow.from_attrs(c) for c in attrs.get("candidates", [])]
-    chosen_name = attrs.get("chosen")
-    chosen_row = next((r for r in rows if r.hw_name == chosen_name), None)
+    budget, chosen_name, chosen_row, feasible = replay_tick(event, slo_seconds)
     chosen_t = chosen_row.least_t_max if chosen_row else float("inf")
-    feasible = [r for r in rows if r.least_t_max <= budget]
     chosen_feasible = chosen_row is not None and chosen_row.least_t_max <= budget
 
     if not feasible:
@@ -240,9 +270,9 @@ def _replay_decision(
 
     # The candidate a correct selection would have landed on: replay the
     # live rule over the feasible rows (cheapest within slack).
+    perf_slack = event.get("attrs", {}).get("perf_slack", DEFAULT_PERF_SLACK)
     best = choose_best_row(
-        feasible, budget,
-        perf_slack_seconds=float(attrs.get("perf_slack", DEFAULT_PERF_SLACK)),
+        feasible, budget, perf_slack_seconds=float(perf_slack)
     )
     cheaper_or_equal = [
         r

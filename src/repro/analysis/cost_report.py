@@ -34,9 +34,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
+from repro.analysis.attribution import replay_tick
 from repro.analysis.report import render_kv, render_table
 from repro.analysis.trace_report import load_trace
-from repro.core.hardware_selection import CandidateRow
 from repro.telemetry.costmeter import BUCKETS, CostBreakdown
 from repro.telemetry.exporters import TraceData, _jsonable
 
@@ -48,11 +48,6 @@ __all__ = [
     "write_cost_frontier_svg",
     "write_cost_json",
 ]
-
-#: Fallback latency-budget fraction for ticks predating ``slo_budget``
-#: (matches HardwareSelector's default, same as attribution's).
-DEFAULT_BUDGET_FRACTION = 0.85
-
 
 @dataclass(frozen=True)
 class ComplianceCost:
@@ -122,22 +117,8 @@ def cost_of_compliance(
         dt = t_next - t
         if dt <= 0:
             continue
-        attrs = event.get("attrs", {})
-        budget = attrs.get("slo_budget")
-        if budget is None:
-            budget = (
-                float(slo_seconds) * DEFAULT_BUDGET_FRACTION
-                if slo_seconds is not None
-                else float("inf")
-            )
-        budget = float(budget)
-        rows = [
-            CandidateRow.from_attrs(c) for c in attrs.get("candidates", [])
-        ]
-        chosen_name = attrs.get("chosen")
-        chosen = next((r for r in rows if r.hw_name == chosen_name), None)
+        _, _, chosen, feasible = replay_tick(event, slo_seconds)
         chosen_rate = chosen.cost_per_hour if chosen is not None else 0.0
-        feasible = [r for r in rows if r.least_t_max <= budget]
         if feasible:
             frontier_rate = min(r.cost_per_hour for r in feasible)
         else:

@@ -134,7 +134,7 @@ from repro.experiments.registry import (
     experiment_ids,
     get_experiment,
 )
-from repro.experiments.schemes import SCHEMES, make_policy
+from repro.experiments.schemes import ALL_SCHEMES, make_policy
 from repro.core.resilience import ResilienceConfig
 from repro.framework.slo import SLO
 from repro.framework.system import RunConfig, ServerlessRun
@@ -198,20 +198,54 @@ class _CliFormatter(logging.Formatter):
         return f"[{record.levelname.lower()}] {record.name}: {msg}"
 
 
-def configure_logging(verbose: bool = False) -> None:
-    """Configure the ``repro`` root logger exactly once per invocation.
+class _StdoutHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stdout`` is when a record is emitted, so
+    a caller that redirected stdout around :func:`main` and closed its
+    buffer leaves later log records a working stream."""
 
-    ``force=True`` rebinds the handler to the *current* ``sys.stdout``
-    so repeated in-process invocations (tests, notebooks) keep working
-    after stream redirection.
-    """
-    handler = logging.StreamHandler(sys.stdout)
+    @property
+    def stream(self):
+        return sys.stdout
+
+    @stream.setter
+    def stream(self, _stream) -> None:
+        pass
+
+
+def configure_logging(verbose: bool = False) -> None:
+    """Configure the ``repro`` root logger exactly once per invocation
+    (``force=True`` replaces the previous invocation's handler)."""
+    handler = _StdoutHandler()
     handler.setFormatter(_CliFormatter())
     logging.basicConfig(
         level=logging.DEBUG if verbose else logging.INFO,
         handlers=[handler],
         force=True,
     )
+
+
+class CliError(Exception):
+    """A command's input is missing or unusable: :func:`main` logs the
+    message as one error line and exits 1."""
+
+
+@contextlib.contextmanager
+def _input(missing: str = "", invalid: str = "", path: Optional[str] = None):
+    """Re-raise a command's input errors as one :class:`CliError`.
+
+    A missing file reads ``"{missing}: {path}"`` (the error itself when
+    no ``path`` is given), a ValueError ``"{invalid}: {error}"`` (the
+    error alone without ``invalid``), and a KeyError — an unknown run
+    or request id — its own message.
+    """
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise CliError(f"{missing}: {exc if path is None else path}") from None
+    except ValueError as exc:
+        raise CliError(f"{invalid}: {exc}" if invalid else str(exc)) from None
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from None
 
 
 def _checked(convert: Callable, ok: Callable, requirement: str) -> Callable:
@@ -265,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help=f"{name} scheme(s) on one workload")
         p.add_argument("model")
         p.add_argument("--scheme", default="paldia",
-                       choices=list(SCHEMES) + ["oracle"])
+                       choices=ALL_SCHEMES)
         p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
         p.add_argument("--duration", type=_duration, default=300.0)
         p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -362,7 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment_id", choices=experiment_ids())
     p.add_argument("--duration", type=_duration, default=300.0)
     p.add_argument("--repetitions", type=_positive_int, default=2)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=None,
+        help="seed handed to the experiment's runner as its seed or seed0 "
+        "(default: the experiment's own seed)",
+    )
     p.add_argument(
         "--no-cache", action="store_true",
         help="recompute every matrix cell instead of replaying the "
@@ -413,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", nargs="?", default="resnet50")
     p.add_argument("--scheme", default="paldia",
-                   choices=list(SCHEMES) + ["oracle"])
+                   choices=ALL_SCHEMES)
     p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
     p.add_argument("--duration", type=_duration, default=60.0)
     p.add_argument("--seed", type=_non_negative_int, default=0)
@@ -571,7 +609,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--schemes", default="paldia", metavar="S1,S2|all",
         help="comma-separated schemes to run, or 'all' "
-        f"(available: {', '.join(list(SCHEMES) + ['oracle'])})",
+        f"(available: {', '.join(ALL_SCHEMES)})",
     )
     p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
     p.add_argument("--duration", type=_duration, default=120.0)
@@ -601,31 +639,39 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
-def _run_one(scheme: str, model, trace, profiles, slo, config=None,
-             tracer=None):
-    """Execute one scheme; returns ``(RunResult, ServerlessRun)`` so
-    callers can reach post-run state (telemetry pillars, sim clock)."""
-    logger.debug("running scheme %s on %s (%d requests)",
-                 scheme, model.name, trace.n_requests)
-    policy = make_policy(scheme, model, profiles, slo.target_seconds, trace)
-    run = ServerlessRun(
-        model, trace, policy, profiles, slo, config, tracer=tracer
-    )
-    return run.execute(), run
+class _Scenario:
+    """The workload ``run``, ``compare``, ``profile`` and ``cost-report``
+    serve: ``args``' model and trace, a fresh profile database and SLO,
+    and a :class:`RunConfig` on ``--seed`` with the ``config`` fields
+    given, so the cluster runs on the seed the trace was drawn with."""
 
+    def __init__(self, args, **config) -> None:
+        self.args = args
+        self.model = get_model(args.model)
+        self.profiles = ProfileService()
+        self.slo = SLO()
+        self.trace = _TRACES[args.trace](self.model, args.duration, args.seed)
+        self.config = RunConfig(seed=args.seed, **config)
 
-def _scenario_profiler(args, track_alloc: bool = False) -> RunProfiler:
-    """A self-profiler whose metadata names the scenario in ``args``."""
-    keys = ("model", "scheme", "trace", "duration", "seed")
-    meta = {key: getattr(args, key) for key in keys}
-    return RunProfiler(track_alloc=track_alloc, meta=meta)
+    def serve(self, scheme: str, tracer: Optional[Tracer] = None):
+        """Run ``scheme``; returns ``(RunResult, ServerlessRun)`` so
+        callers can reach post-run state (telemetry pillars, sim clock)."""
+        logger.debug("running scheme %s on %s (%d requests)",
+                     scheme, self.model.name, self.trace.n_requests)
+        policy = make_policy(scheme, self.model, self.profiles,
+                             self.slo.target_seconds, self.trace)
+        run = ServerlessRun(self.model, self.trace, policy, self.profiles,
+                            self.slo, self.config, tracer=tracer)
+        return run.execute(), run
+
+    def profiler(self, track_alloc: bool = False) -> RunProfiler:
+        """A self-profiler whose metadata names the scenario."""
+        keys = ("model", "scheme", "trace", "duration", "seed")
+        meta = {key: getattr(self.args, key) for key in keys}
+        return RunProfiler(track_alloc=track_alloc, meta=meta)
 
 
 def _cmd_run(args) -> int:
-    model = get_model(args.model)
-    profiles = ProfileService()
-    slo = SLO()
-    trace = _TRACES[args.trace](model, args.duration, args.seed)
     reqtrace = bool(args.reqtrace or args.reqtrace_out)
     tracing = bool(
         args.trace_out or args.chrome_trace or args.prom_out
@@ -633,51 +679,39 @@ def _cmd_run(args) -> int:
         or args.budget is not None or reqtrace
     )
     tracer = Tracer() if tracing else None
-    profiler = (
-        _scenario_profiler(args)
-        if args.self_profile or args.profile_out else None
+    with _input("chaos spec not found", "invalid chaos spec", args.chaos):
+        chaos = ChaosSpec.load(args.chaos) if args.chaos else None
+    scenario = _Scenario(
+        args,
+        chaos=chaos,
+        resilience=(
+            ResilienceConfig(recovery=args.recovery) if args.recovery else None
+        ),
+        timeseries_interval_seconds=args.timeseries_interval,
+        cost_budget_dollars=args.budget,
+        reqtrace=reqtrace,
+        reqtrace_sample=args.reqtrace_sample,
     )
-    config = None
-    if args.chaos or args.recovery or tracing:
-        try:
-            chaos = ChaosSpec.load(args.chaos) if args.chaos else None
-        except FileNotFoundError:
-            logger.error("chaos spec not found: %s", args.chaos)
-            return 1
-        except ValueError as exc:
-            logger.error("invalid chaos spec: %s", exc)
-            return 1
-        config = RunConfig(
-            chaos=chaos,
-            resilience=(
-                ResilienceConfig(recovery=args.recovery)
-                if args.recovery
-                else None
-            ),
-            seed=args.seed,
-            timeseries_interval_seconds=args.timeseries_interval,
-            cost_budget_dollars=args.budget,
-            reqtrace=reqtrace,
-            reqtrace_sample=args.reqtrace_sample,
-        )
+    profiler = (
+        scenario.profiler() if args.self_profile or args.profile_out else None
+    )
     dashboard = None
     if args.live:
         dashboard = LiveDashboard(
             hardware_names={
-                i: spec.name for i, spec in enumerate(profiles.catalog)
+                i: spec.name for i, spec in enumerate(scenario.profiles.catalog)
             },
         )
         tracer.timeseries_observers.append(dashboard.on_sample)
     with profiler or contextlib.nullcontext():
-        result, run = _run_one(
-            args.scheme, model, trace, profiles, slo, config, tracer=tracer
-        )
+        result, run = scenario.serve(args.scheme, tracer=tracer)
     if dashboard is not None:
         dashboard.finish(run.sim.now)
         emit("")
+    trace = scenario.trace
     kv = {
         "scheme": scheme_label(args.scheme),
-        "model": model.display_name,
+        "model": scenario.model.display_name,
         "trace": f"{args.trace} ({trace.n_requests} requests, "
         f"peak {trace.peak_rps:.0f} rps)",
         "SLO compliance": f"{100 * result.slo_compliance:.2f}%",
@@ -726,11 +760,10 @@ def _cmd_run(args) -> int:
             emit(f"wrote {n} Prometheus samples to {args.prom_out}")
         if args.timeseries_out:
             if obs.sampler is None:
-                logger.error(
+                raise CliError(
                     "no time-series recorded: sampling is disabled "
                     "(--timeseries-interval must be > 0)"
                 )
-                return 1
             n = obs.sampler.save(args.timeseries_out)
             emit(
                 f"wrote {n} time-series columns "
@@ -792,13 +825,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    model = get_model(args.model)
-    profiles = ProfileService()
-    slo = SLO()
-    trace = _TRACES[args.trace](model, args.duration, args.seed)
+    scenario = _Scenario(args)
     rows = []
-    for scheme in list(SCHEMES) + ["oracle"]:
-        r, _ = _run_one(scheme, model, trace, profiles, slo)
+    for scheme in ALL_SCHEMES:
+        r, _ = scenario.serve(scheme)
         rows.append(
             [
                 scheme_label(scheme),
@@ -812,7 +842,7 @@ def _cmd_compare(args) -> int:
         render_table(
             ["scheme", "slo_%", "p99_ms", "cost_$", "switches"],
             rows,
-            title=f"{model.display_name} on {args.trace} "
+            title=f"{scenario.model.display_name} on {args.trace} "
             f"({args.duration:.0f}s, seed {args.seed})",
         )
     )
@@ -827,7 +857,7 @@ def _execution_settings(args) -> ExecutionSettings:
                 args.cell_retries + 1 if args.cell_retries is not None else 1
             ),
             cell_timeout_seconds=args.cell_timeout,
-            seed=args.seed,
+            seed=args.seed if args.seed is not None else 0,
         )
     return ExecutionSettings(
         executor=None if args.executor == "auto" else args.executor,
@@ -905,26 +935,17 @@ def _cmd_experiment(args) -> int:
 def _cmd_profile(args) -> int:
     if args.diff:
         baseline_path, candidate_path = args.diff
-        try:
+        with _input("profile not found", "not a valid self-profile"):
             baseline = load_profile(baseline_path)
             candidate = load_profile(candidate_path)
-        except FileNotFoundError as exc:
-            logger.error("profile not found: %s", exc)
-            return 1
-        except ValueError as exc:
-            logger.error("not a valid self-profile: %s", exc)
-            return 1
         emit(render_profile_diff(baseline, candidate, top=args.top))
         return 0
     import json
 
-    model = get_model(args.model)
-    profiles = ProfileService()
-    slo = SLO()
-    trace = _TRACES[args.trace](model, args.duration, args.seed)
-    prof = _scenario_profiler(args, track_alloc=args.alloc)
+    scenario = _Scenario(args)
+    prof = scenario.profiler(track_alloc=args.alloc)
     with prof:
-        result, _run = _run_one(args.scheme, model, trace, profiles, slo)
+        result, _run = scenario.serve(args.scheme)
     emit(prof.rendered(top=args.top))
     emit("")
     attributed = prof.total_seconds
@@ -980,17 +1001,12 @@ def _cmd_trace_report(args) -> int:
                 "request trace unusable (%s); falling back to "
                 "latency-only ranking", exc,
             )
-    try:
+    with _input("trace file not found", "not a valid trace file",
+                args.trace_file):
         report = render_trace_report(
             args.trace_file, max_decision_rows=args.max_rows,
             top_k=args.top_k, reqtrace=reqtrace,
         )
-    except FileNotFoundError:
-        logger.error("trace file not found: %s", args.trace_file)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid trace file: %s", exc)
-        return 1
     emit(report)
     return 0
 
@@ -1003,20 +1019,12 @@ def _cmd_request_trace(args) -> int:
         render_waterfall_svg,
     )
 
-    try:
+    with _input("request trace not found", "not a valid request trace",
+                args.reqtrace_file):
         data = load_reqtrace(args.reqtrace_file)
-    except FileNotFoundError:
-        logger.error("request trace not found: %s", args.reqtrace_file)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid request trace: %s", exc)
-        return 1
     if args.request is not None:
-        try:
+        with _input():
             view = data.request(args.request)
-        except KeyError as exc:
-            logger.error("%s", exc.args[0])
-            return 1
         emit(render_waterfall(view, data))
     else:
         emit(render_forensics_report(data, top_k=args.worst))
@@ -1028,14 +1036,9 @@ def _cmd_request_trace(args) -> int:
 
 
 def _cmd_timeseries_report(args) -> int:
-    try:
+    with _input("time-series bundle not found",
+                "not a valid time-series bundle", args.bundle):
         data = read_timeseries(args.bundle)
-    except FileNotFoundError:
-        logger.error("time-series bundle not found: %s", args.bundle)
-        return 1
-    except ValueError as exc:
-        logger.error("not a valid time-series bundle: %s", exc)
-        return 1
     emit(render_timeseries_report(data, width=args.width))
     if args.svg_out:
         n = write_timeseries_svg(data, args.svg_out)
@@ -1047,17 +1050,12 @@ def _cmd_runs(args) -> int:
     import os
 
     if not os.path.exists(args.ledger):
-        logger.error(
-            "no ledger at %s (record runs with: repro run MODEL --ledger)",
-            args.ledger,
+        raise CliError(
+            f"no ledger at {args.ledger} "
+            "(record runs with: repro run MODEL --ledger)"
         )
-        return 1
-    try:
-        ledger = RunLedger(args.ledger)
-    except ValueError as exc:
-        logger.error("%s", exc)
-        return 1
-    with ledger:
+    # An unusable ledger file and an unknown run id are input errors.
+    with _input(), RunLedger(args.ledger) as ledger:
         if args.runs_command == "list":
             records = ledger.list_runs(limit=args.limit)
             if not records:
@@ -1073,11 +1071,7 @@ def _cmd_runs(args) -> int:
             )
             return 0
         if args.runs_command == "show":
-            try:
-                r = ledger.get(args.run_id)
-            except KeyError as exc:
-                logger.error("%s", exc.args[0])
-                return 1
+            r = ledger.get(args.run_id)
             m = r.metric
             kv = {
                 "recorded": r.created_utc,
@@ -1130,29 +1124,20 @@ def _cmd_runs(args) -> int:
             emit(render_kv(kv, title=f"run #{r.run_id}"))
             return 0
         # compare
-        try:
-            cmp = ledger.compare(
-                args.baseline_id, args.candidate_id,
-                rel_tolerance=args.rel_tolerance,
-                abs_tolerance=args.abs_tolerance,
-            )
-        except KeyError as exc:
-            logger.error("%s", exc.args[0])
-            return 1
+        cmp = ledger.compare(
+            args.baseline_id, args.candidate_id,
+            rel_tolerance=args.rel_tolerance,
+            abs_tolerance=args.abs_tolerance,
+        )
         emit(render_comparison(cmp))
         return 2 if cmp.regressed else 0
 
 
 def _cmd_trace_attribution(args) -> int:
     slo_seconds = args.slo / 1e3 if args.slo is not None else None
-    try:
+    with _input("trace file not found", "cannot attribute trace",
+                args.trace_file):
         report = attribute_trace(args.trace_file, slo_seconds=slo_seconds)
-    except FileNotFoundError:
-        logger.error("trace file not found: %s", args.trace_file)
-        return 1
-    except ValueError as exc:
-        logger.error("cannot attribute trace: %s", exc)
-        return 1
     emit(render_attribution_report(report, max_rows=args.max_rows))
     if args.json_out:
         write_attribution_json(report, args.json_out)
@@ -1166,16 +1151,10 @@ def _cmd_trace_attribution(args) -> int:
 
 def _cmd_trace_diff(args) -> int:
     slo_seconds = args.slo / 1e3 if args.slo is not None else None
-    try:
+    with _input("trace file not found", "cannot diff traces"):
         diff = diff_traces(
             args.baseline, args.candidate, slo_seconds=slo_seconds
         )
-    except FileNotFoundError as exc:
-        logger.error("trace file not found: %s", exc)
-        return 1
-    except ValueError as exc:
-        logger.error("cannot diff traces: %s", exc)
-        return 1
     emit(render_trace_diff(diff))
     return 0
 
@@ -1199,37 +1178,28 @@ def _trace_data_of(tracer: Tracer) -> TraceData:
 
 def _cmd_cost_report(args) -> int:
     if args.schemes == "all":
-        schemes = list(SCHEMES) + ["oracle"]
+        schemes = ALL_SCHEMES
     else:
         schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
-        unknown = [s for s in schemes if s not in SCHEMES and s != "oracle"]
+        unknown = [s for s in schemes if s not in ALL_SCHEMES]
         if unknown:
-            logger.error(
-                "unknown scheme(s): %s (available: %s)",
-                ", ".join(unknown), ", ".join(list(SCHEMES) + ["oracle"]),
+            raise CliError(
+                f"unknown scheme(s): {', '.join(unknown)} "
+                f"(available: {', '.join(ALL_SCHEMES)})"
             )
-            return 1
-    model = get_model(args.model)
-    profiles = ProfileService()
-    slo = SLO()
-    trace = _TRACES[args.trace](model, args.duration, args.seed)
+    scenario = _Scenario(args, cost_budget_dollars=args.budget)
+    model = scenario.model
     points: list[dict] = []
     json_runs: list[dict] = []
     for i, scheme in enumerate(schemes):
         tracer = Tracer()
-        config = RunConfig(
-            seed=args.seed, cost_budget_dollars=args.budget
-        )
-        result, run = _run_one(
-            scheme, model, trace, profiles, slo, config, tracer=tracer
-        )
+        result, run = scenario.serve(scheme, tracer=tracer)
         breakdown = result.cost_breakdown
         if breakdown is None:
-            logger.error("cost meter recorded nothing for %s", scheme)
-            return 1
+            raise CliError(f"cost meter recorded nothing for {scheme}")
         compliance = cost_of_compliance(
             _trace_data_of(tracer),
-            slo_seconds=slo.target_seconds,
+            slo_seconds=scenario.slo.target_seconds,
             horizon=run.sim.now,
         )
         if i:
@@ -1290,7 +1260,7 @@ def _cmd_list(args) -> int:
     for m in ALL_MODELS:
         lines.append(f"  {m.name:20s} {m.domain:8s} peak {m.peak_rps:.0f} rps")
     lines.append("")
-    lines.append("schemes: " + ", ".join(list(SCHEMES) + ["oracle"]))
+    lines.append("schemes: " + ", ".join(ALL_SCHEMES))
     lines.append("traces: " + ", ".join(sorted(_TRACES)))
     lines.append("experiments:")
     for entry in all_experiments():
@@ -1318,7 +1288,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "cost-report": _cmd_cost_report,
         "list": _cmd_list,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except CliError as exc:
+        logger.error("%s", exc)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -139,7 +139,7 @@ def run_contention_awareness(
     )
 
 
-@register_experiment("ablations", title="Design-choice ablations", supports_repetitions=False, multi_report=True)
+@register_experiment("ablations", title="Design-choice ablations")
 def run(duration: float = 600.0, seed: int = 1) -> list[ExperimentReport]:
     """Run every ablation."""
     return [

@@ -61,9 +61,9 @@ class SerialExecutor(Executor):
         policy: Optional[CellFaultPolicy] = None,
     ) -> Iterator[CellOutcome]:
         for pos, spec in enumerate(cells):
-            yield self._run_one(pos, spec, policy)
+            yield self._outcome(pos, spec, policy)
 
-    def _run_one(
+    def _outcome(
         self, pos: int, spec: "CellSpec", policy: Optional[CellFaultPolicy]
     ) -> CellOutcome:
         from repro.experiments.runner import run_cell

@@ -21,7 +21,7 @@ from repro.experiments.motivation import (
 __all__ = ["run"]
 
 
-@register_experiment("fig1", title="Status-quo schemes on the static hybrid baseline", supports_repetitions=False, takes_seed=True)
+@register_experiment("fig1", title="Status-quo schemes on the static hybrid baseline")
 def run(
     duration: float = 240.0,
     seed: int = 0,

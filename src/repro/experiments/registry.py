@@ -13,15 +13,14 @@ derives from this one registry.  Adding a new experiment means decorating
 its ``run`` function; no experiment is named in two places and nothing in
 ``cli.py`` changes.
 
-CLI argument mapping is declarative:
-
-* ``supports_repetitions=True`` (default) passes the CLI's
-  ``--repetitions``; ``False`` pins ``repetitions=1`` when the function
-  accepts the parameter (Figs 4 and 6 average within a single seeded run)
-  and passes nothing otherwise (Fig 1, Table II, ablations).
-* ``takes_duration``/``takes_seed`` forward ``--duration``/``--seed``.
-* ``multi_report=True`` marks entry points returning a *list* of
-  :class:`~repro.experiments.base.ExperimentReport` (the ablations).
+CLI flags reach a runner through its signature: each flag the user gave
+goes to the runner's parameter of that name (``--seed`` to ``seed`` or
+``seed0``), and a flag the runner has no parameter for is not passed, so
+an omitted flag leaves the runner's own default.
+``supports_repetitions=False`` pins ``repetitions=1`` (Figs 4 and 6
+average within a single seeded run).  A runner may return one
+:class:`~repro.experiments.base.ExperimentReport` or a list of them (the
+ablations).
 """
 
 from __future__ import annotations
@@ -47,10 +46,6 @@ class ExperimentEntry:
     title: str
     runner: Callable[..., Any]
     supports_repetitions: bool = True
-    takes_duration: bool = True
-    takes_seed: bool = False
-    #: The runner returns a list of reports instead of a single one.
-    multi_report: bool = False
 
     def cli_kwargs(
         self,
@@ -60,36 +55,25 @@ class ExperimentEntry:
     ) -> dict[str, Any]:
         """The keyword arguments this experiment draws from CLI flags."""
         params = inspect.signature(self.runner).parameters
-        kwargs: dict[str, Any] = {}
-        if self.takes_duration and duration is not None:
-            kwargs["duration"] = duration
-        if "repetitions" in params:
-            if self.supports_repetitions:
-                if repetitions is not None:
-                    kwargs["repetitions"] = repetitions
-            else:
-                kwargs["repetitions"] = 1
-        if self.takes_seed and seed is not None:
-            kwargs["seed"] = seed
-        return kwargs
-
-    def invoke(
-        self,
-        duration: Optional[float] = None,
-        repetitions: Optional[int] = None,
-        seed: Optional[int] = None,
-    ) -> Any:
-        """Run the experiment with CLI-level arguments.
-
-        Returns one :class:`ExperimentReport`, or a list of them when
-        ``multi_report`` is set.
-        """
-        return self.runner(**self.cli_kwargs(duration, repetitions, seed))
+        if not self.supports_repetitions:
+            repetitions = 1
+        flags = {
+            "duration": duration,
+            "repetitions": repetitions,
+            "seed": seed,
+            "seed0": seed,
+        }
+        return {
+            name: value
+            for name, value in flags.items()
+            if value is not None and name in params
+        }
 
     def reports(self, **cli_args: Any) -> list:
-        """Like :meth:`invoke` but always a list, for uniform rendering."""
-        result = self.invoke(**cli_args)
-        return list(result) if self.multi_report else [result]
+        """Run the experiment with CLI-level arguments; its report(s)
+        as a list, for uniform rendering."""
+        result = self.runner(**self.cli_kwargs(**cli_args))
+        return result if isinstance(result, list) else [result]
 
 
 _REGISTRY: dict[str, ExperimentEntry] = {}
@@ -100,9 +84,6 @@ def register_experiment(
     *,
     title: str,
     supports_repetitions: bool = True,
-    takes_duration: bool = True,
-    takes_seed: bool = False,
-    multi_report: bool = False,
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Class the decorated ``run`` function as experiment ``id``.
 
@@ -122,9 +103,6 @@ def register_experiment(
             title=title,
             runner=fn,
             supports_repetitions=supports_repetitions,
-            takes_duration=takes_duration,
-            takes_seed=takes_seed,
-            multi_report=multi_report,
         )
         return fn
 

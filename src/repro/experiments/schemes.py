@@ -17,7 +17,10 @@ from repro.hardware.profiles import ProfileService
 from repro.workloads.models import ModelSpec
 from repro.workloads.traces import Trace
 
-__all__ = ["SCHEMES", "COST_EFFECTIVE_SCHEMES", "PERFORMANT_SCHEMES", "make_policy"]
+__all__ = [
+    "ALL_SCHEMES", "SCHEMES", "COST_EFFECTIVE_SCHEMES", "PERFORMANT_SCHEMES",
+    "make_policy",
+]
 
 #: The five schemes of the primary evaluation, in the paper's plot order.
 SCHEMES: tuple[str, ...] = (
@@ -35,6 +38,10 @@ COST_EFFECTIVE_SCHEMES: tuple[str, ...] = (
 )
 
 PERFORMANT_SCHEMES: tuple[str, ...] = ("molecule_P", "infless_llama_P")
+
+#: Every scheme the CLI can run: the evaluation's five plus the
+#: clairvoyant Oracle.
+ALL_SCHEMES: tuple[str, ...] = SCHEMES + ("oracle",)
 
 
 def make_policy(
@@ -66,4 +73,4 @@ def make_policy(
         if trace is None:
             raise ValueError("the oracle scheme needs the trace (clairvoyance)")
         return OraclePolicy(model, profiles, slo_seconds, trace)
-    raise ValueError(f"unknown scheme {scheme!r}; known: {SCHEMES + ('oracle',)}")
+    raise ValueError(f"unknown scheme {scheme!r}; known: {ALL_SCHEMES}")

@@ -16,7 +16,7 @@ from repro.workloads.models import get_model
 __all__ = ["run"]
 
 
-@register_experiment("table2", title="Hardware catalog and profiled rows", supports_repetitions=False, takes_duration=False)
+@register_experiment("table2", title="Hardware catalog and profiled rows")
 def run(profile_model: str = "resnet50", slo_seconds: float = 0.200) -> ExperimentReport:
     """Render Table II plus the derived profile rows for one model."""
     catalog = default_catalog()

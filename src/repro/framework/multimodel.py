@@ -27,6 +27,7 @@ from repro.framework.system import (
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster
 from repro.simulator.engine import Simulator
+from repro.simulator.power import bill
 from repro.workloads.models import ModelSpec
 from repro.workloads.traces import Trace
 
@@ -120,14 +121,11 @@ class MultiModelRun:
         per_model = {
             name: lane.finalize() for name, lane in self._lanes.items()
         }
-        # Lane results recompute cluster-wide cost/energy; the provider's
-        # spend is counted once here.
-        from repro.simulator.power import cluster_energy_joules
-
-        total_cost = self.cluster.total_cost()
-        total_energy = cluster_energy_joules(self.cluster)
+        # Each lane bills its own leases; the provider's spend is the
+        # whole cluster's bill.
+        fleet = bill(zip(self.cluster.nodes, self.cluster.leases), self.sim.now)
         return MultiModelResult(
             per_model=per_model,
-            total_cost=total_cost,
-            total_energy_joules=total_energy,
+            total_cost=fleet.total_cost,
+            total_energy_joules=fleet.energy_joules,
         )

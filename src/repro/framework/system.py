@@ -49,7 +49,7 @@ from repro.simulator.containers import AcquireTicket, ContainerPool
 from repro.simulator.engine import Simulator
 from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
-from repro.simulator.power import node_energy_joules
+from repro.simulator.power import bill
 from repro.telemetry.observers import RunObservers
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
@@ -981,7 +981,6 @@ class ServerlessRun:
         self.metrics.record_unserved(max(0, offered - completed))
 
         duration = self.trace.duration
-        horizon = self.sim.now
         now = self.sim.now
 
         # In a shared cluster (MultiModelRun) this lane only bills for the
@@ -991,39 +990,11 @@ class ServerlessRun:
             for node, lease in zip(self.cluster.nodes, self.cluster.leases)
             if node.node_id in self._owned
         ]
-        # Each lease's cost is computed exactly once; the total is the
-        # same per-lease sum grouped by spec, so the identity
-        # sum(cost_by_spec.values()) == total_cost holds by construction.
-        cost = 0.0
-        energy = 0.0
-        cost_by_spec: dict[str, float] = {}
-        time_by_spec: dict[str, float] = {}
-        for node, lease in owned:
-            lease_cost = lease.cost(now)
-            cost += lease_cost
-            energy += node_energy_joules(node, lease.duration(now))
-            cost_by_spec[lease.spec.name] = (
-                cost_by_spec.get(lease.spec.name, 0.0) + lease_cost
-            )
-            time_by_spec[lease.spec.name] = (
-                time_by_spec.get(lease.spec.name, 0.0) + lease.duration(now)
-            )
+        billed = bill(owned, now)
         assert math.isclose(
-            sum(cost_by_spec.values()), cost, rel_tol=1e-9, abs_tol=1e-12
+            sum(billed.cost_by_spec.values()), billed.total_cost,
+            rel_tol=1e-9, abs_tol=1e-12,
         ), "per-spec cost split does not sum to total_cost"
-
-        util: dict[str, list[float]] = {}
-        for node, lease in owned:
-            dur = lease.duration(now)
-            if dur <= 0:
-                continue
-            busy = node.device.busy_seconds
-            if getattr(node.device, "_busy_since", None) is not None:
-                busy += now - node.device._busy_since
-            util.setdefault(lease.spec.name, []).append(min(1.0, busy / dur))
-        utilization = {
-            name: float(np.mean(vals)) for name, vals in util.items()
-        }
 
         cold = sum(node.cold_starts for node, _ in owned)
         breakdown, reqtrace_data, budget_alerts = None, None, 0
@@ -1031,7 +1002,8 @@ class ServerlessRun:
         if obs is not None:
             meta = {
                 "completed_requests": completed, "offered_requests": offered,
-                "total_cost": cost, "n_switches": self.n_switches,
+                "total_cost": billed.total_cost,
+                "n_switches": self.n_switches,
                 "engine_dispatches": self.sim.n_dispatched,
             }
             breakdown, reqtrace_data, budget_alerts = obs.run_finalized(
@@ -1049,12 +1021,8 @@ class ServerlessRun:
             slo_compliance=self.metrics.slo_compliance(slo_s),
             p50_seconds=self.metrics.percentile_latency(50.0),
             p99_seconds=self.metrics.percentile_latency(99.0),
-            total_cost=cost,
-            cost_by_spec=cost_by_spec,
-            time_by_spec=time_by_spec,
-            energy_joules=energy,
-            avg_watts=energy / horizon if horizon > 0 else 0.0,
-            utilization_by_spec=utilization,
+            **billed._asdict(),
+            avg_watts=billed.energy_joules / now if now > 0 else 0.0,
             tail_breakdown=self.metrics.tail_breakdown(),
             mode_split=self.metrics.mode_split(),
             hardware_usage=self.metrics.hardware_usage(),

@@ -8,12 +8,12 @@ from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.simulator.job import Job
 from repro.simulator.metrics import BatchLog, MetricsCollector
-from repro.simulator.power import PowerReport, cluster_energy_joules, node_energy_joules
+from repro.simulator.power import Bill, bill, node_energy_joules
 
 __all__ = [
-    "AcquireTicket", "BatchLog", "CPUDevice", "Cluster", "ContainerPool",
-    "DEFAULT_INTERFERENCE", "Event", "GPUDevice", "InterferenceModel", "Job",
-    "LeaseRecord", "MetricsCollector", "NodeInstance", "PowerReport",
-    "SimulationError", "Simulator", "cluster_energy_joules",
+    "AcquireTicket", "BatchLog", "Bill", "CPUDevice", "Cluster",
+    "ContainerPool", "DEFAULT_INTERFERENCE", "Event", "GPUDevice",
+    "InterferenceModel", "Job", "LeaseRecord", "MetricsCollector",
+    "NodeInstance", "SimulationError", "Simulator", "bill",
     "node_energy_joules",
 ]

@@ -8,7 +8,8 @@ weighted sum of node prices (Section V).  This module provides:
 * :class:`NodeInstance` — a leased node: device (GPU or CPU), per-model
   container pools, availability flag (failure injection).
 * :class:`Cluster` — acquires/releases nodes with provisioning delay and
-  meters cost per hardware type.
+  keeps one :class:`LeaseRecord` per node, which
+  :func:`repro.simulator.power.bill` prices.
 """
 
 from __future__ import annotations
@@ -250,28 +251,3 @@ class Cluster:
         for pool in node.pools().values():
             pool.terminate_all()
         node.available = False
-
-    # ------------------------------------------------------------------
-    # Cost accounting (Section V: lease-time weighted node prices)
-    # ------------------------------------------------------------------
-    def total_cost(self, now: Optional[float] = None) -> float:
-        """Dollar cost of all leases up to ``now`` (default: current time)."""
-        t = self.sim.now if now is None else now
-        return sum(lease.cost(t) for lease in self.leases)
-
-    def cost_by_spec(self, now: Optional[float] = None) -> dict[str, float]:
-        """Cost split per hardware type."""
-        t = self.sim.now if now is None else now
-        out: dict[str, float] = {}
-        for lease in self.leases:
-            out[lease.spec.name] = out.get(lease.spec.name, 0.0) + lease.cost(t)
-        return out
-
-    def time_by_spec(self, now: Optional[float] = None) -> dict[str, float]:
-        """Lease-seconds per hardware type (Fig 5's 'time spent using each
-        type of compute node')."""
-        t = self.sim.now if now is None else now
-        out: dict[str, float] = {}
-        for lease in self.leases:
-            out[lease.spec.name] = out.get(lease.spec.name, 0.0) + lease.duration(t)
-        return out

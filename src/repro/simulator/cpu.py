@@ -105,13 +105,6 @@ class CPUDevice:
         lanes = max(1, self.spec.cpu_lanes)
         return min(1.0, len(self._running) / lanes)
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` with at least one lane busy."""
-        busy = self.busy_seconds
-        if self._busy_since is not None:
-            busy += max(0.0, min(self.sim.now, horizon) - self._busy_since)
-        return min(1.0, busy / horizon) if horizon > 0 else 0.0
-
     def set_contention(self, factor: float) -> None:
         """Set the host-contention inflation (Table III injector hook)."""
         if factor < 1.0:

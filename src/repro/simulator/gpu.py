@@ -173,13 +173,6 @@ class GPUDevice:
     def idle(self) -> bool:
         return not self._active and not self._pending_spatial and not self._temporal_q
 
-    def utilization(self, horizon: float) -> float:
-        """Fraction of ``[0, horizon]`` the device was non-idle."""
-        busy = self.busy_seconds
-        if self._busy_since is not None:
-            busy += max(0.0, min(self.sim.now, horizon) - self._busy_since)
-        return min(1.0, busy / horizon) if horizon > 0 else 0.0
-
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------

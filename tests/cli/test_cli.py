@@ -104,6 +104,164 @@ class TestCommands:
         assert "g3s.xlarge" in capsys.readouterr().out
 
 
+#: A short seeded scenario: poisson at ResNet 50's peak for 20 s, seed 3.
+SEEDED = ["resnet50", "--trace", "poisson", "--duration", "20", "--seed", "3"]
+
+
+def run_result(out: str) -> dict[str, str]:
+    """The "run result" table of ``repro run`` output, field -> value."""
+    lines = out.splitlines()
+    rows = lines[lines.index("run result") + 1:]
+    fields = {}
+    for line in rows:
+        if not line:
+            break
+        name, value = line.split(" : ", 1)
+        fields[name.strip()] = value.strip()
+    return fields
+
+
+class TestSeededScenario:
+    """``--seed`` seeds the cluster as well as the trace, on every
+    command that serves a scenario, with or without telemetry."""
+
+    def test_tracing_does_not_change_the_run_result(self, capsys, tmp_path):
+        assert main(["run", *SEEDED]) == 0
+        plain = run_result(capsys.readouterr().out)
+        assert main(
+            ["run", *SEEDED, "--trace-out", str(tmp_path / "run.jsonl")]
+        ) == 0
+        traced = run_result(capsys.readouterr().out)
+        assert plain == traced
+
+    def test_compare_row_matches_the_traced_run(self, capsys, tmp_path):
+        assert main(
+            ["run", *SEEDED, "--trace-out", str(tmp_path / "run.jsonl")]
+        ) == 0
+        run = run_result(capsys.readouterr().out)
+        assert main(["compare", *SEEDED]) == 0
+        (row,) = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("Paldia ")
+        ]
+        slo, p99, cost, switches = [c.strip() for c in row.split("|")[1:]]
+        assert f"{slo}%" == run["SLO compliance"]
+        assert float(p99) == float(run["P99"].removesuffix(" ms"))
+        assert f"${cost}" == run["cost"]
+        assert switches == run["switches"]
+
+    @pytest.mark.parametrize(
+        "command", ["run", "compare", "profile", "cost-report"]
+    )
+    def test_cluster_runs_on_the_seed(self, command, capsys, monkeypatch):
+        import repro.cli
+
+        seeds = []
+        real = repro.cli.ServerlessRun
+
+        def recording(*args, **kwargs):
+            run = real(*args, **kwargs)
+            seeds.append(run.config.seed)
+            return run
+
+        monkeypatch.setattr(repro.cli, "ServerlessRun", recording)
+        assert main([
+            command, "resnet50", "--trace", "poisson", "--duration", "5",
+            "--seed", "3",
+        ]) == 0
+        assert seeds and set(seeds) == {3}
+
+    def test_experiment_seed_defaults_to_the_runner_own(self):
+        args = build_parser().parse_args(["experiment", "fig3"])
+        assert args.seed is None
+
+
+class TestInputErrors:
+    """A missing or unusable input is one ``[error]`` line, exit 1."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        garbage = tmp_path / "garbage.txt"
+        garbage.write_text("not json\n")
+        return str(tmp_path / "missing.json"), str(garbage)
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "resnet50", "--duration", "5", "--chaos", "{missing}"],
+         "chaos spec not found: {missing}"),
+        (["run", "resnet50", "--duration", "5", "--chaos", "{garbage}"],
+         "invalid chaos spec: "),
+        (["profile", "--diff", "{missing}", "{missing}"],
+         "profile not found: "),
+        (["profile", "--diff", "{garbage}", "{garbage}"],
+         "not a valid self-profile: "),
+        (["trace-report", "{missing}"], "trace file not found: {missing}"),
+        (["trace-report", "{garbage}"], "not a valid trace file: "),
+        (["request-trace", "{missing}"],
+         "request trace not found: {missing}"),
+        (["request-trace", "{garbage}"], "not a valid request trace: "),
+        (["timeseries-report", "{missing}"],
+         "time-series bundle not found: {missing}"),
+        (["timeseries-report", "{garbage}"],
+         "not a valid time-series bundle: "),
+        (["runs", "list", "--ledger", "{missing}"],
+         "no ledger at {missing} (record runs with: repro run MODEL --ledger)"),
+        (["runs", "list", "--ledger", "{garbage}"], "{garbage}"),
+        (["trace-attribution", "{missing}"],
+         "trace file not found: {missing}"),
+        (["trace-attribution", "{garbage}"], "cannot attribute trace: "),
+        (["trace-diff", "{missing}", "{missing}"], "trace file not found: "),
+        (["trace-diff", "{garbage}", "{garbage}"], "cannot diff traces: "),
+        (["cost-report", "resnet50", "--schemes", "bogus"],
+         "unknown scheme(s): bogus (available: "),
+    ])
+    def test_one_error_line(self, argv, message, paths, capsys):
+        missing, garbage = paths
+        argv = [a.format(missing=missing, garbage=garbage) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        prefix = "[error] repro.cli: "
+        assert line.startswith(
+            prefix + message.format(missing=missing, garbage=garbage)
+        )
+        assert "Traceback" not in captured.err
+
+    def test_unknown_run_and_request_ids(self, capsys, tmp_path):
+        ledger = tmp_path / "ledger.sqlite"
+        reqtrace = tmp_path / "req.jsonl"
+        assert main([
+            "run", "resnet50", "--trace", "poisson", "--duration", "5",
+            "--ledger", str(ledger), "--reqtrace-out", str(reqtrace),
+        ]) == 0
+        capsys.readouterr()
+        for argv in (
+            ["runs", "show", "99", "--ledger", str(ledger)],
+            ["runs", "compare", "1", "99", "--ledger", str(ledger)],
+            ["request-trace", str(reqtrace), "--request", "10000000"],
+        ):
+            assert main(argv) == 1
+            (line,) = capsys.readouterr().out.splitlines()
+            assert line.startswith("[error] repro.cli: ")
+
+
+class TestLoggingStream:
+    def test_warning_after_a_closed_redirect_prints(self, capsys):
+        """Log records go to the ``sys.stdout`` of the moment they are
+        emitted, not to a stream a caller redirected and closed."""
+        import contextlib
+        import io
+        import logging
+
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            assert main(["list"]) == 0
+        buffer.close()
+        logging.getLogger("repro.experiments.cache").warning("cache degraded")
+        captured = capsys.readouterr()
+        assert "Logging error" not in captured.err
+        assert "cache degraded" in captured.out
+
+
 class TestTelemetryFlags:
     def test_trace_out_flag_parses(self):
         args = build_parser().parse_args(

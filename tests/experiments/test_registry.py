@@ -43,15 +43,15 @@ class TestRegistryContents:
 
 
 class TestCliKwargsMapping:
-    """The registry must reproduce the retired ``_EXPERIMENTS`` lambda
-    table exactly: which experiments take duration/repetitions/seed, and
-    which pin ``repetitions=1``."""
+    """Each CLI flag given reaches the runner's parameter of that name
+    (``--seed`` as ``seed`` or ``seed0``); Figs 4 and 6 pin
+    ``repetitions=1``."""
 
     def test_default_experiment_forwards_all(self):
         kw = get_experiment("fig7").cli_kwargs(
             duration=600.0, repetitions=2, seed=5
         )
-        assert kw == {"duration": 600.0, "repetitions": 2}
+        assert kw == {"duration": 600.0, "repetitions": 2, "seed0": 5}
 
     def test_fig1_takes_seed_not_repetitions(self):
         kw = get_experiment("fig1").cli_kwargs(
@@ -70,10 +70,32 @@ class TestCliKwargsMapping:
 
     def test_ablations_is_multi_report(self):
         entry = get_experiment("ablations")
-        assert entry.multi_report
         assert entry.cli_kwargs(duration=120.0, repetitions=5) == {
             "duration": 120.0
         }
+        reports = entry.reports(duration=20.0, repetitions=5, seed=2)
+        assert [r.experiment_id for r in reports] == [
+            "ablation_hysteresis", "ablation_perf_slack",
+            "ablation_keep_alive", "ablation_contention_awareness",
+        ]
+
+    def test_seed_reaches_seed_or_seed0(self):
+        assert get_experiment("fig3").cli_kwargs(seed=5) == {"seed0": 5}
+        assert get_experiment("ablations").cli_kwargs(seed=5) == {"seed": 5}
+        assert get_experiment("table2").cli_kwargs(seed=5) == {}
+
+    def test_every_runner_with_a_seed_receives_it(self):
+        seeded = {
+            entry.id for entry in all_experiments()
+            if entry.cli_kwargs(seed=5).keys() & {"seed", "seed0"}
+        }
+        assert seeded == set(experiment_ids()) - {"table2"}
+        assert len(seeded) == 14
+
+    def test_no_seed_given_no_seed_passed(self):
+        for entry in all_experiments():
+            kw = entry.cli_kwargs(duration=300.0, repetitions=2)
+            assert not kw.keys() & {"seed", "seed0"}, entry.id
 
 
 class TestRegistration:
@@ -106,8 +128,7 @@ class TestRegistration:
             return "single"
 
         try:
-            register_experiment("_test_single", title="x",
-                                takes_duration=False)(runner)
+            register_experiment("_test_single", title="x")(runner)
             assert get_experiment("_test_single").reports() == ["single"]
         finally:
             registry._REGISTRY.pop("_test_single", None)

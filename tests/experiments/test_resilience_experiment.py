@@ -33,7 +33,7 @@ class TestRegistry:
         kw = get_experiment("resilience").cli_kwargs(
             duration=300.0, repetitions=2, seed=5
         )
-        assert kw == {"duration": 300.0, "repetitions": 2}
+        assert kw == {"duration": 300.0, "repetitions": 2, "seed0": 5}
 
 
 class TestChaosFor:

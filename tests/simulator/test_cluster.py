@@ -3,11 +3,17 @@
 import pytest
 
 from repro.simulator.cluster import Cluster
+from repro.simulator.power import bill
 
 
 @pytest.fixture
 def cluster(sim, catalog):
     return Cluster(sim, catalog, seed=1)
+
+
+def bill_of(cluster):
+    """The whole cluster's bill up to now."""
+    return bill(zip(cluster.nodes, cluster.leases), cluster.sim.now)
 
 
 class TestAcquisition:
@@ -42,21 +48,21 @@ class TestCost:
         cluster.acquire(m60, lambda n: None, instant=True)
         cluster.sim.schedule(3600.0, lambda: None)
         cluster.sim.run()
-        assert cluster.total_cost() == pytest.approx(m60.price_per_hour)
+        assert bill_of(cluster).total_cost == pytest.approx(m60.price_per_hour)
 
     def test_billing_stops_at_release(self, cluster, m60):
         node = cluster.acquire(m60, lambda n: None, instant=True)
         cluster.sim.schedule(1800.0, lambda: cluster.release(node))
         cluster.sim.schedule(3600.0, lambda: None)
         cluster.sim.run()
-        assert cluster.total_cost() == pytest.approx(m60.price_per_hour / 2)
+        assert bill_of(cluster).total_cost == pytest.approx(m60.price_per_hour / 2)
 
     def test_overlapping_leases_both_billed(self, cluster, m60, v100):
         cluster.acquire(m60, lambda n: None, instant=True)
         cluster.acquire(v100, lambda n: None, instant=True)
         cluster.sim.schedule(3600.0, lambda: None)
         cluster.sim.run()
-        assert cluster.total_cost() == pytest.approx(
+        assert bill_of(cluster).total_cost == pytest.approx(
             m60.price_per_hour + v100.price_per_hour
         )
 
@@ -65,7 +71,7 @@ class TestCost:
         cluster.acquire(v100, lambda n: None, instant=True)
         cluster.sim.schedule(3600.0, lambda: None)
         cluster.sim.run()
-        by = cluster.cost_by_spec()
+        by = bill_of(cluster).cost_by_spec
         assert by[m60.name] == pytest.approx(m60.price_per_hour)
         assert by[v100.name] == pytest.approx(v100.price_per_hour)
 
@@ -73,7 +79,7 @@ class TestCost:
         node = cluster.acquire(m60, lambda n: None, instant=True)
         cluster.sim.schedule(120.0, lambda: cluster.release(node))
         cluster.sim.run()
-        assert cluster.time_by_spec()[m60.name] == pytest.approx(120.0)
+        assert bill_of(cluster).time_by_spec[m60.name] == pytest.approx(120.0)
 
     def test_double_release_raises(self, cluster, m60):
         node = cluster.acquire(m60, lambda n: None, instant=True)

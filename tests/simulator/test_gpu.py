@@ -1,13 +1,17 @@
 """Tests for the GPU device model (MPS processor sharing + temporal FIFO)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.framework.request import Batch, ShareMode
+from repro.simulator.cluster import LeaseRecord
 from repro.simulator.engine import Simulator
 from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import InterferenceModel
 from repro.simulator.job import Job
+from repro.simulator.power import bill
 from repro.workloads.models import get_model
 
 
@@ -223,7 +227,12 @@ class TestAccounting:
         sim.schedule(0.4, lambda: dev.submit(make_job(solo=0.1)))
         sim.run()
         assert dev.busy_seconds == pytest.approx(0.2, rel=1e-6)
-        assert dev.utilization(0.6) == pytest.approx(0.2 / 0.6, rel=1e-6)
+        # Utilization is the busy fraction of the node's lease.
+        node = SimpleNamespace(spec=v100, device=dev)
+        billed = bill([(node, LeaseRecord(v100, 0.0))], 0.6)
+        assert billed.utilization_by_spec[v100.name] == pytest.approx(
+            0.2 / 0.6, rel=1e-6
+        )
 
     def test_jobs_completed_counter(self, sim, v100):
         dev = make_device(sim, v100)
