@@ -91,6 +91,7 @@ import argparse
 import contextlib
 import logging
 import math
+import os
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -211,6 +212,13 @@ class _StdoutHandler(logging.StreamHandler):
     def stream(self, _stream) -> None:
         pass
 
+    def handleError(self, record: logging.LogRecord) -> None:
+        # A reader that closed the pipe (``| head``) ends the command;
+        # :func:`main` stops it instead of logging one error per line.
+        if isinstance(sys.exc_info()[1], BrokenPipeError):
+            raise
+        super().handleError(record)
+
 
 def configure_logging(verbose: bool = False) -> None:
     """Configure the ``repro`` root logger exactly once per invocation
@@ -289,15 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable DEBUG logging on the repro logger",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # An unknown model is a usage error, like an unknown scheme.
+    model_arg = dict(choices=[m.name for m in ALL_MODELS], metavar="MODEL")
 
     p = sub.add_parser("profiles", parents=[common],
                        help="print catalog + profiled rows")
-    p.add_argument("model", nargs="?", default="resnet50")
+    p.add_argument("model", nargs="?", default="resnet50", **model_arg)
 
     for name in ("run", "compare"):
         p = sub.add_parser(name, parents=[common],
                            help=f"{name} scheme(s) on one workload")
-        p.add_argument("model")
+        p.add_argument("model", **model_arg)
         p.add_argument("--scheme", default="paldia",
                        choices=ALL_SCHEMES)
         p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
@@ -449,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         "profile", parents=[common],
         help="self-profile one run: phase tree + flamegraph exports",
     )
-    p.add_argument("model", nargs="?", default="resnet50")
+    p.add_argument("model", nargs="?", default="resnet50", **model_arg)
     p.add_argument("--scheme", default="paldia",
                    choices=ALL_SCHEMES)
     p.add_argument("--trace", default="azure", choices=sorted(_TRACES))
@@ -605,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cost-report", parents=[common],
         help="itemized cost waterfall + cost–SLO frontier per scheme",
     )
-    p.add_argument("model")
+    p.add_argument("model", **model_arg)
     p.add_argument(
         "--schemes", default="paldia", metavar="S1,S2|all",
         help="comma-separated schemes to run, or 'all' "
@@ -1292,6 +1302,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return handler(args)
     except CliError as exc:
         logger.error("%s", exc)
+        return 1
+    except BrokenPipeError:
+        # Python flushes stdout at exit; point it at devnull so that
+        # flush cannot fail again (the "Note on SIGPIPE" in the docs of
+        # the ``signal`` module).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
         return 1
 
 

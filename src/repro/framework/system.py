@@ -259,7 +259,6 @@ class ServerlessRun:
         )
         self.metrics = MetricsCollector()
         self._batch_ids = self.cluster.batch_ids
-        self._completions = self.cluster.completions
         self.tracker = RateTracker(MONITOR_INTERVAL_SECONDS)
         self.policy.bind_tracer(self.tracer)
         self.autoscaler = Autoscaler(
@@ -371,7 +370,8 @@ class ServerlessRun:
         # Initial hardware, warm-started.
         hint = max(self.trace.rate_window(0.0, 10.0), 1.0)
         initial_hw = self.policy.initial_hardware(hint)
-        node = self.cluster.acquire(initial_hw, lambda n: None, instant=True)
+        node = self.cluster.acquire(initial_hw, lambda n: None, instant=True,
+                                    obs=self.obs)
         self._owned[node.node_id] = node
         self._current = node
         self.switch_log.append((0.0, "-", initial_hw.name))
@@ -638,13 +638,12 @@ class ServerlessRun:
         collector instead of freeing it when its last reference goes."""
         name, node_id = node.spec.name, node.node_id
         sim, metrics, resilience = self.sim, self.metrics, self.resilience
-        completions = self._completions
 
         def on_complete(job: Job) -> None:
             pool.release()
             if resilience is not None:
                 resilience.record_success(name, sim.now)
-            metrics.record_batch(job.batch, node_id, next(completions))
+            metrics.record_batch(job.batch, node_id)
 
         def on_evict(job: Job) -> None:
             pool.release()
@@ -757,7 +756,8 @@ class ServerlessRun:
                     else self.cluster.release(node),
                 )
 
-        node = self.cluster.acquire(desired, on_ready, instant=instant)
+        node = self.cluster.acquire(desired, on_ready, instant=instant,
+                                    obs=self.obs)
         self._owned[node.node_id] = node
 
     def _switch_to(self, node: NodeInstance) -> None:
@@ -878,7 +878,7 @@ class ServerlessRun:
                 lambda: self._switch_to(new_node),
             )
 
-        node = self.cluster.acquire(failover, on_ready)
+        node = self.cluster.acquire(failover, on_ready, obs=self.obs)
         self._owned[node.node_id] = node
 
     def _on_node_recovery(self) -> None:

@@ -95,8 +95,8 @@ class NodeInstance:
         self.available = True
         #: Chaos cold-start hook handed to pools created on this node.
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: The run's observer bundle, handed to pools created on this
-        #: node (``None`` on untraced runs).
+        #: The leasing run's observer bundle, handed to pools created on
+        #: this node (``None`` on untraced runs).
         self.obs = obs
 
     def pool(self, model_name: str) -> ContainerPool:
@@ -182,21 +182,13 @@ class Cluster:
         self.nodes: list[NodeInstance] = []
         #: Id counters owned by the run and shared by the lanes of a
         #: shared cluster, so ids never depend on what ran earlier in
-        #: the process: batches number from 0, nodes from 1, and
-        #: ``completions`` numbers completed batches across all lanes
-        #: (the order in which the lanes' batch logs merge).
+        #: the process: batches number from 0 and nodes from 1.
         self.batch_ids = itertools.count()
         self.node_ids = itertools.count(1)
-        self.completions = itertools.count()
         #: Optional chaos hook mapping a base cold-start latency to the
         #: (possibly inflated) spawn delay; propagated to every node
         #: acquired after it is set (see ChaosEngine.cold_start_delay).
         self.spawn_delay_fn: Optional[Callable[[float], float]] = None
-        #: The observer bundle of the first traced run on this cluster,
-        #: told about every lease transition and handed to every node
-        #: acquired after it is set (and their devices and pools);
-        #: ``None`` costs one ``is None`` branch per lease transition.
-        self.obs: Optional["RunObservers"] = None
 
     # ------------------------------------------------------------------
     # Acquisition / release
@@ -206,13 +198,18 @@ class Cluster:
         spec: HardwareSpec,
         on_ready: Callable[[NodeInstance], None],
         instant: bool = False,
+        obs: Optional["RunObservers"] = None,
     ) -> NodeInstance:
         """Lease a node of shape ``spec``.
 
         Billing starts immediately (the VM is launching); ``on_ready`` fires
         after the provisioning delay, when containers may be spawned.  With
         ``instant=True`` provisioning is skipped (used for warm starts at
-        experiment begin, and by the clairvoyant Oracle).
+        experiment begin, and by the clairvoyant Oracle).  ``obs`` is the
+        leasing run's observer bundle: the node, its device and its pools
+        report to it, and it hears of the lease before ``on_ready``
+        (``None`` on untraced runs costs one ``is None`` branch per lease
+        transition).
         """
         node = NodeInstance(
             self.sim,
@@ -220,7 +217,7 @@ class Cluster:
             self.interference,
             np.random.default_rng(self._root_rng.integers(2**63)),
             node_id=next(self.node_ids),
-            obs=self.obs,
+            obs=obs,
         )
         node.spawn_delay_fn = self.spawn_delay_fn
         self.nodes.append(node)
@@ -229,7 +226,6 @@ class Cluster:
         self.leases.append(lease)
         self._active_leases[node.node_id] = lease
         immediate = instant or spec.provision_seconds <= 0
-        obs = self.obs
         if obs is not None:
             ready_at = now if immediate else now + spec.provision_seconds
             obs.node_acquired(node, now, ready_at, instant)
@@ -245,7 +241,7 @@ class Cluster:
         if lease is None:
             raise ValueError(f"{node!r} has no active lease")
         lease.end = self.sim.now
-        obs = self.obs
+        obs = node.obs
         if obs is not None:
             obs.node_released(node, lease, self.sim.now)
         for pool in node.pools().values():

@@ -191,11 +191,6 @@ class Simulator:
         self._stopped = False
         self.n_dispatched = 0
         self._profiler = profiler
-        #: Zero-cost observation hooks fired once per :meth:`run` after
-        #: the horizon clamp (telemetry close-outs, e.g. the request
-        #: tracer recording the final clock).  Not touched by the hot
-        #: loop; :meth:`step` never fires them.
-        self._run_end_hooks: list[Callable[[float], None]] = []
 
     def set_profiler(self, profiler: Optional[DispatchProfiler]) -> None:
         """Attach (or detach, with ``None``) a dispatch profiler.
@@ -204,13 +199,6 @@ class Simulator:
         from *inside* a running callback takes effect on the next run.
         """
         self._profiler = profiler
-
-    def add_run_end_hook(self, fn: Callable[[float], None]) -> None:
-        """Call ``fn(now)`` when a :meth:`run` completes (after the
-        horizon clamp).  Costs nothing per event — the list is only
-        walked once per run — so telemetry can observe the final clock
-        without polluting the hot loop."""
-        self._run_end_hooks.append(fn)
 
     # ------------------------------------------------------------------
     # Clock
@@ -389,8 +377,6 @@ class Simulator:
                     prof_pop()
             if until is not None and self._now < until:
                 self._now = float(until)
-            for hook in self._run_end_hooks:
-                hook(self._now)
         finally:
             # n_dispatched is maintained in a local and written back here
             # (including on callback exceptions); nothing in the tree reads

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,31 +25,17 @@ from repro.framework.request import PHASES, Batch
 __all__ = ["ROW", "BatchLog", "BatchReader", "BatchRows", "MetricsCollector"]
 
 _FLOATS = ("dispatched_at", "started_at", "completed_at") + PHASES
-_INTS = ("batch_id", "seq", "node_id", "model", "hardware", "mode",
-         "retries", "first", "size")
+_INTS = ("batch_id", "node_id", "model", "hardware", "mode", "retries",
+         "first", "size")
 #: One batch-log row.  ``started_at`` is NaN for a batch that never
 #: reported a start.  ``model``, ``hardware`` and ``mode`` index the
 #: log's :attr:`BatchLog.names`; ``first`` and ``size`` locate the batch's
-#: arrivals in the flat arrivals buffer; ``seq`` is the batch's place in
-#: the completion order shared by every lane of a cluster.
+#: arrivals in the flat arrivals buffer.
 ROW = np.dtype([(name, "f8") for name in _FLOATS]
                + [(name, "i8") for name in _INTS])
 _WIDTH = ROW.itemsize
 _pack_row = struct.Struct(f"={len(_FLOATS)}d{len(_INTS)}q").pack
 _NAMED = ("model", "hardware", "mode")
-
-
-def _regathered(rows: np.ndarray, arrivals: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """``rows`` (a copy, reindexed) and their arrivals gathered from
-    ``arrivals`` back to back in row order."""
-    size = rows["size"]
-    start = np.cumsum(size) - size
-    arrivals = arrivals[
-        np.repeat(rows["first"] - start, size) + np.arange(size.sum())
-    ]
-    rows["first"] = start
-    return rows, arrivals
 
 
 class BatchRows:
@@ -94,44 +80,23 @@ class BatchRows:
         return [names[code] for code in self.rows[column].tolist()]
 
     def select(self, mask: np.ndarray) -> "BatchRows":
-        """A copy of the rows where ``mask`` holds, with their arrivals."""
-        return BatchRows(*_regathered(self.rows[mask], self.arrivals),
-                         self.names)
-
-    @staticmethod
-    def merge(parts: Sequence["BatchRows"]) -> "BatchRows":
-        """Several logs' rows as one, ordered by ``seq``; named columns
-        are recoded onto one table (first occurrence across ``parts``)."""
-        if len(parts) == 1:
-            return parts[0]
-        names: dict[str, list] = {col: [] for col in _NAMED}
-        chunks, offset = [], 0
-        for part in parts:
-            rows = part.rows.copy()
-            for col in _NAMED:
-                merged = names[col]
-                for name in part.names[col]:
-                    if name not in merged:
-                        merged.append(name)
-                recode = np.array(
-                    [merged.index(name) for name in part.names[col]],
-                    dtype=np.int64,
-                )
-                rows[col] = recode[rows[col]]
-            rows["first"] += offset
-            offset += part.arrivals.size
-            chunks.append(rows)
-        rows = np.concatenate(chunks)
-        rows = rows[np.argsort(rows["seq"], kind="stable")]
-        arrivals = np.concatenate([part.arrivals for part in parts])
-        return BatchRows(*_regathered(rows, arrivals), names)
+        """A copy of the rows where ``mask`` holds, with their arrivals
+        gathered back to back in row order."""
+        rows = self.rows[mask]
+        size = rows["size"]
+        start = np.cumsum(size) - size
+        arrivals = self.arrivals[
+            np.repeat(rows["first"] - start, size) + np.arange(size.sum())
+        ]
+        rows["first"] = start
+        return BatchRows(rows, arrivals, self.names)
 
 
 class BatchLog:
     """Append-only columnar log of completed batches, one row per batch.
 
     Rows are packed into one ``bytearray`` in the :data:`ROW` layout and
-    every batch's arrivals into another, so a batch costs 144 bytes plus
+    every batch's arrivals into another, so a batch costs 136 bytes plus
     8 per request and no Python object.  :meth:`rows` returns a copy;
     :meth:`view` does not, and the log cannot grow while a view is alive,
     so a view must not outlive the computation that reads it.
@@ -158,7 +123,7 @@ class BatchLog:
         self.names[column].append(name)
         return code
 
-    def append(self, batch: Batch, node_id: int, seq: int) -> None:
+    def append(self, batch: Batch, node_id: int) -> None:
         """Log one completed batch that ran on ``node_id``."""
         codes = self._codes
         model = codes["model"].get(batch.model.name)
@@ -179,7 +144,7 @@ class BatchLog:
             batch.completed_at,
             bd.batching_wait, bd.cold_start_wait, bd.queue_delay,
             bd.exec_solo, bd.interference_extra, bd.failure_wait,
-            batch.batch_id, seq, node_id, model, hardware, mode,
+            batch.batch_id, node_id, model, hardware, mode,
             batch.retries, self.n_requests, arrivals.size,
         )
         self._arrivals += arrivals.tobytes()
@@ -209,41 +174,35 @@ class BatchLog:
 
 
 class BatchReader:
-    """Reads batch logs forward for one telemetry pillar.
+    """Reads one run's batch log forward, for one telemetry pillar.
 
-    Each :meth:`read` returns the rows the attached logs appended since
-    the previous read, merged into completion order — so a pillar shared
-    by the lanes of a cluster sees one timeline.
+    Each :meth:`read` returns the rows the log appended since the
+    previous read.
     """
 
-    __slots__ = ("logs", "_read")
+    __slots__ = ("log", "_read")
 
     def __init__(self) -> None:
-        self.logs: list[BatchLog] = []
-        self._read: list[int] = []
+        self.log: Optional[BatchLog] = None
+        self._read = 0
 
     def attach(self, log: BatchLog) -> None:
-        if all(known is not log for known in self.logs):
-            self.logs.append(log)
-            self._read.append(0)
+        if self.log is not None and self.log is not log:
+            raise ValueError("a batch reader reads one run's batch log")
+        self.log = log
 
     def pending(self) -> bool:
-        """Whether a log has rows this reader has not read yet."""
-        return any(len(log) > n for log, n in zip(self.logs, self._read))
+        """Whether the log has rows this reader has not read yet."""
+        return self.log is not None and len(self.log) > self._read
 
     def read(self, copy: bool = True) -> BatchRows:
         """The rows appended since the last read; with ``copy=False``
         they may be a :meth:`BatchLog.view`, to be dropped after use."""
-        parts = []
-        copy = copy or len(self.logs) > 1
-        for i, log in enumerate(self.logs):
-            n = len(log)
-            lo, self._read[i] = self._read[i], n
-            parts.append(log.rows(lo, n) if copy else log.view(lo, n))
-        if not parts:
-            return BatchRows(np.empty(0, ROW), np.empty(0),
-                             {col: [] for col in _NAMED})
-        return BatchRows.merge(parts)
+        log = self.log
+        if log is None:
+            return BatchLog().view()
+        lo, self._read = self._read, len(log)
+        return log.rows(lo, self._read) if copy else log.view(lo, self._read)
 
 
 class MetricsCollector:
@@ -257,14 +216,11 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record_batch(self, batch: Batch, node_id: int = -1,
-                     seq: Optional[int] = None) -> None:
-        """Log a completed batch.  ``seq`` is its place in a completion
-        order shared with other collectors (default: this log's)."""
+    def record_batch(self, batch: Batch, node_id: int = -1) -> None:
+        """Log a completed batch that ran on ``node_id``."""
         if batch.completed_at is None:
             raise ValueError(f"batch {batch.batch_id} has not completed")
-        log = self.log
-        log.append(batch, node_id, len(log) if seq is None else seq)
+        self.log.append(batch, node_id)
 
     def record_offered(self, n: int) -> None:
         """Count requests offered to the system (arrivals)."""

@@ -25,7 +25,7 @@ zero-overhead disabled path: every instrumented site in the cluster and
 the container pools pays one attribute load plus one ``is None`` branch
 when no meter is installed, proven by deterministic call-count gates
 (``benchmarks/test_bench_costmeter.py``).  Completed batches are not a
-hook at all: the meter reads their residency from the lanes' batch logs
+hook at all: the meter reads their residency from the run's batch log
 when it summarizes.
 
 :class:`CostBudgetMonitor` (shape of
@@ -193,10 +193,10 @@ class CostBreakdown:
 class CostMeter:
     """Per-lease cost itemization with pro-rata request attribution.
 
-    The meter is event-driven and passive: the cluster reports lease
-    acquire/release and container pools report spawn intervals, while
-    each completed batch's residency interval is read from the lanes'
-    batch logs when the meter summarizes (:meth:`on_batch`).  The
+    The meter is event-driven and passive: the cluster reports the
+    run's lease acquire/release and container pools report spawn
+    intervals, while each completed batch's residency interval is read
+    from the run's batch log when the meter summarizes (:meth:`on_batch`).  The
     expensive part — the per-lease line sweep that decomposes lease time
     into buckets — runs in :meth:`summarize`, never on the hot path.
     """
@@ -210,7 +210,7 @@ class CostMeter:
         self._closed_dollars = 0.0
         #: Every lease by node_id, open or closed.
         self._leases: dict[int, _LeaseState] = {}
-        #: Reads the batch logs of every lane this meter bills.
+        #: Reads the run's batch log.
         self.batches = BatchReader()
 
     # ------------------------------------------------------------------
@@ -241,11 +241,11 @@ class CostMeter:
             state.spawns.append((t0, t1))
 
     def attach(self, log: BatchLog) -> None:
-        """Meter the batches a lane appends to ``log``."""
+        """Meter the batches the run appends to ``log``."""
         self.batches.attach(log)
 
     def on_batch(self) -> None:
-        """Read the batches the attached logs completed since the last
+        """Read the batches the attached log completed since the last
         read into their leases: each executed on its node over
         ``[started_at, completed_at)``, and busy dollars in that span are
         shared pro-rata with any co-resident batches."""
@@ -397,14 +397,11 @@ class CostMeter:
         )
         return lease
 
-    def summarize(
-        self, now: float, node_ids: Optional[set] = None
-    ) -> CostBreakdown:
+    def summarize(self, now: float) -> CostBreakdown:
         """Aggregate every lease into a :class:`CostBreakdown`.
 
         Open leases are billed to ``now`` without being closed (the
-        meter stays live).  ``node_ids`` restricts the summary to one
-        lane's leases in a shared cluster (``MultiModelRun``).
+        meter stays live).
         """
         self.on_batch()
         out = CostBreakdown()
@@ -420,8 +417,6 @@ class CostMeter:
         states = self._closed + list(self._open.values())
         states.sort(key=lambda s: (s.start, s.node_id))
         for state in states:
-            if node_ids is not None and state.node_id not in node_ids:
-                continue
             end = state.end if state.end is not None else now
             lease = self._itemize(state, end)
             out.leases.append(lease)

@@ -17,17 +17,17 @@ meter and request tracer at finalize, the batch spans and latency
 histogram at export.
 
 :meth:`RunObservers.for_run` is the one place that wires a traced run:
-it decides which pillars the run has, how the lanes of a shared cluster
-share them, which state the time-series sampler reads and on what
-clock the monitors tick.  Adding a pillar means adding a field here, a
-line to ``for_run`` that builds it and a line to each fact method it
-observes; no component outside ``telemetry/`` changes.
+it decides which pillars the run has, which state the time-series
+sampler reads and on what clock the monitors tick.  Every pillar
+belongs to one run, also when several runs share a cluster: each node
+reports to the run that leased it.  Adding a pillar means adding a
+field here, a line to ``for_run`` that builds it and a line to each
+fact method it observes; no component outside ``telemetry/`` changes.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from itertools import islice
 from typing import TYPE_CHECKING, Any, Optional
 
@@ -55,12 +55,7 @@ class RunObservers:
     A bundle exists only when the run's :class:`Tracer` is enabled, so
     ``tracer`` is always present; the other pillars are set by
     :meth:`for_run` when enabled, and a fact skips the pillars that are
-    ``None``.  In a shared cluster the first traced lane's
-    bundle is the cluster's: node, container and execution facts flow
-    through it, while each lane reports its own batch, retry and
-    breaker facts through its own bundle (which shares the cluster
-    bundle's meter and request tracer, each reading every lane's batch
-    log).
+    ``None``.
     """
 
     __slots__ = ("tracer", "costmeter", "reqtrace", "slo_monitor",
@@ -78,15 +73,12 @@ class RunObservers:
     def for_run(cls, run: "ServerlessRun") -> "RunObservers":
         """Build the traced ``run``'s bundle and start its clocks.
 
-        The run calls this before its initial acquire, so the cluster's
-        bundle sees every lease.  In a shared cluster the first traced
-        lane installs its bundle; later lanes reuse its meter and
-        request tracer (each lane's summary filters to its own node ids
-        at finalize, and each registers its own model's SLO so verdicts
-        stay per-model) but keep their own SLO monitor.  Every pillar
-        reads the lane's batch log rather than hearing of each batch.
-        The time-series sampler starts before the monitor clock, which
-        fixes the order of their events at a shared instant.
+        The run calls this before its initial acquire and hands the
+        bundle to every acquire, so it sees every lease the run makes.
+        Every pillar reads the run's batch log rather than hearing of
+        each batch.  The time-series sampler starts before the monitor
+        clock, which fixes the order of their events at a shared
+        instant.
         """
         cfg, tracer, sim, slo = run.config, run.tracer, run.sim, run.slo
         tracer.meta.update(
@@ -103,9 +95,6 @@ class RunObservers:
         log = run.metrics.log
         tracer.attach(log)
         obs = cls(tracer)
-        host = run.cluster.obs
-        if host is None:
-            host = run.cluster.obs = obs
         if run.resilience is not None:
             run.resilience.obs = obs
         if cfg.slo_monitor_window_seconds > 0:
@@ -117,9 +106,7 @@ class RunObservers:
             )
             obs.slo_monitor.attach(log)
         if cfg.cost_meter:
-            if host.costmeter is None:
-                host.costmeter = CostMeter()
-            obs.costmeter = host.costmeter
+            obs.costmeter = CostMeter()
             obs.costmeter.attach(log)
             obs.cost_monitor = CostBudgetMonitor(
                 obs.costmeter,
@@ -128,14 +115,10 @@ class RunObservers:
                 horizon_seconds=run.horizon,
             )
         if cfg.reqtrace:
-            if host.reqtrace is None:
-                host.reqtrace = RequestTracer(
-                    sample=cfg.reqtrace_sample, seed=cfg.seed
-                )
-            rt = obs.reqtrace = host.reqtrace
+            rt = obs.reqtrace = RequestTracer(sample=cfg.reqtrace_sample,
+                                              seed=cfg.seed)
             rt.register_model(run.model.name, slo.target_seconds)
             rt.attach(log)
-            sim.add_run_end_hook(rt.on_run_end)
         if cfg.timeseries_interval_seconds > 0:
             obs.sampler = tracer.timeseries = _start_sampler(run, obs)
         monitors = [
@@ -267,17 +250,15 @@ class RunObservers:
     # Run end
     # ------------------------------------------------------------------
     def run_finalized(self, now: float, owned: list, meta: dict) -> tuple:
-        """Close the pillars over the lane's own ``(node, lease)`` pairs
+        """Close the pillars over the run's ``(node, lease)`` pairs
         and merge ``meta`` (request counts, cost, switches) into the
         tracer's run metadata.  Returns ``(cost breakdown or None,
         request trace or None, budget alerts emitted)``."""
         breakdown = data = None
         if self.costmeter is not None:
-            breakdown = self.costmeter.summarize(
-                now, node_ids={node.node_id for node, _ in owned}
-            )
+            breakdown = self.costmeter.summarize(now)
         if self.reqtrace is not None:
-            self.reqtrace.on_run_end(now)  # idempotent with the engine hook
+            self.reqtrace.on_run_end(now)
             data = self.reqtrace.data()
         mon = self.cost_monitor
         alerts = mon.alerts_emitted if mon is not None else 0
@@ -440,21 +421,6 @@ def _start_sampler(run: "ServerlessRun", obs: RunObservers) -> StateSampler:
             lambda: (meter.spent(now()), budget_mon.burn_rate_per_hour,
                      budget_mon.projected_dollars),
         )
-
-    # Experiment result-cache counters (a process-level registry; flat
-    # zero outside experiment harness runs).  Only read when the
-    # experiments' cache module is already loaded: nothing can have
-    # counted a hit or a miss without loading it, and importing it
-    # would load the whole experiments package into every traced run.
-    def cache_counters() -> tuple:
-        cache = sys.modules.get("repro.experiments.cache")
-        if cache is None:
-            return (0.0, 0.0)
-        counter = cache.CACHE_METRICS.counter
-        return (counter("experiment_cache.hits").value,
-                counter("experiment_cache.misses").value)
-
-    sampler.probes(("cache.hits", "cache.misses"), cache_counters)
 
     sampler.start(sim, run.horizon, priority=90)
     return sampler

@@ -6,8 +6,8 @@ request slow?".  A :class:`RequestTracer` records, per request id, a
 typed phase timeline — arrival -> window wait -> batch formation
 (batch id, peers, deadline-setting member) -> queue -> cold-start wait
 -> dispatch (hardware, co-run slot) -> interference slowdown -> retry
-attempts -> completion.  Completed batches come from the lanes' batch
-logs (:class:`~repro.simulator.metrics.BatchLog`), read once when the
+attempts -> completion.  Completed batches come from the run's batch
+log (:class:`~repro.simulator.metrics.BatchLog`), read once when the
 trace is frozen; execution starts, node churn, retries and breaker
 flips are reported by the simulator devices, the cluster, and the
 resilience layer through the run's observer bundle
@@ -31,11 +31,10 @@ gated to 1e-9 in ``benchmarks/test_bench_reqtrace.py``.
 
 Request ids
 -----------
-Request ids are assigned in batch-completion order across *all*
-completed batches, sampled or not — across the lanes of a shared
-cluster too, merged on the completion sequence they share — so rid
-``r`` always indexes a standalone run's ``MetricsCollector.latencies()[r]``
-exactly and ids are stable across sampling rates.
+Request ids are assigned in batch-completion order across *all* of the
+run's completed batches, sampled or not, so rid ``r`` always indexes
+the run's own ``MetricsCollector.latencies()[r]`` exactly and ids are
+stable across sampling rates.
 
 Sampling
 --------
@@ -236,11 +235,11 @@ class RequestView:
 
 
 class RequestTracer:
-    """Per-request causal trace recorder (one per run / shared cluster).
+    """Per-request causal trace recorder (one per traced run).
 
     Constructed only when the run is traced *and*
     ``RunConfig.reqtrace`` is set — the disabled path never enters this
-    module.  Each lane attaches its batch log, read by :meth:`data`;
+    module.  The run attaches its batch log, read by :meth:`data`;
     the other hooks are called from the run's
     :class:`~repro.telemetry.observers.RunObservers` bundle.  None of
     them touch the simulation state, so a traced run stays bit-identical
@@ -272,7 +271,7 @@ class RequestTracer:
         #: The tail reservoir: the ``tail_k`` worst (first-arrival
         #: latency, batch_id) pairs read so far.
         self._tail: list[tuple[float, int]] = []
-        #: Reads the batch logs of every lane this tracer observes.
+        #: Reads the run's batch log.
         self.batches = BatchReader()
         #: Execution starts reported by the devices: the batch id, and
         #: (start time, co-run level, total FBR) per start.  A retried
@@ -288,11 +287,11 @@ class RequestTracer:
     # Setup-side hooks
     # ------------------------------------------------------------------
     def register_model(self, name: str, slo_seconds: float) -> None:
-        """Record a served model's SLO (per-model for multi-lane runs)."""
+        """Record the served model's SLO (judges each request's verdict)."""
         self._models[name] = float(slo_seconds)
 
     def attach(self, log: BatchLog) -> None:
-        """Trace the batches a lane appends to ``log``."""
+        """Trace the batches the run appends to ``log``."""
         self.batches.attach(log)
 
     # ------------------------------------------------------------------
@@ -308,17 +307,16 @@ class RequestTracer:
         ex.append(total_fbr)
 
     # ------------------------------------------------------------------
-    # Reading the batch logs
+    # Reading the batch log
     # ------------------------------------------------------------------
     def on_batch_complete(self) -> None:
-        """Read the batches the attached logs completed since the last
+        """Read the batches the attached log completed since the last
         read: assign rids and retain per sampling policy.
 
-        Every batch advances the rid counter, sampled or not, in the
-        completion order shared by the lanes; a batch is kept when it is
-        sampled or among the ``tail_k`` worst read so far, and a kept
-        batch that later leaves that tail without being sampled is
-        dropped again.
+        Every batch advances the rid counter, sampled or not, in
+        completion order; a batch is kept when it is sampled or among
+        the ``tail_k`` worst read so far, and a kept batch that later
+        leaves that tail without being sampled is dropped again.
         """
         rows = self.batches.read()
         if not len(rows):
@@ -404,9 +402,8 @@ class RequestTracer:
             np.int64), np.where(found, last[:, 2], 0.0))
 
     def on_run_end(self, now: float) -> None:
-        """Record the run horizon (idempotent; max wins across lanes)."""
-        if now > self._horizon:
-            self._horizon = float(now)
+        """Record the run horizon (the clock when the run finalizes)."""
+        self._horizon = float(now)
 
     def event(self, kind: str, now: float, **attrs: Any) -> None:
         """Record one auxiliary event (node churn, retries, sheds, drops,

@@ -13,7 +13,7 @@ microseconds for the Chrome ``trace_event`` format.
 
 Span model
 ----------
-Each completed batch — read from the lane's batch log
+Each completed batch — read from the run's batch log
 (:class:`~repro.simulator.metrics.BatchLog`) when the spans are read,
 never reported per batch — becomes one ``request`` span covering
 ``[first_arrival, completed_at]`` whose attributes carry the full latency
@@ -96,8 +96,8 @@ class Tracer:
         self.enabled = bool(enabled)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans: list[SpanRecord] = []
-        #: Read the batch logs of the lanes this tracer observes: one
-        #: for the request spans, one for the latency histogram.
+        #: Read the run's batch log: one reader for the request spans,
+        #: one for the latency histogram.
         self.batches = BatchReader()
         self._latencies = BatchReader()
         self.events: list[TraceEventRecord] = []
@@ -162,14 +162,14 @@ class Tracer:
     # High-level helpers
     # ------------------------------------------------------------------
     def attach(self, log: BatchLog) -> None:
-        """Observe the batches a lane appends to ``log``: their request
+        """Observe the batches the run appends to ``log``: their request
         spans (:meth:`record_batch_span`) and latency histogram
         (:meth:`record_latencies`)."""
         self.batches.attach(log)
         self._latencies.attach(log)
 
     def record_latencies(self) -> None:
-        """Fold the first-arrival latency of every batch the attached logs
+        """Fold the first-arrival latency of every batch the attached log
         completed since the last call into the ``request.latency_seconds``
         histogram.
 
@@ -183,7 +183,7 @@ class Tracer:
 
     def record_batch_span(self) -> None:
         """Materialise the request span (plus phase children) of every
-        batch the attached logs completed since the last read.
+        batch the attached log completed since the last read.
 
         Called on access to :attr:`spans`, so the four span records per
         batch are built at export time, never inside the simulation loop.

@@ -525,3 +525,26 @@ def test_malformed_numeric_flag_is_one_usage_line(argv, flag, capsys,
     assert f"argument {flag}:" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert started == []
+
+
+@pytest.mark.parametrize(
+    "argv", [["profiles", "bogus"], ["run", "bogus", "--duration", "5"],
+             ["compare", "bogus"], ["profile", "bogus"],
+             ["cost-report", "bogus"]],
+    ids=lambda argv: argv[0],
+)
+def test_unknown_model_is_a_usage_error(argv, capsys, monkeypatch):
+    import repro.cli
+
+    started = []
+    for handler in ("_cmd_profiles", "_cmd_run", "_cmd_compare",
+                    "_cmd_profile", "_cmd_cost_report"):
+        monkeypatch.setattr(repro.cli, handler,
+                            lambda args, name=handler: started.append(name))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "argument MODEL: invalid choice: 'bogus'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert started == []

@@ -33,6 +33,20 @@ class TestMainModule:
         )
         assert proc.returncode != 0
 
+    def test_closed_stdout_pipe_stops_without_a_traceback(self, tmp_path):
+        # The reader goes away before the first line, as ``| head`` does
+        # once it has its lines: the command stops, exit 1, stderr empty.
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", "resnet50", "--trace",
+             "poisson", "--duration", "20", "--seed", "3",
+             "--trace-out", str(tmp_path / "run.jsonl")],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env(),
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait() == 1
+        assert stderr == b""
+
     def test_main_importable_and_callable(self, capsys):
         assert main(["list"]) == 0
         assert "experiments:" in capsys.readouterr().out

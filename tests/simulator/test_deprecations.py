@@ -65,16 +65,14 @@ class TestClusterKeywordOnly:
             )
 
     def test_tracer_keyword_is_typeerror(self):
-        # Lease events reach the tracer through the cluster's observer
-        # bundle (``Cluster.obs``); the cluster takes no tracer at all.
+        # Lease events reach the tracer through the observer bundle the
+        # leasing run hands to ``acquire``; the cluster takes no tracer.
         profiles = ProfileService()
         with pytest.raises(TypeError):
             Cluster(
                 Simulator(), profiles.catalog, profiles.interference, 0,
                 tracer=Tracer(),
             )
-        cluster = Cluster(Simulator(), profiles.catalog, seed=0)
-        assert cluster.obs is None
 
 
 class TestChaosEngineKeywordOnly:

@@ -1,6 +1,6 @@
 """Lease cost-accounting edges: mid-run release, switches, zero-duration
-runs, chaos-killed nodes, and the cluster-side observer hooks that feed
-the cost meter."""
+runs, chaos-killed nodes, and the lease-side observer hooks that feed
+the cost meter of the run that leased the node."""
 
 import math
 
@@ -20,40 +20,45 @@ def billed_dollars(cluster):
 
 @pytest.fixture
 def cluster(sim, catalog):
-    c = Cluster(sim, catalog, seed=1)
-    c.obs = RunObservers(Tracer())
-    c.obs.costmeter = CostMeter()
-    return c
+    return Cluster(sim, catalog, seed=1)
+
+
+@pytest.fixture
+def obs():
+    """The observer bundle of the run that leases every node below."""
+    bundle = RunObservers(Tracer())
+    bundle.costmeter = CostMeter()
+    return bundle
 
 
 class TestClusterMeterHooks:
     def test_lease_released_mid_run_matches_lease_record(
-        self, cluster, m60
+        self, cluster, obs, m60
     ):
-        node = cluster.acquire(m60, lambda n: None, instant=True)
+        node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         cluster.sim.schedule(100.0, lambda: cluster.release(node))
         cluster.sim.schedule(300.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
+        bd = obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(billed_dollars(cluster))
         assert bd.leases[0].end == pytest.approx(100.0)
 
     def test_hardware_switch_overlapping_leases_conserve(
-        self, cluster, m60, v100
+        self, cluster, obs, m60, v100
     ):
         """During a switch the old and new lease overlap; the meter's
         per-lease bills still sum to the cluster's."""
-        old = cluster.acquire(m60, lambda n: None, instant=True)
+        old = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
 
         def start_switch():
-            cluster.acquire(v100, lambda n: None)  # provisioning delay
+            cluster.acquire(v100, lambda n: None, obs=obs)  # provisioning
 
         cluster.sim.schedule(50.0, start_switch)
         cluster.sim.schedule(50.0 + v100.provision_seconds + 1.0,
                              lambda: cluster.release(old))
         cluster.sim.schedule(120.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
+        bd = obs.costmeter.summarize(cluster.sim.now)
         assert len(bd.leases) == 2
         assert math.isclose(
             bd.total_dollars, billed_dollars(cluster),
@@ -65,22 +70,22 @@ class TestClusterMeterHooks:
             v100.provision_seconds * v100.price_per_second
         )
 
-    def test_provisioned_acquire_records_ready_at(self, cluster, m60):
-        cluster.acquire(m60, lambda n: None)
-        state = cluster.obs.costmeter._open[cluster.nodes[0].node_id]
+    def test_provisioned_acquire_records_ready_at(self, cluster, obs, m60):
+        cluster.acquire(m60, lambda n: None, obs=obs)
+        state = obs.costmeter._open[cluster.nodes[0].node_id]
         assert state.ready_at == pytest.approx(m60.provision_seconds)
 
-    def test_failed_node_still_bills_until_release(self, cluster, m60):
+    def test_failed_node_still_bills_until_release(self, cluster, obs, m60):
         """A chaos-killed node's lease keeps billing until the framework
         releases it — including the spawn time already paid."""
-        node = cluster.acquire(m60, lambda n: None, instant=True)
+        node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
         pool.prewarm(2)  # spawn intervals recorded
         cluster.sim.schedule(1.0, node.fail)
         cluster.sim.schedule(10.0, lambda: cluster.release(node))
         cluster.sim.schedule(20.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
+        bd = obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(
             10.0 * m60.price_per_second
         )
@@ -88,27 +93,27 @@ class TestClusterMeterHooks:
         assert bd.bucket_dollars["coldstart"] > 0.0
 
     def test_spawn_after_failure_does_not_outlive_lease(
-        self, cluster, m60
+        self, cluster, obs, m60
     ):
         """fail() zeroes the pool's spawning count but the scheduled
         _on_warm still fires; the meter clips every spawn interval to
         the lease, so the bill never exceeds the lease record."""
-        node = cluster.acquire(m60, lambda n: None, instant=True)
+        node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
         pool.prewarm(1)
         cluster.sim.schedule(0.5, node.fail)
         cluster.sim.schedule(1.0, lambda: cluster.release(node))
         cluster.sim.schedule(m60.cold_start_seconds + 5.0, lambda: None)
         cluster.sim.run()
-        bd = cluster.obs.costmeter.summarize(cluster.sim.now)
+        bd = obs.costmeter.summarize(cluster.sim.now)
         assert bd.total_dollars == pytest.approx(1.0 * m60.price_per_second)
         assert sum(bd.bucket_seconds.values()) == pytest.approx(1.0)
 
-    def test_meter_propagates_to_new_pools(self, cluster, m60):
-        node = cluster.acquire(m60, lambda n: None, instant=True)
+    def test_meter_propagates_to_new_pools(self, cluster, obs, m60):
+        node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
-        assert pool.obs is cluster.obs
-        assert node.device.obs is cluster.obs
+        assert pool.obs is obs
+        assert node.device.obs is obs
         assert pool.node_id == node.node_id
 
     def test_unmetered_cluster_records_nothing(self, sim, catalog, m60):
@@ -116,7 +121,7 @@ class TestClusterMeterHooks:
         node = c.acquire(m60, lambda n: None, instant=True)
         node.pool("resnet50").prewarm(1)
         c.release(node)
-        assert c.obs is None
+        assert node.obs is None
         assert node.pool("resnet50").obs is None
 
 

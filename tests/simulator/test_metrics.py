@@ -41,25 +41,29 @@ class TestRecording:
         assert m.latencies("resnet50").size == 2
         assert m.completed_requests("vgg19") == 2
 
-    def test_reader_merges_logs_on_completion_sequence(self):
-        # Lanes of a shared cluster log separately but draw their
-        # completion sequence from one counter; a reader of both sees one
-        # timeline, read forward.
-        a, b = MetricsCollector(), MetricsCollector()
-        a.record_batch(completed_batch(arrivals=(0.0,), done_at=1.0), seq=1)
-        b.record_batch(completed_batch(model="vgg19", arrivals=(0.1, 0.2),
-                                       done_at=0.5), seq=0)
-        a.record_batch(completed_batch(arrivals=(0.3,), done_at=2.0), seq=2)
+    def test_reader_reads_one_log_forward(self):
+        # Each pillar reads its run's log from where it last stopped; a
+        # reader belongs to one run, so a second log is refused.
+        a = MetricsCollector()
+        a.record_batch(completed_batch(arrivals=(0.0,), done_at=1.0), 3)
+        a.record_batch(completed_batch(model="vgg19", arrivals=(0.1, 0.2),
+                                       done_at=0.5), 4)
         reader = BatchReader()
+        assert not reader.pending() and len(reader.read()) == 0
         reader.attach(a.log)
-        reader.attach(b.log)
+        reader.attach(a.log)
+        assert reader.pending()
         rows = reader.read()
-        assert rows["seq"].tolist() == [0, 1, 2]
-        assert rows.labels("model") == ["vgg19", "resnet50", "resnet50"]
-        assert rows.latencies().tolist() == pytest.approx([0.4, 0.3, 1.0, 1.7])
-        assert len(reader.read()) == 0
-        b.record_batch(completed_batch(model="vgg19", done_at=3.0), seq=3)
-        assert reader.read()["seq"].tolist() == [3]
+        assert rows["node_id"].tolist() == [3, 4]
+        assert rows.labels("model") == ["resnet50", "vgg19"]
+        assert rows.latencies().tolist() == pytest.approx([1.0, 0.4, 0.3])
+        assert not reader.pending() and len(reader.read()) == 0
+        a.record_batch(completed_batch(arrivals=(0.3,), done_at=2.0))
+        rows = reader.read(copy=False)
+        assert rows["first"].tolist() == [3]
+        assert rows.latencies().tolist() == pytest.approx([1.7])
+        with pytest.raises(ValueError, match="one run's batch log"):
+            reader.attach(MetricsCollector().log)
 
 
 class TestCompliance:

@@ -145,16 +145,6 @@ class TestLineSweep:
         assert bd.leases[0].node_id == 1  # acquisition order
         assert bd.leases[1].bucket_dollars["reconfig"] == pytest.approx(3.0)
 
-    def test_node_ids_filter_restricts_summary(self):
-        meter = CostMeter()
-        meter.on_acquire(1, make_spec(), 0.0, 0.0)
-        meter.on_acquire(2, make_spec(), 0.0, 0.0)
-        meter.on_release(1, 4.0)
-        meter.on_release(2, 6.0)
-        bd = meter.summarize(6.0, node_ids={2})
-        assert bd.total_dollars == pytest.approx(6.0)
-        assert len(bd.leases) == 1
-
     def test_spent_is_live_and_non_mutating(self):
         meter = CostMeter()
         meter.on_acquire(1, make_spec(), 0.0, 0.0)

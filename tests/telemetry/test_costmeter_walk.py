@@ -129,12 +129,10 @@ def walk_itemize(lease, end):
     return bucket_dollars, bucket_seconds, batch_dollars, batch_meta
 
 
-def walk_summary(leases, now, node_ids=None):
+def walk_summary(leases, now):
     """:meth:`CostMeter.summarize` by walking each lease."""
     out = CostBreakdown()
     for lease in sorted(leases, key=lambda s: (s.start, s.node_id)):
-        if node_ids is not None and lease.node_id not in node_ids:
-            continue
         end = lease.end if lease.end is not None else now
         dollars, seconds, batch_dollars, batch_meta = walk_itemize(lease, end)
         total = sum(dollars.values())
@@ -181,8 +179,7 @@ def walk_summary(leases, now, node_ids=None):
 # ----------------------------------------------------------------------
 def random_run(rng):
     """Feed one random multi-lease scenario to a :class:`CostMeter` and
-    to the walk's lease records; returns ``(meter, leases, now,
-    node_ids)``.
+    to the walk's lease records; returns ``(meter, leases, now)``.
 
     Times mostly sit on a 0.5 s grid, so batches and spawns share
     endpoints with each other, the lease boundaries and the ready
@@ -234,10 +231,7 @@ def random_run(rng):
         if lease.end is not None:
             meter.on_release(lease.node_id, lease.end)
     now = max(l.start for l in leases) + at(5, 20)
-    node_ids = None
-    if rng.random() < 0.4:
-        node_ids = {int(x) for x in rng.integers(1, len(leases) + 1, 2)}
-    return meter, leases, now, node_ids
+    return meter, leases, now
 
 
 def assert_same(sweep, walk):
@@ -264,9 +258,8 @@ def assert_same(sweep, walk):
 def test_sweep_matches_walk_bit_for_bit(seed):
     rng = np.random.default_rng(seed)
     for _ in range(150):
-        meter, leases, now, node_ids = random_run(rng)
-        assert_same(meter.summarize(now, node_ids),
-                    walk_summary(leases, now, node_ids))
+        meter, leases, now = random_run(rng)
+        assert_same(meter.summarize(now), walk_summary(leases, now))
 
 
 def test_random_leases_hit_the_tie_cases():
@@ -278,7 +271,7 @@ def test_random_leases_hit_the_tie_cases():
          "straddles end", "zero length", "meets ready"), 0
     )
     for _ in range(150):
-        _, leases, now, _ = random_run(rng)
+        _, leases, now = random_run(rng)
         for lease in leases:
             end = lease.end if lease.end is not None else now
             ends = [b1 for *_, b0, b1 in lease.batches if b1 > b0]

@@ -1,12 +1,12 @@
 """Tests for the per-run observer bundle (`repro.telemetry.observers`).
 
 The bundle is the single hook surface between the simulation and the
-telemetry pillars.  These tests pin its fan-out, the shared-cluster
-rule (the first traced lane's bundle is the cluster's; later lanes
-reuse its meter and request tracer), that both drop paths reach the
-request trace, and the seam itself: no simulator or core module names
-a pillar, no framework module builds one, and no module the
-self-profiler frames names the profiler.
+telemetry pillars.  These tests pin its fan-out, that each lane of a
+shared cluster owns its pillars (every node reports to the lane that
+leased it), that both drop paths reach the request trace, and the seam
+itself: no simulator or core module names a pillar, no framework
+module builds one, and no module the self-profiler frames names the
+profiler.
 """
 
 import ast
@@ -73,7 +73,7 @@ class TestFanOut:
         assert breaker.state == CircuitBreaker.OPEN
 
 
-def test_shared_cluster_lanes_share_meter_and_request_tracer(profiles, slo):
+def test_lanes_on_a_shared_cluster_own_their_telemetry(profiles, slo):
     config = RunConfig(reqtrace=True)
     sim = Simulator()
     cluster = Cluster(sim, profiles.catalog,
@@ -89,20 +89,28 @@ def test_shared_cluster_lanes_share_meter_and_request_tracer(profiles, slo):
     for lane in lanes:
         lane.arm()
     sim.run(until=60.0 + DRAIN_GRACE_SECONDS)
-    results = [lane.finalize() for lane in lanes]
-    first, second = (lane.obs for lane in lanes)
-    assert cluster.obs is first
-    assert first.costmeter is not None
-    assert second.costmeter is first.costmeter
-    assert first.reqtrace is not None
-    assert second.reqtrace is first.reqtrace
-    assert second.slo_monitor is not first.slo_monitor
-    for r in results:
+    for lane in lanes:
+        result = lane.finalize()
+        owned = list(lane._owned)
+        acquired = lane.tracer.events_named("node.acquire")
+        assert [e.attrs["node_id"] for e in acquired] == owned
+        breakdown = result.cost_breakdown
+        assert [lease.node_id for lease in breakdown.leases] == owned
         assert math.isclose(
-            r.cost_breakdown.attributed_dollars(), r.total_cost,
+            breakdown.attributed_dollars(), result.total_cost,
             rel_tol=0.0, abs_tol=1e-9,
         )
-    assert set(results[-1].reqtrace.meta["models"]) == {"resnet50", "vgg19"}
+        assert math.isclose(lane.obs.costmeter.spent(sim.now),
+                            result.total_cost, rel_tol=1e-9)
+        meta = result.reqtrace.meta
+        assert meta["n_requests_seen"] == result.completed_requests
+        assert set(meta["models"]) == {result.model}
+        latencies = lane.metrics.latencies()
+        worst = result.reqtrace.worst(20)
+        assert worst
+        for request in worst:
+            assert latencies[request.rid] == request.latency
+    assert len(cluster.nodes) == sum(len(lane._owned) for lane in lanes)
 
 
 def test_node_failure_drops_reach_the_request_trace(profiles, slo):

@@ -6,8 +6,8 @@ Every traced export of two configurations is pinned byte for byte:
   300 s (Paldia/resnet50 on a Twitter trace with every chaos fault,
   deadline-aware retry, request trace on), seed 0;
 * ``lanes`` -- two Paldia lanes (resnet50 and vgg19, Poisson at peak for
-  60 s) on one shared simulator and cluster, each with its own tracer and
-  sharing the cost meter and request tracer.
+  60 s) on one shared simulator and cluster, each with its own tracer,
+  cost meter and request tracer.
 
 For each lane the pins are the Prometheus text (committed as text for
 ``faults``) and SHA-256 digests of the tracer JSONL, the request-trace
@@ -157,19 +157,8 @@ def _pinned(config: str) -> list[dict]:
     return lanes
 
 
-@pytest.fixture
-def fresh_cache_counters(monkeypatch):
-    """The ``cache.*`` columns read process-level result-cache counters;
-    pin them as a fresh process sees them, whatever ran before."""
-    from repro.telemetry.metrics import MetricsRegistry
-
-    cache = sys.modules.get("repro.experiments.cache")
-    if cache is not None:
-        monkeypatch.setattr(cache, "CACHE_METRICS", MetricsRegistry())
-
-
 @pytest.mark.parametrize("config", sorted(RUNS))
-def test_traced_outputs_match_the_pins(config, fresh_cache_counters):
+def test_traced_outputs_match_the_pins(config):
     got, want = outputs(config), _pinned(config)
     assert len(got) == len(want)
     for lane, pinned in zip(got, want):

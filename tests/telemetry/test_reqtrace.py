@@ -257,10 +257,9 @@ class TestEvents:
         between = tracer.data().events_between(1.0, 2.0)
         assert [e["kind"] for e in between] == ["node.acquire", "breaker"]
 
-    def test_run_end_is_idempotent_max(self):
+    def test_run_end_sets_the_horizon(self):
         tracer = RequestTracer()
-        tracer.on_run_end(10.0)
-        tracer.on_run_end(4.0)
+        assert tracer.data().meta["horizon"] == 0.0
         tracer.on_run_end(10.0)
         assert tracer.data().meta["horizon"] == 10.0
 

@@ -49,7 +49,7 @@ class TestSamplerWiring:
         for name in ("rate.offered", "rate.predicted", "hw.selected",
                      "queue.device", "pool.warm_idle",
                      "autoscaler.pool_target", "cold_starts.total",
-                     "slo.burn_rate", "cache.hits"):
+                     "slo.burn_rate"):
             col = run.obs.sampler.column(name)
             assert not np.all(np.isnan(col)), name
 
@@ -264,9 +264,8 @@ class TestFormerGaugesAreProbes:
 
 
 def test_traced_run_leaves_experiments_unimported():
-    # The cache.* probes read the experiments' result-cache counters only
-    # when that module is already loaded; a traced run must not load the
-    # experiments package just to report two zeros.
+    # The sampler describes the run, so a traced run has no reason to
+    # load the experiments package.
     import subprocess
     import sys
 
@@ -280,7 +279,6 @@ trace = poisson_trace(rate_rps=model.peak_rps, duration=5.0, seed=0)
 run = ServerlessRun(model, trace, PaldiaPolicy(model, profiles, slo.target_seconds),
                     profiles, slo, tracer=Tracer())
 run.execute()
-assert run.tracer.timeseries.last("cache.hits") == 0.0
 print(sorted(m for m in sys.modules if m.startswith("repro.experiments")))
 """
     out = subprocess.run(
