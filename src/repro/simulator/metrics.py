@@ -197,7 +197,7 @@ class BatchReader:
 
     def read(self, copy: bool = True) -> BatchRows:
         """The rows appended since the last read; with ``copy=False``
-        they may be a :meth:`BatchLog.view`, to be dropped after use."""
+        they are a :meth:`BatchLog.view`, to be dropped after use."""
         log = self.log
         if log is None:
             return BatchLog().view()

@@ -196,9 +196,10 @@ class CostMeter:
     The meter is event-driven and passive: the cluster reports the
     run's lease acquire/release and container pools report spawn
     intervals, while each completed batch's residency interval is read
-    from the run's batch log when the meter summarizes (:meth:`on_batch`).  The
-    expensive part — the per-lease line sweep that decomposes lease time
-    into buckets — runs in :meth:`summarize`, never on the hot path.
+    from the run's batch log when the meter summarizes
+    (:meth:`on_batch`).  The expensive part — the per-lease line sweep
+    that decomposes lease time into buckets — runs in :meth:`summarize`,
+    never on the hot path.
     """
 
     def __init__(self) -> None:
