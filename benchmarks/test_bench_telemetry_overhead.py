@@ -219,9 +219,10 @@ def test_sampler_disabled_costs_under_one_percent():
 
 
 def test_sampler_enabled_overhead_within_budget():
-    # Sampling on (default 0.5 s interval, 35 probes) vs the same traced
-    # run with sampling off: one event per interval plus one float store
-    # per column.  Rides the same 10% budget as the other subsystems.
+    # Sampling on (default 0.5 s interval, 6 readers filling 33 columns)
+    # vs the same traced run with sampling off: one event per interval
+    # plus one float store per column.  Rides the same 10% budget as the
+    # other subsystems.
     off, on = best_of_paired(
         lambda: run_once(
             Tracer(), config=RunConfig(timeseries_interval_seconds=0.0)

@@ -286,6 +286,18 @@ _slo_ms = _checked(float, lambda v: 0 < v < math.inf,
 _panel_width = _checked(int, lambda v: v >= 8, "an integer >= 8")  # renderer's floor
 
 
+def _writable(path: str) -> bool:
+    """Whether ``path`` names a file in an existing, writable directory."""
+    return (bool(path) and not os.path.isdir(path)
+            and os.access(os.path.dirname(os.path.abspath(path)), os.W_OK))
+
+
+#: A FILE the command writes, checked before anything runs, so a run
+#: does not die at its end on a path it cannot write.
+_output_file = _checked(str, _writable,
+                        "a file in an existing, writable directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -327,16 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
                 "per-target circuit breakers, graceful degradation)",
             )
             p.add_argument(
-                "--trace-out", metavar="FILE",
+                "--trace-out", metavar="FILE", type=_output_file,
                 help="record telemetry and write the JSONL trace here",
             )
             p.add_argument(
-                "--chrome-trace", metavar="FILE",
+                "--chrome-trace", metavar="FILE", type=_output_file,
                 help="record telemetry and write a Chrome trace_event "
                 "JSON (open in Perfetto / chrome://tracing)",
             )
             p.add_argument(
-                "--prom-out", metavar="FILE",
+                "--prom-out", metavar="FILE", type=_output_file,
                 help="record telemetry and write a Prometheus text-format "
                 "metrics snapshot (latency histogram, time-series and SLO "
                 "window gauges) taken at end of run",
@@ -348,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "after the run result",
             )
             p.add_argument(
-                "--profile-out", metavar="FILE",
+                "--profile-out", metavar="FILE", type=_output_file,
                 help="self-profile the run and write the standalone "
                 "repro.selfprof/1 JSON snapshot here (implies "
                 "--self-profile; needs no other telemetry flag)",
@@ -360,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "plain log lines when stdout is not a TTY",
             )
             p.add_argument(
-                "--timeseries-out", metavar="FILE",
+                "--timeseries-out", metavar="FILE", type=_output_file,
                 help="record the sampled time-series and save the bundle "
                 "here (.npz for columnar numpy, anything else JSONL)",
             )
@@ -396,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "default: 1.0)",
             )
             p.add_argument(
-                "--reqtrace-out", metavar="FILE",
+                "--reqtrace-out", metavar="FILE", type=_output_file,
                 help="write the request trace as repro.reqtrace/1 JSONL "
                 "here (implies --reqtrace; feed to request-trace)",
             )
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the chaos-* executors' fault draws",
     )
     p.add_argument(
-        "--prom-out", metavar="FILE", default=None,
+        "--prom-out", metavar="FILE", type=_output_file, default=None,
         help="write executor + cache counters (retries, timeouts, "
         "worker crashes, hits, misses) as a Prometheus text-format "
         "snapshot",
@@ -466,17 +478,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=_duration, default=60.0)
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument(
-        "--json", metavar="FILE", dest="json_out",
+        "--json", metavar="FILE", dest="json_out", type=_output_file,
         help="write the repro.selfprof/1 JSON snapshot here "
         "(feed two of these to profile --diff)",
     )
     p.add_argument(
         "--speedscope", metavar="FILE", dest="speedscope_out",
+        type=_output_file,
         help="write a speedscope-format profile here "
         "(open at https://www.speedscope.app)",
     )
     p.add_argument(
-        "--collapsed", metavar="FILE", dest="collapsed_out",
+        "--collapsed", metavar="FILE", dest="collapsed_out", type=_output_file,
         help="write flamegraph.pl-compatible collapsed stacks here",
     )
     p.add_argument(
@@ -528,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 10; ignored with --request)",
     )
     p.add_argument(
-        "--svg", metavar="FILE", dest="svg_out",
+        "--svg", metavar="FILE", dest="svg_out", type=_output_file,
         help="also write the worst-K waterfalls as a self-contained "
         "SVG here",
     )
@@ -541,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=_panel_width, default=72,
                    help="panel width in characters")
     p.add_argument(
-        "--svg", metavar="FILE", dest="svg_out",
+        "--svg", metavar="FILE", dest="svg_out", type=_output_file,
         help="also write the panels as a self-contained SVG here",
     )
 
@@ -589,11 +602,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="SLO deadline in milliseconds (default: the trace's own)",
     )
     p.add_argument(
-        "--json", metavar="FILE", dest="json_out",
+        "--json", metavar="FILE", dest="json_out", type=_output_file,
         help="also write the machine-readable attribution report here",
     )
     p.add_argument(
-        "--html", metavar="FILE", dest="html_out",
+        "--html", metavar="FILE", dest="html_out", type=_output_file,
         help="also write a self-contained HTML report (inline SVG "
         "attainment timeline, no external assets) here",
     )
@@ -630,12 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
         "events are counted per scheme)",
     )
     p.add_argument(
-        "--svg", metavar="FILE", dest="svg_out",
+        "--svg", metavar="FILE", dest="svg_out", type=_output_file,
         help="write the cost–SLO frontier scatter (self-contained SVG, "
         "one point per scheme) here",
     )
     p.add_argument(
-        "--json", metavar="FILE", dest="json_out",
+        "--json", metavar="FILE", dest="json_out", type=_output_file,
         help="write the machine-readable repro.cost/1 report here",
     )
 

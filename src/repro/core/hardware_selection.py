@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -140,7 +141,7 @@ class CandidateTable:
 
     This is the public selection API: one tick's candidate scan lives in
     one table — no per-candidate Python objects on the hot path.  The
-    recorded ``hardware_selection.tick`` payload (:meth:`as_trace_rows`)
+    recorded ``hardware_selection.tick`` payload (:attr:`trace_rows`)
     keeps the exact seed schema, so ``repro.attribution/1`` replay is
     unchanged.
 
@@ -237,9 +238,12 @@ class CandidateTable:
         y = float(self.best_y[i])
         return None if math.isnan(y) else int(y)
 
-    def as_trace_rows(self) -> list[dict]:
+    @cached_property
+    def trace_rows(self) -> list[dict]:
         """The ``hardware_selection.tick`` candidate payload — the exact
-        seed schema (``{hw, least_t_max, best_y, cost_per_hour}``)."""
+        seed schema (``{hw, least_t_max, best_y, cost_per_hour}``) —
+        computed once per table: every tick over a memoised table shares
+        this list, so it is read-only."""
         return [
             {
                 "hw": self.specs[i].name,
@@ -643,7 +647,7 @@ class HardwareSelector:
                 wait_limit_down=self.wait_limit_down,
                 slo_budget=self.slo_seconds * self.latency_budget_fraction,
                 perf_slack=self.perf_slack_seconds,
-                candidates=table.as_trace_rows(),
+                candidates=table.trace_rows,
             )
         if switch:
             self._wait_ctr = 0

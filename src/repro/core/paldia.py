@@ -84,12 +84,15 @@ class PaldiaPolicy(Policy):
         )
         self.latency_budget_fraction = float(latency_budget_fraction)
         self.occupancy_cap_knees = float(occupancy_cap_knees)
-        #: Memoised Equation-(1) decisions and their carved plans, keyed
-        #: on the exact solve inputs that vary at run time.  Residency
-        #: (``existing_fbr``) is quantised (multiples of the per-hw FBR)
-        #: and queues are small integers, so steady traffic hits the same
-        #: handful of keys; plans are frozen values, safe to share.
-        self._split_cache: dict[tuple, tuple] = {}
+        #: Memoised Equation-(1) decisions, keyed on the exact solve
+        #: inputs that vary at run time: ``[decision, plan, payload]``,
+        #: the payload of the decision's ``job_distribution.split`` events
+        #: filled in by the first traced call (``None`` until then).
+        #: Residency (``existing_fbr``) is quantised (multiples of the
+        #: per-hw FBR) and queues are small integers, so steady traffic
+        #: hits the same handful of keys; plans are frozen values, safe
+        #: to share.
+        self._split_cache: dict[tuple, list] = {}
 
     def bind_tracer(self, tracer) -> None:
         super().bind_tracer(tracer)
@@ -141,9 +144,7 @@ class PaldiaPolicy(Policy):
         solo = self._effective_solo(hw, batch)
         key = (hw.name, n, batch, solo, existing_fbr, existing_queue)
         cached = self._split_cache.get(key) if self.vectorized else None
-        if cached is not None:
-            decision, plan = cached
-        else:
+        if cached is None:
             # Reference mode pays the seed's exact per-call solve cost;
             # both solvers return bit-identical decisions.
             solver = optimal_split if self.vectorized else reference_optimal_split
@@ -162,23 +163,27 @@ class PaldiaPolicy(Policy):
                 solo_single=self.profiles.solo_time(self.model, hw, 1),
             )
             plan = split_plan(n, decision.y, batch, decision.t_max)
+            cached = [decision, plan, None]
             if self.vectorized:
                 if len(self._split_cache) >= 4096:
                     self._split_cache.clear()
-                self._split_cache[key] = (decision, plan)
+                self._split_cache[key] = cached
         if self.tracer.enabled:
-            self.tracer.event(
-                "job_distribution.split",
-                now,
-                cat="decision",
-                hardware=hw.name,
-                n=n,
-                y=decision.y,
-                n_spatial=decision.n_spatial,
-                batch_size=decision.batch_size,
-                t_max=decision.t_max,
-                feasible=decision.feasible,
-                existing_fbr=existing_fbr,
-                existing_queue=existing_queue,
-            )
-        return plan
+            # The split event's payload is a function of the key, built
+            # once per memoised decision and shared by its events.
+            if cached[2] is None:
+                decision = cached[0]
+                cached[2] = {
+                    "hardware": hw.name,
+                    "n": n,
+                    "y": decision.y,
+                    "n_spatial": decision.n_spatial,
+                    "batch_size": decision.batch_size,
+                    "t_max": decision.t_max,
+                    "feasible": decision.feasible,
+                    "existing_fbr": existing_fbr,
+                    "existing_queue": existing_queue,
+                }
+            self.tracer.event("job_distribution.split", now, cached[2],
+                              cat="decision")
+        return cached[1]

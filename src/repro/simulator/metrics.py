@@ -80,8 +80,9 @@ class BatchRows:
         return [names[code] for code in self.rows[column].tolist()]
 
     def select(self, mask: np.ndarray) -> "BatchRows":
-        """A copy of the rows where ``mask`` holds, with their arrivals
-        gathered back to back in row order."""
+        """A copy of the rows ``mask`` picks (a boolean mask, or row
+        indices in the order wanted), with their arrivals gathered back
+        to back in row order."""
         rows = self.rows[mask]
         size = rows["size"]
         start = np.cumsum(size) - size

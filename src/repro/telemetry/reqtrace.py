@@ -13,14 +13,17 @@ flips are reported by the simulator devices, the cluster, and the
 resilience layer through the run's observer bundle
 (:mod:`repro.telemetry.observers`).
 
-Columnar by construction
-------------------------
+Columnar, records on read
+-------------------------
 The simulator never materialises per-request Python objects on the hot
 path (:class:`~repro.framework.request.Batch` carries a sorted arrivals
-array), and neither does the tracer: it builds one :class:`BatchTrace`
-per retained *batch* from the batch log and derives per-request
-waterfall rows lazily at read time.  Request ``i`` of a batch shares every phase with
-its peers except the batching wait, which shrinks by how much later it
+array), and neither does the tracer: a frozen trace keeps the retained
+batches as batch-log rows (:class:`~repro.simulator.metrics.BatchRows`)
+plus four columns of its own, and builds one :class:`BatchTrace` per
+batch only when a reader asks for :attr:`RequestTraceData.records`.
+Worst-K, rid lookup, the per-phase columns and the JSONL export work on
+the columns.  Request ``i`` of a batch shares every phase with its
+peers except the batching wait, which shrinks by how much later it
 arrived::
 
     batching_wait_i = batch.batching_wait - (arrivals[i] - arrivals[0])
@@ -42,10 +45,11 @@ Sampling
 (splitmix64 over ``(seed, batch_id)`` — stable across processes, unlike
 ``hash()``), and a tail reservoir of the ``tail_k`` worst batches by
 (first-arrival latency, batch id) is always retained on top; both are
-selections over the batch log.  Because a batch's
-first arrival has the largest latency in the batch, the ``tail_k``
-worst *batches* contain at least the ``tail_k`` worst *requests*, so
-worst-K forensics are exact at any sampling rate for ``K <= tail_k``.
+selections over the batch log, made once when the trace is frozen.
+Because a batch's first arrival has the largest latency in the batch,
+the ``tail_k`` worst *batches* contain at least the ``tail_k`` worst
+*requests*, so worst-K forensics are exact at any sampling rate for
+``K <= tail_k``.
 
 Disabled path
 -------------
@@ -56,8 +60,10 @@ deterministically (``sys.setprofile`` call counting) like the meter's.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
@@ -65,7 +71,7 @@ from typing import Any, Iterator, Optional
 import numpy as np
 
 from repro.framework.request import PHASES
-from repro.simulator.metrics import BatchLog, BatchReader
+from repro.simulator.metrics import ROW, BatchLog, BatchRows
 
 __all__ = [
     "PHASES",
@@ -78,9 +84,6 @@ __all__ = [
 ]
 
 REQTRACE_SCHEMA = "repro.reqtrace/1"
-
-#: Batches converted to Python records per step when the log is read.
-_CHUNK = 4096
 
 _MASK64 = (1 << 64) - 1
 
@@ -145,26 +148,6 @@ class BatchTrace:
     @property
     def size(self) -> int:
         return int(self.arrivals.size)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "type": "reqtrace_batch",
-            "batch_id": self.batch_id,
-            "first_rid": self.first_rid,
-            "model": self.model,
-            "mode": self.mode,
-            "hardware": self.hardware,
-            "node_id": self.node_id,
-            "arrivals": [float(a) for a in self.arrivals],
-            "dispatched_at": self.dispatched_at,
-            "started_at": self.started_at,
-            "completed_at": self.completed_at,
-            "retries": self.retries,
-            "phases": dict(zip(PHASES, self.phases)),
-            "co_run": self.co_run,
-            "total_fbr": self.total_fbr,
-            "sampled": self.sampled,
-        }
 
 
 class RequestView:
@@ -239,7 +222,7 @@ class RequestTracer:
 
     Constructed only when the run is traced *and*
     ``RunConfig.reqtrace`` is set — the disabled path never enters this
-    module.  The run attaches its batch log, read by :meth:`data`;
+    module.  The run attaches its batch log, read whole by :meth:`data`;
     the other hooks are called from the run's
     :class:`~repro.telemetry.observers.RunObservers` bundle.  None of
     them touch the simulation state, so a traced run stays bit-identical
@@ -261,18 +244,11 @@ class RequestTracer:
         self.tail_k = int(tail_k)
         self.seed = int(seed)
         self.event_cap = int(event_cap)
-        #: Next request id == number of requests read so far; rid
-        #: therefore indexes ``MetricsCollector.latencies()`` exactly.
-        self._next_rid = 0
         self.n_batches_seen = 0
         self.n_requests_seen = 0
         self.events_dropped = 0
-        self._records: dict[int, BatchTrace] = {}
-        #: The tail reservoir: the ``tail_k`` worst (first-arrival
-        #: latency, batch_id) pairs read so far.
-        self._tail: list[tuple[float, int]] = []
-        #: Reads the run's batch log.
-        self.batches = BatchReader()
+        #: The run's batch log.
+        self._log: Optional[BatchLog] = None
         #: Execution starts reported by the devices: the batch id, and
         #: (start time, co-run level, total FBR) per start.  A retried
         #: batch starts more than once; its last start is the one that
@@ -292,7 +268,9 @@ class RequestTracer:
 
     def attach(self, log: BatchLog) -> None:
         """Trace the batches the run appends to ``log``."""
-        self.batches.attach(log)
+        if self._log is not None and self._log is not log:
+            raise ValueError("a request tracer reads one run's batch log")
+        self._log = log
 
     # ------------------------------------------------------------------
     # Hot-path hook (one `is None` branch at the call site)
@@ -309,80 +287,36 @@ class RequestTracer:
     # ------------------------------------------------------------------
     # Reading the batch log
     # ------------------------------------------------------------------
-    def on_batch_complete(self) -> None:
-        """Read the batches the attached log completed since the last
-        read: assign rids and retain per sampling policy.
+    def on_batch_complete(self) -> tuple[BatchRows, dict[str, np.ndarray]]:
+        """Read the attached batch log: assign rids and select the kept
+        batches.
 
-        Every batch advances the rid counter, sampled or not, in
-        completion order; a batch is kept when it is sampled or among
-        the ``tail_k`` worst read so far, and a kept batch that later
-        leaves that tail without being sampled is dropped again.
+        Every batch takes the next rids in completion order, sampled or
+        not, so a batch's first rid is its arrivals' offset in the log.
+        A batch is kept when it is sampled or among the ``tail_k`` worst
+        by (first-arrival latency, batch id).  Returns the kept rows
+        (a copy, ``started_at`` set to each batch's last device start)
+        and, per kept row, the columns :class:`RequestTraceData` holds
+        next to them.
         """
-        rows = self.batches.read()
-        if not len(rows):
-            return
-        col = rows.rows
-        size = col["size"]
-        first_rid = self._next_rid + np.cumsum(size) - size
-        n_requests = int(size.sum())
-        self._next_rid += n_requests
-        self.n_batches_seen += len(rows)
-        self.n_requests_seen += n_requests
-        bids = col["batch_id"]
-        keep = sampled_batches(self.seed, bids, self.sample)
-        in_tail = np.zeros(len(rows), dtype=bool)
-        if self.tail_k > 0:
-            lat = np.concatenate(
-                ([t[0] for t in self._tail], rows.first_latencies())
-            )
-            ids = np.concatenate(
-                (np.array([t[1] for t in self._tail], dtype=np.int64), bids)
-            )
-            top = np.lexsort((ids, lat))[::-1][:self.tail_k]
-            tail = set(ids[top].tolist())
-            for _, bid in self._tail:
-                old = self._records.get(bid)
-                if bid not in tail and old is not None and not old.sampled:
-                    del self._records[bid]
-            self._tail = list(zip(lat[top].tolist(), ids[top].tolist()))
-            in_tail = np.isin(bids, ids[top])
-        kept = np.flatnonzero(keep | in_tail)
-        if not kept.size:
-            return
-        sub = col[kept]
-        found, start, co_run, fbr = self._last_starts(sub["batch_id"])
-        # A batch no device reported keeps the start its log row holds.
-        start = np.where(found, start, sub["started_at"])
-        models, modes, hardware = (rows.names[name] for name in
-                                   ("model", "mode", "hardware"))
-        arrivals = rows.arrivals
-        records = self._records
-        # Python rows are built a chunk at a time, to bound the memory of
-        # the column lists.
-        for lo in range(0, kept.size, _CHUNK):
-            part = slice(lo, lo + _CHUNK)
-            cols = sub[part]
-            starts = start[part].tolist()
-            if np.isnan(start[part]).any():
-                starts = [None if math.isnan(t) else t for t in starts]
-            for (bid, rid, model, mode, hw, node_id, first, n, dispatched,
-                 started, done, retries, phases, runs, total_fbr,
-                 sampled) in zip(
-                cols["batch_id"].tolist(), first_rid[kept[part]].tolist(),
-                cols["model"].tolist(), cols["mode"].tolist(),
-                cols["hardware"].tolist(), cols["node_id"].tolist(),
-                cols["first"].tolist(), cols["size"].tolist(),
-                cols["dispatched_at"].tolist(), starts,
-                cols["completed_at"].tolist(), cols["retries"].tolist(),
-                zip(*(cols[name].tolist() for name in PHASES)),
-                co_run[part].tolist(), fbr[part].tolist(),
-                keep[kept[part]].tolist(),
-            ):
-                records[bid] = BatchTrace(
-                    bid, rid, models[model], modes[mode], hardware[hw],
-                    node_id, arrivals[first:first + n], dispatched, started,
-                    done, retries, phases, runs, total_fbr, sampled,
-                )
+        log = self._log if self._log is not None else BatchLog()
+        self.n_batches_seen = len(log)
+        self.n_requests_seen = log.n_requests
+        rows = log.view()
+        bids = rows["batch_id"]
+        sampled = keep = sampled_batches(self.seed, bids, self.sample)
+        if self.tail_k > 0 and len(rows):
+            keep = sampled.copy()
+            worst = np.lexsort((bids, rows.first_latencies()))
+            keep[worst[-self.tail_k:]] = True
+        first_rid = rows["first"][keep]
+        kept = rows.select(keep)
+        kept.names = {col: list(v) for col, v in log.names.items()}
+        found, start, co_run, fbr = self._last_starts(kept["batch_id"])
+        # A batch's last start; one no device reported keeps its own.
+        kept.rows["started_at"] = np.where(found, start, kept["started_at"])
+        return kept, {"first_rid": first_rid, "co_run": co_run,
+                      "total_fbr": fbr, "sampled": sampled[keep]}
 
     def _last_starts(self, batch_ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per batch id: whether a device reported its start, and the
@@ -418,9 +352,8 @@ class RequestTracer:
     # ------------------------------------------------------------------
     def data(self) -> "RequestTraceData":
         """Freeze the recorded state into a :class:`RequestTraceData`
-        (reading the batches completed since the last read first)."""
-        self.on_batch_complete()
-        records = sorted(self._records.values(), key=lambda r: r.first_rid)
+        (reading the whole batch log)."""
+        rows, columns = self.on_batch_complete()
         meta = {
             "schema": REQTRACE_SCHEMA,
             "sample": self.sample,
@@ -429,30 +362,83 @@ class RequestTracer:
             "horizon": self._horizon,
             "n_batches_seen": self.n_batches_seen,
             "n_requests_seen": self.n_requests_seen,
-            "n_batches_traced": len(records),
+            "n_batches_traced": len(rows),
             "events_dropped": self.events_dropped,
             "models": dict(self._models),
         }
-        return RequestTraceData(meta=meta, records=records,
-                                events=list(self._events))
+        return RequestTraceData(meta, rows, list(self._events), **columns)
 
 
 class RequestTraceData:
-    """A frozen request trace: meta + batch records + auxiliary events.
+    """A frozen request trace: meta, the kept batches as columns, and
+    the auxiliary events.
 
-    Produced live by :meth:`RequestTracer.data` or loaded from disk by
-    :func:`read_reqtrace`; both shapes are identical (round-trip safe).
+    ``rows`` holds the kept batches as batch-log rows in rid order, their
+    arrivals back to back from index 0 and ``started_at`` the batch's
+    last start (NaN when none was reported); next to them, one value per
+    row: ``first_rid``, ``co_run``, ``total_fbr`` and ``sampled``.
+    :class:`BatchTrace` records are built only when :attr:`records` is
+    read.  Produced live by :meth:`RequestTracer.data` or loaded from
+    disk by :func:`read_reqtrace`; both fill the same columns
+    (round-trip safe).  Read-only.
     """
 
-    def __init__(self, meta: dict[str, Any], records: list[BatchTrace],
-                 events: list[dict[str, Any]]) -> None:
+    def __init__(self, meta: dict[str, Any], rows: BatchRows,
+                 events: list[dict[str, Any]], *, first_rid: np.ndarray,
+                 co_run: np.ndarray, total_fbr: np.ndarray,
+                 sampled: np.ndarray) -> None:
         self.meta = meta
-        self.records = records
+        self.rows = rows
         self.events = events
+        self.first_rid = first_rid
+        self.co_run = co_run
+        self.total_fbr = total_fbr
+        self.sampled = sampled
+        self._records: Optional[list[BatchTrace]] = None
+
+    @property
+    def records(self) -> list[BatchTrace]:
+        """One :class:`BatchTrace` per kept batch in rid order, built on
+        first read."""
+        if self._records is None:
+            self._records = self._traces(np.arange(len(self.rows)))
+        return self._records
+
+    def _traces(self, idx: np.ndarray) -> list[BatchTrace]:
+        """The :class:`BatchTrace` of each row in ``idx``."""
+        if self._records is not None:
+            return [self._records[i] for i in idx.tolist()]
+        rows = self.rows
+        col = rows.rows[idx]
+        models, modes, hardware = (rows.names[name] for name in
+                                   ("model", "mode", "hardware"))
+        arrivals = rows.arrivals
+        return [
+            BatchTrace(
+                bid, rid, models[model], modes[mode], hardware[hw], node_id,
+                arrivals[first:first + n], dispatched,
+                None if math.isnan(started) else started, done, retries,
+                phases, runs, total_fbr, sampled,
+            )
+            for (bid, rid, model, mode, hw, node_id, first, n, dispatched,
+                 started, done, retries, phases, runs, total_fbr,
+                 sampled) in zip(
+                col["batch_id"].tolist(), self.first_rid[idx].tolist(),
+                col["model"].tolist(), col["mode"].tolist(),
+                col["hardware"].tolist(), col["node_id"].tolist(),
+                col["first"].tolist(), col["size"].tolist(),
+                col["dispatched_at"].tolist(), col["started_at"].tolist(),
+                col["completed_at"].tolist(),
+                col["retries"].tolist(),
+                zip(*(col[name].tolist() for name in PHASES)),
+                self.co_run[idx].tolist(), self.total_fbr[idx].tolist(),
+                self.sampled[idx].tolist(),
+            )
+        ]
 
     @property
     def n_requests_traced(self) -> int:
-        return sum(r.size for r in self.records)
+        return int(self.rows["size"].sum())
 
     def _slo_of(self, model: str) -> Optional[float]:
         return self.meta.get("models", {}).get(model)
@@ -472,18 +458,12 @@ class RequestTraceData:
         KeyError
             If ``rid`` was not retained (sampled out, or out of range).
         """
-        lo, hi = 0, len(self.records)
-        while lo < hi:  # rightmost record with first_rid <= rid
-            mid = (lo + hi) // 2
-            if self.records[mid].first_rid <= rid:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            rec = self.records[lo - 1]
-            if rid < rec.first_rid + rec.size:
-                return RequestView(rec, rid - rec.first_rid,
-                                   self._slo_of(rec.model))
+        # The rightmost batch whose first rid is <= rid.
+        i = int(np.searchsorted(self.first_rid, rid, side="right")) - 1
+        if i >= 0 and rid - int(self.first_rid[i]) < int(self.rows["size"][i]):
+            (rec,) = self._traces(np.array([i]))
+            return RequestView(rec, rid - rec.first_rid,
+                               self._slo_of(rec.model))
         raise KeyError(
             f"request {rid} is not in the trace (sampled out or out of "
             f"range; {self.n_requests_traced} of "
@@ -492,21 +472,24 @@ class RequestTraceData:
 
     def worst(self, k: int) -> list[RequestView]:
         """The ``k`` worst traced requests by latency (ties by rid)."""
-        views = list(self.iter_requests())
-        views.sort(key=lambda v: (-v.latency, v.rid))
-        return views[: max(0, int(k))]
+        k = max(0, int(k))
+        if not (k and len(self.rows)):
+            return []
+        size = self.rows["size"]
+        rids = (np.repeat(self.first_rid - self.rows["first"], size)
+                + np.arange(size.sum()))
+        top = np.lexsort((rids, -self.rows.latencies()))[:k]
+        return [self.request(rid) for rid in rids[top].tolist()]
 
     def phase_arrays(self) -> dict[str, np.ndarray]:
         """Per-phase columns across every traced request (for P50/P99)."""
-        cols: dict[str, list[float]] = {name: [] for name in PHASES}
-        lat: list[float] = []
-        for v in self.iter_requests():
-            for name, val in v.phases().items():
-                cols[name].append(val)
-            lat.append(v.latency)
-        out = {name: np.asarray(vals, dtype=np.float64)
-               for name, vals in cols.items()}
-        out["latency"] = np.asarray(lat, dtype=np.float64)
+        rows = self.rows
+        size = rows["size"]
+        out = {name: np.repeat(rows[name], size) for name in PHASES}
+        arrivals = rows.arrivals
+        out["batching_wait"] -= arrivals - np.repeat(arrivals[rows["first"]],
+                                                     size)
+        out["latency"] = rows.latencies()
         return out
 
     def events_between(self, t0: float, t1: float) -> list[dict[str, Any]]:
@@ -516,23 +499,98 @@ class RequestTraceData:
     # ------------------------------------------------------------------
     # Persistence (schema repro.reqtrace/1, JSONL like the other pillars)
     # ------------------------------------------------------------------
+    def _batch_lines(self) -> Iterator[dict[str, Any]]:
+        """One ``reqtrace_batch`` record per kept batch, a row at a time."""
+        rows = self.rows
+        fields = rows.rows.dtype.names
+        models, modes, hardware = (rows.names[name] for name in
+                                   ("model", "mode", "hardware"))
+        arrivals = rows.arrivals
+        for row, rid, co_run, total_fbr, sampled in zip(
+            rows.rows, self.first_rid, self.co_run, self.total_fbr,
+            self.sampled,
+        ):
+            r = dict(zip(fields, row.item()))
+            first, started = r["first"], r["started_at"]
+            yield {
+                "type": "reqtrace_batch",
+                "batch_id": r["batch_id"],
+                "first_rid": rid.item(),
+                "model": models[r["model"]],
+                "mode": modes[r["mode"]],
+                "hardware": hardware[r["hardware"]],
+                "node_id": r["node_id"],
+                "arrivals": arrivals[first:first + r["size"]].tolist(),
+                "dispatched_at": r["dispatched_at"],
+                "started_at": None if math.isnan(started) else started,
+                "completed_at": r["completed_at"],
+                "retries": r["retries"],
+                "phases": {name: r[name] for name in PHASES},
+                "co_run": co_run.item(),
+                "total_fbr": total_fbr.item(),
+                "sampled": sampled.item(),
+            }
+
     def save_jsonl(self, path: str) -> int:
         """Write the trace as ``repro.reqtrace/1`` JSONL; returns the
         number of lines written."""
         n = 0
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "reqtrace_meta", **self.meta}))
-            fh.write("\n")
-            n += 1
-            for rec in self.records:
-                fh.write(json.dumps(rec.as_dict()))
-                fh.write("\n")
-                n += 1
-            for ev in self.events:
-                fh.write(json.dumps({"type": "reqtrace_event", **ev}))
+            for record in itertools.chain(
+                ({"type": "reqtrace_meta", **self.meta},),
+                self._batch_lines(),
+                ({"type": "reqtrace_event", **ev} for ev in self.events),
+            ):
+                fh.write(json.dumps(record))
                 fh.write("\n")
                 n += 1
         return n
+
+
+#: A batch's values in :data:`ROW` order, from a dict by field name.
+_row_values = operator.itemgetter(*ROW.names)
+
+#: The fields of a ``reqtrace_batch`` line, besides its ``type``.
+_BATCH_FIELDS = frozenset((
+    "batch_id", "first_rid", "model", "mode", "hardware", "node_id",
+    "arrivals", "dispatched_at", "started_at", "completed_at", "retries",
+    "phases", "co_run", "total_fbr", "sampled",
+))
+
+
+def _batch_row(obj: dict[str, Any], first: int,
+               names: dict[str, list], codes: dict[str, dict]) -> tuple:
+    """Parse one ``reqtrace_batch`` record into ``(ROW values, arrivals,
+    first_rid, co_run, total_fbr, sampled)``; its arrivals start at
+    ``first`` in the trace's arrivals, and its named columns are coded
+    in ``names``/``codes`` as :class:`BatchLog` codes them."""
+    if obj.keys() != _BATCH_FIELDS:
+        missing = sorted(_BATCH_FIELDS - obj.keys())
+        unknown = sorted(obj.keys() - _BATCH_FIELDS)
+        raise ValueError(f"missing fields {missing}" if missing
+                         else f"unknown fields {unknown}")
+    arrivals = np.asarray(obj["arrivals"], dtype=np.float64)
+    if arrivals.ndim != 1 or not arrivals.size:
+        raise ValueError("arrivals must be a non-empty list of numbers")
+    started = obj["started_at"]
+    phases = obj["phases"]
+    values = {name: float(phases[name]) for name in PHASES}
+    for column in ("model", "hardware", "mode"):
+        code = codes[column].get(obj[column])
+        if code is None:
+            code = codes[column][obj[column]] = len(names[column])
+            names[column].append(obj[column])
+        values[column] = code
+    values.update(
+        dispatched_at=float(obj["dispatched_at"]),
+        started_at=math.nan if started is None else float(started),
+        completed_at=float(obj["completed_at"]),
+        batch_id=int(obj["batch_id"]), node_id=int(obj["node_id"]),
+        retries=int(obj["retries"]), first=first, size=arrivals.size,
+    )
+    return (_row_values(values), arrivals,
+            int(obj["first_rid"]), int(obj["co_run"]),
+            float(obj["total_fbr"]), bool(obj["sampled"]))
 
 
 def read_reqtrace(path: str) -> RequestTraceData:
@@ -546,8 +604,11 @@ def read_reqtrace(path: str) -> RequestTraceData:
         ``path:lineno`` like the other telemetry loaders).
     """
     meta: Optional[dict[str, Any]] = None
-    records: list[BatchTrace] = []
+    batches: list[tuple] = []
     events: list[dict[str, Any]] = []
+    names: dict[str, list] = {"model": [], "hardware": [], "mode": []}
+    codes: dict[str, dict] = {column: {} for column in names}
+    first = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -557,6 +618,8 @@ def read_reqtrace(path: str) -> RequestTraceData:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             kind = obj.pop("type", None)
             if kind == "reqtrace_meta":
                 if obj.get("schema") != REQTRACE_SCHEMA:
@@ -566,19 +629,24 @@ def read_reqtrace(path: str) -> RequestTraceData:
                     )
                 meta = obj
             elif kind == "reqtrace_batch":
-                phases = obj.pop("phases")
                 try:
-                    records.append(BatchTrace(
-                        arrivals=np.asarray(obj.pop("arrivals"),
-                                            dtype=np.float64),
-                        phases=tuple(float(phases[name]) for name in PHASES),
-                        **obj,
-                    ))
-                except (KeyError, TypeError) as exc:
+                    batch = _batch_row(obj, first, names, codes)
+                except (KeyError, TypeError, ValueError) as exc:
+                    detail = (f"missing phase {exc}"
+                              if isinstance(exc, KeyError) else exc)
                     raise ValueError(
-                        f"{path}:{lineno}: malformed reqtrace_batch: {exc}"
+                        f"{path}:{lineno}: malformed reqtrace_batch: {detail}"
                     ) from exc
+                batches.append(batch)
+                first += batch[1].size
             elif kind == "reqtrace_event":
+                t = obj.get("t")
+                if ("kind" not in obj or isinstance(t, bool)
+                        or not isinstance(t, (int, float))):
+                    raise ValueError(
+                        f"{path}:{lineno}: malformed reqtrace_event: needs "
+                        "a kind and a numeric t"
+                    )
                 events.append(obj)
             else:
                 raise ValueError(
@@ -586,5 +654,21 @@ def read_reqtrace(path: str) -> RequestTraceData:
                 )
     if meta is None:
         raise ValueError(f"{path}: missing reqtrace_meta header line")
-    records.sort(key=lambda r: r.first_rid)
-    return RequestTraceData(meta=meta, records=records, events=events)
+    values, arrivals, first_rid, co_run, fbr, sampled = (
+        zip(*batches) if batches else ((),) * 6
+    )
+    rows = BatchRows(
+        np.array(list(values), dtype=ROW),
+        np.concatenate(arrivals) if arrivals else np.empty(0), names,
+    )
+    columns = {
+        "first_rid": np.array(first_rid, dtype=np.int64),
+        "co_run": np.array(co_run, dtype=np.int64),
+        "total_fbr": np.array(fbr, dtype=np.float64),
+        "sampled": np.array(sampled, dtype=bool),
+    }
+    order = np.argsort(columns["first_rid"], kind="stable")
+    if (np.diff(order) < 0).any():  # lines out of rid order
+        rows = rows.select(order)
+        columns = {name: col[order] for name, col in columns.items()}
+    return RequestTraceData(meta, rows, events, **columns)

@@ -179,18 +179,22 @@ class SLOMonitor:
             hw.n -= n
             hw.viol -= viol
 
-    def _p99(self, scope: str, key: str) -> float:
-        """The window's latency p99, from the log rows still inside it."""
+    def _p99s(self, idents: list[tuple[str, str]]) -> list[float]:
+        """Each (scope, key) window's latency p99, from the log rows still
+        inside the windows (their latencies computed once)."""
         if not self._entries:
-            return 0.0
+            return [0.0] * len(idents)
         rows = self._log.view(self._read - len(self._entries), self._read)
-        in_window = np.array([self._key(scope, name) == key
-                              for name in rows.names[scope]])
-        mask = in_window[rows[scope]]
-        if not mask.any():
-            return 0.0
-        lat = rows.latencies()[np.repeat(mask, rows["size"])]
-        return float(np.percentile(lat, 99.0))
+        latencies = rows.latencies()
+        out = []
+        for scope, key in idents:
+            in_window = np.array([self._key(scope, name) == key
+                                  for name in rows.names[scope]])
+            mask = in_window[rows[scope]]
+            out.append(float(np.percentile(
+                latencies[np.repeat(mask, rows["size"])], 99.0
+            )) if mask.any() else 0.0)
+        return out
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -201,17 +205,18 @@ class SLOMonitor:
         """Evaluate every window at ``now`` (evicting expired entries).
 
         ``include_p99=False`` skips the latency-percentile computation
-        (the only non-O(1) part) and reports 0.0 — the per-tick alerting
-        path uses it, since firing is judged on burn rate alone.
+        (the only non-O(1) part) and reports 0.0.
         """
         self.observe_batch()
         self._evict_before(now - self.window_seconds)
+        windows = sorted(self._windows.items())
+        p99s = (self._p99s([ident for ident, _ in windows]) if include_p99
+                else [0.0] * len(windows))
         out: list[WindowStats] = []
-        for (scope, key), window in sorted(self._windows.items()):
+        for ((scope, key), window), p99 in zip(windows, p99s):
             attainment, burn = self._rates(window)
             out.append(WindowStats(
-                scope, key, window.n, window.viol, attainment,
-                self._p99(scope, key) if include_p99 else 0.0, burn,
+                scope, key, window.n, window.viol, attainment, p99, burn,
                 (scope, key) in self._firing,
             ))
         return out
@@ -237,37 +242,40 @@ class SLOMonitor:
         return 1.0 - n_viol / n, (n_viol / n) / (1.0 - self.compliance_goal)
 
     def sample(self, now: float) -> list[WindowStats]:
-        """One monitor tick: evaluate windows, emit alert transitions.
+        """One monitor tick: emit the alert transitions at ``now``.
 
-        Returns the evaluated stats.  ``slo_alert`` events are
-        edge-triggered: ``firing`` on the first bad sample, ``resolved``
-        on the first good one after.  The common no-transition tick costs
-        O(windows) — p99 is only computed for a window whose alert state
-        actually changes (its event carries the exact value).
+        ``slo_alert`` events are edge-triggered: ``firing`` on the first
+        bad sample, ``resolved`` on the first good one after.  Returns
+        the stats of the windows whose alert state flipped, in
+        (scope, key) order.  A tick without a flip builds no stats; one
+        with flips reads the windows' latencies once, for the exact p99
+        each flip's event carries.
         """
-        stats = self.window_stats(now, include_p99=False)
-        for s in stats:
-            ident = (s.scope, s.key)
-            should_fire = (
-                s.n_requests >= self.min_window_requests
-                and s.burn_rate >= self.burn_rate_threshold
-            )
-            if should_fire and ident not in self._firing:
-                self._firing.add(ident)
-                self._emit(now, self._with_p99(s), "firing")
-            elif not should_fire and ident in self._firing:
-                self._firing.discard(ident)
-                self._emit(now, self._with_p99(s), "resolved")
-        # Re-read firing flags so the returned stats reflect transitions.
-        return [
-            s if s.firing == ((s.scope, s.key) in self._firing)
-            else s._replace(firing=(s.scope, s.key) in self._firing)
-            for s in stats
-        ]
-
-    def _with_p99(self, s: WindowStats) -> WindowStats:
-        """Fill in the on-demand p99 for one window's stats."""
-        return s._replace(p99_seconds=self._p99(s.scope, s.key))
+        self.observe_batch()
+        self._evict_before(now - self.window_seconds)
+        flips = []
+        for ident, window in self._windows.items():
+            fire = (window.n >= self.min_window_requests
+                    and self._rates(window)[1] >= self.burn_rate_threshold)
+            if fire != (ident in self._firing):
+                flips.append((ident, window, fire))
+        if not flips:
+            return []
+        flips.sort(key=lambda flip: flip[0])
+        out = []
+        for ((scope, key), window, fire), p99 in zip(
+            flips, self._p99s([ident for ident, _, _ in flips])
+        ):
+            if fire:
+                self._firing.add((scope, key))
+            else:
+                self._firing.discard((scope, key))
+            attainment, burn = self._rates(window)
+            stats = WindowStats(scope, key, window.n, window.viol,
+                                attainment, p99, burn, fire)
+            self._emit(now, stats, "firing" if fire else "resolved")
+            out.append(stats)
+        return out
 
     def _emit(self, now: float, s: WindowStats, state: str) -> None:
         self.alerts_emitted += 1

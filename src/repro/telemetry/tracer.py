@@ -30,7 +30,11 @@ child phase spans:
 Decision events are point-in-time records (``hardware_selection.tick``,
 ``job_distribution.split``, ``autoscaler.*``, ``chaos.*``, ``node.*``,
 ``reconfig.*``) whose attributes are plain JSON-serialisable values so
-the audit log survives export/import round trips.
+the audit log survives export/import round trips.  Attributes are
+read-only: the ``job_distribution.split`` events of one memoised
+Equation-(1) decision share one payload dict, and the
+``hardware_selection.tick`` events over one memoised candidate table
+share one ``candidates`` list.  Every export copies them.
 """
 
 from __future__ import annotations
@@ -146,14 +150,26 @@ class Tracer:
         self,
         name: str,
         time: float,
+        payload: Optional[dict[str, Any]] = None,
+        /,
         *,
         cat: str = "event",
         track: str = "control-plane",
         **attrs: Any,
     ) -> None:
-        """Record a point-in-time event (decisions, failures, leases)."""
+        """Record a point-in-time event (decisions, failures, leases).
+
+        Its attributes are the keyword arguments, or ``payload`` itself
+        (not a copy): the events of one memoised decision share one
+        payload, so recorded attributes are read-only.
+        """
         if not self.enabled:
             return
+        if payload is not None:
+            if attrs:
+                raise TypeError("pass event attributes as a payload or as "
+                                "keywords, not both")
+            attrs = payload
         self.events.append(
             TraceEventRecord(name, cat, track, float(time), attrs)
         )

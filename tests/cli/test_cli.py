@@ -548,3 +548,114 @@ def test_unknown_model_is_a_usage_error(argv, capsys, monkeypatch):
     assert "argument MODEL: invalid choice: 'bogus'" in captured.err
     assert "Traceback" not in captured.out + captured.err
     assert started == []
+
+
+def _stub_commands(monkeypatch):
+    """Replace every command handler with a recorder; returns the list
+    of handlers that started."""
+    import repro.cli
+
+    started = []
+    for name in dir(repro.cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(repro.cli, name,
+                                lambda args, name=name: started.append(name))
+    return started
+
+
+#: Every FILE output flag, with the command line that takes it.
+OUTPUT_FLAGS = [
+    (["run", "resnet50"], "--trace-out"),
+    (["run", "resnet50"], "--chrome-trace"),
+    (["run", "resnet50"], "--prom-out"),
+    (["run", "resnet50"], "--profile-out"),
+    (["run", "resnet50"], "--timeseries-out"),
+    (["run", "resnet50"], "--reqtrace-out"),
+    (["experiment", "fig3"], "--prom-out"),
+    (["profile", "resnet50"], "--json"),
+    (["profile", "resnet50"], "--speedscope"),
+    (["profile", "resnet50"], "--collapsed"),
+    (["request-trace", "trace.jsonl"], "--svg"),
+    (["timeseries-report", "bundle.npz"], "--svg"),
+    (["trace-attribution", "trace.jsonl"], "--json"),
+    (["trace-attribution", "trace.jsonl"], "--html"),
+    (["cost-report", "resnet50"], "--svg"),
+    (["cost-report", "resnet50"], "--json"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,flag", OUTPUT_FLAGS,
+    ids=[f"{argv[0]}{flag}" for argv, flag in OUTPUT_FLAGS],
+)
+def test_output_file_in_missing_directory_is_a_usage_error(
+    argv, flag, tmp_path, capsys, monkeypatch
+):
+    started = _stub_commands(monkeypatch)
+    target = tmp_path / "missing" / "out.file"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, str(target)])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be a file in an existing, writable " \
+        f"directory, got '{target}'" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert started == []
+
+
+def test_output_file_that_is_a_directory_is_a_usage_error(
+    tmp_path, capsys, monkeypatch
+):
+    started = _stub_commands(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "resnet50", "--trace-out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --trace-out:" in capsys.readouterr().err
+    assert started == []
+
+
+def test_output_file_in_an_existing_directory_is_accepted(tmp_path):
+    args = build_parser().parse_args(
+        ["run", "resnet50", "--trace-out", str(tmp_path / "t.jsonl")]
+    )
+    assert args.trace_out == str(tmp_path / "t.jsonl")
+
+
+class TestMalformedRequestTrace:
+    """A request trace whose batch line lost its phases: ``request-trace``
+    is one error line naming the line, exit 1; ``trace-report --top-k``
+    falls back to the latency-only ranking, exit 0."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        trace, reqtrace = tmp_path / "t.jsonl", tmp_path / "r.jsonl"
+        assert main([
+            "run", "resnet50", "--trace", "poisson", "--duration", "5",
+            "--trace-out", str(trace), "--reqtrace-out", str(reqtrace),
+        ]) == 0
+        meta, batch, *rest = reqtrace.read_text().splitlines()
+        batch = json.loads(batch)
+        del batch["phases"]
+        reqtrace.write_text("\n".join([meta, json.dumps(batch), *rest]))
+        return str(trace), str(reqtrace)
+
+    def test_request_trace_is_one_error_line(self, files, capsys):
+        _, reqtrace = files
+        capsys.readouterr()
+        assert main(["request-trace", reqtrace]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert line == (
+            f"[error] repro.cli: not a valid request trace: {reqtrace}:2: "
+            "malformed reqtrace_batch: missing fields ['phases']"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_trace_report_falls_back_to_latency_only(self, files, capsys):
+        trace, reqtrace = files
+        capsys.readouterr()
+        assert main(["trace-report", trace, "--top-k", "3",
+                     "--reqtrace", reqtrace]) == 0
+        out = capsys.readouterr().out
+        assert f"request trace unusable ({reqtrace}:2: malformed" in out
+        assert "slowest 3 request spans (latency-only" in out

@@ -174,6 +174,19 @@ def test_faults_pins_cover_retries_and_alerts():
         (4255, 12, 14)
 
 
+def test_faults_request_trace_reads_back_byte_for_byte(tmp_path):
+    # The pinned request trace, read back and saved again, is the same
+    # file: the reader fills the columns the live trace holds.
+    from repro.telemetry.reqtrace import read_reqtrace
+
+    ((_, result),) = _faults_run()
+    saved, again = tmp_path / "saved.jsonl", tmp_path / "again.jsonl"
+    result.reqtrace.save_jsonl(str(saved))
+    assert _sha(saved.read_bytes()) == _pinned("faults")[0]["reqtrace_jsonl"]
+    read_reqtrace(str(saved)).save_jsonl(str(again))
+    assert again.read_bytes() == saved.read_bytes()
+
+
 def _write(config: str) -> None:
     lanes = outputs(config)
     pins = json.loads(PINS.read_text()) if PINS.exists() else {}

@@ -317,6 +317,52 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match=r":2: not JSON"):
             read_reqtrace(str(path))
 
+    def _edited(self, tmp_path, edit):
+        """A saved one-batch trace whose batch line (line 2) went through
+        ``edit``."""
+        path = tmp_path / "edited.jsonl"
+        self._sample_tracer().data().save_jsonl(str(path))
+        meta, batch, *events = path.read_text().splitlines()
+        batch = json.loads(batch)
+        edit(batch)
+        path.write_text("\n".join([meta, json.dumps(batch), *events]) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda b: b.pop("phases"), "missing fields ['phases']"),
+        (lambda b: b["phases"].pop("exec_solo"), "missing phase 'exec_solo'"),
+        (lambda b: b["arrivals"].__setitem__(0, "soon"),
+         "could not convert string to float: 'soon'"),
+        (lambda b: b.update(arrivals=[]), "arrivals must be a non-empty"),
+        (lambda b: b.update(node_id=None), "int() argument"),
+        (lambda b: b.update(extra=1), "unknown fields ['extra']"),
+    ], ids=["no-phases", "no-phase", "arrival", "no-arrivals", "node",
+            "extra"])
+    def test_malformed_batch_line_cites_its_line(self, tmp_path, edit,
+                                                 detail):
+        path = self._edited(tmp_path, edit)
+        with pytest.raises(ValueError) as exc:
+            read_reqtrace(path)
+        assert str(exc.value).startswith(
+            f"{path}:2: malformed reqtrace_batch: {detail}"
+        )
+
+    @pytest.mark.parametrize("line,message", [
+        ([1, 2], ":2: not a JSON object"),
+        ({"type": "reqtrace_event", "kind": "drop"},
+         ":2: malformed reqtrace_event"),
+        ({"type": "reqtrace_event", "t": "late", "kind": "drop"},
+         ":2: malformed reqtrace_event"),
+    ])
+    def test_malformed_line_cites_its_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            json.dumps({"type": "reqtrace_meta", "schema": REQTRACE_SCHEMA})
+            + "\n" + json.dumps(line) + "\n"
+        )
+        with pytest.raises(ValueError, match=message):
+            read_reqtrace(str(path))
+
     def test_unknown_record_type_rejected(self, tmp_path):
         path = tmp_path / "weird.jsonl"
         path.write_text(
