@@ -8,7 +8,8 @@ one memoised decision carries the same payload dict, and each
 same ``candidates`` list; an untraced run builds neither.
 """
 
-from repro import PaldiaPolicy, RunConfig, ServerlessRun
+from repro import PaldiaPolicy, ProfileService, RunConfig, SLO
+from repro import ServerlessRun, get_model
 from repro.core.hardware_selection import HardwareSelector
 from repro.core.predictor import EWMAPredictor
 from repro.telemetry import Tracer, to_jsonl_lines
@@ -82,8 +83,6 @@ class TestTickCandidates:
 def test_a_traced_run_shares_payloads():
     # Steady Poisson traffic repeats decisions, so far fewer payloads
     # than events are recorded; the JSONL export is unaffected.
-    from repro import ProfileService, SLO, get_model
-
     model, profiles, slo = get_model("resnet50"), ProfileService(), SLO()
     trace = poisson_trace(rate_rps=model.peak_rps, duration=20.0, seed=0)
     tracer = Tracer()
