@@ -34,107 +34,46 @@ Sub-packages
     INFless/Llama, Molecule (beta), Oracle, Offline Hybrid.
 ``repro.analysis`` / ``repro.experiments``
     Statistics, report tables, and one experiment per paper figure/table.
+
+Importing ``repro`` imports none of them: each name below loads its
+module on first access.
 """
 
-from repro.baselines.base import PlannedBatch, Policy, WindowPlan
-from repro.baselines.infless_llama import InflessLlamaPolicy
-from repro.baselines.molecule import MoleculePolicy
-from repro.baselines.offline_hybrid import OfflineHybridPolicy
-from repro.baselines.oracle import OraclePolicy
-from repro.core.hardware_selection import CandidateRow, CandidateTable
-from repro.core.model import (
-    SplitDecision,
-    cpu_t_max,
-    optimal_split,
-    optimal_split_batch,
-)
-from repro.core.paldia import PaldiaPolicy
-from repro.framework.batching import (
-    DispatchWindow,
-    WindowTable,
-    carve_sizes,
-    window_groups,
-)
-from repro.core.predictor import EWMAPredictor, OraclePredictor
-from repro.framework.request import Batch, ShareMode
-from repro.framework.slo import SLO
-from repro.framework.multimodel import Deployment, MultiModelResult, MultiModelRun
-from repro.framework.system import RunConfig, RunResult, ServerlessRun
-from repro.hardware.catalog import (
-    HardwareCatalog,
-    HardwareSpec,
-    TABLE_II,
-    default_catalog,
-)
-from repro.hardware.profiles import ProfileService
-from repro.simulator.engine import Simulator
-from repro.simulator.interference import InterferenceModel
-from repro.workloads.models import (
-    ALL_MODELS,
-    LANGUAGE_MODELS,
-    VISION_MODELS,
-    get_model,
-    language_models,
-    vision_models,
-)
-from repro.workloads.traces import (
-    Trace,
-    azure_trace,
-    constant_trace,
-    poisson_trace,
-    twitter_trace,
-    wiki_trace,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_MODELS",
-    "Batch",
-    "CandidateRow",
-    "CandidateTable",
-    "DispatchWindow",
-    "EWMAPredictor",
-    "HardwareCatalog",
-    "HardwareSpec",
-    "InflessLlamaPolicy",
-    "InterferenceModel",
-    "LANGUAGE_MODELS",
-    "Deployment",
-    "MoleculePolicy",
-    "MultiModelResult",
-    "MultiModelRun",
-    "OfflineHybridPolicy",
-    "OraclePolicy",
-    "OraclePredictor",
-    "PaldiaPolicy",
-    "PlannedBatch",
-    "Policy",
-    "ProfileService",
-    "RunConfig",
-    "RunResult",
-    "SLO",
-    "ServerlessRun",
-    "ShareMode",
-    "Simulator",
-    "SplitDecision",
-    "TABLE_II",
-    "Trace",
-    "VISION_MODELS",
-    "WindowPlan",
-    "WindowTable",
-    "azure_trace",
-    "carve_sizes",
-    "constant_trace",
-    "cpu_t_max",
-    "default_catalog",
-    "get_model",
-    "language_models",
-    "optimal_split",
-    "optimal_split_batch",
-    "poisson_trace",
-    "window_groups",
-    "twitter_trace",
-    "vision_models",
-    "wiki_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "baselines.base": ("PlannedBatch", "Policy", "WindowPlan"),
+    "baselines.infless_llama": ("InflessLlamaPolicy",),
+    "baselines.molecule": ("MoleculePolicy",),
+    "baselines.offline_hybrid": ("OfflineHybridPolicy",),
+    "baselines.oracle": ("OraclePolicy",),
+    "core.hardware_selection": ("CandidateRow", "CandidateTable"),
+    "core.model": (
+        "SplitDecision", "cpu_t_max", "optimal_split", "optimal_split_batch",
+    ),
+    "core.paldia": ("PaldiaPolicy",),
+    "core.predictor": ("EWMAPredictor", "OraclePredictor"),
+    "framework.batching": (
+        "DispatchWindow", "WindowTable", "carve_sizes", "window_groups",
+    ),
+    "framework.request": ("Batch", "ShareMode"),
+    "framework.slo": ("SLO",),
+    "framework.multimodel": ("Deployment", "MultiModelResult", "MultiModelRun"),
+    "framework.system": ("RunConfig", "RunResult", "ServerlessRun"),
+    "hardware.catalog": (
+        "HardwareCatalog", "HardwareSpec", "TABLE_II", "default_catalog",
+    ),
+    "hardware.profiles": ("ProfileService",),
+    "simulator.engine": ("Simulator",),
+    "simulator.interference": ("InterferenceModel",),
+    "workloads.models": (
+        "ALL_MODELS", "LANGUAGE_MODELS", "VISION_MODELS", "get_model",
+        "language_models", "vision_models",
+    ),
+    "workloads.traces": (
+        "Trace", "azure_trace", "constant_trace", "poisson_trace",
+        "twitter_trace", "wiki_trace",
+    ),
+})

@@ -124,14 +124,7 @@ def exemplar_requests(
     ``slo_alert`` window hands its bounds here and gets back the actual
     request ids to blame, instead of an anonymous aggregate.
     """
-    data = load_reqtrace(data)
-    hits = [
-        v
-        for v in data.iter_requests()
-        if t0 <= v.batch.completed_at <= t1
-    ]
-    hits.sort(key=lambda v: (-v.latency, v.rid))
-    return hits[: max(0, int(k))]
+    return load_reqtrace(data).worst(k, completed_in=(t0, t1))
 
 
 # ----------------------------------------------------------------------

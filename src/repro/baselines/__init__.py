@@ -1,13 +1,1 @@
 """Baseline schemes the paper compares against (Section V)."""
-
-from repro.baselines.base import HysteresisGate, PlannedBatch, Policy, WindowPlan
-from repro.baselines.infless_llama import InflessLlamaPolicy
-from repro.baselines.molecule import MoleculePolicy
-from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID, OfflineHybridPolicy
-from repro.baselines.oracle import OraclePolicy
-
-__all__ = [
-    "DEFAULT_FRACTION_GRID", "HysteresisGate", "InflessLlamaPolicy",
-    "MoleculePolicy", "OfflineHybridPolicy", "OraclePolicy", "PlannedBatch",
-    "Policy", "WindowPlan",
-]

@@ -17,7 +17,7 @@ Two hardware variants:
 
 from __future__ import annotations
 
-
+from functools import cached_property
 from typing import Callable, Optional
 
 from repro.baselines.base import HysteresisGate, Policy, WindowPlan
@@ -74,6 +74,25 @@ class InflessLlamaPolicy(Policy):
             base *= self.profiles.max_coresident(self.model, hw)
         return base
 
+    @cached_property
+    def _by_cost(self) -> tuple[tuple[HardwareSpec, float], ...]:
+        """``(hw, believed capacity)`` cheapest first: a pure function of
+        the catalog, the model's profiles and the SLO, resolved once."""
+        return tuple(
+            (hw, self._believed_capacity(hw))
+            for hw in self.profiles.catalog.by_cost()
+        )
+
+    @cached_property
+    def _by_perf(self) -> tuple[HardwareSpec, ...]:
+        """The GPUs fastest first, then every node fastest first (stable
+        sorts, so ties keep catalog order)."""
+        catalog = self.profiles.catalog
+        return tuple(
+            sorted(catalog.gpus(), key=lambda h: h.perf_rank)
+            + sorted(catalog.by_cost(), key=lambda h: h.perf_rank)
+        )
+
     def _cheapest_isolation_capable(
         self,
         rate: float,
@@ -82,28 +101,27 @@ class InflessLlamaPolicy(Policy):
         """Cheapest node whose *believed* (interference/queueing-agnostic)
         capacity covers the current rate (Section V's hardware rule for the
         cost-effective variants)."""
-        candidates = [
-            hw for hw in self.profiles.catalog.by_cost() if is_available(hw)
-        ]
-        if not candidates:
-            raise RuntimeError("no available hardware")
-        for hw in candidates:
-            cap = self._believed_capacity(hw)
+        fastest: Optional[HardwareSpec] = None
+        for hw, cap in self._by_cost:
+            if not is_available(hw):
+                continue
             if cap > 0.0 and cap >= rate:
                 return hw
+            if fastest is None or hw.perf_rank < fastest.perf_rank:
+                fastest = hw
+        if fastest is None:
+            raise RuntimeError("no available hardware")
         # Nothing believes it can keep up: take the fastest node.
-        return min(candidates, key=lambda h: h.perf_rank)
+        return fastest
 
     def _performant(
         self, is_available: Callable[[HardwareSpec], bool]
     ) -> HardwareSpec:
-        gpus = [hw for hw in self.profiles.catalog.gpus() if is_available(hw)]
-        if gpus:
-            return min(gpus, key=lambda h: h.perf_rank)
-        avail = [hw for hw in self.profiles.catalog.by_cost() if is_available(hw)]
-        if not avail:
-            raise RuntimeError("no available hardware")
-        return min(avail, key=lambda h: h.perf_rank)
+        """The fastest available GPU, else the fastest available node."""
+        for hw in self._by_perf:
+            if is_available(hw):
+                return hw
+        raise RuntimeError("no available hardware")
 
     # ------------------------------------------------------------------
     def initial_hardware(self, rate_hint_rps: float) -> HardwareSpec:

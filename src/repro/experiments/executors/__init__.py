@@ -5,40 +5,16 @@ See :mod:`repro.experiments.executors.base` for the interface and
 resuming an interrupted sweep from the result cache).
 """
 
-from repro.experiments.executors.base import (
-    EXECUTOR_METRICS,
-    EXECUTOR_NAMES,
-    CellExecutionError,
-    CellFailure,
-    CellFaultPolicy,
-    CellOutcome,
-    ExecutionSettings,
-    Executor,
-    InjectedFault,
-    get_active_execution,
-    make_executor,
-    set_active_execution,
-    worker_count,
-)
-from repro.experiments.executors.chaos import ChaosExecutor
-from repro.experiments.executors.local_pool import LocalPoolExecutor
-from repro.experiments.executors.serial import SerialExecutor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "EXECUTOR_METRICS",
-    "EXECUTOR_NAMES",
-    "CellExecutionError",
-    "CellFailure",
-    "CellFaultPolicy",
-    "CellOutcome",
-    "ChaosExecutor",
-    "ExecutionSettings",
-    "Executor",
-    "InjectedFault",
-    "LocalPoolExecutor",
-    "SerialExecutor",
-    "get_active_execution",
-    "make_executor",
-    "set_active_execution",
-    "worker_count",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": (
+        "EXECUTOR_METRICS", "EXECUTOR_NAMES", "CellExecutionError",
+        "CellFailure", "CellFaultPolicy", "CellOutcome", "ExecutionSettings",
+        "Executor", "InjectedFault", "get_active_execution", "make_executor",
+        "set_active_execution", "worker_count",
+    ),
+    "chaos": ("ChaosExecutor",),
+    "local_pool": ("LocalPoolExecutor",),
+    "serial": ("SerialExecutor",),
+})

@@ -376,22 +376,22 @@ def make_executor(
     :class:`~repro.experiments.executors.chaos.ChaosExecutor` with the
     default testing fault mix (seeded by ``chaos_seed``).
     """
-    from repro.experiments.executors.local_pool import LocalPoolExecutor
-    from repro.experiments.executors.serial import SerialExecutor
-
-    if name == "serial":
-        return SerialExecutor()
-    if name == "pool":
-        return LocalPoolExecutor(max_workers=max_workers)
-    if name in ("chaos-serial", "chaos-pool"):
-        from repro.experiments.executors.chaos import ChaosExecutor
-
-        inner: Executor = (
-            SerialExecutor()
-            if name == "chaos-serial"
-            else LocalPoolExecutor(max_workers=max_workers)
+    if name not in EXECUTOR_NAMES:
+        raise ValueError(
+            f"unknown executor {name!r}; known: {', '.join(EXECUTOR_NAMES)}"
         )
-        return ChaosExecutor(inner, seed=chaos_seed)
-    raise ValueError(
-        f"unknown executor {name!r}; known: {', '.join(EXECUTOR_NAMES)}"
-    )
+    # Each backend is imported only when built: the process pool's
+    # imports (multiprocessing, subprocess) are the heaviest.
+    if name.endswith("serial"):
+        from repro.experiments.executors.serial import SerialExecutor
+
+        inner: Executor = SerialExecutor()
+    else:
+        from repro.experiments.executors.local_pool import LocalPoolExecutor
+
+        inner = LocalPoolExecutor(max_workers=max_workers)
+    if not name.startswith("chaos-"):
+        return inner
+    from repro.experiments.executors.chaos import ChaosExecutor
+
+    return ChaosExecutor(inner, seed=chaos_seed)

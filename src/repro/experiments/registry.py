@@ -25,7 +25,10 @@ ablations).
 
 from __future__ import annotations
 
+import functools
+import importlib
 import inspect
+import pkgutil
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
@@ -109,9 +112,13 @@ def register_experiment(
     return decorate
 
 
+@functools.cache
 def _ensure_loaded() -> None:
-    """Import the experiment package so every module self-registers."""
-    import repro.experiments  # noqa: F401  (import side effect)
+    """Import every module of the experiment package, so each one that
+    defines an experiment has registered it."""
+    package = importlib.import_module("repro.experiments")
+    for info in pkgutil.iter_modules(package.__path__):
+        importlib.import_module(f"{package.__name__}.{info.name}")
 
 
 def get_experiment(id: str) -> ExperimentEntry:

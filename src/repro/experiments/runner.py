@@ -211,17 +211,14 @@ def _resolve_executor(
     chaos_seed: int,
 ) -> Executor:
     """Pick the backend: explicit arg > active settings > size heuristic."""
-    from repro.experiments.executors.local_pool import LocalPoolExecutor
-    from repro.experiments.executors.serial import SerialExecutor
-
     if isinstance(executor, Executor):
         return executor
     if isinstance(executor, str) and executor != "auto":
         return make_executor(executor, chaos_seed=chaos_seed)
     workers = worker_count(n_pending, os.cpu_count() or 1)
     if n_pending > 4 and workers > 1:
-        return LocalPoolExecutor(max_workers=workers)
-    return SerialExecutor()
+        return make_executor("pool", max_workers=workers)
+    return make_executor("serial")
 
 
 def run_matrix(

@@ -1,18 +1,1 @@
-"""Serverless framework plumbing: requests, SLOs, batching, orchestration.
-
-``ServerlessRun`` lives in :mod:`repro.framework.system`; import it from
-there (or from the top-level :mod:`repro`) — this package init stays light
-to keep the dependency graph acyclic.
-"""
-
-from repro.framework.batching import DispatchWindow, carve_sizes, window_groups
-from repro.framework.request import Batch, BatchBreakdown, ShareMode
-from repro.framework.slo import DEFAULT_SLO_SECONDS, SLO
-
-# NOTE: ``ServerlessRun`` and ``MultiModelRun`` are imported from their
-# modules (or from the top-level ``repro``) — keeping this init light keeps
-# the package dependency graph acyclic.
-__all__ = [
-    "Batch", "BatchBreakdown", "DEFAULT_SLO_SECONDS", "DispatchWindow",
-    "SLO", "ShareMode", "carve_sizes", "window_groups",
-]
+"""Serverless framework plumbing: requests, SLOs, batching, orchestration."""

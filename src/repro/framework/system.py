@@ -36,29 +36,33 @@ import numpy as np
 
 from repro.baselines.base import Policy
 from repro.core.autoscaler import Autoscaler, containers_for_split
-from repro.core.resilience import ResilienceConfig, ResilienceController
 from repro.framework.batching import DispatchWindow, WindowTable
 from repro.core.predictor import EWMAPredictor, RateTracker
 from repro.framework.request import Batch, BatchBreakdown, ShareMode
 from repro.framework.slo import SLO
 from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
-from repro.simulator.chaos import ChaosEngine, ChaosHooks, ChaosSpec
 from repro.simulator.cluster import Cluster, NodeInstance
-from repro.simulator.containers import AcquireTicket, ContainerPool
+from repro.simulator.containers import ContainerPool
 from repro.simulator.engine import Simulator
 from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.power import bill
-from repro.telemetry.observers import RunObservers
 from repro.telemetry.tracer import NULL_TRACER, Tracer
 from repro.workloads.models import ModelSpec
-from repro.workloads.sebs import SebsColocator
 from repro.workloads.traces import Trace
 
-if TYPE_CHECKING:  # pragma: no cover - annotates RunResult only
+# The optional layers (chaos, resilience, telemetry pillars, SeBS
+# co-location) are imported where a run first uses them, so a run that
+# does not use one never loads it.
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.resilience import ResilienceConfig, ResilienceController
+    from repro.simulator.chaos import ChaosEngine, ChaosSpec
+    from repro.simulator.containers import AcquireTicket
     from repro.telemetry.costmeter import CostBreakdown
+    from repro.telemetry.observers import RunObservers
     from repro.telemetry.reqtrace import RequestTraceData
+    from repro.workloads.sebs import SebsColocator
 
 __all__ = ["RunConfig", "RunResult", "ServerlessRun"]
 
@@ -296,16 +300,18 @@ class ServerlessRun:
         self._owned: dict[int, NodeInstance] = {}
         self._sebs: Optional[SebsColocator] = None
         cfg = self.config
-        self.resilience: Optional[ResilienceController] = (
-            ResilienceController(cfg.resilience)
-            if cfg.resilience is not None
-            else None
-        )
+        self.resilience: Optional[ResilienceController] = None
+        if cfg.resilience is not None:
+            from repro.core.resilience import ResilienceController
+
+            self.resilience = ResilienceController(cfg.resilience)
         #: Last backoff drawn per batch_id (decorrelated-jitter state).
         self._retry_backoff: dict[int, float] = {}
         self.requests_dropped = 0
         self._chaos: Optional[ChaosEngine] = None
         if cfg.chaos is not None:
+            from repro.simulator.chaos import ChaosEngine, ChaosHooks
+
             self._chaos = ChaosEngine(
                 self.sim,
                 cfg.chaos,
@@ -366,6 +372,8 @@ class ServerlessRun:
     def _setup(self) -> None:
         cfg = self.config
         if self.tracer.enabled:
+            from repro.telemetry.observers import RunObservers
+
             self.obs = RunObservers.for_run(self)
         # Initial hardware, warm-started.
         hint = max(self.trace.rate_window(0.0, 10.0), 1.0)
@@ -419,6 +427,8 @@ class ServerlessRun:
         if self._chaos is not None:
             self._chaos.start()
         if cfg.sebs_colocation:
+            from repro.workloads.sebs import SebsColocator
+
             self._sebs = SebsColocator(
                 self.sim,
                 rng_seed=cfg.seed + 7,

@@ -1,11 +1,1 @@
 """Hardware catalog (Table II) and performance profiles."""
-
-from repro.hardware.catalog import (
-    HardwareCatalog, HardwareKind, HardwareSpec, TABLE_II, default_catalog,
-)
-from repro.hardware.profiles import FBR_CAP, ProfileService, V100_BANDWIDTH_GBPS
-
-__all__ = [
-    "FBR_CAP", "HardwareCatalog", "HardwareKind", "HardwareSpec",
-    "ProfileService", "TABLE_II", "V100_BANDWIDTH_GBPS", "default_catalog",
-]

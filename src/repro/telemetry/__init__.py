@@ -57,100 +57,30 @@ no sampler events are scheduled, every ``obs`` hook site is one
 without the telemetry layer at all.
 """
 
-from repro.telemetry.tracer import (
-    NULL_TRACER,
-    SpanRecord,
-    TraceEventRecord,
-    Tracer,
-)
-from repro.telemetry.metrics import (
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.telemetry.costmeter import (
-    CostBreakdown,
-    CostBudgetMonitor,
-    CostMeter,
-    LeaseCost,
-    ModelSpecCost,
-)
-from repro.telemetry.reqtrace import (
-    PHASES,
-    REQTRACE_SCHEMA,
-    BatchTrace,
-    RequestTraceData,
-    RequestTracer,
-    RequestView,
-    read_reqtrace,
-)
-from repro.telemetry.observers import RunObservers
-from repro.telemetry.selfprof import (
-    RunProfiler,
-    diff_profiles,
-    load_profile,
-    render_profile_diff,
-)
-from repro.telemetry.prometheus import to_prometheus_text, write_prometheus
-from repro.telemetry.slo_monitor import SLOMonitor, WindowStats
-from repro.telemetry.timeseries import (
-    StateSampler,
-    TimeSeriesData,
-    read_timeseries,
-)
-from repro.telemetry.dashboard import LiveDashboard
-from repro.telemetry.ledger import RunLedger, RunRecord, LedgerComparison
-from repro.telemetry.exporters import (
-    TraceData,
-    read_jsonl,
-    summary_counts,
-    to_chrome_trace,
-    to_jsonl_lines,
-    write_chrome_trace,
-    write_jsonl,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchTrace",
-    "CostBreakdown",
-    "CostBudgetMonitor",
-    "CostMeter",
-    "Counter",
-    "Histogram",
-    "LeaseCost",
-    "LedgerComparison",
-    "LiveDashboard",
-    "MetricsRegistry",
-    "ModelSpecCost",
-    "NULL_TRACER",
-    "PHASES",
-    "REQTRACE_SCHEMA",
-    "RequestTraceData",
-    "RequestTracer",
-    "RequestView",
-    "RunLedger",
-    "RunObservers",
-    "RunProfiler",
-    "RunRecord",
-    "SLOMonitor",
-    "SpanRecord",
-    "StateSampler",
-    "TimeSeriesData",
-    "TraceData",
-    "TraceEventRecord",
-    "Tracer",
-    "WindowStats",
-    "diff_profiles",
-    "load_profile",
-    "read_jsonl",
-    "read_reqtrace",
-    "read_timeseries",
-    "render_profile_diff",
-    "summary_counts",
-    "to_chrome_trace",
-    "to_jsonl_lines",
-    "to_prometheus_text",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_prometheus",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "tracer": ("NULL_TRACER", "SpanRecord", "TraceEventRecord", "Tracer"),
+    "metrics": ("Counter", "Histogram", "MetricsRegistry"),
+    "costmeter": (
+        "CostBreakdown", "CostBudgetMonitor", "CostMeter", "LeaseCost",
+        "ModelSpecCost",
+    ),
+    "reqtrace": (
+        "PHASES", "REQTRACE_SCHEMA", "BatchTrace", "RequestTraceData",
+        "RequestTracer", "RequestView", "read_reqtrace",
+    ),
+    "observers": ("RunObservers",),
+    "selfprof": (
+        "RunProfiler", "diff_profiles", "load_profile", "render_profile_diff",
+    ),
+    "prometheus": ("to_prometheus_text", "write_prometheus"),
+    "slo_monitor": ("SLOMonitor", "WindowStats"),
+    "timeseries": ("StateSampler", "TimeSeriesData", "read_timeseries"),
+    "dashboard": ("LiveDashboard",),
+    "ledger": ("RunLedger", "RunRecord", "LedgerComparison"),
+    "exporters": (
+        "TraceData", "read_jsonl", "summary_counts", "to_chrome_trace",
+        "to_jsonl_lines", "write_chrome_trace", "write_jsonl",
+    ),
+})

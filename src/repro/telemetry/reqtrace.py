@@ -470,15 +470,25 @@ class RequestTraceData:
             f"{self.meta.get('n_requests_seen', 0)} requests retained)"
         )
 
-    def worst(self, k: int) -> list[RequestView]:
-        """The ``k`` worst traced requests by latency (ties by rid)."""
+    def worst(self, k: int,
+              completed_in: Optional[tuple[float, float]] = None
+              ) -> list[RequestView]:
+        """The ``k`` worst traced requests by latency (ties by rid); with
+        ``completed_in=(t0, t1)``, of those whose batch completed in
+        ``[t0, t1]``.  Only the returned requests' records are built."""
         k = max(0, int(k))
         if not (k and len(self.rows)):
             return []
         size = self.rows["size"]
         rids = (np.repeat(self.first_rid - self.rows["first"], size)
                 + np.arange(size.sum()))
-        top = np.lexsort((rids, -self.rows.latencies()))[:k]
+        latency = self.rows.latencies()
+        if completed_in is not None:
+            t0, t1 = completed_in
+            done = self.rows["completed_at"]
+            keep = np.repeat((t0 <= done) & (done <= t1), size)
+            rids, latency = rids[keep], latency[keep]
+        top = np.lexsort((rids, -latency))[:k]
         return [self.request(rid) for rid in rids[top].tolist()]
 
     def phase_arrays(self) -> dict[str, np.ndarray]:

@@ -1,23 +1,1 @@
 """Workloads: the 16 model specs, trace generators, SeBS co-location."""
-
-from repro.workloads.models import (
-    ALL_MODELS, Domain, LANGUAGE_MODELS, ModelSpec, VISION_MODELS,
-    get_model, language_models, vision_models,
-)
-from repro.workloads.sebs import SEBS_WORKLOADS, SebsColocator, SebsWorkload
-from repro.workloads.trace_io import (
-    estimate_bin_rates, load_csv, load_npz, save_csv, save_npz,
-)
-from repro.workloads.traces import (
-    AZURE_PEAK_TO_MEAN, Trace, azure_trace, constant_trace, poisson_trace,
-    twitter_trace, wiki_trace,
-)
-
-__all__ = [
-    "ALL_MODELS", "AZURE_PEAK_TO_MEAN", "Domain", "LANGUAGE_MODELS",
-    "ModelSpec", "SEBS_WORKLOADS", "SebsColocator", "SebsWorkload", "Trace",
-    "VISION_MODELS", "azure_trace", "constant_trace", "get_model",
-    "estimate_bin_rates", "language_models", "load_csv", "load_npz",
-    "poisson_trace", "save_csv", "save_npz", "twitter_trace", "vision_models",
-    "wiki_trace",
-]

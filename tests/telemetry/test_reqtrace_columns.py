@@ -1,7 +1,8 @@
 """The request trace's columnar reads against a walk over its records.
 
 :class:`~repro.telemetry.reqtrace.RequestTraceData` keeps the retained
-batches as columns and answers worst-K, rid lookup, the per-phase
+batches as columns and answers worst-K (also within a completion
+window, as ``exemplar_requests`` asks), rid lookup, the per-phase
 columns and the request iteration with array arithmetic; it builds its
 :class:`~repro.telemetry.reqtrace.BatchTrace` records only when they
 are read.  This module keeps the record walk (the reads as they were
@@ -16,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import PaldiaPolicy, ProfileService, RunConfig, SLO
+from repro.analysis.request_forensics import exemplar_requests
 from repro import ServerlessRun, get_model
 from repro.telemetry import reqtrace
 from repro.telemetry.reqtrace import PHASES, RequestView, read_reqtrace
@@ -35,6 +37,14 @@ def walk_worst(data, k):
     views = walk_requests(data)
     views.sort(key=lambda v: (-v.latency, v.rid))
     return views[:max(0, k)]
+
+
+def walk_exemplars(data, t0, t1, k):
+    """``exemplar_requests`` as it was: filter the walk, sort, cut."""
+    hits = [v for v in walk_requests(data)
+            if t0 <= v.batch.completed_at <= t1]
+    hits.sort(key=lambda v: (-v.latency, v.rid))
+    return hits[:max(0, k)]
 
 
 def walk_phase_arrays(data):
@@ -107,6 +117,19 @@ def test_columnar_reads_match_the_record_walk(data, k):
         assert same_view(data.request(v.rid), v)
 
 
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=traced(), k=st.integers(0, 12),
+       bounds=st.tuples(st.integers(0, 60), st.integers(0, 60)))
+def test_exemplars_match_the_record_walk(data, k, bounds):
+    # Window edges on the trace's time grid, so completions sit on them.
+    t0, t1 = (0.125 * b for b in sorted(bounds))
+    got = exemplar_requests(data, t0, t1, k)
+    want = walk_exemplars(data, t0, t1, k)
+    assert [v.rid for v in got] == [v.rid for v in want]
+    assert all(same_view(a, b) for a, b in zip(got, want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=traced())
 def test_jsonl_round_trip_keeps_the_columns(data, tmp_path_factory):
@@ -158,6 +181,11 @@ def test_traced_run_builds_records_only_when_read(monkeypatch):
     worst = data.worst(3)
     assert data.n_requests_traced == result.completed_requests
     assert built == [v.batch.batch_id for v in worst]
+    built.clear()
+    t1 = max(v.batch.completed_at for v in worst)
+    exemplars = exemplar_requests(data, t1 - 1.0, t1, k=3)
+    assert len(exemplars) == 3
+    assert built == [v.batch.batch_id for v in exemplars]
     built.clear()
     records = data.records
     assert len(built) == len(records) == data.meta["n_batches_traced"]

@@ -261,28 +261,3 @@ class TestFormerGaugesAreProbes:
         reg = tracer.metrics
         assert not reg._counters
         assert list(reg._histograms) == ["request.latency_seconds"]
-
-
-def test_traced_run_leaves_experiments_unimported():
-    # The sampler describes the run, so a traced run has no reason to
-    # load the experiments package.
-    import subprocess
-    import sys
-
-    code = """
-import sys
-from repro import PaldiaPolicy, ProfileService, SLO, ServerlessRun, get_model
-from repro.telemetry import Tracer
-from repro.workloads.traces import poisson_trace
-model, profiles, slo = get_model("resnet50"), ProfileService(), SLO()
-trace = poisson_trace(rate_rps=model.peak_rps, duration=5.0, seed=0)
-run = ServerlessRun(model, trace, PaldiaPolicy(model, profiles, slo.target_seconds),
-                    profiles, slo, tracer=Tracer())
-run.execute()
-print(sorted(m for m in sys.modules if m.startswith("repro.experiments")))
-"""
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "[]"
