@@ -55,9 +55,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ),
     "core.paldia": ("PaldiaPolicy",),
     "core.predictor": ("EWMAPredictor", "OraclePredictor"),
-    "framework.batching": (
-        "DispatchWindow", "WindowTable", "carve_sizes", "window_groups",
-    ),
+    "framework.batching": ("WindowTable", "carve_sizes"),
     "framework.request": ("Batch", "ShareMode"),
     "framework.slo": ("SLO",),
     "framework.multimodel": ("Deployment", "MultiModelResult", "MultiModelRun"),

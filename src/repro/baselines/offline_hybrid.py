@@ -8,9 +8,10 @@ and the reason Paldia needs an *online* model (Equation (1)) instead of an
 impractical offline sweep.
 
 :class:`OfflineHybridPolicy` serves with a fixed hardware choice and a fixed
-temporal fraction; :func:`repro.experiments.motivation.sweep_offline_hybrid`
-is the offline sweep harness that finds the best fraction for a given
-workload/trace.
+temporal fraction: :class:`repro.experiments.motivation.PinnedColocationRun`
+carves each tenant's windows with one, and
+:func:`repro.experiments.motivation.sweep_offline_hybrid` is the offline
+sweep harness that finds the best fraction for a given workload/trace.
 """
 
 from __future__ import annotations

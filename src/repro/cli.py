@@ -281,6 +281,8 @@ _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _positive = _checked(float, lambda v: v > 0, "positive")
 _fraction = _checked(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_tolerance = _checked(float, lambda v: 0 <= v < math.inf,
+                      "a non-negative finite number")
 _slo_ms = _checked(float, lambda v: 0 < v < math.inf,
                    "a positive finite number of milliseconds")
 _panel_width = _checked(int, lambda v: v >= 8, "an integer >= 8")  # renderer's floor
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "here (.npz for columnar numpy, anything else JSONL)",
             )
             p.add_argument(
-                "--timeseries-interval", type=float, metavar="SECONDS",
+                "--timeseries-interval", type=_duration, metavar="SECONDS",
                 default=0.5,
                 help="state-sampling interval in simulated seconds "
                 "(default: 0.5)",
@@ -499,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         "to other --alloc profiles)",
     )
     p.add_argument(
-        "--top", type=int, default=40,
+        "--top", type=_positive_int, default=40,
         help="phase-tree rows to print (default: 40)",
     )
     p.add_argument(
@@ -512,10 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace-report", parents=[common],
                        help="post-mortem a recorded JSONL trace")
     p.add_argument("trace_file")
-    p.add_argument("--max-rows", type=int, default=30,
+    p.add_argument("--max-rows", type=_positive_int, default=30,
                    help="decision-audit rows to show")
     p.add_argument(
-        "--top-k", type=int, default=0, metavar="K",
+        "--top-k", type=_non_negative_int, default=0, metavar="K",
         help="also rank the K slowest requests (causal context with "
         "--reqtrace, latency-only otherwise)",
     )
@@ -570,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
     runs_sub = p.add_subparsers(dest="runs_command", required=True)
     rp = runs_sub.add_parser("list", parents=[common, ledger_common],
                              help="recorded runs, newest first")
-    rp.add_argument("--limit", type=int, default=20,
+    rp.add_argument("--limit", type=_positive_int, default=20,
                     help="show at most this many runs")
     rp = runs_sub.add_parser("show", parents=[common, ledger_common],
                              help="one run's full metrics")
@@ -582,12 +584,12 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("baseline_id", type=int)
     rp.add_argument("candidate_id", type=int)
     rp.add_argument(
-        "--rel-tolerance", type=float, default=0.05,
+        "--rel-tolerance", type=_tolerance, default=0.05,
         help="relative worsening above which a scalar metric (p99, "
         "cost, cold starts) is flagged REGRESSED (default: 0.05)",
     )
     rp.add_argument(
-        "--abs-tolerance", type=float, default=0.005,
+        "--abs-tolerance", type=_tolerance, default=0.005,
         help="absolute worsening above which a rate metric (compliance, "
         "violation rate) is flagged REGRESSED (default: 0.005)",
     )
@@ -610,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write a self-contained HTML report (inline SVG "
         "attainment timeline, no external assets) here",
     )
-    p.add_argument("--max-rows", type=int, default=20,
+    p.add_argument("--max-rows", type=_positive_int, default=20,
                    help="violation rows to show in the terminal table")
 
     p = sub.add_parser(
@@ -782,11 +784,6 @@ def _cmd_run(args) -> int:
             )
             emit(f"wrote {n} Prometheus samples to {args.prom_out}")
         if args.timeseries_out:
-            if obs.sampler is None:
-                raise CliError(
-                    "no time-series recorded: sampling is disabled "
-                    "(--timeseries-interval must be > 0)"
-                )
             n = obs.sampler.save(args.timeseries_out)
             emit(
                 f"wrote {n} time-series columns "

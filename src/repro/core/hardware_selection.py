@@ -341,14 +341,6 @@ class HardwareSelector:
         self._consts: dict[str, tuple] = {}
         #: Memoised candidate tables keyed on the exact solve inputs.
         self._table_cache: dict[tuple, CandidateTable] = {}
-        #: Memoised per-candidate solve results keyed on
-        #: ``(hw.name, n_future, existing_fbr, contention)``.  Rows of the
-        #: candidate grid are independent (every operation in the solver
-        #: is elementwise), so a row computed for one pool is bit-reusable
-        #: in any other pool containing the same candidate — and residency
-        #: only burdens the incumbent, so the other rows survive every
-        #: ``existing_fbr`` variation.
-        self._row_cache: dict[tuple, tuple] = {}
         #: ``get_HW_pool``'s profiled table for this model, resolved once.
         self._hw_pool = profiles.hw_pool_table(model, self.slo_seconds)
 
@@ -454,7 +446,6 @@ class HardwareSelector:
         co_run_col = np.zeros(c)
         occ_col = np.zeros(c)
 
-        row_cache = self._row_cache
         unsolved: list[int] = []
         if contentions is None:
             contentions = [1.0] * c
@@ -462,23 +453,11 @@ class HardwareSelector:
             batch, solo_base, _fbr, _mc, _ss, _price = consts[i]
             if batch == 0:
                 t_col[i] = np.inf
-                continue
-            ef_i = (
-                existing_fbr
-                if inc is not None and hw.name == inc
-                else 0.0
-            )
-            row_key = (hw.name, n_future, ef_i, contentions[i])
-            row = row_cache.get(row_key)
-            if row is not None:
-                t_col[i], y_col[i], co_run_col[i], occ_col[i] = row
             elif not hw.is_gpu:
-                t = cpu_t_max(
+                t_col[i] = cpu_t_max(
                     n_future, batch, solo_base * contentions[i],
                     hw.cpu_lanes, horizon=self.plan_horizon_seconds,
                 )
-                t_col[i] = t
-                row_cache[row_key] = (t, np.nan, 0.0, 0.0)
             else:
                 unsolved.append(i)
         if unsolved:
@@ -506,21 +485,6 @@ class HardwareSelector:
             y_col[idx] = y_best
             co_run_col[idx] = k_best
             occ_col[idx] = occ_best
-            if len(row_cache) >= 16384:
-                row_cache.clear()
-            for j, i in enumerate(unsolved):
-                hw = pool[i]
-                ef_i = (
-                    existing_fbr
-                    if inc is not None and hw.name == inc
-                    else 0.0
-                )
-                row_cache[(hw.name, n_future, ef_i, contentions[i])] = (
-                    float(t_best[j]),
-                    float(y_best[j]),
-                    float(k_best[j]),
-                    float(occ_best[j]),
-                )
 
         table = CandidateTable(
             specs=tuple(pool),

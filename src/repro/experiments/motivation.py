@@ -27,10 +27,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from repro.analysis.stats import compliance_percent
-from repro.baselines.base import split_plan
-from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID
-from repro.framework.batching import DispatchWindow, window_groups
+from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID, OfflineHybridPolicy
+from repro.framework.batching import WindowTable
 from repro.framework.request import Batch
 from repro.framework.slo import SLO
 from repro.framework.system import BATCH_WINDOW_SECONDS
@@ -82,6 +83,11 @@ class TenantSpec:
 class PinnedColocationRun:
     """Multi-tenant run on one fixed node with fixed split fractions.
 
+    Each tenant's windows are the rows of one :class:`WindowTable`, one
+    engine event per row, tenant by tenant (the tenants' window edges
+    coincide, so this order fixes same-instant dispatches).  An
+    :class:`OfflineHybridPolicy` at the tenant's fraction, which must lie
+    in ``[0, 1]``, carves them.
     Containers are pre-warmed generously (the motivation study isolates
     GPU-sharing effects, not autoscaling).
     """
@@ -100,6 +106,11 @@ class PinnedColocationRun:
         self.hardware = hardware
         self.profiles = profiles if profiles is not None else ProfileService()
         self.slo = slo if slo is not None else SLO()
+        self.policies = [
+            OfflineHybridPolicy(t.model, self.profiles, self.slo.target_seconds,
+                                hardware, t.temporal_fraction)
+            for t in self.tenants
+        ]
         self.sim = Simulator()
         self.cluster = Cluster(
             self.sim, self.profiles.catalog, self.profiles.interference, seed=seed
@@ -109,27 +120,20 @@ class PinnedColocationRun:
     def execute(self) -> MetricsCollector:
         node = self.cluster.acquire(self.hardware, lambda n: None, instant=True)
         horizon = max(t.trace.duration for t in self.tenants)
-        for tenant in self.tenants:
-            pool = node.pool(tenant.model.name)
-            batch_size = max(
-                1,
-                self.profiles.best_batch(
-                    tenant.model, self.hardware, self.slo.target_seconds
-                ),
-            )
+        for tenant, policy in zip(self.tenants, self.policies):
+            batch_size = policy.batch_size_on(self.hardware)
             # Generous warm pool: enough containers for peak concurrency.
             peak = tenant.trace.peak_rps
-            pool.add_warm(
+            node.pool(tenant.model.name).add_warm(
                 max(4, math.ceil(peak * BATCH_WINDOW_SECONDS / batch_size) * 4)
             )
-            for window in window_groups(
+            table = WindowTable.plan(
                 tenant.trace.arrivals, BATCH_WINDOW_SECONDS, tenant.model.max_batch
-            ):
+            )
+            for i, at in enumerate(table.dispatch_at.tolist()):
+                arrivals = table.arrivals[table.starts.item(i):table.ends.item(i)]
                 self.sim.schedule_at(
-                    window.dispatch_at,
-                    lambda w=window, t=tenant, n=node, b=batch_size: self._dispatch(
-                        w, t, n, b
-                    ),
+                    at, lambda a=arrivals, p=policy: self._dispatch(a, p, node),
                     priority=10,
                 )
             self.metrics.record_offered(tenant.trace.n_requests)
@@ -142,28 +146,25 @@ class PinnedColocationRun:
 
     # ------------------------------------------------------------------
     def _dispatch(
-        self, window: DispatchWindow, tenant: TenantSpec, node: NodeInstance, bs: int
+        self, arrivals: np.ndarray, policy: OfflineHybridPolicy, node: NodeInstance
     ) -> None:
-        n = window.n
-        y = int(round(tenant.temporal_fraction * n))
+        now = self.sim.now
         offset = 0
-        for planned in split_plan(n, min(max(y, 0), n), bs).batches:
-            arrivals = window.arrivals[offset : offset + planned.size]
-            offset += planned.size
+        for planned in policy.plan_window(arrivals.size, node.spec, 0.0, now).batches:
             batch = Batch(
-                model=tenant.model,
-                arrivals=arrivals,
-                dispatched_at=self.sim.now,
+                model=policy.model,
+                arrivals=arrivals[offset : offset + planned.size],
+                dispatched_at=now,
                 mode=planned.mode,
                 batch_id=next(self.cluster.batch_ids),
             )
-            batch.breakdown.batching_wait = max(
-                0.0, self.sim.now - batch.first_arrival
-            )
-            self._submit(batch, tenant, node)
+            offset += planned.size
+            batch.breakdown.batching_wait = max(0.0, now - batch.first_arrival)
+            self._submit(batch, node)
 
-    def _submit(self, batch: Batch, tenant: TenantSpec, node: NodeInstance) -> None:
-        pool = node.pool(tenant.model.name)
+    def _submit(self, batch: Batch, node: NodeInstance) -> None:
+        model = batch.model
+        pool = node.pool(model.name)
         spec = node.spec
 
         def on_container(ticket) -> None:
@@ -171,8 +172,8 @@ class PinnedColocationRun:
                 batch.breakdown.cold_start_wait += ticket.wait
             else:
                 batch.breakdown.queue_delay += ticket.wait
-            solo = self.profiles.solo_time(tenant.model, spec, batch.size)
-            fbr = self.profiles.fbr(tenant.model, spec) if spec.is_gpu else 0.0
+            solo = self.profiles.solo_time(model, spec, batch.size)
+            fbr = self.profiles.fbr(model, spec) if spec.is_gpu else 0.0
 
             def on_complete(job: Job) -> None:
                 pool.release()
@@ -183,7 +184,7 @@ class PinnedColocationRun:
                     batch=batch,
                     solo_time=solo,
                     fbr=fbr,
-                    mem_gb=tenant.model.job_mem_gb(batch.size),
+                    mem_gb=model.job_mem_gb(batch.size),
                     mode=batch.mode,
                     on_complete=on_complete,
                 )

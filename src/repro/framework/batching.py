@@ -11,22 +11,20 @@ spatial/temporal split — uniform batching would hinder the hybrid split
 How the pieces interlock
 ------------------------
 :class:`WindowTable`
-    The *columnar* plan of a whole trace: every window's dispatch time and
-    ``[start, end)`` slice into the (shared, sorted) arrival array held as
-    parallel numpy arrays, computed once up front with ``searchsorted`` —
-    no per-request and no per-window Python work.  The framework's arrival
-    pump walks this table and delivers all windows sharing a dispatch
-    timestamp in one engine event.
-:func:`window_groups`
-    The object view of the same plan — a list of
-    :class:`DispatchWindow`, one per window, in dispatch order.  Kept as
-    the convenient API for tests, analysis, and small traces; it is a thin
-    materialisation of :meth:`WindowTable.plan`.
+    First stage: the *columnar* plan of a whole trace.  Every window's
+    dispatch time and ``[start, end)`` slice into the (shared, sorted)
+    arrival array are held as parallel numpy arrays, computed once up
+    front with ``searchsorted`` — no per-request and no per-window Python
+    work.  A window exists only as a row of this table: its requests are
+    the row's arrival slice.  The framework's arrival pump walks the
+    table and delivers all windows sharing a dispatch timestamp in one
+    engine event; the Fig 1 pinned-GPU run schedules one event per row.
 :func:`carve_sizes`
     Second stage: a policy's :meth:`~repro.baselines.base.Policy.
     plan_window` answers with a :class:`~repro.baselines.base.WindowPlan`
-    whose spatial/temporal sub-batch sizes are carved from the window's
-    ``N`` with this helper (full batches plus a flexible-size remainder).
+    built by :func:`~repro.baselines.base.split_plan`, whose spatial and
+    temporal sub-batch sizes are carved from the window's ``N`` with this
+    helper (full batches plus a flexible-size remainder).
 
 The split between the two stages mirrors the paper: window formation is
 workload-facing and policy-agnostic; sub-batch carving encodes each
@@ -40,29 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["DispatchWindow", "WindowTable", "window_groups", "carve_sizes"]
-
-
-@dataclass(frozen=True, slots=True)
-class DispatchWindow:
-    """One batching window's worth of requests.
-
-    Attributes
-    ----------
-    dispatch_at:
-        Time the window closes and its requests are released.
-    arrivals:
-        Arrival timestamps of the requests in the window (sorted); a view
-        into the trace's arrival array, not a copy.
-    """
-
-    dispatch_at: float
-    arrivals: np.ndarray
-
-    @property
-    def n(self) -> int:
-        """Number of requests in the window."""
-        return int(self.arrivals.size)
+__all__ = ["WindowTable", "carve_sizes"]
 
 
 @dataclass(frozen=True)
@@ -93,23 +69,6 @@ class WindowTable:
     def __len__(self) -> int:
         return int(self.dispatch_at.size)
 
-    @property
-    def sizes(self) -> np.ndarray:
-        """Per-window request counts (vectorised ``ends - starts``)."""
-        return self.ends - self.starts
-
-    def window(self, i: int) -> DispatchWindow:
-        """Materialise row ``i`` as a :class:`DispatchWindow` (the
-        arrivals are a view, not a copy)."""
-        return DispatchWindow(
-            dispatch_at=float(self.dispatch_at[i]),
-            arrivals=self.arrivals[self.starts[i] : self.ends[i]],
-        )
-
-    def windows(self) -> list[DispatchWindow]:
-        """Materialise every row (the :func:`window_groups` view)."""
-        return [self.window(i) for i in range(len(self))]
-
     @classmethod
     def plan(
         cls,
@@ -127,6 +86,20 @@ class WindowTable:
 
         The whole plan is ``searchsorted`` + integer arithmetic; Python
         iterates only over the (rare) windows that overflow ``max_batch``.
+
+        Parameters
+        ----------
+        arrivals:
+            Sorted absolute arrival timestamps (seconds).
+        window_seconds:
+            Batching window length; windows close at multiples of it.
+        max_batch:
+            Early-dispatch threshold; ``None`` disables early dispatch.
+
+        Raises
+        ------
+        ValueError
+            If ``window_seconds`` is not positive.
         """
         if window_seconds <= 0:
             raise ValueError("window must be positive")
@@ -185,36 +158,6 @@ class WindowTable:
             w_end = np.append(w_end, arr.size)
         order = np.argsort(w_dispatch, kind="stable")
         return cls(arr, w_dispatch[order], w_start[order], w_end[order])
-
-
-def window_groups(
-    arrivals: np.ndarray,
-    window_seconds: float,
-    max_batch: Optional[int] = None,
-) -> list[DispatchWindow]:
-    """Group sorted arrivals into dispatch windows (object view).
-
-    Equivalent to ``WindowTable.plan(...).windows()`` — one
-    :class:`DispatchWindow` per row, in dispatch order.  See
-    :meth:`WindowTable.plan` for the window-formation rules.
-
-    Parameters
-    ----------
-    arrivals:
-        Sorted absolute arrival timestamps (seconds).
-    window_seconds:
-        Batching window length; windows close at multiples of it.
-    max_batch:
-        Early-dispatch threshold: a window accumulating more than this
-        many requests is split into full chunks that release as they fill.
-        ``None`` disables early dispatch.
-
-    Raises
-    ------
-    ValueError
-        If ``window_seconds`` is not positive.
-    """
-    return WindowTable.plan(arrivals, window_seconds, max_batch).windows()
 
 
 def carve_sizes(n: int, batch_size: int) -> list[int]:

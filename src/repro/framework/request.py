@@ -96,30 +96,6 @@ class BatchBreakdown:
     interference_extra: float = 0.0
     failure_wait: float = 0.0
 
-    @property
-    def total(self) -> float:
-        """Sum of all components (equals end-to-end latency of the last
-        arrival when accounting is complete)."""
-        return (
-            self.batching_wait
-            + self.cold_start_wait
-            + self.queue_delay
-            + self.exec_solo
-            + self.interference_extra
-            + self.failure_wait
-        )
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view, used by the analysis layer."""
-        return {
-            "batching_wait": self.batching_wait,
-            "cold_start_wait": self.cold_start_wait,
-            "queue_delay": self.queue_delay,
-            "exec_solo": self.exec_solo,
-            "interference_extra": self.interference_extra,
-            "failure_wait": self.failure_wait,
-        }
-
 
 @dataclass(eq=False, slots=True)
 class Batch:
@@ -171,52 +147,9 @@ class Batch:
     def first_arrival(self) -> float:
         return float(self.arrivals[0])
 
-    @property
-    def last_arrival(self) -> float:
-        return float(self.arrivals[-1])
-
-    def latencies(self) -> np.ndarray:
-        """Per-request end-to-end latency (seconds), vectorised.
-
-        Raises
-        ------
-        ValueError
-            If the batch has not completed yet.
-        """
-        if self.completed_at is None:
-            raise ValueError(f"batch {self.batch_id} has not completed")
-        return self.completed_at - self.arrivals
-
     def complete(self, now: float) -> None:
         """Mark the batch complete at ``now``."""
         self.completed_at = float(now)
-
-    def split(self, sizes: list[int]) -> list["Batch"]:
-        """Split this batch into consecutive sub-batches of ``sizes``.
-
-        Used by the job distributor to carve a window's worth of requests
-        into spatial and temporal batches of policy-chosen sizes.  Breakdown
-        and dispatch metadata are copied; arrival arrays are views.
-        """
-        if sum(sizes) != self.size:
-            raise ValueError(
-                f"split sizes {sizes} do not sum to batch size {self.size}"
-            )
-        if any(s <= 0 for s in sizes):
-            raise ValueError(f"split sizes must be positive: {sizes}")
-        out: list[Batch] = []
-        offset = 0
-        for s in sizes:
-            sub = Batch(
-                model=self.model,
-                arrivals=self.arrivals[offset : offset + s],
-                dispatched_at=self.dispatched_at,
-                mode=self.mode,
-            )
-            offset += s
-        # (constructed above to keep ids ordered; collected here)
-            out.append(sub)
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.completed_at is not None else self.mode

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.baselines.base import Policy
 from repro.core.autoscaler import Autoscaler, containers_for_split
-from repro.framework.batching import DispatchWindow, WindowTable
+from repro.framework.batching import WindowTable
 from repro.core.predictor import EWMAPredictor, RateTracker
 from repro.framework.request import Batch, BatchBreakdown, ShareMode
 from repro.framework.slo import SLO
@@ -280,7 +280,8 @@ class ServerlessRun:
         self._reconfig_target: Optional[HardwareSpec] = None
         self._reconfig_gen = 0
         self._failed_specs: set[str] = set()
-        self._pending_windows: list[DispatchWindow] = []
+        #: Arrival slices of windows waiting for a node.
+        self._pending_windows: list[np.ndarray] = []
         #: Columnar arrival plan walked by the pump (set in ``_setup``).
         self._window_table: Optional[WindowTable] = None
         self._window_idx = 0
@@ -447,8 +448,8 @@ class ServerlessRun:
         so all rows sharing the current timestamp are consecutive; they
         are delivered in plan order within this one engine event (the same
         relative order the per-window scheduling gave them).  A window is
-        its slice of the table's arrival column; only a window that must
-        wait for a node becomes a :class:`DispatchWindow`."""
+        its slice of the table's arrival column, also while it waits for
+        a node."""
         table = self._window_table
         # ``.item`` reads Python scalars (as lists the table would be big).
         dispatch_at, starts, ends = table.dispatch_at, table.starts, table.ends
@@ -464,9 +465,7 @@ class ServerlessRun:
             tracker.count(size)
             node = self._current
             if node is None or not node.available:
-                self._pending_windows.append(
-                    DispatchWindow(dispatch_at=t, arrivals=window)
-                )
+                self._pending_windows.append(window)
             else:
                 self._dispatch(window, node)
             i += 1
@@ -595,9 +594,7 @@ class ServerlessRun:
         if recovery == "requeue":
             if batches:
                 merged = np.sort(np.concatenate([b.arrivals for b in batches]))
-                self._pending_windows.append(
-                    DispatchWindow(dispatch_at=self.sim.now, arrivals=merged)
-                )
+                self._pending_windows.append(merged)
             return
         for batch in batches:
             if recovery == "retry":
@@ -826,8 +823,8 @@ class ServerlessRun:
 
     def _flush_pending(self, node: NodeInstance) -> None:
         pending, self._pending_windows = self._pending_windows, []
-        for window in pending:
-            self._dispatch(window.arrivals, node)
+        for arrivals in pending:
+            self._dispatch(arrivals, node)
 
     # ------------------------------------------------------------------
     # Autoscaling loop

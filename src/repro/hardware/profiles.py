@@ -38,8 +38,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalog
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.workloads.models import ModelSpec
@@ -127,13 +125,6 @@ class ProfileService:
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         return (model.base_s_v100 + batch * model.per_item_s_v100) / hw.speed_factor
-
-    def solo_time_array(
-        self, model: ModelSpec, hw: HardwareSpec, batches: np.ndarray
-    ) -> np.ndarray:
-        """Vectorised :meth:`solo_time` over an array of batch sizes."""
-        b = np.asarray(batches, dtype=np.float64)
-        return (model.base_s_v100 + b * model.per_item_s_v100) / hw.speed_factor
 
     def fbr(self, model: ModelSpec, hw: HardwareSpec) -> float:
         """Fractional Bandwidth Requirement of one batch of ``model`` on the

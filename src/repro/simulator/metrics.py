@@ -283,16 +283,6 @@ class MetricsCollector:
             return 0.0
         return float(np.percentile(lat, q))
 
-    def latency_cdf(
-        self, model: Optional[str] = None, n_points: int = 200
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(latency_seconds, cumulative_fraction) curve for Fig 6."""
-        lat = np.sort(self.latencies(model))
-        if lat.size == 0:
-            return np.empty(0), np.empty(0)
-        idx = np.linspace(0, lat.size - 1, min(n_points, lat.size)).astype(int)
-        return lat[idx], (idx + 1) / lat.size
-
     def goodput(
         self,
         slo_seconds: float,

@@ -500,6 +500,18 @@ MALFORMED_FLAGS = [
     (["trace-attribution", "trace.jsonl", "--slo", "nan"], "--slo"),
     (["trace-diff", "a.jsonl", "b.jsonl", "--slo", "-5"], "--slo"),
     (["trace-diff", "a.jsonl", "b.jsonl", "--slo", "inf"], "--slo"),
+    (["trace-report", "trace.jsonl", "--max-rows", "0"], "--max-rows"),
+    (["trace-report", "trace.jsonl", "--max-rows", "-2"], "--max-rows"),
+    (["trace-report", "trace.jsonl", "--top-k", "-3"], "--top-k"),
+    (["trace-attribution", "trace.jsonl", "--max-rows", "-1"], "--max-rows"),
+    (["profile", "resnet50", "--top", "-1"], "--top"),
+    (["runs", "list", "--limit", "0"], "--limit"),
+    (["runs", "compare", "1", "2", "--rel-tolerance", "-1"],
+     "--rel-tolerance"),
+    (["runs", "compare", "1", "2", "--abs-tolerance", "nan"],
+     "--abs-tolerance"),
+    (["run", "resnet50", "--timeseries-interval", "nan"],
+     "--timeseries-interval"),
 ]
 
 
@@ -515,7 +527,8 @@ def test_malformed_numeric_flag_is_one_usage_line(argv, flag, capsys,
     for handler in ("_cmd_run", "_cmd_compare", "_cmd_profile",
                     "_cmd_cost_report", "_cmd_experiment",
                     "_cmd_timeseries_report", "_cmd_request_trace",
-                    "_cmd_trace_attribution", "_cmd_trace_diff"):
+                    "_cmd_trace_attribution", "_cmd_trace_diff",
+                    "_cmd_trace_report", "_cmd_runs"):
         monkeypatch.setattr(repro.cli, handler,
                             lambda args, name=handler: started.append(name))
     with pytest.raises(SystemExit) as exc:

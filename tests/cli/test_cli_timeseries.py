@@ -70,10 +70,13 @@ class TestRunFlags:
 
     def test_zero_interval_with_timeseries_out_errors(self, capsys,
                                                       tmp_path):
-        out = str(tmp_path / "ts.jsonl")
-        rc = main(RUN_ARGS[:-2] + ["--timeseries-interval", "0",
-                                   "--timeseries-out", out])
-        assert rc == 1
+        out = tmp_path / "ts.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(RUN_ARGS[:-2] + ["--timeseries-interval", "0",
+                                  "--timeseries-out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --timeseries-interval:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTimeseriesReportCommand:

@@ -32,6 +32,16 @@ class TestPinnedColocation:
         with pytest.raises(ValueError):
             PinnedColocationRun([], profiles.catalog.get("g3s.xlarge"))
 
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5])
+    def test_fraction_outside_unit_interval_rejected(self, profiles, fraction):
+        tenant = TenantSpec(
+            get_model("senet18"), constant_trace(50.0, 5.0), fraction
+        )
+        with pytest.raises(ValueError, match="temporal fraction"):
+            PinnedColocationRun(
+                [tenant], profiles.catalog.get("g3s.xlarge"), profiles
+            )
+
 
 class TestMotivationSchemes:
     def test_scheme_roster(self):

@@ -4,43 +4,49 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.framework.batching import carve_sizes, window_groups
+from repro.framework.batching import WindowTable, carve_sizes
+
+
+def sizes(table: WindowTable) -> list[int]:
+    return (table.ends - table.starts).tolist()
 
 
 class TestWindowGroups:
+    """Window formation, read from the ``WindowTable`` columns."""
+
     def test_empty_arrivals(self):
-        assert window_groups(np.array([]), 0.1) == []
+        assert len(WindowTable.plan(np.array([]), 0.1)) == 0
 
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
-            window_groups(np.array([0.0]), 0.0)
+            WindowTable.plan(np.array([0.0]), 0.0)
 
     def test_requests_grouped_by_window(self):
         arr = np.array([0.01, 0.05, 0.12, 0.13])
-        ws = window_groups(arr, 0.1)
-        assert [w.n for w in ws] == [2, 2]
-        assert ws[0].dispatch_at == pytest.approx(0.1)
-        assert ws[1].dispatch_at == pytest.approx(0.2)
+        table = WindowTable.plan(arr, 0.1)
+        assert sizes(table) == [2, 2]
+        assert table.dispatch_at[0] == pytest.approx(0.1)
+        assert table.dispatch_at[1] == pytest.approx(0.2)
 
     def test_full_batches_dispatch_early(self):
         arr = np.linspace(0.0, 0.09, 10)
-        ws = window_groups(arr, 0.1, max_batch=4)
-        assert [w.n for w in ws] == [4, 4, 2]
+        table = WindowTable.plan(arr, 0.1, max_batch=4)
+        assert sizes(table) == [4, 4, 2]
         # the first full chunk dispatches when its last request arrived
-        assert ws[0].dispatch_at == pytest.approx(arr[3])
+        assert table.dispatch_at[0] == pytest.approx(arr[3])
 
     def test_dispatch_never_before_last_arrival(self):
         rng = np.random.default_rng(0)
         arr = np.sort(rng.random(200) * 5.0)
-        for w in window_groups(arr, 0.075, max_batch=16):
-            assert w.dispatch_at >= w.arrivals[-1] - 1e-12
+        table = WindowTable.plan(arr, 0.075, max_batch=16)
+        last = table.arrivals[table.ends - 1]
+        assert np.all(table.dispatch_at >= last - 1e-12)
 
     def test_windows_sorted_by_dispatch(self):
         rng = np.random.default_rng(1)
         arr = np.sort(rng.random(500) * 10.0)
-        ws = window_groups(arr, 0.075, max_batch=16)
-        times = [w.dispatch_at for w in ws]
-        assert times == sorted(times)
+        table = WindowTable.plan(arr, 0.075, max_batch=16)
+        assert np.all(np.diff(table.dispatch_at) >= 0)
 
     @given(
         st.lists(st.floats(min_value=0.0, max_value=30.0), min_size=0, max_size=300),
@@ -50,11 +56,13 @@ class TestWindowGroups:
     @settings(max_examples=50, deadline=None)
     def test_conservation(self, times, window, max_batch):
         arr = np.sort(np.asarray(times, dtype=float))
-        ws = window_groups(arr, window, max_batch)
-        total = sum(w.n for w in ws)
-        assert total == arr.size
-        if ws:
-            merged = np.concatenate([w.arrivals for w in ws])
+        table = WindowTable.plan(arr, window, max_batch)
+        assert sum(sizes(table)) == arr.size
+        if len(table):
+            merged = np.concatenate([
+                table.arrivals[s:e]
+                for s, e in zip(table.starts.tolist(), table.ends.tolist())
+            ])
             assert np.array_equal(np.sort(merged), arr)
 
 

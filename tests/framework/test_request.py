@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.framework.request import Batch, BatchBreakdown, ShareMode
+from repro.framework.request import Batch, ShareMode
 from repro.workloads.models import get_model
 
 
@@ -25,16 +25,6 @@ class TestBatch:
         b = make_batch()
         assert b.size == 3
         assert b.first_arrival == 0.0
-        assert b.last_arrival == 0.2
-
-    def test_latencies_before_completion_raise(self):
-        with pytest.raises(ValueError):
-            make_batch().latencies()
-
-    def test_latencies_vectorised(self):
-        b = make_batch()
-        b.complete(0.5)
-        assert b.latencies().tolist() == pytest.approx([0.5, 0.4, 0.3])
 
     def test_unique_ids(self):
         assert make_batch().batch_id != make_batch().batch_id
@@ -44,37 +34,7 @@ class TestBatch:
         assert a == a
         assert a != b
 
-    def test_split_conserves_requests(self):
-        b = make_batch(arrivals=np.linspace(0, 1, 10))
-        subs = b.split([4, 4, 2])
-        assert sum(s.size for s in subs) == 10
-        merged = np.concatenate([s.arrivals for s in subs])
-        assert np.array_equal(merged, b.arrivals)
-
-    def test_split_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            make_batch().split([1, 1])
-
-    def test_split_zero_size_rejected(self):
-        with pytest.raises(ValueError):
-            make_batch().split([3, 0])
-
 
 class TestBreakdown:
-    def test_total_sums_components(self):
-        bd = BatchBreakdown(
-            batching_wait=0.01, cold_start_wait=0.02, queue_delay=0.03,
-            exec_solo=0.1, interference_extra=0.04,
-        )
-        assert bd.total == pytest.approx(0.2)
-
-    def test_as_dict_round_trip(self):
-        bd = BatchBreakdown(queue_delay=0.5)
-        assert bd.as_dict()["queue_delay"] == 0.5
-        assert set(bd.as_dict()) == {
-            "batching_wait", "cold_start_wait", "queue_delay",
-            "exec_solo", "interference_extra", "failure_wait",
-        }
-
     def test_share_modes(self):
         assert ShareMode.SPATIAL != ShareMode.TEMPORAL

@@ -25,13 +25,6 @@ class TestSoloTime:
         with pytest.raises(ValueError):
             profiles.solo_time(resnet50, v100, 0)
 
-    def test_array_matches_scalar(self, profiles, resnet50, v100):
-        import numpy as np
-
-        arr = profiles.solo_time_array(resnet50, v100, np.array([1, 8, 64]))
-        for b, t in zip([1, 8, 64], arr):
-            assert t == pytest.approx(profiles.solo_time(resnet50, v100, b))
-
 
 class TestFBR:
     def test_m60_pressure_exceeds_v100(self, profiles, resnet50, v100, m60):

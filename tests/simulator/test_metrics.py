@@ -89,15 +89,6 @@ class TestCompliance:
                                        done_at=1.0))
         assert m.percentile_latency(50.0) == pytest.approx(0.505, abs=0.02)
 
-    def test_cdf_monotone(self):
-        m = MetricsCollector()
-        m.record_batch(completed_batch(arrivals=tuple(np.linspace(0, 1, 50)),
-                                       done_at=1.5))
-        x, y = m.latency_cdf()
-        assert np.all(np.diff(x) >= 0)
-        assert np.all(np.diff(y) >= 0)
-        assert y[-1] == pytest.approx(1.0)
-
 
 class TestGoodput:
     def test_counts_compliant_arrivals_in_window(self):
