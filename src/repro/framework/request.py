@@ -125,10 +125,16 @@ class Batch:
     breakdown: BatchBreakdown = field(default_factory=BatchBreakdown)
     completed_at: Optional[float] = None
     hardware_name: Optional[str] = None
-    # Set by the device when execution starts (for utilization accounting).
+    #: Start of the execution that completed, set by the device at
+    #: completion.
     started_at: Optional[float] = None
     #: Failed dispatch attempts re-driven by the resilience layer.
     retries: int = 0
+    #: The device's execution context at the batch's last start: jobs
+    #: sharing it (this one included; 0 until the batch starts) and
+    #: their aggregate FBR (0.0 on a CPU).
+    co_run: int = 0
+    start_fbr: float = 0.0
 
     def __post_init__(self) -> None:
         a = self.arrivals  # a non-empty 1-D float64 ndarray is kept as is

@@ -90,7 +90,6 @@ class NodeInstance:
             self.device: Device = GPUDevice(sim, spec, interference, rng)
         else:
             self.device = CPUDevice(sim, spec, rng)
-        self.device.obs = obs
         self._pools: dict[str, ContainerPool] = {}
         self.available = True
         #: Chaos cold-start hook handed to pools created on this node.
@@ -206,8 +205,8 @@ class Cluster:
         after the provisioning delay, when containers may be spawned.  With
         ``instant=True`` provisioning is skipped (used for warm starts at
         experiment begin, and by the clairvoyant Oracle).  ``obs`` is the
-        leasing run's observer bundle: the node, its device and its pools
-        report to it, and it hears of the lease before ``on_ready``
+        leasing run's observer bundle: the node and its pools report to
+        it, and it hears of the lease before ``on_ready``
         (``None`` on untraced runs costs one ``is None`` branch per lease
         transition).
         """

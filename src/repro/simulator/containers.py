@@ -86,8 +86,6 @@ class ContainerPool:
         self._waiters: deque[tuple[float, Callable[[AcquireTicket], None]]] = deque()
 
         self.cold_starts = 0
-        self.spawned_total = 0
-        self.terminated_total = 0
         #: Optional chaos hook: maps the base cold-start latency to the
         #: actual spawn delay for one cold start (failed starts retry and
         #: chain, inflating the delay).  ``None`` means healthy spawns.
@@ -160,7 +158,6 @@ class ContainerPool:
 
     def _spawn(self) -> None:
         self._spawning += 1
-        self.spawned_total += 1
         self.cold_starts += 1
         delay = (
             self.spawn_delay_fn(self.cold_start_seconds)
@@ -242,7 +239,6 @@ class ContainerPool:
             and now - self._idle[0] > keep_alive_seconds
         ):
             self._idle.pop(0)
-            self.terminated_total += 1
             reaped += 1
         return reaped
 
@@ -254,7 +250,6 @@ class ContainerPool:
         balance.  Waiters are dropped — the framework re-dispatches the
         affected batches itself.
         """
-        self.terminated_total += len(self._idle)
         self._idle.clear()
         self._spawning = 0
         self._waiters.clear()

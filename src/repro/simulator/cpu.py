@@ -64,9 +64,6 @@ class CPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: The run's observer bundle (set by the cluster on traced runs);
-        #: ``None`` costs one ``is None`` branch per job start.
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -170,9 +167,8 @@ class CPUDevice:
             * job.slowdown
         )
         self._running.append(job)
-        obs = self.obs
-        if obs is not None:
-            obs.execution_started(self, job, now)
+        batch = job.batch
+        batch.co_run, batch.start_fbr = len(self._running), 0.0
         if self._busy_since is None:
             self._busy_since = now
         self.sim.schedule(service, lambda j=job: self._finish(j))
@@ -184,7 +180,6 @@ class CPUDevice:
             return  # evicted by a failure while in flight
         self.jobs_completed += 1
         now = self.sim.now
-        job.completed_at = now
         batch = job.batch
         assert job.started_at is not None
         batch.started_at = job.started_at

@@ -95,9 +95,6 @@ class GPUDevice:
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
         self.jobs_completed = 0
-        #: The run's observer bundle (set by the cluster on traced runs);
-        #: ``None`` costs one ``is None`` branch per job start.
-        self.obs = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -262,9 +259,8 @@ class GPUDevice:
         self._active.append(job)
         self._mem_used += job.mem_gb
         self.total_fbr = float(sum(j.fbr for j in self._active))
-        obs = self.obs
-        if obs is not None:
-            obs.execution_started(self, job, now)
+        batch = job.batch
+        batch.co_run, batch.start_fbr = len(self._active), self.total_fbr
         if self._busy_since is None:
             self._busy_since = now
 
@@ -338,7 +334,6 @@ class GPUDevice:
 
     def _complete(self, job: Job) -> None:
         now = self.sim.now
-        job.completed_at = now
         self.jobs_completed += 1
         batch = job.batch
         batch.started_at = job.started_at

@@ -67,7 +67,6 @@ class Job:
     work: float = field(default=0.0)
     submitted_at: float = field(default=0.0)
     started_at: Optional[float] = field(default=None)
-    completed_at: Optional[float] = field(default=None)
 
     def __post_init__(self) -> None:
         if not (self.solo_time > 0 and self.fbr >= 0 and self.mem_gb >= 0

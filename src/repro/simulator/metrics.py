@@ -24,12 +24,15 @@ from repro.framework.request import PHASES, Batch
 
 __all__ = ["ROW", "BatchLog", "BatchReader", "BatchRows", "MetricsCollector"]
 
-_FLOATS = ("dispatched_at", "started_at", "completed_at") + PHASES
+_FLOATS = ("dispatched_at", "started_at", "completed_at") + PHASES + (
+    "start_fbr",)
 _INTS = ("batch_id", "node_id", "model", "hardware", "mode", "retries",
-         "first", "size")
+         "first", "size", "co_run")
 #: One batch-log row.  ``started_at`` is NaN for a batch that never
-#: reported a start.  ``model``, ``hardware`` and ``mode`` index the
-#: log's :attr:`BatchLog.names`; ``first`` and ``size`` locate the batch's
+#: reported a start.  ``co_run`` and ``start_fbr`` are the device's
+#: execution context when the batch last started (:class:`Batch`).
+#: ``model``, ``hardware`` and ``mode`` index the log's
+#: :attr:`BatchLog.names`; ``first`` and ``size`` locate the batch's
 #: arrivals in the flat arrivals buffer.
 ROW = np.dtype([(name, "f8") for name in _FLOATS]
                + [(name, "i8") for name in _INTS])
@@ -97,7 +100,7 @@ class BatchLog:
     """Append-only columnar log of completed batches, one row per batch.
 
     Rows are packed into one ``bytearray`` in the :data:`ROW` layout and
-    every batch's arrivals into another, so a batch costs 136 bytes plus
+    every batch's arrivals into another, so a batch costs 152 bytes plus
     8 per request and no Python object.  :meth:`rows` returns a copy;
     :meth:`view` does not, and the log cannot grow while a view is alive,
     so a view must not outlive the computation that reads it.
@@ -145,8 +148,9 @@ class BatchLog:
             batch.completed_at,
             bd.batching_wait, bd.cold_start_wait, bd.queue_delay,
             bd.exec_solo, bd.interference_extra, bd.failure_wait,
+            batch.start_fbr,
             batch.batch_id, node_id, model, hardware, mode,
-            batch.retries, self.n_requests, arrivals.size,
+            batch.retries, self.n_requests, arrivals.size, batch.co_run,
         )
         self._arrivals += arrivals.tobytes()
         self.n_requests += arrivals.size

@@ -97,7 +97,6 @@ class LiveDashboard:
         self.fallback_every = int(fallback_every)
         self.hardware_names = dict(hardware_names or {})
         self._history: dict[str, list[float]] = {}
-        self._n_rows = 0
         self._painted_lines = 0
         self._last_paint = 0.0
         self._dead = False

@@ -1,6 +1,6 @@
 """The per-run observer bundle: the one hook surface of every pillar.
 
-The simulator, the resilience layer and the framework report *facts* —
+The cluster, the resilience layer and the framework report *facts* —
 a node was leased, a container started spawning, a retry was abandoned
 — to a single ``obs`` attribute per component.  On
 untraced runs ``obs`` is ``None``, so each hook site costs one attribute
@@ -11,10 +11,11 @@ On traced runs it holds a :class:`RunObservers`, which fans each fact
 out to whichever pillars the run enabled.
 
 Completed batches are not a fact here: the run appends each one to its
-:class:`~repro.simulator.metrics.BatchLog` once, and every pillar reads
+:class:`~repro.simulator.metrics.BatchLog` once, with the device's
+co-run level and FBR at the batch's last start, and every pillar reads
 that log when it needs it — the SLO monitor per evaluation, the cost
 meter and request tracer at finalize, the batch spans and latency
-histogram at export.
+histogram at export.  The devices hold no ``obs``.
 
 :meth:`RunObservers.for_run` is the one place that wires a traced run:
 it decides which pillars the run has, which state the time-series
@@ -40,7 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.framework.request import Batch
     from repro.framework.system import ServerlessRun
     from repro.simulator.cluster import LeaseRecord, NodeInstance
-    from repro.simulator.job import Job
     from repro.telemetry.tracer import Tracer
 
 __all__ = ["RunObservers", "TELEMETRY_SAMPLE_INTERVAL_SECONDS"]
@@ -135,7 +135,7 @@ class RunObservers:
         return obs
 
     # ------------------------------------------------------------------
-    # Cluster, containers, devices
+    # Cluster and containers
     # ------------------------------------------------------------------
     def node_acquired(self, node: "NodeInstance", now: float,
                       ready_at: float, instant: bool) -> None:
@@ -179,14 +179,6 @@ class RunObservers:
     def container_spawned(self, node_id: int, t0: float, t1: float) -> None:
         if self.costmeter is not None:
             self.costmeter.on_spawn(node_id, t0, t1)
-
-    def execution_started(self, device: Any, job: "Job", now: float) -> None:
-        """``device`` has just added ``job`` to its running set."""
-        if self.reqtrace is not None:
-            self.reqtrace.on_execute_start(
-                job.batch.batch_id, now, device.spec.name,
-                device.co_run_level, getattr(device, "total_fbr", 0.0),
-            )
 
     # ------------------------------------------------------------------
     # Framework: losses, retries, breakers

@@ -6,11 +6,11 @@ request slow?".  A :class:`RequestTracer` records, per request id, a
 typed phase timeline — arrival -> window wait -> batch formation
 (batch id, peers, deadline-setting member) -> queue -> cold-start wait
 -> dispatch (hardware, co-run slot) -> interference slowdown -> retry
-attempts -> completion.  Completed batches come from the run's batch
-log (:class:`~repro.simulator.metrics.BatchLog`), read once when the
-trace is frozen; execution starts, node churn, retries and breaker
-flips are reported by the simulator devices, the cluster, and the
-resilience layer through the run's observer bundle
+attempts -> completion.  Completed batches, with each one's execution
+context at its last start, come from the run's batch log
+(:class:`~repro.simulator.metrics.BatchLog`), read once when the trace
+is frozen; node churn, retries and breaker flips are reported by the
+cluster and the resilience layer through the run's observer bundle
 (:mod:`repro.telemetry.observers`).
 
 Columnar, records on read
@@ -19,7 +19,7 @@ The simulator never materialises per-request Python objects on the hot
 path (:class:`~repro.framework.request.Batch` carries a sorted arrivals
 array), and neither does the tracer: a frozen trace keeps the retained
 batches as batch-log rows (:class:`~repro.simulator.metrics.BatchRows`)
-plus four columns of its own, and builds one :class:`BatchTrace` per
+plus two columns of its own, and builds one :class:`BatchTrace` per
 batch only when a reader asks for :attr:`RequestTraceData.records`.
 Worst-K, rid lookup, the per-phase columns and the JSONL export work on
 the columns.  Request ``i`` of a batch shares every phase with its
@@ -64,7 +64,6 @@ import itertools
 import json
 import math
 import operator
-from array import array
 from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
@@ -249,12 +248,6 @@ class RequestTracer:
         self.events_dropped = 0
         #: The run's batch log.
         self._log: Optional[BatchLog] = None
-        #: Execution starts reported by the devices: the batch id, and
-        #: (start time, co-run level, total FBR) per start.  A retried
-        #: batch starts more than once; its last start is the one that
-        #: completed.
-        self._exec_ids = array("q")
-        self._exec = array("d")
         self._events: list[dict[str, Any]] = []
         self._models: dict[str, float] = {}
         self._horizon = 0.0
@@ -273,18 +266,6 @@ class RequestTracer:
         self._log = log
 
     # ------------------------------------------------------------------
-    # Hot-path hook (one `is None` branch at the call site)
-    # ------------------------------------------------------------------
-    def on_execute_start(self, batch_id: int, now: float, hardware: str,
-                         co_run: int, total_fbr: float) -> None:
-        """A device started executing the batch (from ``GPUDevice._start``)."""
-        self._exec_ids.append(batch_id)
-        ex = self._exec
-        ex.append(now)
-        ex.append(co_run)
-        ex.append(total_fbr)
-
-    # ------------------------------------------------------------------
     # Reading the batch log
     # ------------------------------------------------------------------
     def on_batch_complete(self) -> tuple[BatchRows, dict[str, np.ndarray]]:
@@ -295,9 +276,8 @@ class RequestTracer:
         not, so a batch's first rid is its arrivals' offset in the log.
         A batch is kept when it is sampled or among the ``tail_k`` worst
         by (first-arrival latency, batch id).  Returns the kept rows
-        (a copy, ``started_at`` set to each batch's last device start)
-        and, per kept row, the columns :class:`RequestTraceData` holds
-        next to them.
+        (a copy) and, per kept row, the columns :class:`RequestTraceData`
+        holds next to them.
         """
         log = self._log if self._log is not None else BatchLog()
         self.n_batches_seen = len(log)
@@ -312,28 +292,7 @@ class RequestTracer:
         first_rid = rows["first"][keep]
         kept = rows.select(keep)
         kept.names = {col: list(v) for col, v in log.names.items()}
-        found, start, co_run, fbr = self._last_starts(kept["batch_id"])
-        # A batch's last start; one no device reported keeps its own.
-        kept.rows["started_at"] = np.where(found, start, kept["started_at"])
-        return kept, {"first_rid": first_rid, "co_run": co_run,
-                      "total_fbr": fbr, "sampled": sampled[keep]}
-
-    def _last_starts(self, batch_ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Per batch id: whether a device reported its start, and the
-        (start, co-run level, total FBR) of its last start."""
-        ids = np.array(self._exec_ids, dtype=np.int64)
-        n = batch_ids.size
-        if not ids.size:
-            return (np.zeros(n, dtype=bool), np.full(n, math.nan),
-                    np.ones(n, dtype=np.int64), np.zeros(n))
-        ex = np.array(self._exec).reshape(-1, 3)
-        uniq, rev_first = np.unique(ids[::-1], return_index=True)
-        last = ex[ids.size - 1 - rev_first]
-        pos = np.minimum(np.searchsorted(uniq, batch_ids), uniq.size - 1)
-        found = uniq[pos] == batch_ids
-        last = last[pos]
-        return (found, last[:, 0], np.where(found, last[:, 1], 1).astype(
-            np.int64), np.where(found, last[:, 2], 0.0))
+        return kept, {"first_rid": first_rid, "sampled": sampled[keep]}
 
     def on_run_end(self, now: float) -> None:
         """Record the run horizon (the clock when the run finalizes)."""
@@ -374,9 +333,9 @@ class RequestTraceData:
     the auxiliary events.
 
     ``rows`` holds the kept batches as batch-log rows in rid order, their
-    arrivals back to back from index 0 and ``started_at`` the batch's
-    last start (NaN when none was reported); next to them, one value per
-    row: ``first_rid``, ``co_run``, ``total_fbr`` and ``sampled``.
+    arrivals back to back from index 0 (``started_at``, ``co_run`` and
+    ``start_fbr`` are each batch's last start); next to them, one value
+    per row: ``first_rid`` and ``sampled``.
     :class:`BatchTrace` records are built only when :attr:`records` is
     read.  Produced live by :meth:`RequestTracer.data` or loaded from
     disk by :func:`read_reqtrace`; both fill the same columns
@@ -385,14 +344,11 @@ class RequestTraceData:
 
     def __init__(self, meta: dict[str, Any], rows: BatchRows,
                  events: list[dict[str, Any]], *, first_rid: np.ndarray,
-                 co_run: np.ndarray, total_fbr: np.ndarray,
                  sampled: np.ndarray) -> None:
         self.meta = meta
         self.rows = rows
         self.events = events
         self.first_rid = first_rid
-        self.co_run = co_run
-        self.total_fbr = total_fbr
         self.sampled = sampled
         self._records: Optional[list[BatchTrace]] = None
 
@@ -431,7 +387,7 @@ class RequestTraceData:
                 col["completed_at"].tolist(),
                 col["retries"].tolist(),
                 zip(*(col[name].tolist() for name in PHASES)),
-                self.co_run[idx].tolist(), self.total_fbr[idx].tolist(),
+                col["co_run"].tolist(), col["start_fbr"].tolist(),
                 self.sampled[idx].tolist(),
             )
         ]
@@ -516,10 +472,7 @@ class RequestTraceData:
         models, modes, hardware = (rows.names[name] for name in
                                    ("model", "mode", "hardware"))
         arrivals = rows.arrivals
-        for row, rid, co_run, total_fbr, sampled in zip(
-            rows.rows, self.first_rid, self.co_run, self.total_fbr,
-            self.sampled,
-        ):
+        for row, rid, sampled in zip(rows.rows, self.first_rid, self.sampled):
             r = dict(zip(fields, row.item()))
             first, started = r["first"], r["started_at"]
             yield {
@@ -536,8 +489,8 @@ class RequestTraceData:
                 "completed_at": r["completed_at"],
                 "retries": r["retries"],
                 "phases": {name: r[name] for name in PHASES},
-                "co_run": co_run.item(),
-                "total_fbr": total_fbr.item(),
+                "co_run": r["co_run"],
+                "total_fbr": r["start_fbr"],
                 "sampled": sampled.item(),
             }
 
@@ -571,7 +524,7 @@ _BATCH_FIELDS = frozenset((
 def _batch_row(obj: dict[str, Any], first: int,
                names: dict[str, list], codes: dict[str, dict]) -> tuple:
     """Parse one ``reqtrace_batch`` record into ``(ROW values, arrivals,
-    first_rid, co_run, total_fbr, sampled)``; its arrivals start at
+    first_rid, sampled)``; its arrivals start at
     ``first`` in the trace's arrivals, and its named columns are coded
     in ``names``/``codes`` as :class:`BatchLog` codes them."""
     if obj.keys() != _BATCH_FIELDS:
@@ -597,10 +550,10 @@ def _batch_row(obj: dict[str, Any], first: int,
         completed_at=float(obj["completed_at"]),
         batch_id=int(obj["batch_id"]), node_id=int(obj["node_id"]),
         retries=int(obj["retries"]), first=first, size=arrivals.size,
+        co_run=int(obj["co_run"]), start_fbr=float(obj["total_fbr"]),
     )
-    return (_row_values(values), arrivals,
-            int(obj["first_rid"]), int(obj["co_run"]),
-            float(obj["total_fbr"]), bool(obj["sampled"]))
+    return (_row_values(values), arrivals, int(obj["first_rid"]),
+            bool(obj["sampled"]))
 
 
 def read_reqtrace(path: str) -> RequestTraceData:
@@ -664,8 +617,8 @@ def read_reqtrace(path: str) -> RequestTraceData:
                 )
     if meta is None:
         raise ValueError(f"{path}: missing reqtrace_meta header line")
-    values, arrivals, first_rid, co_run, fbr, sampled = (
-        zip(*batches) if batches else ((),) * 6
+    values, arrivals, first_rid, sampled = (
+        zip(*batches) if batches else ((),) * 4
     )
     rows = BatchRows(
         np.array(list(values), dtype=ROW),
@@ -673,8 +626,6 @@ def read_reqtrace(path: str) -> RequestTraceData:
     )
     columns = {
         "first_rid": np.array(first_rid, dtype=np.int64),
-        "co_run": np.array(co_run, dtype=np.int64),
-        "total_fbr": np.array(fbr, dtype=np.float64),
         "sampled": np.array(sampled, dtype=bool),
     }
     order = np.argsort(columns["first_rid"], kind="stable")

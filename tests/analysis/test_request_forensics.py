@@ -24,8 +24,9 @@ def data():
     """A small trace: three batches, one retry event, one SLO lane."""
     tracer = make_tracer()
     tracer.register_model("resnet50", 0.8)
-    tracer.on_execute_start(0, 0.5, "A100", 2, 0.9)
-    complete(tracer, make_batch([0.0, 0.2, 0.4], 1.0, batch_id=0), node_id=0)
+    complete(tracer, make_batch([0.0, 0.2, 0.4], 1.0, batch_id=0,
+                                started_at=0.5, co_run=2, start_fbr=0.9),
+             node_id=0)
     tracer.event("retry.dispatch", 2.1, batch_id=1, attempt=1, hardware="T4")
     complete(tracer, make_batch([2.0], 4.5, batch_id=1, hardware="T4",
                                 retries=1), node_id=1)

@@ -81,7 +81,7 @@ class TestNoise:
             sim.run()
             noise = 1.0 + 0.1 * float(twin.standard_normal())
             service = solo * max(0.5, noise) * 1.0 * 1.0
-            assert job.completed_at == job.started_at + service, i
+            assert job.batch.completed_at == job.started_at + service, i
         assert dev.jobs_completed == 150
 
 

@@ -80,8 +80,8 @@ class TestConservation:
             sim.schedule_at(delay, lambda j=job: dev.submit(j))
         sim.run()
         for job in jobs:
-            assert job.completed_at is not None
-            exec_time = job.completed_at - job.started_at
+            assert job.batch.completed_at is not None
+            exec_time = job.batch.completed_at - job.started_at
             assert exec_time >= job.solo_time - 1e-9
 
     @given(workload_strategy)

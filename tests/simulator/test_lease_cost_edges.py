@@ -113,7 +113,6 @@ class TestClusterMeterHooks:
         node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
         assert pool.obs is obs
-        assert node.device.obs is obs
         assert pool.node_id == node.node_id
 
     def test_unmetered_cluster_records_nothing(self, sim, catalog, m60):

@@ -34,8 +34,13 @@ def make_batch(
     hardware="A100",
     mode="spatial",
     retries=0,
+    started_at=None,
+    co_run=0,
+    start_fbr=0.0,
 ):
-    """A completed batch whose breakdown conserves first-arrival latency."""
+    """A completed batch whose breakdown conserves first-arrival latency;
+    ``started_at``, ``co_run`` and ``start_fbr`` are its last start, as a
+    device sets them."""
     arrivals = np.asarray(arrivals, dtype=np.float64)
     batch = Batch(
         model=SimpleNamespace(name=model_name),
@@ -46,6 +51,8 @@ def make_batch(
     )
     batch.hardware_name = hardware
     batch.retries = retries
+    batch.started_at = started_at
+    batch.co_run, batch.start_fbr = co_run, start_fbr
     batch.breakdown.batching_wait = float(arrivals[-1] - arrivals[0])
     batch.breakdown.exec_solo = completed_at - float(arrivals[-1])
     batch.complete(completed_at)
@@ -228,12 +235,10 @@ class TestPhases:
 
     def test_execute_start_context_lands_on_batch(self):
         tracer = make_tracer()
-        # A retried batch starts twice; the last start is the one that
-        # completed.
-        tracer.on_execute_start(5, 0.1, "V100", co_run=1, total_fbr=0.5)
-        tracer.on_execute_start(6, 0.2, "A100", co_run=2, total_fbr=1.0)
-        tracer.on_execute_start(5, 0.4, "A100", co_run=3, total_fbr=1.5)
-        complete(tracer, make_batch([0.0], 1.0, batch_id=5), node_id=2)
+        # The device stamps each start on the batch; the log keeps the
+        # last one, the start that completed.
+        complete(tracer, make_batch([0.0], 1.0, batch_id=5, started_at=0.4,
+                                    co_run=3, start_fbr=1.5), node_id=2)
         (rec,) = tracer.data().records
         assert (rec.co_run, rec.total_fbr, rec.started_at) == (3, 1.5, 0.4)
         assert rec.node_id == 2
@@ -268,8 +273,9 @@ class TestRoundTrip:
     def _sample_tracer(self):
         tracer = make_tracer(sample=0.9, tail_k=8, seed=3)
         tracer.register_model("resnet50", 0.5)
-        tracer.on_execute_start(0, 0.5, "A100", 2, 0.8)
-        complete(tracer, make_batch([0.0, 0.25], 1.0, batch_id=0), node_id=1)
+        complete(tracer, make_batch([0.0, 0.25], 1.0, batch_id=0,
+                                    started_at=0.5, co_run=2, start_fbr=0.8),
+                 node_id=1)
         tracer.event("retry.dispatch", 0.2, batch_id=0, attempt=1,
                      hardware="A100")
         tracer.on_run_end(60.0)

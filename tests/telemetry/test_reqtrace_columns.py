@@ -142,7 +142,7 @@ def test_jsonl_round_trip_keeps_the_columns(data, tmp_path_factory):
         assert np.array_equal(loaded.rows[name], data.rows[name],
                               equal_nan=name == "started_at"), name
     assert np.array_equal(loaded.rows.arrivals, data.rows.arrivals)
-    for name in ("first_rid", "co_run", "total_fbr", "sampled"):
+    for name in ("first_rid", "sampled"):
         assert np.array_equal(getattr(loaded, name), getattr(data, name))
     again = path.with_suffix(".again")
     loaded.save_jsonl(str(again))
