@@ -467,7 +467,6 @@ class AttributionReport:
 def attribute_trace(
     trace: Union[str, TraceData],
     slo_seconds: Optional[float] = None,
-    attainment_window_seconds: float = 30.0,
 ) -> AttributionReport:
     """Run the full attribution analysis over a trace.
 
@@ -520,9 +519,7 @@ def attribute_trace(
         n_requests=n_requests,
         violations=violations,
         meta=dict(data.meta),
-        attainment=attainment_series(
-            data, slo_seconds, window_seconds=attainment_window_seconds
-        ),
+        attainment=attainment_series(data, slo_seconds),
         alerts=data.events_named("slo_alert"),
         retry_summary={
             kind: len(data.events_named(f"retry.{kind}"))

@@ -14,10 +14,11 @@ per-batch breakdown fields onto those bars:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from repro.framework.system import RunResult
 
-__all__ = ["TailBreakdown", "tail_breakdown_of"]
+__all__ = ["TailBreakdown", "paper_bars_ms", "tail_breakdown_of"]
 
 
 @dataclass(frozen=True)
@@ -46,16 +47,6 @@ class TailBreakdown:
         INFless/Llama($) on ResNet 50)."""
         return self.interference_ms / self.total_ms if self.total_ms else 0.0
 
-    def as_row(self) -> list:
-        return [
-            self.scheme,
-            self.model,
-            round(self.min_possible_ms, 1),
-            round(self.queueing_ms, 1),
-            round(self.interference_ms, 1),
-            round(self.total_ms, 1),
-        ]
-
 
 def tail_breakdown_of(result: RunResult, q: float = 99.0) -> TailBreakdown:
     """Extract the paper-style tail breakdown from a run result."""
@@ -64,10 +55,15 @@ def tail_breakdown_of(result: RunResult, q: float = 99.0) -> TailBreakdown:
         if result.metrics is not None
         else result.tail_breakdown
     )
-    return TailBreakdown(
-        scheme=result.scheme,
-        model=result.model,
-        min_possible_ms=(bd["exec_solo"] + bd["batching_wait"]) * 1e3,
-        queueing_ms=(bd["queue_delay"] + bd["cold_start_wait"]) * 1e3,
-        interference_ms=bd["interference_extra"] * 1e3,
+    return TailBreakdown(result.scheme, result.model, *paper_bars_ms(bd))
+
+
+def paper_bars_ms(components: Mapping[str, float]) -> tuple[float, float, float]:
+    """The paper's three P99 bars, in ms, from one tail breakdown's
+    components: ``(min_possible, queueing, interference)`` by the
+    mapping in the module note."""
+    return (
+        (components["exec_solo"] + components["batching_wait"]) * 1e3,
+        (components["queue_delay"] + components["cold_start_wait"]) * 1e3,
+        components["interference_extra"] * 1e3,
     )

@@ -25,9 +25,13 @@ __all__ = [
 ]
 
 
-def drop_outliers(values: Sequence[float], n_sigma: float = 2.5) -> np.ndarray:
-    """Remove values more than ``n_sigma`` standard deviations from the
-    mean (the paper's Section VI averaging rule).
+#: The paper's outlier cut, in standard deviations from the mean.
+OUTLIER_N_SIGMA = 2.5
+
+
+def drop_outliers(values: Sequence[float]) -> np.ndarray:
+    """Remove values more than :data:`OUTLIER_N_SIGMA` standard
+    deviations from the mean (the paper's Section VI averaging rule).
 
     With fewer than 3 values, or zero variance, nothing is dropped.
     """
@@ -37,13 +41,13 @@ def drop_outliers(values: Sequence[float], n_sigma: float = 2.5) -> np.ndarray:
     std = arr.std()
     if std == 0:
         return arr
-    mask = np.abs(arr - arr.mean()) <= n_sigma * std
+    mask = np.abs(arr - arr.mean()) <= OUTLIER_N_SIGMA * std
     return arr[mask]
 
 
-def mean_without_outliers(values: Sequence[float], n_sigma: float = 2.5) -> float:
+def mean_without_outliers(values: Sequence[float]) -> float:
     """Mean after :func:`drop_outliers`; NaN for empty input."""
-    arr = drop_outliers(values, n_sigma)
+    arr = drop_outliers(values)
     if arr.size == 0:
         return float("nan")
     return float(arr.mean())

@@ -332,7 +332,6 @@ class HardwareSelector:
         #: extension (its stated future work) plugs in live estimates.
         self.contention_for: Callable[[HardwareSpec], float] = _no_contention
         self._wait_ctr = 0
-        self.switches_requested = 0
         #: Decision-audit sink; every tick emits a
         #: ``hardware_selection.tick`` event when tracing is enabled.
         self.tracer: Tracer = NULL_TRACER
@@ -615,7 +614,6 @@ class HardwareSelector:
             )
         if switch:
             self._wait_ctr = 0
-            self.switches_requested += 1
         # Positional arguments (chosen, table, switch_requested,
         # predicted_rps): keywords cost more once per tick.
         return SelectionOutcome(chosen, table, switch, rate)

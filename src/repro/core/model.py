@@ -75,10 +75,6 @@ class SplitDecision:
     def n_spatial_batches(self) -> int:
         return math.ceil(self.n_spatial / self.batch_size) if self.n_spatial else 0
 
-    @property
-    def n_temporal_batches(self) -> int:
-        return math.ceil(self.y / self.batch_size) if self.y else 0
-
 
 def t_max_curve(
     y: np.ndarray,

@@ -9,7 +9,6 @@ in :class:`OraclePredictor`, which reads the trace's true rate curve.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import Optional
 
 from repro.workloads.traces import Trace
@@ -131,12 +130,13 @@ class RateTracker:
     closes the current interval.
     """
 
-    def __init__(self, window_seconds: float = 1.0, history: int = 64) -> None:
+    def __init__(self, window_seconds: float = 1.0) -> None:
         if window_seconds <= 0:
             raise ValueError("window must be positive")
         self.window_seconds = float(window_seconds)
         self._count = 0
-        self._samples: deque[float] = deque(maxlen=history)
+        #: Most recent closed-interval rate (0 before the first sample).
+        self.current_rate = 0.0
 
     def count(self, n: int) -> None:
         """Record ``n`` arrivals in the current interval."""
@@ -144,17 +144,6 @@ class RateTracker:
 
     def sample(self, now: float) -> float:
         """Close the interval, returning its rate (rps) and resetting."""
-        rate = self._count / self.window_seconds
-        self._samples.append(rate)
+        rate = self.current_rate = self._count / self.window_seconds
         self._count = 0
         return rate
-
-    @property
-    def current_rate(self) -> float:
-        """Most recent closed-interval rate (0 before the first sample)."""
-        return self._samples[-1] if self._samples else 0.0
-
-    @property
-    def recent_max(self) -> float:
-        """Max over the retained history (conservative capacity checks)."""
-        return max(self._samples) if self._samples else 0.0

@@ -169,8 +169,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
         self._probes_in_flight = 0
-        #: Lifetime transition counts (exported as breaker metrics).
-        self.times_opened = 0
 
     # ------------------------------------------------------------------
     def _transition(self, state: str, now: float) -> None:
@@ -217,7 +215,6 @@ class CircuitBreaker:
             and self.consecutive_failures >= self.policy.failure_threshold
         ):
             self.opened_at = now
-            self.times_opened += 1
             self._transition(self.OPEN, now)
 
     def record_success(self, now: float) -> None:
@@ -251,7 +248,6 @@ class ResilienceController:
         self.obs: Optional["RunObservers"] = None
         self._rng = random.Random(config.seed)
         self._breakers: dict[str, CircuitBreaker] = {}
-        # Counters (mirrored into the metrics registry by the framework).
         self.retries_scheduled = 0
         self.retries_abandoned = 0
         self.requests_shed = 0
@@ -295,14 +291,6 @@ class ResilienceController:
     def degraded(self, now: float) -> bool:
         """Whether any target's breaker is currently refusing dispatches."""
         return any(b.blocking(now) for b in self._breakers.values())
-
-    def open_breakers(self) -> int:
-        """How many breakers are not CLOSED (open or half-open)."""
-        return sum(
-            1
-            for b in self._breakers.values()
-            if b.state != CircuitBreaker.CLOSED
-        )
 
     def breaker_state_counts(self) -> dict[str, int]:
         """Breakers per state (time-series sampler probe).  Targets that

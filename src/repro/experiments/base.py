@@ -55,22 +55,6 @@ class ExperimentReport:
         """Index rows by their first ``key_cols`` columns."""
         return {tuple(r[:key_cols]): r for r in self.rows}
 
-    def to_csv(self) -> str:
-        """The regenerated series as CSV (header + rows)."""
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(self.headers)
-        writer.writerows(self.rows)
-        return buf.getvalue()
-
-    def write_csv(self, path) -> None:
-        """Write :meth:`to_csv` to ``path``."""
-        with open(path, "w", newline="") as fh:
-            fh.write(self.to_csv())
-
 
 #: The paper's published numbers, used by the benchmark harness to print
 #: paper-vs-measured and by tests to check reproduction *shapes*.

@@ -108,8 +108,6 @@ class LocalPoolExecutor(Executor):
         self.max_workers = max_workers
         self._mp_context = mp_context
         self.inject = None
-        #: Times the pool was rebuilt after a crash or a stuck fleet.
-        self.n_pool_respawns = 0
 
     # ------------------------------------------------------------------
     def _new_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -171,7 +169,6 @@ class LocalPoolExecutor(Executor):
 
         def respawn(reason: str) -> None:
             nonlocal pool
-            self.n_pool_respawns += 1
             EXECUTOR_METRICS.counter("executor.pool_respawn").inc()
             logger.warning(
                 "respawning worker pool (%s); %d cell(s) in flight",

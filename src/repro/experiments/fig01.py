@@ -26,20 +26,17 @@ def run(
     duration: float = 240.0,
     seed: int = 0,
     hybrid_fractions: Optional[tuple[float, float]] = None,
-    sweep: bool = True,
 ) -> ExperimentReport:
     """Regenerate Fig 1.
 
     Parameters
     ----------
     hybrid_fractions:
-        Pre-computed offline-hybrid temporal fractions; when None and
-        ``sweep`` is True the offline sweep runs first (slower).
+        Pre-computed offline-hybrid temporal fractions; when None the
+        offline sweep runs first (slower).
     """
-    if hybrid_fractions is None and sweep:
+    if hybrid_fractions is None:
         hybrid_fractions = sweep_offline_hybrid(duration=duration, seed=seed)
-    elif hybrid_fractions is None:
-        hybrid_fractions = (0.3, 0.3)
     rows = []
     for scheme in MOTIVATION_SCHEMES:
         outcome = run_motivation_scheme(

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.analysis.breakdown import paper_bars_ms
 from repro.analysis.stats import compliance_percent
 from repro.baselines.offline_hybrid import DEFAULT_FRACTION_GRID, OfflineHybridPolicy
 from repro.framework.batching import WindowTable
@@ -313,12 +314,10 @@ def run_motivation_scheme(
         offered = tenant.trace.n_requests
         unserved = max(0, offered - metrics.completed_requests(name))
         compliance[name] = compliance_percent(lat, slo.target_seconds, unserved)
-        bd = metrics.tail_breakdown(q=99.0, model=name)
-        breakdown[name] = {
-            "min_possible_ms": (bd["exec_solo"] + bd["batching_wait"]) * 1e3,
-            "queueing_ms": (bd["queue_delay"] + bd["cold_start_wait"]) * 1e3,
-            "interference_ms": bd["interference_extra"] * 1e3,
-        }
+        breakdown[name] = dict(zip(
+            ("min_possible_ms", "queueing_ms", "interference_ms"),
+            paper_bars_ms(metrics.tail_breakdown(q=99.0, model=name)),
+        ))
     return MotivationOutcome(
         scheme=scheme,
         hardware=hw.name,
@@ -336,19 +335,25 @@ def sweep_offline_hybrid(
 ) -> tuple[float, float]:
     """The offline sweep: per-model temporal fractions maximising overall
     SLO compliance on the M60 (Section II's 'numerous combinations ...
-    beforehand').  Swept coordinate-wise to keep the grid tractable."""
+    beforehand').  Swept coordinate-wise to keep the grid tractable; each
+    fraction pair is simulated once (the start pair recurs on axis 0, and
+    the axis-0 winner on axis 1)."""
     profiles = profiles if profiles is not None else ProfileService()
     slo = SLO()
     m60 = profiles.catalog.get("g3s.xlarge")
+    scores: dict[tuple[float, float], float] = {}
 
     def overall(fractions: tuple[float, float]) -> float:
-        tenants = _make_tenants(fractions, duration, seed)
-        metrics = PinnedColocationRun(
-            tenants, m60, profiles, slo, seed=seed
-        ).execute()
-        lat = metrics.latencies()
-        unserved = metrics.unserved_requests
-        return compliance_percent(lat, slo.target_seconds, unserved)
+        if fractions not in scores:
+            tenants = _make_tenants(fractions, duration, seed)
+            metrics = PinnedColocationRun(
+                tenants, m60, profiles, slo, seed=seed
+            ).execute()
+            scores[fractions] = compliance_percent(
+                metrics.latencies(), slo.target_seconds,
+                metrics.unserved_requests,
+            )
+        return scores[fractions]
 
     best = (0.5, 0.5)
     best_score = overall(best)

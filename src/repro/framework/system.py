@@ -85,8 +85,6 @@ class RunConfig:
     ----------
     keep_alive_seconds:
         Delayed-termination window (~10 min).
-    warm_start:
-        Start with the policy's initial node leased and containers warm.
     chaos:
         Optional fault specification: the Fig 13b periodic node outage
         (``PeriodicOutage``), stochastic crashes, slowdowns, cold-start
@@ -139,7 +137,6 @@ class RunConfig:
     """
 
     keep_alive_seconds: float = 600.0
-    warm_start: bool = True
     chaos: Optional[ChaosSpec] = None
     resilience: Optional[ResilienceConfig] = None
     sebs_colocation: bool = False
@@ -384,12 +381,9 @@ class ServerlessRun:
         self._owned[node.node_id] = node
         self._current = node
         self.switch_log.append((0.0, "-", initial_hw.name))
-        if cfg.warm_start:
-            batch = self.policy.batch_size_on(initial_hw)
-            n_warm = containers_for_split(
-                math.ceil(hint), batch, has_temporal=True
-            )
-            node.pool(self.model.name).add_warm(n_warm)
+        batch = self.policy.batch_size_on(initial_hw)
+        n_warm = containers_for_split(math.ceil(hint), batch, has_temporal=True)
+        node.pool(self.model.name).add_warm(n_warm)
 
         # Dispatch windows from the trace.  Full batches dispatch at the
         # moment they fill (streaming batcher).  The chunk is the largest

@@ -249,21 +249,10 @@ class HardwareCatalog:
             key=lambda s: s.price_per_hour,
         )
 
-    def cpus(self) -> list[HardwareSpec]:
-        """CPU-only nodes, cheapest first."""
-        return sorted(
-            (s for s in self._specs.values() if not s.is_gpu),
-            key=lambda s: s.price_per_hour,
-        )
-
     def by_cost(self) -> list[HardwareSpec]:
         """All nodes sorted by ascending hourly price (Algorithm 1's
         ``sort_by_cost_ascending``)."""
         return sorted(self._specs.values(), key=lambda s: s.price_per_hour)
-
-    def by_performance(self) -> list[HardwareSpec]:
-        """All nodes from most to least performant (``perf_rank``)."""
-        return sorted(self._specs.values(), key=lambda s: s.perf_rank)
 
     def most_performant_gpu(self) -> HardwareSpec:
         """The brawniest GPU (the paper's V100), used by (P) baselines."""

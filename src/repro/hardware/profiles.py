@@ -14,7 +14,7 @@ given a model's V100 anchors (``repro.workloads.models``) and a node spec
   (largest batch whose solo latency stays inside the 50-200 ms envelope),
 * ``capacity_rps`` / ``sweet_spot_rps`` — sustainable goodput under pure
   time sharing and at the MPS bandwidth knee, used to prune the hardware
-  search space (``get_hw_pool``).
+  search space (``hw_pool_table``, Algorithm 1's ``get_HW_pool``).
 
 Scaling laws
 ------------
@@ -60,9 +60,9 @@ _MEMORY_USABLE_FRACTION = 0.9
 
 
 class HardwarePoolTable(NamedTuple):
-    """``get_hw_pool`` with everything profiled resolved: the capable
-    nodes cheapest-first as ``(hw, sweet_spot_rps, headroom)`` rows (the
-    GPU or CPU headroom, as applies), and the fallback node."""
+    """Algorithm 1's ``get_HW_pool`` with everything profiled resolved:
+    the capable nodes cheapest-first as ``(hw, sweet_spot_rps, headroom)``
+    rows (the GPU or CPU headroom, as applies), and the fallback node."""
 
     rows: tuple[tuple[HardwareSpec, float, float], ...]
     fallback: HardwareSpec
@@ -105,7 +105,7 @@ class ProfileService:
     #: so per-batch fixed overhead bounds throughput at small windows.
     dispatch_window_seconds: float = 0.075
     #: Memoised :class:`HardwarePoolTable` per (model, slo, headrooms) —
-    #: pure functions of the profiles.  ``get_hw_pool`` runs every
+    #: pure functions of the profiles.  The pool is asked every
     #: monitoring tick with a continuously-varying rate, but the rate
     #: only enters a final comparison; everything profiled is cacheable.
     _pool_cache: dict = field(
@@ -221,34 +221,23 @@ class ProfileService:
     # ------------------------------------------------------------------
     # Hardware pool (Algorithm 1's get_HW_pool)
     # ------------------------------------------------------------------
-    def get_hw_pool(
-        self,
-        model: ModelSpec,
-        predicted_rps: float,
-        slo_seconds: float,
-        headroom: float = 1.25,
-        cpu_headroom: float = 1.5,
-    ) -> list[HardwareSpec]:
-        """Candidate nodes able to serve ``predicted_rps`` within the SLO.
+    def hw_pool_table(self, model: ModelSpec, slo_seconds: float,
+                      headroom: float = 1.25, cpu_headroom: float = 1.5,
+                      ) -> HardwarePoolTable:
+        """The nodes able to serve ``model`` within the SLO, memoised (a
+        caller asking every tick resolves it once and calls its
+        ``admit`` with the predicted rate).
 
         A node qualifies when its sweet-spot goodput covers the predicted
         rate with ``headroom``.  CPU nodes get a larger margin
         (``cpu_headroom``): they are the slowest to escape from once a ramp
         outruns them, so they only qualify for comfortably low rates ("CPU
         nodes handle lower request rates", Section IV-A).  The pool is
-        returned cheapest-first (Algorithm 1 sorts by cost ascending).  If
-        *no* node qualifies — the resource-exhaustion regime of Fig 13a —
-        the most performant node(s) are returned so the framework degrades
+        cheapest-first (Algorithm 1 sorts by cost ascending).  If *no*
+        node qualifies — the resource-exhaustion regime of Fig 13a — the
+        most performant node is the pool, so the framework degrades
         instead of refusing.
         """
-        table = self.hw_pool_table(model, slo_seconds, headroom, cpu_headroom)
-        return table.admit(predicted_rps)
-
-    def hw_pool_table(self, model: ModelSpec, slo_seconds: float,
-                      headroom: float = 1.25, cpu_headroom: float = 1.5,
-                      ) -> HardwarePoolTable:
-        """The memoised table behind :meth:`get_hw_pool` (a caller asking
-        every tick resolves it once and calls its ``admit``)."""
         key = (model, slo_seconds, headroom, cpu_headroom)
         table = self._pool_cache.get(key)
         if table is None:
@@ -272,17 +261,6 @@ class ProfileService:
                 fallback,
             )
         return table
-
-    def capable(
-        self,
-        model: ModelSpec,
-        hw: HardwareSpec,
-        rps: float,
-        slo_seconds: float,
-        headroom: float = 1.0,
-    ) -> bool:
-        """Whether ``hw`` can sustain ``rps`` for ``model`` within the SLO."""
-        return self.sweet_spot_rps(model, hw, slo_seconds) >= rps * headroom
 
     # ------------------------------------------------------------------
     # Introspection / reporting

@@ -120,16 +120,6 @@ class ContainerPool:
     def n_waiting(self) -> int:
         return len(self._waiters)
 
-    def snapshot(self) -> dict[str, int]:
-        """Point-in-time pool state for the time-series sampler."""
-        return {
-            "warm_idle": len(self._idle),
-            "busy": self._busy,
-            "spawning": self._spawning,
-            "waiting": len(self._waiters),
-            "cold_starts": self.cold_starts,
-        }
-
     # ------------------------------------------------------------------
     # Scaling
     # ------------------------------------------------------------------
@@ -148,13 +138,6 @@ class ContainerPool:
         Real deployments begin with warmed pools; cold-start accounting
         should reflect scaling during the run, not the rig's boot."""
         self._idle.extend([self.sim.now] * int(n))
-
-    def prewarm(self, n: int) -> int:
-        """Spawn ``n`` additional containers unconditionally (predictive
-        scale-up uses :meth:`ensure`; tests use this)."""
-        for _ in range(int(n)):
-            self._spawn()
-        return int(n)
 
     def _spawn(self) -> None:
         self._spawning += 1

@@ -63,7 +63,6 @@ class CPUDevice:
 
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
-        self.jobs_completed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -71,10 +70,6 @@ class CPUDevice:
     @property
     def n_active(self) -> int:
         return len(self._running)
-
-    @property
-    def n_queued(self) -> int:
-        return len(self._queue)
 
     def queued_requests(self) -> int:
         """Requests sitting in the lane queue (``curr_queue_info``)."""
@@ -101,12 +96,6 @@ class CPUDevice:
         """Instantaneous fraction of lanes busy, in ``[0, 1]``."""
         lanes = max(1, self.spec.cpu_lanes)
         return min(1.0, len(self._running) / lanes)
-
-    def set_contention(self, factor: float) -> None:
-        """Set the host-contention inflation (Table III injector hook)."""
-        if factor < 1.0:
-            raise ValueError("contention factor cannot speed execution up")
-        self.contention_factor = float(factor)
 
     # ------------------------------------------------------------------
     # Submission / execution
@@ -178,7 +167,6 @@ class CPUDevice:
             self._running.remove(job)
         except ValueError:
             return  # evicted by a failure while in flight
-        self.jobs_completed += 1
         now = self.sim.now
         batch = job.batch
         assert job.started_at is not None

@@ -94,7 +94,6 @@ class GPUDevice:
         # Utilization accounting: cumulative busy (non-idle) seconds.
         self.busy_seconds = 0.0
         self._busy_since: Optional[float] = None
-        self.jobs_completed = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -103,11 +102,6 @@ class GPUDevice:
     def n_active(self) -> int:
         """Jobs currently executing (spatial set plus promoted temporal)."""
         return len(self._active)
-
-    @property
-    def n_queued(self) -> int:
-        """Jobs waiting (memory-pending spatial + temporal FIFO)."""
-        return len(self._pending_spatial) + len(self._temporal_q)
 
     def queued_requests(self) -> int:
         """Requests sitting in the device queues (Algorithm 1's
@@ -334,7 +328,6 @@ class GPUDevice:
 
     def _complete(self, job: Job) -> None:
         now = self.sim.now
-        self.jobs_completed += 1
         batch = job.batch
         batch.started_at = job.started_at
         assert job.started_at is not None

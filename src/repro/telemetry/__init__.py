@@ -10,10 +10,8 @@ request's latency actually went.  This package records the path taken:
   per-component **decision events** (hardware-selection ticks with their
   full candidate tables, y-split choices, autoscaler actions, chaos
   fault injections, node leases).
-* :class:`~repro.telemetry.metrics.MetricsRegistry` — counters and
-  fixed-bucket histograms (request latency, result-cache and executor
-  counts); a histogram keeps bucket counts, count and sum, exactly what
-  the Prometheus snapshot exports.
+* :class:`~repro.telemetry.metrics.MetricsRegistry` — counters (the
+  result-cache and executor counts).
 * :class:`~repro.telemetry.timeseries.StateSampler` — the run's state
   (rates, serving hardware, queues, pools, occupancy, breakers) sampled
   into columns on a fixed sim-time interval.
@@ -30,7 +28,9 @@ request's latency actually went.  This package records the path taken:
   edge-triggered ``budget_alert`` events when the burn rate projects
   past the run's dollar budget.
 * :mod:`~repro.telemetry.prometheus` — Prometheus text-format snapshot
-  of the registry, the sampler's last readings and the monitor windows.
+  of a registry's counters, or of a traced run: its request-latency
+  histogram (computed from the batch log at export), the sampler's last
+  readings and the monitor windows.
 * :class:`~repro.telemetry.reqtrace.RequestTracer` — per-request causal
   phase timelines (arrival → batching → cold start → queue → dispatch →
   interference → retries → completion) feeding the tail-latency
@@ -61,7 +61,7 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "tracer": ("NULL_TRACER", "SpanRecord", "TraceEventRecord", "Tracer"),
-    "metrics": ("Counter", "Histogram", "MetricsRegistry"),
+    "metrics": ("Counter", "MetricsRegistry"),
     "costmeter": (
         "CostBreakdown", "CostBudgetMonitor", "CostMeter", "LeaseCost",
         "ModelSpecCost",

@@ -170,15 +170,6 @@ class CostBreakdown:
     def idle_dollars(self) -> float:
         return self.bucket_dollars["idle"]
 
-    @property
-    def reconfig_dollars(self) -> float:
-        return self.bucket_dollars["reconfig"]
-
-    def request_cost_dollars(self, batch_id: int) -> float:
-        """One request's pro-rata dollar share of its batch."""
-        n = self.batch_requests.get(batch_id, 0)
-        return self.batch_cost_dollars.get(batch_id, 0.0) / n if n else 0.0
-
     def attributed_dollars(self) -> float:
         """Per-request attribution + overhead buckets (the conservation
         identity's left-hand side)."""
@@ -282,10 +273,6 @@ class CostMeter:
             for s in self._open.values()
         )
         return self._closed_dollars + open_dollars
-
-    @property
-    def n_leases(self) -> int:
-        return len(self._open) + len(self._closed)
 
     # ------------------------------------------------------------------
     # Itemization

@@ -202,10 +202,6 @@ class LedgerComparison:
         return [d for d in self.deltas if d.regressed]
 
     @property
-    def improvements(self) -> list[MetricDelta]:
-        return [d for d in self.deltas if d.improved]
-
-    @property
     def regressed(self) -> bool:
         return bool(self.regressions)
 

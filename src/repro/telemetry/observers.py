@@ -14,7 +14,7 @@ Completed batches are not a fact here: the run appends each one to its
 :class:`~repro.simulator.metrics.BatchLog` once, with the device's
 co-run level and FBR at the batch's last start, and every pillar reads
 that log when it needs it — the SLO monitor per evaluation, the cost
-meter and request tracer at finalize, the batch spans and latency
+meter and request tracer at finalize, the batch spans and the latency
 histogram at export.  The devices hold no ``obs``.
 
 :meth:`RunObservers.for_run` is the one place that wires a traced run:
@@ -91,7 +91,6 @@ class RunObservers:
                 "seed": cfg.seed,
             }
         )
-        tracer.metrics.histogram("request.latency_seconds")
         log = run.metrics.log
         tracer.attach(log)
         obs = cls(tracer)

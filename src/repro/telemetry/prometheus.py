@@ -1,14 +1,17 @@
-"""Prometheus text-format export of the metrics registry, the time-series
-sampler's last readings and the SLO windows.
+"""Prometheus text-format export of a metrics registry's counters, or of
+a traced run: its latency histogram, the time-series sampler's last
+readings and the SLO windows.
 
-A traced run's instruments map onto the Prometheus exposition format
-(https://prometheus.io/docs/instrumenting/exposition_formats/) so the
-snapshot can be diffed, scraped by tooling, or pushed to a gateway:
+The snapshot follows the Prometheus exposition format
+(https://prometheus.io/docs/instrumenting/exposition_formats/) so it can
+be diffed, scraped by tooling, or pushed to a gateway:
 
-* counters  -> ``# TYPE <name>_total counter`` with the final value,
-* histograms-> cumulative ``_bucket{le="..."}`` series plus ``_sum`` and
-  ``_count`` (always bucket-resolution: the exposition format is bucketed
-  by definition, independent of the registry's exact-quantile tier),
+* registry counters -> ``# TYPE <name>_total counter`` with the final
+  value,
+* request latencies -> the ``request.latency_seconds`` histogram:
+  cumulative ``_bucket{le="..."}`` series plus ``_sum`` and ``_count``
+  over the first-arrival latency of every batch in the traced run's
+  batch log, computed at export,
 * SLO monitor windows -> ``repro_slo_window_*`` gauges labelled by
   ``{scope, key}`` plus a 0/1 ``repro_slo_alert_firing`` flag,
 * time-series sampler columns -> ``repro_ts_*`` gauges holding each
@@ -31,6 +34,9 @@ import math
 import re
 from typing import Optional
 
+import numpy as np
+
+from repro.simulator.metrics import BatchLog
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.slo_monitor import SLOMonitor
 from repro.telemetry.tracer import Tracer
@@ -38,6 +44,13 @@ from repro.telemetry.tracer import Tracer
 __all__ = ["to_prometheus_text", "write_prometheus"]
 
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
+
+#: Inclusive upper edges (seconds) of the latency histogram's finite
+#: buckets; the ``+Inf`` bucket catches the rest.
+LATENCY_BUCKETS = (
+    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+    0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
+)
 
 
 def _metric_name(raw: str) -> str:
@@ -73,7 +86,8 @@ def to_prometheus_text(
     Parameters
     ----------
     source:
-        A tracer (its registry is used) or a registry directly.
+        A registry (its counters are exported) or a tracer (the latency
+        histogram of the batch log it reads, and its sampler's gauges).
     monitor:
         Optional live SLO monitor; its windows are evaluated at ``now``
         and exported as labelled gauges.
@@ -84,17 +98,12 @@ def to_prometheus_text(
         Optional :class:`~repro.telemetry.costmeter.CostMeter`; its
         summary at ``now`` is exported as ``repro_cost_*`` gauges.
     """
-    if isinstance(source, Tracer):
-        source.record_latencies()
-        reg = source.metrics
-    else:
-        reg = source
     lines: list[str] = []
-
-    for raw, counter in sorted(reg._counters.items()):
-        name = _metric_name(raw) + "_total"
-        lines.append(f"# TYPE {name} counter")
-        lines.append(f"{name} {_fmt(counter.value)}")
+    if isinstance(source, MetricsRegistry):
+        for raw, counter in sorted(source._counters.items()):
+            name = _metric_name(raw) + "_total"
+            lines.append(f"# TYPE {name} counter")
+            lines.append(f"{name} {_fmt(counter.value)}")
 
     # Time-series columns (when a StateSampler is attached to the tracer):
     # each sampled series' most recent reading becomes a gauge under the
@@ -110,18 +119,10 @@ def to_prometheus_text(
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name} {_fmt(value)}")
 
-    for raw, hist in sorted(reg._histograms.items()):
-        name = _metric_name(raw)
-        lines.append(f"# TYPE {name} histogram")
-        cumulative = 0
-        for bound, count in zip(hist.bounds, hist.counts):
-            cumulative += count
-            lines.append(
-                f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}'
-            )
-        lines.append(f'{name}_bucket{{le="+Inf"}} {hist.n}')
-        lines.append(f"{name}_sum {_fmt(hist.sum)}")
-        lines.append(f"{name}_count {hist.n}")
+    if isinstance(source, Tracer) and source.enabled:
+        log = source.batches.log
+        if log is not None:
+            lines += _latency_histogram(log)
 
     if monitor is not None:
         if now is None:
@@ -172,6 +173,25 @@ def to_prometheus_text(
             )
 
     return "\n".join(lines) + "\n"
+
+
+def _latency_histogram(log: BatchLog) -> list[str]:
+    """The ``request.latency_seconds`` histogram of each logged batch's
+    first-arrival latency; the sum is added in log order."""
+    latencies = log.view().first_latencies()
+    counts = np.bincount(
+        np.searchsorted(LATENCY_BUCKETS, latencies, side="left"),
+        minlength=len(LATENCY_BUCKETS) + 1,
+    )
+    total = float(np.cumsum(latencies)[-1]) if latencies.size else 0.0
+    name = _metric_name("request.latency_seconds")
+    lines = [f"# TYPE {name} histogram"]
+    for bound, cumulative in zip(LATENCY_BUCKETS, np.cumsum(counts).tolist()):
+        lines.append(f'{name}_bucket{{le="{_fmt(bound)}"}} {cumulative}')
+    lines.append(f'{name}_bucket{{le="+Inf"}} {latencies.size}')
+    lines.append(f"{name}_sum {_fmt(total)}")
+    lines.append(f"{name}_count {latencies.size}")
+    return lines
 
 
 def write_prometheus(

@@ -113,11 +113,6 @@ def sampled_batches(seed: int, batch_ids: np.ndarray,
     return (_mix64(seed, batch_ids) >> np.uint64(32)) < int(sample * 2.0**32)
 
 
-def sampled_batch(seed: int, batch_id: int, sample: float) -> bool:
-    """Whether ``batch_id`` falls in the deterministic sampled set."""
-    return bool(sampled_batches(seed, np.array([batch_id]), sample)[0])
-
-
 @dataclass(slots=True)
 class BatchTrace:
     """One completed batch's causal record (shared by its requests).

@@ -297,8 +297,3 @@ class SLOMonitor:
                 n_violations=s.n_violations,
                 slo_seconds=self.slo_seconds,
             )
-
-    @property
-    def firing_keys(self) -> list[tuple[str, str]]:
-        """Currently-firing (scope, key) pairs, sorted."""
-        return sorted(self._firing)

@@ -5,8 +5,8 @@ and instruments (:mod:`~repro.telemetry.metrics`), and the only one that
 samples run state periodically: a :class:`StateSampler` polls registered
 **probe callbacks** — queue depths, per-node occupancy and MPS co-run
 level, container-pool sizes, breaker states, predicted vs. offered rate
-— on a fixed simulated-time interval and appends each reading into a
-preallocated numpy **ring-buffer column**.
+— on a fixed simulated-time interval and stores each reading in one
+numpy **column** of a table sized for the run.
 This is what lets a run answer "what did the system look like at *t*"
 (the shape the paper's Figs. 9–13 reason about) instead of only "why did
 request *r* miss its deadline".
@@ -45,7 +45,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from repro.simulator.engine import RepeatingEvent, Simulator
+from repro.simulator.engine import Simulator
 
 __all__ = [
     "StateSampler",
@@ -56,9 +56,6 @@ __all__ = [
 
 #: Schema tag written into every exported bundle.
 TIMESERIES_SCHEMA = "repro.timeseries/1"
-
-#: Default ring capacity when no horizon is known at start time.
-_DEFAULT_CAPACITY = 4096
 
 
 @dataclass
@@ -83,42 +80,39 @@ class TimeSeriesData:
 class StateSampler:
     """Samples registered probes on a fixed simulated-time interval.
 
+    Probes are registered first; :meth:`start` then sizes the table from
+    the run horizon, ``ceil(horizon / interval) + 1`` rows, which holds
+    every tick ``Simulator.every(interval, until=horizon)`` can fire.
+
     Parameters
     ----------
     interval_seconds:
         Sampling cadence (must be positive).
-    capacity:
-        Ring-buffer length in samples.  Defaults to the run horizon at
-        :meth:`start` (``ceil(horizon / interval) + 1``); when more
-        samples than ``capacity`` arrive the buffer wraps and only the
-        most recent ``capacity`` readings are retained.
     meta:
         Free-form bundle metadata (scheme, model, seed, hardware codes…)
         carried through export.
 
     Examples
     --------
+    >>> sim = Simulator()
     >>> s = StateSampler(1.0)
-    >>> s.probe("x", lambda: 42.0)
-    >>> s.sample(0.0)
-    >>> float(s.column("x")[0])
-    42.0
+    >>> s.probes(("x",), lambda: 42.0)
+    >>> s.start(sim, horizon=2.0)
+    >>> sim.run()
+    >>> s.column("x").tolist()
+    [42.0, 42.0]
     """
 
     def __init__(
         self,
         interval_seconds: float,
         *,
-        capacity: Optional[int] = None,
         meta: Optional[dict[str, Any]] = None,
     ) -> None:
         if not interval_seconds > 0:
             raise ValueError("sampling interval must be positive")
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1")
         self.interval_seconds = float(interval_seconds)
         self.meta: dict[str, Any] = dict(meta) if meta else {}
-        self._capacity = capacity
         #: Readers in registration order, keyed by the columns each
         #: fills: one float for a single column, else one per name.
         self._probes: dict[tuple[str, ...], Callable[[], Any]] = {}
@@ -128,8 +122,7 @@ class StateSampler:
         self._names: list[str] = []
         self._times: Optional[np.ndarray] = None
         self._table: Optional[np.ndarray] = None
-        self._n = 0  # total samples ever taken (>= capacity once wrapped)
-        self._handle: Optional[RepeatingEvent] = None
+        self._n = 0  # samples taken
         #: Called as ``observer(now, row)`` after every sample — the live
         #: dashboard's hook point.
         self.observers: list[Callable[[float, dict[str, float]], None]] = []
@@ -137,14 +130,6 @@ class StateSampler:
     # ------------------------------------------------------------------
     # Probe registration
     # ------------------------------------------------------------------
-    def probe(self, name: str, fn: Callable[[], float]) -> None:
-        """Register (or rebind) a named probe.
-
-        Probes registered after sampling began get a new column whose
-        already-elapsed rows are NaN.
-        """
-        self.probes((name,), fn)
-
     def probes(self, names: tuple[str, ...],
                fn: Callable[[], Sequence[float]]) -> None:
         """Register (or rebind) one reader for several columns: ``fn()``
@@ -153,16 +138,14 @@ class StateSampler:
         """
         if not callable(fn):
             raise TypeError(f"probe {names[0]!r} must be callable")
+        if self._table is not None:
+            raise RuntimeError("probes are registered before start")
         names = tuple(names)
         if names not in self._probes:
             taken = set(names).intersection(self._names)
             if taken:
                 raise ValueError(f"columns {sorted(taken)} already have a probe")
             self._names.extend(names)
-            if self._table is not None:
-                self._table = np.hstack(
-                    [self._table, np.full((self._capacity, len(names)), np.nan)]
-                )
         self._probes[names] = fn
         self._disabled.discard(names)
 
@@ -172,44 +155,22 @@ class StateSampler:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(
-        self,
-        sim: Simulator,
-        horizon: Optional[float] = None,
-        *,
-        priority: int = 90,
-    ) -> RepeatingEvent:
-        """Allocate the ring buffers and begin the sampling loop on ``sim``.
+    def start(self, sim: Simulator, horizon: float, *,
+              priority: int = 90) -> None:
+        """Allocate the table and begin the sampling loop on ``sim``.
 
-        The first sample lands at ``now + interval``; a ``horizon``
-        shorter than one interval therefore yields zero samples (and an
-        empty — but still exportable — bundle).
+        The first sample lands at ``now + interval`` and the last at or
+        before ``horizon``; a ``horizon`` shorter than one interval
+        therefore yields zero samples (and an empty — but still
+        exportable — bundle).
         """
-        if self._handle is not None:
+        if self._table is not None:
             raise RuntimeError("sampler already started")
-        self._ensure_buffers(horizon)
-        self._handle = sim.every(
-            self.interval_seconds,
-            lambda: self.sample(sim.now),
-            until=horizon,
-            priority=priority,
-        )
-        return self._handle
-
-    def stop(self) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-
-    def _ensure_buffers(self, horizon: Optional[float] = None) -> None:
-        if self._times is not None:
-            return
-        if self._capacity is None:
-            if horizon is not None and horizon >= 0:
-                self._capacity = int(math.ceil(horizon / self.interval_seconds)) + 1
-            else:
-                self._capacity = _DEFAULT_CAPACITY
-        self._times = np.full(self._capacity, np.nan)
-        self._table = np.full((self._capacity, len(self._names)), np.nan)
+        rows = int(math.ceil(horizon / self.interval_seconds)) + 1
+        self._times = np.full(rows, np.nan)
+        self._table = np.full((rows, len(self._names)), np.nan)
+        sim.every(self.interval_seconds, lambda: self.sample(sim.now),
+                  until=horizon, priority=priority)
 
     # ------------------------------------------------------------------
     # Sampling
@@ -217,8 +178,7 @@ class StateSampler:
     def sample(self, now: float) -> None:
         """Take one sample row at simulated time ``now`` (handed to the
         :attr:`observers` as a ``{"t": now, name: value, ...}`` dict)."""
-        self._ensure_buffers()
-        idx = self._n % self._capacity
+        idx = self._n
         self._times[idx] = now
         values: list[float] = []
         disabled = self._disabled
@@ -255,52 +215,39 @@ class StateSampler:
     # ------------------------------------------------------------------
     @property
     def n_samples(self) -> int:
-        """Samples currently retained (<= capacity once wrapped)."""
-        if self._capacity is None:
-            return 0
-        return min(self._n, self._capacity)
-
-    @property
-    def wrapped(self) -> bool:
-        return self._capacity is not None and self._n > self._capacity
-
-    def _unwrap(self, arr: np.ndarray) -> np.ndarray:
-        if self._n <= self._capacity:
-            return arr[: self._n].copy()
-        idx = self._n % self._capacity
-        return np.concatenate([arr[idx:], arr[:idx]])
+        return self._n
 
     def times(self) -> np.ndarray:
         """Sample times, oldest first."""
         if self._times is None:
             return np.empty(0)
-        return self._unwrap(self._times)
+        return self._times[: self._n].copy()
 
     def column(self, name: str) -> np.ndarray:
         """One probe's readings, aligned with :meth:`times`."""
-        if self._times is None:
+        if self._table is None:
             return np.empty(0)
-        return self._unwrap(self._table[:, self._names.index(name)])
+        return self._table[: self._n, self._names.index(name)].copy()
 
     def columns(self) -> dict[str, np.ndarray]:
-        if self._times is None:
+        if self._table is None:
             return {}
-        return {name: self._unwrap(self._table[:, j])
+        return {name: self._table[: self._n, j].copy()
                 for j, name in enumerate(self._names)}
 
     def last(self, name: str) -> float:
         """Most recent reading of ``name`` (NaN before the first sample)."""
-        if self._times is None or self._n == 0 or name not in self._names:
+        if self._n == 0 or name not in self._names:
             return math.nan
-        return float(self._table[(self._n - 1) % self._capacity,
-                                 self._names.index(name)])
+        return float(self._table[self._n - 1, self._names.index(name)])
 
     def data(self) -> TimeSeriesData:
         meta = dict(self.meta)
         meta.setdefault("schema", TIMESERIES_SCHEMA)
         meta["interval_seconds"] = self.interval_seconds
         meta["n_samples"] = self.n_samples
-        meta["wrapped"] = self.wrapped
+        # Part of the repro.timeseries/1 bundle; the table never wraps.
+        meta["wrapped"] = False
         return TimeSeriesData(times=self.times(), columns=self.columns(), meta=meta)
 
     # ------------------------------------------------------------------

@@ -44,7 +44,6 @@ from typing import Any, NamedTuple, Optional
 
 from repro.framework.request import PHASES
 from repro.simulator.metrics import BatchLog, BatchReader
-from repro.telemetry.metrics import MetricsRegistry
 
 __all__ = ["SpanRecord", "TraceEventRecord", "Tracer", "NULL_TRACER"]
 
@@ -76,15 +75,13 @@ class TraceEventRecord(NamedTuple):
 
 
 class Tracer:
-    """Collects spans, events, and metrics for one run.
+    """Collects spans and events for one run.
 
     Parameters
     ----------
     enabled:
         When ``False`` every emission method returns immediately and hook
         sites skip attribute construction entirely.
-    metrics:
-        The sim-time metrics registry; a fresh one is created by default.
 
     Examples
     --------
@@ -94,16 +91,12 @@ class Tracer:
     3
     """
 
-    def __init__(
-        self, enabled: bool = True, metrics: Optional[MetricsRegistry] = None
-    ) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = bool(enabled)
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._spans: list[SpanRecord] = []
-        #: Read the run's batch log: one reader for the request spans,
-        #: one for the latency histogram.
+        #: Reads the run's batch log for the request spans; the
+        #: Prometheus export reads the whole log for the latency histogram.
         self.batches = BatchReader()
-        self._latencies = BatchReader()
         self.events: list[TraceEventRecord] = []
         self.meta: dict[str, Any] = {}
         #: The run's :class:`~repro.telemetry.timeseries.StateSampler`,
@@ -179,23 +172,8 @@ class Tracer:
     # ------------------------------------------------------------------
     def attach(self, log: BatchLog) -> None:
         """Observe the batches the run appends to ``log``: their request
-        spans (:meth:`record_batch_span`) and latency histogram
-        (:meth:`record_latencies`)."""
+        spans (:meth:`record_batch_span`)."""
         self.batches.attach(log)
-        self._latencies.attach(log)
-
-    def record_latencies(self) -> None:
-        """Fold the first-arrival latency of every batch the attached log
-        completed since the last call into the ``request.latency_seconds``
-        histogram.
-
-        Called by the Prometheus export (the histogram's one reader)
-        before it reads the registry, as :attr:`spans` calls
-        :meth:`record_batch_span`."""
-        if self.enabled and self._latencies.pending():
-            self.metrics.histogram("request.latency_seconds").observe_many(
-                self._latencies.read(copy=False).first_latencies()
-            )
 
     def record_batch_span(self) -> None:
         """Materialise the request span (plus phase children) of every

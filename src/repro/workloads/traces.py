@@ -81,13 +81,6 @@ class Trace:
         """Peak of the offered-rate curve."""
         return float(self.bin_rates.max()) if self.bin_rates.size else 0.0
 
-    def rate_at(self, t: float) -> float:
-        """Offered rate at time ``t`` (0 outside the horizon)."""
-        if t < 0 or t >= self.duration:
-            return 0.0
-        idx = min(int(t / self.bin_seconds), self.bin_rates.size - 1)
-        return float(self.bin_rates[idx])
-
     def rate_window(self, t0: float, t1: float) -> float:
         """Mean offered rate over ``[t0, t1)`` from the rate curve."""
         if t1 <= t0:
@@ -107,19 +100,6 @@ class Trace:
         sums = np.convolve(self.bin_rates, np.ones(k), mode="valid")
         i = int(np.argmax(sums))
         return (i * self.bin_seconds, (i + k) * self.bin_seconds)
-
-    def sliced(self, t0: float, t1: float) -> "Trace":
-        """The sub-trace with arrivals in ``[t0, t1)``, re-based to 0."""
-        mask = (self.arrivals >= t0) & (self.arrivals < t1)
-        i0 = int(t0 / self.bin_seconds)
-        i1 = int(np.ceil(t1 / self.bin_seconds))
-        return Trace(
-            name=self.name,
-            arrivals=self.arrivals[mask] - t0,
-            duration=t1 - t0,
-            bin_rates=self.bin_rates[i0:i1],
-            bin_seconds=self.bin_seconds,
-        )
 
 
 # ----------------------------------------------------------------------

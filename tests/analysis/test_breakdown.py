@@ -20,12 +20,6 @@ class TestTailBreakdown:
         assert bd.queueing_share == 0.0
         assert bd.interference_share == 0.0
 
-    def test_as_row(self):
-        bd = TailBreakdown("paldia", "vgg19", 100.0, 50.0, 25.0)
-        row = bd.as_row()
-        assert row[0] == "paldia"
-        assert row[-1] == pytest.approx(175.0)
-
 
 COMPONENTS = {
     "exec_solo": 0.080,

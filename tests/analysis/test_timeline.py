@@ -96,8 +96,9 @@ class TestNodeCodes:
     def test_cpu_shapes_collapse_to_c(self):
         from repro.hardware.catalog import default_catalog
 
-        for spec in default_catalog().cpus():
-            assert node_code(spec) == "c"
+        for spec in default_catalog():
+            if not spec.is_gpu:
+                assert node_code(spec) == "c"
 
     def test_restricted_catalog(self):
         from repro.hardware.catalog import default_catalog

@@ -99,7 +99,6 @@ class TestOptimalSplit:
         d = SplitDecision(y=20, t_max=0.1, feasible=True, n=52, batch_size=16)
         assert d.n_spatial == 32
         assert d.n_spatial_batches == 2
-        assert d.n_temporal_batches == 2
 
     @given(
         st.integers(min_value=1, max_value=400),

@@ -100,12 +100,13 @@ class TestRateTracker:
         t.sample(1.0)
         assert t.sample(2.0) == 0.0
 
-    def test_recent_max(self):
+    def test_current_rate_is_the_last_closed_interval(self):
         t = RateTracker(window_seconds=1.0)
+        assert t.current_rate == 0.0
         for n in [5, 20, 3]:
             t.count(n)
             t.sample(0.0)
-        assert t.recent_max == 20.0
+        assert t.current_rate == 3.0
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):

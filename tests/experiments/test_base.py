@@ -24,17 +24,6 @@ class TestReport:
     def test_row_map(self):
         assert make_report().row_map()[("paldia",)][1] == 99.5
 
-    def test_to_csv(self):
-        csv_text = make_report().to_csv()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "scheme,value"
-        assert len(lines) == 3
-
-    def test_write_csv(self, tmp_path):
-        path = tmp_path / "out.csv"
-        make_report().write_csv(path)
-        assert path.read_text().startswith("scheme,value")
-
     def test_paper_claims_cover_all_artifacts(self):
         for key in ["fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
                     "fig9", "fig10", "fig11", "fig12a", "fig12b", "fig13a",

@@ -7,6 +7,7 @@ from repro.experiments.motivation import (
     PinnedColocationRun,
     TenantSpec,
     run_motivation_scheme,
+    sweep_offline_hybrid,
 )
 from repro.framework.slo import SLO
 from repro.workloads.models import get_model
@@ -73,6 +74,23 @@ class TestMotivationSchemes:
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             run_motivation_scheme("bogus", duration=10.0)
+
+
+class TestOfflineSweep:
+    def test_default_grid_simulates_each_fraction_pair_once(self, monkeypatch):
+        # Coordinate-wise over the 11-point grid: the start pair, then 11
+        # pairs per axis, of which the start pair recurs on axis 0 and the
+        # axis-0 winner on axis 1 -- 21 distinct pairs.
+        pairs = []
+        execute = PinnedColocationRun.execute
+
+        def counted(run):
+            pairs.append(tuple(t.temporal_fraction for t in run.tenants))
+            return execute(run)
+
+        monkeypatch.setattr(PinnedColocationRun, "execute", counted)
+        sweep_offline_hybrid(duration=20.0, seed=0)
+        assert len(pairs) == len(set(pairs)) == 21
 
 
 class TestCostExample:

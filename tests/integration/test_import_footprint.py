@@ -42,8 +42,7 @@ ServerlessRun(model, trace, policy, profiles, slo).execute()
 """,
         PILLARS + TELEMETRY_EXTRAS + (
             "repro.simulator.chaos", "repro.core.resilience",
-            "repro.workloads.sebs", "repro.workloads.trace_io",
-            "repro.core.contention",
+            "repro.workloads.sebs", "repro.core.contention",
             "repro.baselines.infless_llama", "repro.baselines.molecule",
             "repro.baselines.offline_hybrid", "repro.baselines.oracle",
             "repro.framework.multimodel",

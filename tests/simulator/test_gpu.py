@@ -126,7 +126,7 @@ class TestMemoryBound:
         dev.submit(make_job(mem=big, solo=0.1, done=lambda j: done.append("first")))
         dev.submit(make_job(mem=big, solo=0.1, done=lambda j: done.append("second")))
         assert dev.n_active == 1
-        assert dev.n_queued == 1
+        assert dev.queued_requests() == 8
         sim.run()
         assert done == ["first", "second"]
 
@@ -201,7 +201,7 @@ class TestEviction:
         evicted = dev.evict_queued()
         assert len(evicted) == 2
         assert dev.n_active == 1
-        assert dev.n_queued == 0
+        assert dev.queued_requests() == 0
 
     def test_evict_all_clears_device(self, sim, v100):
         dev = make_device(sim, v100)
@@ -236,10 +236,11 @@ class TestAccounting:
 
     def test_jobs_completed_counter(self, sim, v100):
         dev = make_device(sim, v100)
+        done = []
         for _ in range(4):
-            dev.submit(make_job())
+            dev.submit(make_job(done=done.append))
         sim.run()
-        assert dev.jobs_completed == 4
+        assert len(done) == 4
 
     def test_contention_factor_inflates_work(self, sim, v100):
         dev = make_device(sim, v100)
@@ -274,4 +275,4 @@ class TestAccounting:
             noise = 1.0 + 0.1 * float(twin.standard_normal())
             assert job.work == solo * max(0.5, noise) * 1.0 * 1.0, i
             sim.run()
-        assert dev.jobs_completed == 150
+            assert job.batch.completed_at is not None, i

@@ -53,7 +53,6 @@ class TestConservation:
     def test_every_job_completes_exactly_once(self, specs):
         _, dev, done = run_workload(specs)
         assert sorted(done) == list(range(len(specs)))
-        assert dev.jobs_completed == len(specs)
         assert dev.idle
 
     @given(workload_strategy)

@@ -80,7 +80,7 @@ class TestClusterMeterHooks:
         releases it — including the spawn time already paid."""
         node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
-        pool.prewarm(2)  # spawn intervals recorded
+        pool.ensure(2)  # spawn intervals recorded
         cluster.sim.schedule(1.0, node.fail)
         cluster.sim.schedule(10.0, lambda: cluster.release(node))
         cluster.sim.schedule(20.0, lambda: None)
@@ -100,7 +100,7 @@ class TestClusterMeterHooks:
         the lease, so the bill never exceeds the lease record."""
         node = cluster.acquire(m60, lambda n: None, instant=True, obs=obs)
         pool = node.pool("resnet50")
-        pool.prewarm(1)
+        pool.ensure(1)
         cluster.sim.schedule(0.5, node.fail)
         cluster.sim.schedule(1.0, lambda: cluster.release(node))
         cluster.sim.schedule(m60.cold_start_seconds + 5.0, lambda: None)
@@ -118,7 +118,7 @@ class TestClusterMeterHooks:
     def test_unmetered_cluster_records_nothing(self, sim, catalog, m60):
         c = Cluster(sim, catalog, seed=1)
         node = c.acquire(m60, lambda n: None, instant=True)
-        node.pool("resnet50").prewarm(1)
+        node.pool("resnet50").ensure(1)
         c.release(node)
         assert node.obs is None
         assert node.pool("resnet50").obs is None

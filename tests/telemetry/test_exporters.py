@@ -11,6 +11,7 @@ import math
 
 import pytest
 
+from repro.simulator.engine import Simulator
 from repro.telemetry import (
     StateSampler,
     TraceData,
@@ -37,12 +38,13 @@ def populated_tracer():
              chosen="p3.2xlarge",
              candidates=[{"hw": "c6i.4xlarge", "least_t_max": float("inf")}])
     tr.event("reconfig.switch", 1.0, from_hw="c6i.4xlarge", to_hw="p3.2xlarge")
+    sim = Simulator()
     sampler = tr.timeseries = StateSampler(1.0)
-    sampler.probe("cold_starts", lambda: 2.0)
-    sampler.probe("queue_depth", lambda: 5.0)
-    sampler.probe("idle_spec.occupancy", lambda: math.nan)
-    sampler.sample(1.0)
-    sampler.sample(2.0)
+    sampler.probes(("cold_starts",), lambda: 2.0)
+    sampler.probes(("queue_depth",), lambda: 5.0)
+    sampler.probes(("idle_spec.occupancy",), lambda: math.nan)
+    sampler.start(sim, horizon=2.0)
+    sim.run()
     return tr
 
 

@@ -200,7 +200,7 @@ class TestCompare:
         cmp = ledger.compare(1, 2)
         assert cmp.comparable
         assert not cmp.regressed
-        assert not cmp.improvements
+        assert not any(d.improved for d in cmp.deltas)
 
     def test_p99_regression_flagged(self, ledger):
         ledger.record(make_result(), trace="azure", seed=0)
@@ -232,7 +232,7 @@ class TestCompare:
             make_result(total_cost=0.03), trace="azure", seed=0
         )
         cmp = ledger.compare(1, 2)
-        assert "total_cost" in [d.name for d in cmp.improvements]
+        assert "total_cost" in [d.name for d in cmp.deltas if d.improved]
 
     def test_mismatched_configs_marked_incomparable(self, ledger):
         ledger.record(make_result(), trace="azure", seed=0)

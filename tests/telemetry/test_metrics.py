@@ -1,8 +1,8 @@
-"""Tests for the metrics registry's counters and histograms."""
+"""Tests for the metrics registry's counters."""
 
 import pytest
 
-from repro.telemetry import Counter, Histogram, MetricsRegistry
+from repro.telemetry import Counter, MetricsRegistry
 
 
 class TestCounter:
@@ -17,26 +17,7 @@ class TestCounter:
             Counter("x").inc(-1)
 
 
-class TestHistogram:
-    def test_observe_and_mean(self):
-        h = Histogram("lat", bounds=(1.0, 2.0))
-        for v in (0.5, 1.5, 3.0):
-            h.observe(v)
-        assert h.n == 3
-        assert h.sum == pytest.approx(5.0)
-        assert h.sum / h.n == pytest.approx(5.0 / 3)
-        # Bounds are inclusive upper edges; 3.0 lands in the overflow.
-        assert h.counts == [1, 1, 1]
-        h.observe(1.0)
-        assert h.counts == [2, 1, 1]
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("lat", bounds=(2.0, 1.0))
-
-
 class TestRegistry:
     def test_registration_is_idempotent(self):
         reg = MetricsRegistry()
         assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")

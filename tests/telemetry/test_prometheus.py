@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from repro.simulator.engine import Simulator
 from repro.simulator.metrics import MetricsCollector
 from repro.telemetry import (
     MetricsRegistry,
@@ -28,10 +29,16 @@ _SAMPLE_RE = re.compile(
 def make_registry():
     reg = MetricsRegistry()
     reg.counter("cold_starts").inc(3)
-    h = reg.histogram("latency_seconds", bounds=(0.1, 0.5))
-    for v in (0.05, 0.2, 0.3, 0.9):
-        h.observe(v)
     return reg
+
+
+def make_traced(resnet50, latencies=(0.05, 0.25, 0.3, 0.9, 12.0)):
+    """A tracer reading a log of batches with these first-arrival
+    latencies (each batch's first arrival is at 1.0)."""
+    tracer = Tracer()
+    record(tracer, *(make_completed_batch(resnet50, completed_at=1.0 + lat)
+                     for lat in latencies))
+    return tracer
 
 
 class TestExposition:
@@ -45,37 +52,38 @@ class TestExposition:
         # last readings, as ``repro_ts_*`` gauges; NaN series are skipped.
         tracer = Tracer()
         sampler = tracer.timeseries = StateSampler(1.0)
-        sampler.probe("queue.device", lambda: 7.5)
-        sampler.probe("node.g4dn.xlarge.occupancy", lambda: np.nan)
+        sampler.probes(("queue.device",), lambda: 7.5)
+        sampler.probes(("node.g4dn.xlarge.occupancy",), lambda: np.nan)
+        sampler.start(Simulator(), horizon=1.0)
         sampler.sample(1.0)
         text = to_prometheus_text(tracer)
         assert "# TYPE repro_ts_queue_device gauge" in text
         assert "repro_ts_queue_device 7.5" in text
         assert "occupancy" not in text
 
-    def test_histogram_buckets_are_cumulative(self):
-        text = to_prometheus_text(make_registry())
-        assert 'repro_latency_seconds_bucket{le="0.1"} 1' in text
-        assert 'repro_latency_seconds_bucket{le="0.5"} 3' in text
-        assert 'repro_latency_seconds_bucket{le="+Inf"} 4' in text
-        assert "repro_latency_seconds_count 4" in text
+    def test_histogram_buckets_are_cumulative(self, resnet50):
+        text = to_prometheus_text(make_traced(resnet50))
+        name = "repro_request_latency_seconds"
+        assert f"# TYPE {name} histogram" in text
+        assert f'{name}_bucket{{le="0.1"}} 1' in text
+        # Bucket edges are inclusive: 0.25 lands in le="0.25".
+        assert f'{name}_bucket{{le="0.25"}} 2' in text
+        assert f'{name}_bucket{{le="0.5"}} 3' in text
+        assert f'{name}_bucket{{le="10"}} 4' in text
+        # Past the last edge: only the overflow bucket counts it.
+        assert f'{name}_bucket{{le="+Inf"}} 5' in text
+        assert f"{name}_count 5" in text
         (sum_line,) = [
-            x for x in text.splitlines()
-            if x.startswith("repro_latency_seconds_sum ")
+            x for x in text.splitlines() if x.startswith(f"{name}_sum ")
         ]
-        assert float(sum_line.split()[-1]) == pytest.approx(1.45)
+        assert float(sum_line.split()[-1]) == pytest.approx(13.5)
 
-    def test_every_sample_line_is_well_formed(self):
-        text = to_prometheus_text(make_registry())
-        for line in text.splitlines():
-            if not line or line.startswith("#"):
-                continue
-            assert _SAMPLE_RE.match(line), line
-
-    def test_tracer_source_uses_its_registry(self):
-        tracer = Tracer()
-        tracer.metrics.counter("dispatches").inc()
-        assert "repro_dispatches_total 1" in to_prometheus_text(tracer)
+    def test_every_sample_line_is_well_formed(self, resnet50):
+        for source in (make_registry(), make_traced(resnet50)):
+            for line in to_prometheus_text(source).splitlines():
+                if not line or line.startswith("#"):
+                    continue
+                assert _SAMPLE_RE.match(line), line
 
     def test_latency_histogram_filled_from_the_log_at_export(self, resnet50):
         # The export reads the batches completed so far: no finalize

@@ -21,7 +21,7 @@ from repro.telemetry.reqtrace import (
     REQTRACE_SCHEMA,
     RequestTracer,
     read_reqtrace,
-    sampled_batch,
+    sampled_batches,
 )
 
 
@@ -78,21 +78,23 @@ def complete(tracer, batch, node_id=0):
 
 class TestSampledBatch:
     def test_boundaries(self):
-        assert sampled_batch(0, 7, 1.0)
-        assert not sampled_batch(0, 7, 0.0)
+        ids = np.array([7])
+        assert sampled_batches(0, ids, 1.0).tolist() == [True]
+        assert sampled_batches(0, ids, 0.0).tolist() == [False]
 
     def test_deterministic(self):
-        picks = [sampled_batch(3, bid, 0.5) for bid in range(200)]
-        assert picks == [sampled_batch(3, bid, 0.5) for bid in range(200)]
+        ids = np.arange(200)
+        assert np.array_equal(sampled_batches(3, ids, 0.5),
+                              sampled_batches(3, ids, 0.5))
 
     def test_fraction_close_to_sample(self):
-        kept = sum(sampled_batch(0, bid, 0.5) for bid in range(4000))
+        kept = int(sampled_batches(0, np.arange(4000), 0.5).sum())
         assert 0.45 < kept / 4000 < 0.55
 
     def test_seed_changes_the_set(self):
-        a = {bid for bid in range(500) if sampled_batch(0, bid, 0.5)}
-        b = {bid for bid in range(500) if sampled_batch(1, bid, 0.5)}
-        assert a != b
+        ids = np.arange(500)
+        assert not np.array_equal(sampled_batches(0, ids, 0.5),
+                                  sampled_batches(1, ids, 0.5))
 
     @given(
         seed=st.integers(0, 2**31),
@@ -105,12 +107,14 @@ class TestSampledBatch:
         # set at p1 is a subset of the kept set at p2 >= p1.  This is
         # what makes sampled runs comparable across rates.
         lo, hi = sorted((p1, p2))
-        if sampled_batch(seed, bid, lo):
-            assert sampled_batch(seed, bid, hi)
+        ids = np.array([bid])
+        if sampled_batches(seed, ids, lo)[0]:
+            assert sampled_batches(seed, ids, hi)[0]
 
     @given(seed=st.integers(0, 2**31), bid=st.integers(0, 2**62))
     def test_pure_function_of_inputs(self, seed, bid):
-        assert sampled_batch(seed, bid, 0.5) == sampled_batch(seed, bid, 0.5)
+        ids = np.array([bid])
+        assert sampled_batches(seed, ids, 0.5) == sampled_batches(seed, ids, 0.5)
 
 
 class TestRequestTracerValidation:
@@ -392,8 +396,9 @@ class TestSamplingRetention:
                   for r in make_tracer(batches, sample=0.3, tail_k=0,
                                        seed=5).data().records}
         assert kept_a == kept_b
-        assert kept_a == {bid for bid in range(100)
-                          if sampled_batch(5, bid, 0.3)}
+        assert kept_a == set(
+            np.flatnonzero(sampled_batches(5, np.arange(100), 0.3)).tolist()
+        )
 
     def test_worst_k_exact_under_sampling(self):
         # The tail reservoir guarantees exact worst-K for K <= tail_k

@@ -5,7 +5,7 @@ import pytest
 
 from repro.framework.request import Batch, ShareMode
 from repro.simulator.metrics import MetricsCollector
-from repro.telemetry import NULL_TRACER, Tracer
+from repro.telemetry import NULL_TRACER, Tracer, to_prometheus_text
 
 
 def record(tracer, *batches):
@@ -79,9 +79,8 @@ class TestDisabledTracer:
         tr.span("work", 0.0, 1.0)
         tr.event("tick", 0.5)
         record(tr, make_completed_batch(resnet50))
-        tr.record_latencies()
         assert tr.spans == [] and tr.events == []
-        assert tr.metrics.histogram("request.latency_seconds").n == 0
+        assert "latency" not in to_prometheus_text(tr)
 
     def test_disabled_skips_validation(self):
         # The guard returns before any argument inspection.
@@ -139,12 +138,7 @@ class TestBatchSpans:
     def test_each_batch_read_once(self, resnet50):
         tr = Tracer()
         collector = record(tr, make_completed_batch(resnet50))
-        tr.record_latencies()
         assert len(tr.request_spans()) == 1
         collector.record_batch(make_completed_batch(resnet50,
                                                     completed_at=1.5))
         assert len(tr.request_spans()) == 2
-        tr.record_latencies()
-        hist = tr.metrics.histogram("request.latency_seconds")
-        assert hist.n == 2
-        assert hist.sum == (1.35 - 1.0) + (1.5 - 1.0)

@@ -24,11 +24,6 @@ class TestTraceType:
         with pytest.raises(ValueError):
             Trace("x", np.array([]), 0.0, np.ones(1), 1.0)
 
-    def test_rate_at_outside_horizon_is_zero(self):
-        t = constant_trace(10.0, 5.0)
-        assert t.rate_at(-1.0) == 0.0
-        assert t.rate_at(5.0) == 0.0
-
     def test_rate_window(self):
         t = constant_trace(10.0, 5.0)
         assert t.rate_window(0.0, 5.0) == pytest.approx(10.0)
@@ -41,13 +36,6 @@ class TestTraceType:
         t = azure_trace(peak_rps=100.0, duration=600.0, seed=0)
         t0, t1 = t.peak_window(30.0)
         assert t.rate_window(t0, t1) >= 0.8 * t.bin_rates.max() * 0.3
-
-    def test_sliced_rebases(self):
-        t = constant_trace(10.0, 10.0)
-        sub = t.sliced(2.0, 4.0)
-        assert sub.duration == pytest.approx(2.0)
-        assert sub.arrivals.min() >= 0.0
-        assert sub.arrivals.max() < 2.0
 
 
 class TestAzure:
