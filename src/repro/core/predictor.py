@@ -126,8 +126,9 @@ class RateTracker:
     """Turns raw arrival counts into the per-interval rate samples the
     predictors consume, and exposes the current measured rate.
 
-    The framework calls :meth:`count` on every dispatch; :meth:`sample`
-    closes the current interval.
+    Each monitor tick, the framework passes the requests delivered since
+    the previous tick to :meth:`count`, then :meth:`sample` closes the
+    interval.
     """
 
     def __init__(self, window_seconds: float = 1.0) -> None:

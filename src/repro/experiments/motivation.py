@@ -40,7 +40,6 @@ from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster, NodeInstance
 from repro.simulator.engine import Simulator
-from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.workloads.models import ModelSpec, get_model
 from repro.workloads.traces import Trace, wiki_trace
@@ -160,7 +159,7 @@ class PinnedColocationRun:
                 batch_id=next(self.cluster.batch_ids),
             )
             offset += planned.size
-            batch.breakdown.batching_wait = max(0.0, now - batch.first_arrival)
+            batch.batching_wait = max(0.0, now - batch.first_arrival)
             self._submit(batch, node)
 
     def _submit(self, batch: Batch, node: NodeInstance) -> None:
@@ -170,26 +169,19 @@ class PinnedColocationRun:
 
         def on_container(ticket) -> None:
             if ticket.cold:
-                batch.breakdown.cold_start_wait += ticket.wait
+                batch.cold_start_wait += ticket.wait
             else:
-                batch.breakdown.queue_delay += ticket.wait
+                batch.queue_delay += ticket.wait
             solo = self.profiles.solo_time(model, spec, batch.size)
             fbr = self.profiles.fbr(model, spec) if spec.is_gpu else 0.0
 
-            def on_complete(job: Job) -> None:
+            def on_complete(batch: Batch) -> None:
                 pool.release()
                 self.metrics.record_batch(batch, node.node_id)
 
-            node.device.submit(
-                Job(
-                    batch=batch,
-                    solo_time=solo,
-                    fbr=fbr,
-                    mem_gb=model.job_mem_gb(batch.size),
-                    mode=batch.mode,
-                    on_complete=on_complete,
-                )
-            )
+            batch.set_execution(solo, fbr, model.job_mem_gb(batch.size),
+                                on_complete=on_complete)
+            node.device.submit(batch)
 
         pool.request(on_container)
 

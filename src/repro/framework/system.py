@@ -38,14 +38,13 @@ from repro.baselines.base import Policy
 from repro.core.autoscaler import Autoscaler, containers_for_split
 from repro.framework.batching import WindowTable
 from repro.core.predictor import EWMAPredictor, RateTracker
-from repro.framework.request import Batch, BatchBreakdown, ShareMode
+from repro.framework.request import Batch, ShareMode
 from repro.framework.slo import SLO
 from repro.hardware.catalog import HardwareSpec
 from repro.hardware.profiles import ProfileService
 from repro.simulator.cluster import Cluster, NodeInstance
 from repro.simulator.containers import ContainerPool
 from repro.simulator.engine import Simulator
-from repro.simulator.job import Job
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.power import bill
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -282,11 +281,13 @@ class ServerlessRun:
         #: Columnar arrival plan walked by the pump (set in ``_setup``).
         self._window_table: Optional[WindowTable] = None
         self._window_idx = 0
+        #: Requests delivered by the last monitor tick (rate sampling).
+        self._delivered_at_tick = 0
         #: Memoised per-(hardware, batch size) submission constants —
         #: solo time, FBR, and memory footprint are pure profile lookups.
         self._submit_consts: dict[tuple[str, int], tuple[float, float, float]] = {}
-        #: Per node id, the (on_complete, on_evict) hooks of its jobs.
-        self._job_hooks: dict[int, tuple] = {}
+        #: Per node id, the (on_complete, on_evict) hooks of its batches.
+        self._batch_hooks: dict[int, tuple] = {}
         #: ``containers_for_split`` per (spatial requests, batch, temporal?).
         self._reactive_need: dict[tuple[int, int, bool], int] = {}
         #: The policy's host-contention feedback hook, if it has one.
@@ -443,20 +444,16 @@ class ServerlessRun:
         are delivered in plan order within this one engine event (the same
         relative order the per-window scheduling gave them).  A window is
         its slice of the table's arrival column, also while it waits for
-        a node."""
+        a node.  Nothing is counted here: see :meth:`_delivered`."""
         table = self._window_table
         # ``.item`` reads Python scalars (as lists the table would be big).
         dispatch_at, starts, ends = table.dispatch_at, table.starts, table.ends
         arrivals = table.arrivals
-        metrics, tracker = self.metrics, self.tracker
         i = self._window_idx
         n = len(dispatch_at)
         t = dispatch_at.item(i)
         while i < n and dispatch_at.item(i) == t:
             window = arrivals[starts.item(i):ends.item(i)]
-            size = window.size
-            metrics.record_offered(size)
-            tracker.count(size)
             node = self._current
             if node is None or not node.available:
                 self._pending_windows.append(window)
@@ -468,6 +465,13 @@ class ServerlessRun:
             self.sim.schedule_at(
                 dispatch_at.item(i), self._pump_windows, priority=10
             )
+
+    def _delivered(self) -> int:
+        """Requests the pump has delivered so far.  The table's rows
+        partition its arrival column in dispatch order, so that is the
+        end of the last delivered row."""
+        i = self._window_idx
+        return self._window_table.ends.item(i - 1) if i else 0
 
     def _backlog(self, node: NodeInstance) -> int:
         """Requests queued at the node (device queues + container waits)."""
@@ -507,10 +511,14 @@ class ServerlessRun:
         cap = res.config.degraded_batch_cap if degraded else None
         spec, device, policy = node.spec, node.device, self.policy
         n = arrivals.size
-        plan = policy.plan_window(
-            n, spec, device.total_fbr if spec.is_gpu else 0.0, now,
-            existing_queue=device.queued_requests(),
-        )
+        if spec.is_gpu:
+            # The device's FIFO depth feeds only Paldia's Equation-(1)
+            # solve, which runs on GPUs alone.
+            plan = policy.plan_window(
+                n, spec, device.total_fbr, now, device.queued_requests()
+            )
+        else:
+            plan = policy.plan_window(n, spec, 0.0, now)
         pool = node.pool(self.model.name)
         # Reactive scale-up: one container per spatial batch (+1 temporal).
         key = (plan.n - plan.y, policy.batch_size_on(spec), plan.has_temporal)
@@ -530,8 +538,7 @@ class ServerlessRun:
                 # Positional arguments: keywords cost a third more here.
                 batch = Batch(
                     model, arrivals[lo : min(lo + step, end)], now, mode,
-                    next(batch_ids),
-                    BatchBreakdown(max(0.0, now - arrivals.item(lo))),
+                    next(batch_ids), max(0.0, now - arrivals.item(lo)),
                 )
                 if not pool.take_warm():
                     self._acquire_and_submit(batch, node, pool)
@@ -559,15 +566,15 @@ class ServerlessRun:
 
         def on_container(ticket: AcquireTicket) -> None:
             if ticket.cold:
-                batch.breakdown.cold_start_wait += ticket.wait
+                batch.cold_start_wait += ticket.wait
             elif batch.mode == ShareMode.SPATIAL:
                 # A spatially-shared batch only waits for a container when
                 # co-location pressure has every container pinned to a
                 # slowed-down resident — consolidation-induced waiting is
                 # interference (the paper's Fig 4 accounting).
-                batch.breakdown.interference_extra += ticket.wait
+                batch.interference_extra += ticket.wait
             else:
-                batch.breakdown.queue_delay += ticket.wait
+                batch.queue_delay += ticket.wait
             if not node.available:
                 # The node failed while we waited; recover per policy.
                 self._handle_failed_batch(batch)
@@ -617,22 +624,20 @@ class ServerlessRun:
             )
             self._submit_consts[(spec.name, size)] = consts
         solo, fbr, mem = consts
-        hooks = self._job_hooks.get(node.node_id)
+        hooks = self._batch_hooks.get(node.node_id)
         if hooks is None:
-            hooks = self._job_hooks[node.node_id] = self._hooks_for(node, pool)
+            hooks = self._batch_hooks[node.node_id] = self._hooks_for(node, pool)
         on_complete, on_evict = hooks
         slowdown = (
             self._chaos.slowdown_factor if self._chaos is not None else 1.0
         )
-        # Positional arguments, in field order (keywords cost more).
-        node.device.submit(
-            Job(batch, solo, fbr, mem, batch.mode, on_complete, on_evict,
-                slowdown)
-        )
+        # Positional arguments (keywords cost more).
+        batch.set_execution(solo, fbr, mem, on_complete, on_evict, slowdown)
+        node.device.submit(batch)
 
     def _hooks_for(self, node: NodeInstance, pool: ContainerPool) -> tuple:
-        """The completion and eviction hooks of every job this lane runs
-        on ``node`` (built once per node; the job carries its batch).
+        """The completion and eviction hooks of every batch this lane runs
+        on ``node`` (built once per node).
 
         They close over the run's parts, not the run: the run keeps them,
         and a reference back would leave every finished run to the cycle
@@ -640,13 +645,13 @@ class ServerlessRun:
         name, node_id = node.spec.name, node.node_id
         sim, metrics, resilience = self.sim, self.metrics, self.resilience
 
-        def on_complete(job: Job) -> None:
+        def on_complete(batch: Batch) -> None:
             pool.release()
             if resilience is not None:
                 resilience.record_success(name, sim.now)
-            metrics.record_batch(job.batch, node_id)
+            metrics.record_batch(batch, node_id)
 
-        def on_evict(job: Job) -> None:
+        def on_evict(batch: Batch) -> None:
             pool.release()
 
         return on_complete, on_evict
@@ -656,6 +661,9 @@ class ServerlessRun:
     # ------------------------------------------------------------------
     def _monitor_tick(self) -> None:
         now = self.sim.now
+        delivered = self._delivered()
+        self.tracker.count(delivered - self._delivered_at_tick)
+        self._delivered_at_tick = delivered
         rate = self.tracker.sample(now)
         self.policy.observe_rate(rate, now)
         if self._current is not None and self._observe_contention is not None:
@@ -793,13 +801,13 @@ class ServerlessRun:
         self._flush_pending(node)
 
     def _migrate_queue(self, old: NodeInstance, node: NodeInstance) -> None:
-        """Move not-yet-started jobs from ``old``'s device to ``node``."""
+        """Move not-yet-started batches from ``old``'s device to ``node``."""
         pool = node.pool(self.model.name)
-        for job in old.device.evict_queued():
-            job.batch.breakdown.queue_delay += self.sim.now - job.submitted_at
-            if job.on_evict is not None:
-                job.on_evict(job)
-            self._acquire_and_submit(job.batch, node, pool)
+        for batch in old.device.evict_queued():
+            batch.queue_delay += self.sim.now - batch.submitted_at
+            if batch.on_evict is not None:
+                batch.on_evict(batch)
+            self._acquire_and_submit(batch, node, pool)
 
     def _release_drained(self) -> None:
         still = []
@@ -862,7 +870,7 @@ class ServerlessRun:
         self._current = None
         self._reconfig_target = None
         self._reconfig_gen += 1  # cancel any in-flight reconfiguration
-        self._handle_failed_batch(*[job.batch for job in evicted])
+        self._handle_failed_batch(*evicted)
         failover = self._failover_choice(node.spec)
 
         def on_ready(new_node: NodeInstance) -> None:
@@ -891,19 +899,19 @@ class ServerlessRun:
         node = self._current
         if node is None or not node.available:
             return False
-        job = node.device.evict_one()
-        if job is None:
+        batch = node.device.evict_one()
+        if batch is None:
             return False
-        if job.on_evict is not None:
-            job.on_evict(job)  # balances the container acquisition
+        if batch.on_evict is not None:
+            batch.on_evict(batch)  # balances the container acquisition
         if self.resilience is not None:
             self.resilience.record_failure(node.spec.name, self.sim.now)
             if self.resilience.config.recovery != "requeue":
-                self._handle_failed_batch(job.batch)
+                self._handle_failed_batch(batch)
                 return True
         # Requeue (default): unlike a node outage the node itself is still
         # healthy, so the evicted work redispatches immediately.
-        self._dispatch(job.batch.arrivals, node)
+        self._dispatch(batch.arrivals, node)
         return True
 
     # ------------------------------------------------------------------
@@ -956,15 +964,14 @@ class ServerlessRun:
             # plan_retry clamps the cumulative wait to the SLO deadline.
             self._plan_retry(batch)
             return
-        bd = batch.breakdown
         # The failed attempt's span [dispatched_at, now) is fault-induced
         # loss; attempt-scoped components restart with the new attempt so
         # the breakdown still sums to end-to-end latency.
-        bd.failure_wait += now - batch.dispatched_at
-        bd.cold_start_wait = 0.0
-        bd.queue_delay = 0.0
-        bd.interference_extra = 0.0
-        bd.exec_solo = 0.0
+        batch.failure_wait += now - batch.dispatched_at
+        batch.cold_start_wait = 0.0
+        batch.queue_delay = 0.0
+        batch.interference_extra = 0.0
+        batch.exec_solo = 0.0
         batch.dispatched_at = now
         batch.retries += 1
         obs = self.obs
@@ -978,7 +985,7 @@ class ServerlessRun:
     def _finalize(self) -> RunResult:
         # Anything not completed counts against compliance.
         completed = self.metrics.completed_requests()
-        offered = self.metrics.total_requests_offered
+        offered = self.metrics.total_requests_offered = self._delivered()
         self.metrics.record_unserved(max(0, offered - completed))
 
         duration = self.trace.duration

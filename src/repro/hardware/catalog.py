@@ -90,10 +90,12 @@ class HardwareSpec:
     provision_seconds: float
     cpu_lanes: int = 1
     perf_rank: int = 0
+    #: ``kind == HardwareKind.GPU``, derived once at construction (the
+    #: dispatcher and the devices read it per batch).
+    is_gpu: bool = field(init=False, repr=False, compare=False)
 
-    @property
-    def is_gpu(self) -> bool:
-        return self.kind == HardwareKind.GPU
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "is_gpu", self.kind == HardwareKind.GPU)
 
     @property
     def price_per_second(self) -> float:

@@ -42,7 +42,14 @@ from repro.hardware.catalog import HardwareCatalog, HardwareSpec, default_catalo
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
 from repro.workloads.models import ModelSpec
 
-__all__ = ["HardwarePoolTable", "ProfileService", "V100_BANDWIDTH_GBPS", "FBR_CAP"]
+__all__ = [
+    "CPU_HEADROOM",
+    "FBR_CAP",
+    "HEADROOM",
+    "HardwarePoolTable",
+    "ProfileService",
+    "V100_BANDWIDTH_GBPS",
+]
 
 #: Bandwidth of the anchor device (the V100's HBM2).
 V100_BANDWIDTH_GBPS = 900.0
@@ -57,6 +64,14 @@ FBR_CAP = 0.95
 #: Fraction of device memory usable for batches (the rest is runtime/CUDA
 #: context overhead).
 _MEMORY_USABLE_FRACTION = 0.9
+
+#: Algorithm 1's ``get_HW_pool`` margin: a GPU node qualifies when its
+#: sweet-spot goodput covers the predicted rate times this.
+HEADROOM = 1.25
+#: The larger margin CPU nodes need: they are the slowest to escape from
+#: once a ramp outruns them, so they only qualify for comfortably low
+#: rates ("CPU nodes handle lower request rates", Section IV-A).
+CPU_HEADROOM = 1.5
 
 
 class HardwarePoolTable(NamedTuple):
@@ -104,7 +119,7 @@ class ProfileService:
     #: a device serving rate ``r`` sees batches of ``r * window`` requests,
     #: so per-batch fixed overhead bounds throughput at small windows.
     dispatch_window_seconds: float = 0.075
-    #: Memoised :class:`HardwarePoolTable` per (model, slo, headrooms) —
+    #: Memoised :class:`HardwarePoolTable` per (model, slo) —
     #: pure functions of the profiles.  The pool is asked every
     #: monitoring tick with a continuously-varying rate, but the rate
     #: only enters a final comparison; everything profiled is cacheable.
@@ -221,24 +236,20 @@ class ProfileService:
     # ------------------------------------------------------------------
     # Hardware pool (Algorithm 1's get_HW_pool)
     # ------------------------------------------------------------------
-    def hw_pool_table(self, model: ModelSpec, slo_seconds: float,
-                      headroom: float = 1.25, cpu_headroom: float = 1.5,
-                      ) -> HardwarePoolTable:
+    def hw_pool_table(self, model: ModelSpec,
+                      slo_seconds: float) -> HardwarePoolTable:
         """The nodes able to serve ``model`` within the SLO, memoised (a
         caller asking every tick resolves it once and calls its
         ``admit`` with the predicted rate).
 
         A node qualifies when its sweet-spot goodput covers the predicted
-        rate with ``headroom``.  CPU nodes get a larger margin
-        (``cpu_headroom``): they are the slowest to escape from once a ramp
-        outruns them, so they only qualify for comfortably low rates ("CPU
-        nodes handle lower request rates", Section IV-A).  The pool is
-        cheapest-first (Algorithm 1 sorts by cost ascending).  If *no*
-        node qualifies — the resource-exhaustion regime of Fig 13a — the
-        most performant node is the pool, so the framework degrades
-        instead of refusing.
+        rate with :data:`HEADROOM`, or with the larger
+        :data:`CPU_HEADROOM` on a CPU node.  The pool is cheapest-first
+        (Algorithm 1 sorts by cost ascending).  If *no* node qualifies —
+        the resource-exhaustion regime of Fig 13a — the most performant
+        node is the pool, so the framework degrades instead of refusing.
         """
-        key = (model, slo_seconds, headroom, cpu_headroom)
+        key = (model, slo_seconds)
         table = self._pool_cache.get(key)
         if table is None:
             sweets = [
@@ -254,7 +265,7 @@ class ProfileService:
             )
             table = self._pool_cache[key] = HardwarePoolTable(
                 tuple(
-                    (hw, sweet, headroom if hw.is_gpu else cpu_headroom)
+                    (hw, sweet, HEADROOM if hw.is_gpu else CPU_HEADROOM)
                     for hw, sweet in sweets
                     if sweet > 0.0
                 ),

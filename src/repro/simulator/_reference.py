@@ -90,6 +90,9 @@ class ReferenceSimulator:
         heapq.heappush(self._heap, ev)
         return ev
 
+    def cancel(self, ev: ReferenceEvent) -> None:  # the engine's cancel API
+        ev.cancel()
+
     def step(self) -> bool:
         while self._heap:
             ev = heapq.heappop(self._heap)

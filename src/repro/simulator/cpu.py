@@ -9,6 +9,9 @@ ignored and everything is FIFO-fed into free lanes.
 Host contention (Table III's mixed-workload study) is modelled with a
 multiplicative ``contention_factor`` on service times, settable at run time
 by the SeBS co-location injector.
+
+The device runs :class:`~repro.framework.request.Batch` objects whose
+execution parameters the framework set (:meth:`Batch.set_execution`).
 """
 
 from __future__ import annotations
@@ -18,11 +21,15 @@ from typing import Optional
 
 import numpy as np
 
+from repro.framework.request import Batch
 from repro.hardware.catalog import HardwareSpec
 from repro.simulator.engine import Simulator
-from repro.simulator.job import NOISE_BLOCK, Job
 
-__all__ = ["CPUDevice"]
+__all__ = ["CPUDevice", "NOISE_BLOCK"]
+
+#: Devices draw execution noise this many values at a time (the same
+#: values as one ``standard_normal()`` per batch, in order).
+NOISE_BLOCK = 64
 
 
 class CPUDevice:
@@ -56,8 +63,8 @@ class CPUDevice:
         #: A block of ``rng``'s standard normals; ``_noise_at`` is the next.
         self._noise, self._noise_at = None, NOISE_BLOCK
 
-        self._queue: deque[Job] = deque()
-        self._running: list[Job] = []
+        self._queue: deque[Batch] = deque()
+        self._running: list[Batch] = []
         #: Service-time inflation from co-located host workloads (>= 1).
         self.contention_factor = 1.0
 
@@ -74,10 +81,10 @@ class CPUDevice:
     def queued_requests(self) -> int:
         """Requests sitting in the lane queue (``curr_queue_info``)."""
         queue = self._queue
-        return sum(j.batch.size for j in queue) if queue else 0
+        return sum(b.arrivals.size for b in queue) if queue else 0
 
-    def evict_queued(self) -> list[Job]:
-        """Remove not-yet-started jobs (hardware switch re-routes them)."""
+    def evict_queued(self) -> list[Batch]:
+        """Remove not-yet-started batches (hardware switch re-routes them)."""
         evicted = list(self._queue)
         self._queue.clear()
         return evicted
@@ -100,91 +107,86 @@ class CPUDevice:
     # ------------------------------------------------------------------
     # Submission / execution
     # ------------------------------------------------------------------
-    def submit(self, job: Job) -> None:
+    def submit(self, batch: Batch) -> None:
         """Start a batch on a free lane, or queue it until one frees up.
 
-        A job that finds the FIFO empty and a lane free starts at once.
+        A batch that finds the FIFO empty and a lane free starts at once.
         Otherwise it joins the FIFO, whose head takes any free lane: a
-        lane can be free with jobs queued while a completion hook runs,
-        and those jobs go first."""
-        now = job.submitted_at = self.sim.now
+        lane can be free with batches queued while a completion hook
+        runs, and those batches go first."""
+        now = batch.submitted_at = self.sim.now
         if not self._queue and len(self._running) < self.spec.cpu_lanes:
-            self._start(job, now)
+            self._start(batch, now)
         else:
-            self._queue.append(job)
+            self._queue.append(batch)
             self._dispatch()
 
-    def evict_all(self) -> list[Job]:
-        """Node failure: abandon everything, returning unfinished jobs."""
+    def evict_all(self) -> list[Batch]:
+        """Node failure: abandon everything, returning unfinished batches."""
         evicted = list(self._running) + list(self._queue)
-        for job in evicted:
-            job.started_at = None
+        for batch in evicted:
+            batch.started_at = None
         self._running.clear()
         self._queue.clear()
         self._mark_busy_transition()
         return evicted
 
-    def evict_one(self) -> Optional[Job]:
+    def evict_one(self) -> Optional[Batch]:
         """OOM-kill the youngest running batch (chaos injection).
 
-        The lane's already-scheduled ``_finish`` fires into its
-        not-in-running guard and is ignored.  Returns ``None`` when no
-        lane is busy.
+        The lane's already-scheduled ``_finish`` belongs to an attempt
+        that is no longer current and is ignored, also when the batch
+        runs again by then.  Returns ``None`` when no lane is busy.
         """
         if not self._running:
             return None
-        job = self._running[-1]
-        self._running.remove(job)
-        job.started_at = None
+        batch = self._running.pop()
+        batch.started_at = None
         self._mark_busy_transition()
         self._dispatch()
-        return job
+        return batch
 
     def _dispatch(self) -> None:
         while self._queue and len(self._running) < self.spec.cpu_lanes:
             self._start(self._queue.popleft(), self.sim.now)
 
-    def _start(self, job: Job, now: float) -> None:
-        job.started_at = now
+    def _start(self, batch: Batch, now: float) -> None:
+        batch.started_at = now
         i = self._noise_at
         if i == NOISE_BLOCK:
             self._noise, i = self.rng.standard_normal(NOISE_BLOCK), 0
         self._noise_at = i + 1
         noise = 1.0 + self.exec_noise_sigma * self._noise.item(i)
         service = (
-            job.solo_time * max(0.5, noise) * self.contention_factor
-            * job.slowdown
+            batch.solo_time * max(0.5, noise) * self.contention_factor
+            * batch.slowdown
         )
-        self._running.append(job)
-        batch = job.batch
+        self._running.append(batch)
         batch.co_run, batch.start_fbr = len(self._running), 0.0
         if self._busy_since is None:
             self._busy_since = now
-        self.sim.schedule(service, lambda j=job: self._finish(j))
+        self.sim.schedule(service, lambda b=batch, s=now: self._finish(b, s))
 
-    def _finish(self, job: Job) -> None:
-        try:
-            self._running.remove(job)
-        except ValueError:
-            return  # evicted by a failure while in flight
+    def _finish(self, batch: Batch, started: float) -> None:
+        if batch.started_at != started:
+            # The attempt that started at ``started`` was evicted (node
+            # failure, OOM kill); the batch may be running again since.
+            return
+        self._running.remove(batch)
         now = self.sim.now
-        batch = job.batch
-        assert job.started_at is not None
-        batch.started_at = job.started_at
-        batch.breakdown.queue_delay += job.started_at - job.submitted_at
-        exec_time = now - job.started_at
-        inflated_solo = job.solo_time * job.slowdown
-        batch.breakdown.exec_solo += min(exec_time, job.solo_time)
+        batch.queue_delay += started - batch.submitted_at
+        exec_time = now - started
+        solo = batch.solo_time
+        inflated_solo = solo * batch.slowdown
+        batch.exec_solo += min(exec_time, solo)
         # Straggler stretch is failure time, not interference.
-        batch.breakdown.failure_wait += max(
-            0.0, min(exec_time, inflated_solo) - job.solo_time
-        )
+        batch.failure_wait += max(0.0, min(exec_time, inflated_solo) - solo)
         # Contention inflation is the CPU analogue of interference.
-        batch.breakdown.interference_extra += max(0.0, exec_time - inflated_solo)
+        batch.interference_extra += max(0.0, exec_time - inflated_solo)
         batch.completed_at = now
         batch.hardware_name = self.spec.name
-        if job.on_complete is not None:
-            job.on_complete(job)
+        if batch.on_complete is not None:
+            batch.on_complete(batch)
         if not self._running and self._busy_since is not None:
             self.busy_seconds += now - self._busy_since
             self._busy_since = None

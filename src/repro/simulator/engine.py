@@ -15,15 +15,17 @@ Design notes
   virtual-dispatch event objects for the event volumes we simulate (~1e5-1e6
   events per trace), and the hpc-parallel guides' advice is to keep the hot
   loop free of unnecessary allocation.
-* Heap entries *are* the schedule handles: each is a 4-slot
-  ``[time, priority, seq, fn]`` list (an :class:`Event`, a ``list`` subclass
-  with empty ``__slots__``), so ``heapq`` orders entries with the list
-  type's C-level comparison instead of a generated dataclass ``__lt__``.
-  The unique ``seq`` in slot 2 guarantees the callback in slot 3 is never
-  reached during comparison.  One allocation per event, C-speed ordering.
+* Heap entries *are* the schedule handles: each is a plain 4-slot
+  ``[time, priority, seq, fn]`` list, so ``heapq`` orders entries with the
+  list type's C-level comparison and building one costs a list display,
+  not a constructor call.  The unique ``seq`` in slot 2 guarantees the
+  callback in slot 3 is never reached during comparison.  One allocation
+  per event, C-speed ordering.
 * Cancellation is handled with a tombstone rather than heap surgery:
-  :meth:`Event.cancel` nulls the callback slot (O(1)); tombstoned entries
-  are skipped when popped.
+  :meth:`Simulator.cancel` nulls the callback slot (O(1)); tombstoned
+  entries are skipped when popped.
+* The clock :attr:`Simulator.now` is a plain attribute: devices and the
+  framework read it several times per request.
 * :meth:`Simulator.run` samples the profiler once at entry and selects
   one of two loop bodies — unprofiled, or bracketing each dispatch with
   the profiler's ``push_site`` / ``pop`` — so the common (unprofiled) hot
@@ -41,7 +43,6 @@ import math
 from typing import Callable, Optional, Protocol
 
 __all__ = [
-    "Event",
     "RepeatingEvent",
     "Simulator",
     "SimulationError",
@@ -79,60 +80,10 @@ class SimulationError(RuntimeError):
     """
 
 
-class Event(list):
-    """A scheduled callback: the heap entry ``[time, priority, seq, fn]``.
-
-    The entry doubles as the cancellation handle returned by
-    :meth:`Simulator.schedule`.  It subclasses ``list`` with empty
-    ``__slots__`` so construction (``Event((t, p, seq, fn))``) and heap
-    ordering both run at C speed; the named accessors below exist for call
-    sites and tests, never for the hot loop.
-
-    Ordering is ``(time, priority, seq)``: lower ``priority`` fires first
-    among same-time events (devices use 0 for state updates, policies 10 so
-    decisions observe post-update state), and the monotonic ``seq`` makes
-    every entry unique — the callback slot is never compared.
-    """
-
-    __slots__ = ()
-
-    # Construction goes through the inherited (C-level) list.__init__:
-    #     Event((time, priority, seq, fn))
-
-    @property
-    def time(self) -> float:
-        """Absolute simulation time (seconds) at which the callback fires."""
-        return self[0]
-
-    @property
-    def priority(self) -> int:
-        """Secondary ordering key; lower fires first among same-time events."""
-        return self[1]
-
-    @property
-    def seq(self) -> int:
-        """Monotonic tie-breaker assigned by the simulator."""
-        return self[2]
-
-    @property
-    def fn(self) -> Optional[Callable[[], None]]:
-        """The callback (``None`` once cancelled)."""
-        return self[3]
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` tombstoned this entry."""
-        return self[3] is None
-
-    def cancel(self) -> None:
-        """Mark this event as cancelled; it will never fire."""
-        self[3] = None
-
-
 class RepeatingEvent:
     """Handle for a :meth:`Simulator.every` loop.
 
-    Wraps the *current* underlying :class:`Event`; :meth:`cancel` both
+    Wraps the *current* underlying heap entry; :meth:`cancel` both
     tombstones it and stops the loop from rescheduling, so a single call
     ends the series no matter how many ticks have already fired.
     """
@@ -140,7 +91,7 @@ class RepeatingEvent:
     __slots__ = ("_event", "_cancelled")
 
     def __init__(self) -> None:
-        self._event: Optional[Event] = None
+        self._event: Optional[list] = None
         self._cancelled = False
 
     @property
@@ -151,7 +102,7 @@ class RepeatingEvent:
         """Stop the series; the pending tick (if any) never fires."""
         self._cancelled = True
         if self._event is not None:
-            self._event.cancel()
+            self._event[3] = None  # as Simulator.cancel
 
 
 class Simulator:
@@ -184,8 +135,10 @@ class Simulator:
         *,
         profiler: Optional[DispatchProfiler] = None,
     ) -> None:
-        self._now = float(start_time)
-        self._heap: list[Event] = []
+        #: Current simulation time in seconds; only the run loop
+        #: advances it.
+        self.now = float(start_time)
+        self._heap: list[list] = []
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -201,19 +154,11 @@ class Simulator:
         self._profiler = profiler
 
     # ------------------------------------------------------------------
-    # Clock
-    # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time in seconds."""
-        return self._now
-
-    # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
     def schedule(
         self, delay: float, fn: Callable[[], None], priority: int = 0
-    ) -> Event:
+    ) -> list:
         """Schedule ``fn`` to fire ``delay`` seconds from now.
 
         Parameters
@@ -223,12 +168,15 @@ class Simulator:
         fn:
             Zero-argument callback.
         priority:
-            Lower priorities fire first among simultaneous events.
+            Lower priorities fire first among simultaneous events
+            (devices use 0 for state updates, policies 10 so decisions
+            observe post-update state).
 
         Returns
         -------
-        Event
-            Handle that can be cancelled with :meth:`Event.cancel`.
+        list
+            The heap entry ``[time, priority, seq, fn]``: a handle that
+            :meth:`cancel` tombstones.  Callers must not mutate it.
         """
         # One chained comparison rejects negative, inf, and NaN delays
         # (NaN fails every comparison) without three math.* calls.
@@ -238,25 +186,31 @@ class Simulator:
             raise SimulationError(f"non-finite delay: {delay!r}")
         if fn is None:
             raise SimulationError("event callback must be callable, not None")
-        ev = Event((self._now + delay, priority, next(self._seq), fn))
-        _heappush(self._heap, ev)
-        return ev
+        entry = [self.now + delay, priority, next(self._seq), fn]
+        _heappush(self._heap, entry)
+        return entry
 
     def schedule_at(
         self, time: float, fn: Callable[[], None], priority: int = 0
-    ) -> Event:
+    ) -> list:
         """Schedule ``fn`` at absolute simulation time ``time``."""
-        if not self._now <= time < _INF:
-            if time < self._now:
+        if not self.now <= time < _INF:
+            if time < self.now:
                 raise SimulationError(
-                    f"cannot schedule at t={time} (now={self._now})"
+                    f"cannot schedule at t={time} (now={self.now})"
                 )
             raise SimulationError(f"non-finite event time: {time!r}")
         if fn is None:
             raise SimulationError("event callback must be callable, not None")
-        ev = Event((float(time), priority, next(self._seq), fn))
-        _heappush(self._heap, ev)
-        return ev
+        entry = [float(time), priority, next(self._seq), fn]
+        _heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Tombstone a handle from :meth:`schedule` or :meth:`schedule_at`:
+        it will never fire.  Cancelling twice, or after it fired, is a
+        no-op."""
+        entry[3] = None
 
     def every(
         self,
@@ -283,10 +237,10 @@ class Simulator:
             fn()
             if handle._cancelled:
                 return
-            if until is None or self._now + interval <= until:
+            if until is None or self.now + interval <= until:
                 handle._event = self.schedule(interval, tick, priority)
 
-        if until is None or self._now + interval <= until:
+        if until is None or self.now + interval <= until:
             handle._event = self.schedule(interval, tick, priority)
         else:
             handle._cancelled = True
@@ -307,9 +261,9 @@ class Simulator:
         while heap:
             entry = _heappop(heap)
             fn = entry[3]
-            if fn is None:  # tombstoned by Event.cancel
+            if fn is None:  # tombstoned by cancel
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             self.n_dispatched += 1
             prof = self._profiler
             if prof is None:
@@ -352,7 +306,7 @@ class Simulator:
                     if entry[0] > limit:
                         break
                     pop(heap)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     n += 1
                     fn()
             else:
@@ -370,13 +324,13 @@ class Simulator:
                     if entry[0] > limit:
                         break
                     pop(heap)
-                    self._now = entry[0]
+                    self.now = entry[0]
                     n += 1
                     push_site(fn)
                     fn()
                     prof_pop()
-            if until is not None and self._now < until:
-                self._now = float(until)
+            if until is not None and self.now < until:
+                self.now = float(until)
         finally:
             # n_dispatched is maintained in a local and written back here
             # (including on callback exceptions); nothing in the tree reads
@@ -394,6 +348,6 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.6f}, pending={self.pending()}, "
+            f"Simulator(now={self.now:.6f}, pending={self.pending()}, "
             f"dispatched={self.n_dispatched})"
         )

@@ -20,6 +20,9 @@ Device memory is a hard bound: a spatial job that does not fit waits in a
 pending queue (FIFO, before the temporal queue) until residency frees up.
 This is what physically restrains schedulers that try to co-locate
 everything (INFless/Llama) on small GPUs.
+
+The device runs :class:`~repro.framework.request.Batch` objects whose
+execution parameters the framework set (:meth:`Batch.set_execution`).
 """
 
 from __future__ import annotations
@@ -29,17 +32,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.framework.request import ShareMode
+from repro.framework.request import Batch, ShareMode
 from repro.hardware.catalog import HardwareSpec
-from repro.simulator.engine import Event, Simulator
+from repro.simulator.cpu import NOISE_BLOCK
+from repro.simulator.engine import Simulator
 from repro.simulator.interference import DEFAULT_INTERFERENCE, InterferenceModel
-from repro.simulator.job import NOISE_BLOCK, Job
 
 __all__ = ["GPUDevice"]
 
 #: Remaining work below this many solo-seconds counts as finished
 #: (guards float accumulation error in the processor-sharing updates).
 _WORK_EPS = 1e-9
+_SPATIAL = ShareMode.SPATIAL
 
 
 class GPUDevice:
@@ -54,7 +58,7 @@ class GPUDevice:
     interference:
         Ground-truth co-location slowdown law.
     rng:
-        Source of per-job execution noise.
+        Source of per-batch execution noise.
     exec_noise_sigma:
         Lognormal-ish multiplicative noise on each job's work requirement
         (real kernels jitter a few percent run to run).
@@ -78,15 +82,16 @@ class GPUDevice:
         #: A block of ``rng``'s standard normals; ``_noise_at`` is the next.
         self._noise, self._noise_at = None, NOISE_BLOCK
 
-        self._active: list[Job] = []
+        self._active: list[Batch] = []
         #: Aggregate bandwidth demand of the resident set: the fresh sum,
         #: recomputed whenever the set changes (never updated in place).
         self.total_fbr = 0.0
-        self._pending_spatial: deque[Job] = deque()
-        self._temporal_q: deque[Job] = deque()
+        self._pending_spatial: deque[Batch] = deque()
+        self._temporal_q: deque[Batch] = deque()
         self._mem_used = 0.0
         self._last_update = sim.now
-        self._completion_ev: Optional[Event] = None
+        #: The armed next-completion heap entry, if any.
+        self._completion_ev: Optional[list] = None
         #: Host-side service inflation from co-located CPU workloads
         #: (Table III); 1.0 means no co-location.
         self.contention_factor = 1.0
@@ -107,14 +112,14 @@ class GPUDevice:
         """Requests sitting in the device queues (Algorithm 1's
         ``curr_queue_info``)."""
         pending, temporal = self._pending_spatial, self._temporal_q
-        return (sum(j.batch.size for j in pending) if pending else 0) + (
-            sum(j.batch.size for j in temporal) if temporal else 0
+        return (sum(b.arrivals.size for b in pending) if pending else 0) + (
+            sum(b.arrivals.size for b in temporal) if temporal else 0
         )
 
-    def evict_queued(self) -> list[Job]:
-        """Remove jobs that have not started executing (hardware switch:
+    def evict_queued(self) -> list[Batch]:
+        """Remove batches that have not started executing (hardware switch:
         the software queues belong to the framework, which re-routes them
-        to the new node).  Running jobs finish where they are."""
+        to the new node).  Running batches finish where they are."""
         evicted = list(self._pending_spatial) + list(self._temporal_q)
         self._pending_spatial.clear()
         self._temporal_q.clear()
@@ -122,13 +127,13 @@ class GPUDevice:
 
     @property
     def n_active_spatial(self) -> int:
-        """Resident jobs co-running under MPS (time-series probe)."""
-        return sum(1 for j in self._active if j.is_spatial)
+        """Resident batches co-running under MPS (time-series probe)."""
+        return sum(1 for b in self._active if b.mode == _SPATIAL)
 
     @property
     def n_active_temporal(self) -> int:
-        """Promoted temporal jobs currently executing (time-series probe)."""
-        return sum(1 for j in self._active if not j.is_spatial)
+        """Promoted temporal batches currently executing (time-series probe)."""
+        return sum(1 for b in self._active if b.mode != _SPATIAL)
 
     @property
     def mem_used_gb(self) -> float:
@@ -167,51 +172,51 @@ class GPUDevice:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def submit(self, job: Job) -> None:
-        """Hand a job to the device.
+    def submit(self, batch: Batch) -> None:
+        """Hand a batch to the device.
 
-        Spatial jobs start immediately if device memory allows, otherwise
-        they wait in the pending queue.  Temporal jobs join the FIFO and
-        start when the device empties.
+        Spatial batches start immediately if device memory allows,
+        otherwise they wait in the pending queue.  Temporal batches join
+        the FIFO and start when the device empties.
         """
         self._advance()
-        job.submitted_at = self.sim.now
+        batch.submitted_at = self.sim.now
         i = self._noise_at
         if i == NOISE_BLOCK:
             self._noise, i = self.rng.standard_normal(NOISE_BLOCK), 0
         self._noise_at = i + 1
         noise = 1.0 + self.exec_noise_sigma * self._noise.item(i)
-        job.work = (
-            job.solo_time * max(0.5, noise) * self.contention_factor
-            * job.slowdown
+        batch.work = (
+            batch.solo_time * max(0.5, noise) * self.contention_factor
+            * batch.slowdown
         )
-        if job.is_spatial:
-            if job.mem_gb <= self.mem_free_gb and not self._pending_spatial:
-                self._start(job)
+        if batch.mode == _SPATIAL:
+            if batch.mem_gb <= self.mem_free_gb and not self._pending_spatial:
+                self._start(batch)
             else:
-                self._pending_spatial.append(job)
+                self._pending_spatial.append(batch)
         else:
-            self._temporal_q.append(job)
+            self._temporal_q.append(batch)
             self._maybe_promote()
         self._reschedule()
 
     # ------------------------------------------------------------------
     # Failure support
     # ------------------------------------------------------------------
-    def evict_all(self) -> list[Job]:
-        """Stop everything (node failure); return unfinished jobs.
+    def evict_all(self) -> list[Batch]:
+        """Stop everything (node failure); return unfinished batches.
 
-        Jobs keep their batches (arrival times intact) so the framework can
-        re-dispatch them elsewhere; execution progress is lost, as it is
-        when a real node disappears.
+        Batches keep their arrival times so the framework can re-dispatch
+        them elsewhere; execution progress is lost, as it is when a real
+        node disappears.
         """
         self._advance()
         evicted = list(self._active) + list(self._pending_spatial) + list(
             self._temporal_q
         )
-        for job in evicted:
-            job.started_at = None
-            job.work = 0.0
+        for batch in evicted:
+            batch.started_at = None
+            batch.work = 0.0
         self._active.clear()
         self._pending_spatial.clear()
         self._temporal_q.clear()
@@ -219,12 +224,12 @@ class GPUDevice:
         self.total_fbr = 0.0
         self._mark_busy_transition()
         if self._completion_ev is not None:
-            self._completion_ev.cancel()
+            self.sim.cancel(self._completion_ev)
             self._completion_ev = None
         return evicted
 
-    def evict_one(self) -> Optional[Job]:
-        """OOM-kill one *running* job mid-batch (chaos injection).
+    def evict_one(self) -> Optional[Batch]:
+        """OOM-kill one *running* batch mid-execution (chaos injection).
 
         The youngest resident is the victim — the container that grew
         last is the one the kernel's OOM killer reaps.  Its progress is
@@ -234,26 +239,25 @@ class GPUDevice:
         self._advance()
         if not self._active:
             return None
-        job = self._active.pop()
-        self._mem_used -= job.mem_gb
-        self.total_fbr = float(sum(j.fbr for j in self._active))
-        job.started_at = None
-        job.work = 0.0
+        batch = self._active.pop()
+        self._mem_used -= batch.mem_gb
+        self.total_fbr = float(sum(b.fbr for b in self._active))
+        batch.started_at = None
+        batch.work = 0.0
         self._drain_pending()
         self._maybe_promote()
         self._mark_busy_transition()
         self._reschedule()
-        return job
+        return batch
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _start(self, job: Job) -> None:
-        now = job.started_at = self.sim.now
-        self._active.append(job)
-        self._mem_used += job.mem_gb
-        self.total_fbr = float(sum(j.fbr for j in self._active))
-        batch = job.batch
+    def _start(self, batch: Batch) -> None:
+        now = batch.started_at = self.sim.now
+        self._active.append(batch)
+        self._mem_used += batch.mem_gb
+        self.total_fbr = float(sum(b.fbr for b in self._active))
         batch.co_run, batch.start_fbr = len(self._active), self.total_fbr
         if self._busy_since is None:
             self._busy_since = now
@@ -261,11 +265,10 @@ class GPUDevice:
     def _maybe_promote(self) -> None:
         """Move the temporal head onto the device if it is idle."""
         if not self._active and not self._pending_spatial and self._temporal_q:
-            job = self._temporal_q.popleft()
-            self._start(job)
+            self._start(self._temporal_q.popleft())
 
     def _drain_pending(self) -> None:
-        """Admit memory-pending spatial jobs that now fit (FIFO order)."""
+        """Admit memory-pending spatial batches that now fit (FIFO order)."""
         while (
             self._pending_spatial
             and self._pending_spatial[0].mem_gb <= self.mem_free_gb
@@ -273,19 +276,19 @@ class GPUDevice:
             self._start(self._pending_spatial.popleft())
 
     def _rate(self) -> float:
-        """Per-job progress rate of the current resident set."""
+        """Per-batch progress rate of the current resident set."""
         if not self._active:
             return 1.0
         return 1.0 / self.interference.slowdown(self.total_fbr)
 
     def _advance(self) -> None:
-        """Credit elapsed wall time to every resident job's remaining work."""
+        """Credit elapsed wall time to every resident batch's remaining work."""
         now = self.sim.now
         elapsed = now - self._last_update
         if elapsed > 0 and self._active:
             progressed = elapsed * self._rate()
-            for job in self._active:
-                job.work -= progressed
+            for batch in self._active:
+                batch.work -= progressed
         self._last_update = now
 
     def _mark_busy_transition(self) -> None:
@@ -299,57 +302,55 @@ class GPUDevice:
     def _reschedule(self) -> None:
         """(Re)arm the next-completion event for the resident set."""
         if self._completion_ev is not None:
-            self._completion_ev.cancel()
+            self.sim.cancel(self._completion_ev)
             self._completion_ev = None
         if not self._active:
             return
-        min_work = min(j.work for j in self._active)
+        min_work = min(b.work for b in self._active)
         delay = max(0.0, min_work) / self._rate()
         self._completion_ev = self.sim.schedule(delay, self._on_completion)
 
     def _on_completion(self) -> None:
         self._completion_ev = None
         self._advance()
-        finished = [j for j in self._active if j.work <= _WORK_EPS]
+        finished = [b for b in self._active if b.work <= _WORK_EPS]
         if not finished:
             # Numerical underrun: re-arm and let the set run to completion.
             self._reschedule()
             return
-        for job in finished:
-            self._active.remove(job)
-            self._mem_used -= job.mem_gb
+        for batch in finished:
+            self._active.remove(batch)
+            self._mem_used -= batch.mem_gb
             # Before the completion hook: it may submit the next batch.
-            self.total_fbr = float(sum(j.fbr for j in self._active))
-            self._complete(job)
+            self.total_fbr = float(sum(b.fbr for b in self._active))
+            self._complete(batch)
         self._drain_pending()
         self._maybe_promote()
         self._mark_busy_transition()
         self._reschedule()
 
-    def _complete(self, job: Job) -> None:
+    def _complete(self, batch: Batch) -> None:
         now = self.sim.now
-        batch = job.batch
-        batch.started_at = job.started_at
-        assert job.started_at is not None
-        wait = job.started_at - job.submitted_at
-        exec_time = now - job.started_at
-        # A straggler window stretches the job's nominal service time; the
-        # stretch is charged to failure_wait, and only time beyond the
+        started = batch.started_at
+        assert started is not None
+        wait = started - batch.submitted_at
+        exec_time = now - started
+        # A straggler window stretches the batch's nominal service time;
+        # the stretch is charged to failure_wait, and only time beyond the
         # *inflated* solo counts as interference.
-        inflated_solo = job.solo_time * job.slowdown
+        solo = batch.solo_time
+        inflated_solo = solo * batch.slowdown
         interference_extra = max(0.0, exec_time - inflated_solo)
-        if job.is_spatial:
-            # A spatial job only ever waits because co-location pressure
+        if batch.mode == _SPATIAL:
+            # A spatial batch only ever waits because co-location pressure
             # exhausted device memory — that wait is interference-induced.
             interference_extra += wait
         else:
-            batch.breakdown.queue_delay += wait
-        batch.breakdown.exec_solo += min(exec_time, job.solo_time)
-        batch.breakdown.failure_wait += max(
-            0.0, min(exec_time, inflated_solo) - job.solo_time
-        )
-        batch.breakdown.interference_extra += interference_extra
+            batch.queue_delay += wait
+        batch.exec_solo += min(exec_time, solo)
+        batch.failure_wait += max(0.0, min(exec_time, inflated_solo) - solo)
+        batch.interference_extra += interference_extra
         batch.completed_at = now
         batch.hardware_name = self.spec.name
-        if job.on_complete is not None:
-            job.on_complete(job)
+        if batch.on_complete is not None:
+            batch.on_complete(batch)

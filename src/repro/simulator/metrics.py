@@ -139,15 +139,14 @@ class BatchLog:
         mode = codes["mode"].get(batch.mode)
         if mode is None:
             mode = self._code("mode", batch.mode)
-        bd = batch.breakdown
         arrivals = batch.arrivals
         started = batch.started_at
         self._rows += _pack_row(
             batch.dispatched_at,
             math.nan if started is None else started,
             batch.completed_at,
-            bd.batching_wait, bd.cold_start_wait, bd.queue_delay,
-            bd.exec_solo, bd.interference_extra, bd.failure_wait,
+            batch.batching_wait, batch.cold_start_wait, batch.queue_delay,
+            batch.exec_solo, batch.interference_extra, batch.failure_wait,
             batch.start_fbr,
             batch.batch_id, node_id, model, hardware, mode,
             batch.retries, self.n_requests, arrivals.size, batch.co_run,

@@ -133,7 +133,7 @@ class CostBreakdown:
     """The meter's end-of-run summary (``RunResult.cost_breakdown``).
 
     ``total_dollars`` equals the sum of the four buckets by construction;
-    ``busy_dollars`` equals the sum of ``batch_cost_dollars`` values (the
+    the busy bucket equals the sum of ``batch_cost_dollars`` values (the
     per-batch pro-rata attribution), so per-request dollars
     (``batch cost / batch size``) roll up to the full bill.
     """
@@ -155,12 +155,6 @@ class CostBreakdown:
     spec_dollars: dict[str, float] = field(default_factory=dict)
     #: Pro-rata busy dollars per batch_id.
     batch_cost_dollars: dict[int, float] = field(default_factory=dict)
-    #: Requests per batch_id (denominator for per-request cost).
-    batch_requests: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def busy_dollars(self) -> float:
-        return self.bucket_dollars["busy"]
 
     @property
     def coldstart_dollars(self) -> float:
@@ -419,9 +413,7 @@ class CostMeter:
             ids, models, sizes, dollars = lease._batches  # type: ignore[attr-defined]
             # A log row carries one node id and batch ids are unique in a
             # cluster, so a batch is paid on one lease only.
-            bids = ids.tolist()
-            out.batch_cost_dollars.update(zip(bids, dollars.tolist()))
-            out.batch_requests.update(zip(bids, sizes.tolist()))
+            out.batch_cost_dollars.update(zip(ids.tolist(), dollars.tolist()))
             # Busy dollars add up per (model, spec) in walk order.
             for model in dict.fromkeys(models.tolist()):
                 ran = models == model

@@ -127,7 +127,6 @@ def make_breakdown():
         },
         spec_dollars={"g3s.xlarge": 0.05},
         batch_cost_dollars={1: 0.02, 2: 0.01},
-        batch_requests={1: 4, 2: 2},
     )
 
 

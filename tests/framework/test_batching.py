@@ -66,6 +66,44 @@ class TestWindowGroups:
             assert np.array_equal(np.sort(merged), arr)
 
 
+@st.composite
+def windowed_arrivals(draw):
+    """A window length and sorted arrivals for it, with values on the
+    window grid (where a window closes) and repeated timestamps."""
+    window = draw(st.sampled_from([0.075, 0.1, 0.25, 1.0]))
+    on_grid = st.integers(min_value=0, max_value=40).map(lambda k: k * window)
+    anywhere = st.floats(min_value=0.0, max_value=40 * window)
+    times = draw(st.lists(st.one_of(on_grid, anywhere), max_size=200))
+    if times:
+        times += draw(st.lists(st.sampled_from(times), max_size=50))
+    return np.sort(np.asarray(times, dtype=float)), window
+
+
+class TestPartition:
+    @given(
+        windowed_arrivals(),
+        st.one_of(st.none(), st.just(1), st.integers(min_value=2, max_value=8),
+                  st.just(10_000)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rows_partition_arrivals_in_dispatch_order(self, planned,
+                                                       max_batch):
+        """Rows in dispatch order cover the arrival column front to back
+        without gaps or overlaps, so the requests delivered by the first
+        ``i`` rows are ``ends[i - 1]``: the count the run's rate tracker
+        and offered total read."""
+        arr, window = planned
+        table = WindowTable.plan(arr, window, max_batch)
+        if arr.size == 0:
+            assert len(table) == 0
+            return
+        starts, ends = table.starts, table.ends
+        assert starts[0] == 0
+        assert np.array_equal(starts[1:], ends[:-1])
+        assert ends[-1] == arr.size
+        assert np.all(ends > starts)
+
+
 class TestCarveSizes:
     def test_exact_multiples(self):
         assert carve_sizes(32, 16) == [16, 16]

@@ -34,6 +34,19 @@ class TestBatch:
         assert a == a
         assert a != b
 
+    def test_set_execution_checks_its_bounds(self):
+        b = make_batch()
+        b.set_execution(0.1, 0.4, 2.0, slowdown=1.5)
+        assert (b.solo_time, b.fbr, b.mem_gb, b.slowdown) == (0.1, 0.4, 2.0, 1.5)
+        for solo, fbr, mem, slowdown, what in (
+            (0.0, 0.4, 2.0, 1.0, "solo_time"),
+            (0.1, -0.1, 2.0, 1.0, "fbr"),
+            (0.1, 0.4, -1.0, 1.0, "mem_gb"),
+            (0.1, 0.4, 2.0, 0.9, "slowdown"),
+        ):
+            with pytest.raises(ValueError, match=what):
+                b.set_execution(solo, fbr, mem, slowdown=slowdown)
+
 
 class TestBreakdown:
     def test_share_modes(self):

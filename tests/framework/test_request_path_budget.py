@@ -33,10 +33,12 @@ from repro.workloads.traces import AZURE_PEAK_TO_MEAN, azure_trace, poisson_trac
 AZURE_DAY_MEAN_RPS = 100_000 / 8_640.0
 
 #: Python calls into ``repro`` per completed request while the engine
-#: runs: the lean request path's readings on CPython 3.11 (20.76 and
-#: 5.34; the code before it read 28.91 and 6.96) plus 5 %.  CPython 3.12
-#: inlines comprehensions, so it reads a little lower.
-MAX_CALLS_PER_REQUEST = {"azure_cpu": 21.79, "poisson_gpu": 5.61}
+#: runs: the readings on CPython 3.11 with one object per batch and plain
+#: heap entries (16.48 and 4.34; with a ``Job`` and an ``Event`` per
+#: batch the path read 20.78 and 5.35, and before the lean request path
+#: 28.91 and 6.96) plus 5 %.  CPython 3.12 inlines comprehensions, so it
+#: reads a little lower.
+MAX_CALLS_PER_REQUEST = {"azure_cpu": 17.31, "poisson_gpu": 4.56}
 
 
 def _trace(config, model):

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hardware.profiles import FBR_CAP, ProfileService
+from repro.hardware.profiles import CPU_HEADROOM, FBR_CAP, HEADROOM, ProfileService
 from repro.workloads.models import ALL_MODELS, get_model
 
 
@@ -135,10 +135,11 @@ class TestHardwarePool:
         assert pool
 
     def test_capable_consistent_with_pool(self, profiles, resnet50, slo):
-        table = profiles.hw_pool_table(resnet50, slo.target_seconds,
-                                       headroom=1.0, cpu_headroom=1.0)
+        table = profiles.hw_pool_table(resnet50, slo.target_seconds)
         for hw in table.admit(100.0):
-            assert profiles.sweet_spot_rps(resnet50, hw, slo.target_seconds) >= 100.0
+            margin = HEADROOM if hw.is_gpu else CPU_HEADROOM
+            assert (profiles.sweet_spot_rps(resnet50, hw, slo.target_seconds)
+                    >= 100.0 * margin)
 
     def test_profile_row_fields(self, profiles, resnet50, m60, slo):
         row = profiles.profile_row(resnet50, m60, slo.target_seconds)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulator.engine import Event, SimulationError, Simulator
+from repro.simulator.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -52,6 +52,18 @@ class TestScheduling:
     def test_inf_delay_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.schedule(float("inf"), lambda: None)
+
+    def test_handle_is_a_plain_heap_entry(self, sim):
+        def callback():
+            pass
+
+        ev = sim.schedule(1.5, callback, priority=3)
+        at = sim.schedule_at(2.0, callback)
+        assert type(ev) is list and type(at) is list
+        assert ev == [1.5, 3, 0, callback]
+        assert at == [2.0, 0, 1, callback]
+        sim.cancel(ev)
+        assert ev[3] is None
 
 
 class TestOrdering:
@@ -105,21 +117,21 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         fired = []
         ev = sim.schedule(1.0, lambda: fired.append(True))
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self, sim):
         ev = sim.schedule(1.0, lambda: None)
-        ev.cancel()
-        ev.cancel()
+        sim.cancel(ev)
+        sim.cancel(ev)
         sim.run()
 
     def test_pending_excludes_cancelled(self, sim):
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending() == 2
-        ev.cancel()
+        sim.cancel(ev)
         assert sim.pending() == 1
 
 
@@ -138,14 +150,14 @@ class TestEdgeCases:
     def test_cancelled_event_not_counted_as_dispatched(self, sim):
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert sim.n_dispatched == 1
 
     def test_cancel_from_within_callback(self, sim):
         fired = []
         later = sim.schedule(2.0, lambda: fired.append("late"))
-        sim.schedule(1.0, lambda: later.cancel())
+        sim.schedule(1.0, lambda: sim.cancel(later))
         sim.run()
         assert fired == []
 
@@ -209,7 +221,7 @@ class TestProfilerHook:
         sim = Simulator(profiler=prof)
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert len(prof.calls) == 1
 

@@ -50,8 +50,9 @@ class Recorder:
 # ----------------------------------------------------------------------
 # Engine-level golden script
 # ----------------------------------------------------------------------
-def _scripted_order(sim_cls, seed, n_roots=200):
-    """Run a randomized schedule/cancel workload; return dispatch order.
+def _scripted_run(sim_cls, seed, n_roots=200):
+    """Run a randomized schedule/cancel workload; return the dispatch
+    order and every handle the script scheduled, in scheduling order.
 
     The script draws every decision (delays, priorities, rescheduling,
     cancellations) from one seeded RNG.  Because draws happen in dispatch
@@ -61,6 +62,7 @@ def _scripted_order(sim_cls, seed, n_roots=200):
     rng = random.Random(seed)
     sim = sim_cls()
     order = []
+    handles = []
     live_handles = []
 
     def make(tag, depth):
@@ -70,25 +72,50 @@ def _scripted_order(sim_cls, seed, n_roots=200):
                 delay = rng.choice([0.0, 0.5, 1.0, rng.uniform(0.0, 4.0)])
                 prio = rng.choice([0, 0, 5, 10])
                 h = sim.schedule(delay, make((tag, depth), depth + 1), prio)
+                handles.append(h)
                 live_handles.append(h)
             if live_handles and rng.random() < 0.3:
-                live_handles.pop(rng.randrange(len(live_handles))).cancel()
+                sim.cancel(live_handles.pop(rng.randrange(len(live_handles))))
 
         return cb
 
     for i in range(n_roots):
         # Same-time collisions on purpose: i % 7 buckets many roots onto
         # identical timestamps so priority/seq tie-breaks are exercised.
-        sim.schedule_at((i % 7) * 1.0, make(i, 0), priority=i % 3)
+        handles.append(
+            sim.schedule_at((i % 7) * 1.0, make(i, 0), priority=i % 3)
+        )
     sim.run()
-    return order
+    return order, handles
+
+
+def _tombstones(handles):
+    """Each handle's ``(time, priority, seq)`` and whether it was
+    cancelled, read from either engine's handle type."""
+    out = []
+    for h in handles:
+        if isinstance(h, list):  # the engine's plain heap entry
+            out.append((h[0], h[1], h[2], h[3] is None))
+        else:
+            out.append((h.time, h.priority, h.seq, h.cancelled))
+    return out
 
 
 @pytest.mark.parametrize("seed", [7, 21])
 def test_scripted_dispatch_order_matches_reference(seed):
-    assert _scripted_order(Simulator, seed) == _scripted_order(
+    assert _scripted_run(Simulator, seed)[0] == _scripted_run(
         ReferenceSimulator, seed
-    )
+    )[0]
+
+
+@pytest.mark.parametrize("seed", [7, 21])
+def test_cancel_tombstones_the_same_entries_as_reference(seed):
+    new_order, new_handles = _scripted_run(Simulator, seed)
+    ref_order, ref_handles = _scripted_run(ReferenceSimulator, seed)
+    assert new_order == ref_order
+    new, ref = _tombstones(new_handles), _tombstones(ref_handles)
+    assert sum(cancelled for *_, cancelled in new) > 10  # the script cancels
+    assert new == ref
 
 
 # ----------------------------------------------------------------------

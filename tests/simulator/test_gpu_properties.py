@@ -8,7 +8,6 @@ from repro.framework.request import Batch, ShareMode
 from repro.simulator.engine import Simulator
 from repro.simulator.gpu import GPUDevice
 from repro.simulator.interference import InterferenceModel
-from repro.simulator.job import Job
 from repro.hardware.catalog import default_catalog
 from repro.workloads.models import get_model
 
@@ -28,9 +27,9 @@ def run_workload(specs):
         mode = ShareMode.SPATIAL if spatial else ShareMode.TEMPORAL
         batch = Batch(model=MODEL, arrivals=np.array([delay]),
                       dispatched_at=delay, mode=mode)
-        job = Job(batch=batch, solo_time=solo, fbr=fbr, mem_gb=0.5,
-                  mode=mode, on_complete=lambda j, i=i: done.append(i))
-        sim.schedule_at(delay, lambda j=job: dev.submit(j))
+        batch.set_execution(solo, fbr, 0.5,
+                            on_complete=lambda b, i=i: done.append(i))
+        sim.schedule_at(delay, lambda b=batch: dev.submit(b))
     sim.run()
     return sim, dev, done
 
@@ -69,19 +68,19 @@ class TestConservation:
             sim, V100, InterferenceModel(sub_knee_slope=0.0),
             np.random.default_rng(0), exec_noise_sigma=0.0,
         )
-        jobs = []
+        batches = []
         for delay, solo, fbr, spatial in specs:
             mode = ShareMode.SPATIAL if spatial else ShareMode.TEMPORAL
             batch = Batch(model=MODEL, arrivals=np.array([delay]),
                           dispatched_at=delay, mode=mode)
-            job = Job(batch=batch, solo_time=solo, fbr=fbr, mem_gb=0.5, mode=mode)
-            jobs.append(job)
-            sim.schedule_at(delay, lambda j=job: dev.submit(j))
+            batch.set_execution(solo, fbr, 0.5)
+            batches.append(batch)
+            sim.schedule_at(delay, lambda b=batch: dev.submit(b))
         sim.run()
-        for job in jobs:
-            assert job.batch.completed_at is not None
-            exec_time = job.batch.completed_at - job.started_at
-            assert exec_time >= job.solo_time - 1e-9
+        for batch in batches:
+            assert batch.completed_at is not None
+            exec_time = batch.completed_at - batch.started_at
+            assert exec_time >= batch.solo_time - 1e-9
 
     @given(workload_strategy)
     @settings(max_examples=30, deadline=None)
@@ -91,7 +90,7 @@ class TestConservation:
 
 
 #: One step of a device's life: a submit (FBR, spatial?, solo time), a
-#: clock advance (which completes jobs), an OOM eviction or a failure.
+#: clock advance (which completes batches), an OOM eviction or a failure.
 #: FBRs are hundredths, which binary floats mostly cannot hold exactly,
 #: so a running total updated in place drifts from the fresh sum.
 step_strategy = st.one_of(
@@ -126,8 +125,8 @@ class TestHeldFBR:
                 mode = ShareMode.SPATIAL if spatial else ShareMode.TEMPORAL
                 batch = Batch(model=MODEL, arrivals=np.array([sim.now]),
                               dispatched_at=sim.now, mode=mode)
-                dev.submit(Job(batch=batch, solo_time=solo, fbr=fbr,
-                               mem_gb=1.5, mode=mode))
+                batch.set_execution(solo, fbr, 1.5)
+                dev.submit(batch)
             elif kind == "advance":
                 sim.run(until=sim.now + step[1])
             elif kind == "evict_one":

@@ -6,7 +6,6 @@ import pytest
 from repro.framework.request import Batch, ShareMode
 from repro.simulator.cpu import CPUDevice
 from repro.simulator.gpu import GPUDevice
-from repro.simulator.job import Job
 from repro.simulator.metrics import BatchReader, MetricsCollector
 from repro.workloads.models import get_model
 
@@ -18,7 +17,7 @@ def completed_batch(model="resnet50", arrivals=(0.0, 0.1), done_at=0.3,
         dispatched_at=float(arrivals[-1]), mode=mode,
     )
     for key, val in bd.items():
-        setattr(batch.breakdown, key, val)
+        setattr(batch, key, val)
     batch.complete(done_at)
     batch.hardware_name = hw
     return batch
@@ -137,28 +136,29 @@ class TestExecutionContext:
     last start, as the device stamped them on the batch."""
 
     @staticmethod
-    def job(m, solo, fbr):
+    def new_batch(m, solo, fbr):
         batch = Batch(model=get_model("resnet50"), arrivals=np.array([0.0]),
                       dispatched_at=0.0)
-        return Job(batch=batch, solo_time=solo, fbr=fbr, mem_gb=1.0,
-                   on_complete=lambda j: m.record_batch(j.batch, node_id=0))
+        batch.set_execution(
+            solo, fbr, 1.0, on_complete=lambda b: m.record_batch(b, node_id=0)
+        )
+        return batch
 
     def test_gpu_batch_logs_its_last_start(self, sim, v100):
         m = MetricsCollector()
         dev = GPUDevice(sim, v100, rng=np.random.default_rng(0),
                         exec_noise_sigma=0.0)
-        peer, victim = self.job(m, 0.05, 0.5), self.job(m, 0.2, 0.25)
+        peer, victim = self.new_batch(m, 0.05, 0.5), self.new_batch(m, 0.2, 0.25)
         dev.submit(peer)
         dev.submit(victim)
         # The victim started while co-running with its peer...
-        assert (victim.batch.co_run, victim.batch.start_fbr) == (2, 0.75)
+        assert (victim.co_run, victim.start_fbr) == (2, 0.75)
         # ...is OOM-killed, and restarts alone once the peer is done.
         sim.schedule_at(0.01, lambda: dev.evict_one())
         sim.schedule_at(0.5, lambda: dev.submit(victim))
         sim.run()
         rows = m.log.view()
-        assert rows["batch_id"].tolist() == [peer.batch.batch_id,
-                                             victim.batch.batch_id]
+        assert rows["batch_id"].tolist() == [peer.batch_id, victim.batch_id]
         assert rows["co_run"].tolist() == [1, 1]
         assert rows["start_fbr"].tolist() == [0.5, 0.25]
         assert rows["started_at"].tolist() == [0.0, 0.5]
@@ -168,10 +168,10 @@ class TestExecutionContext:
         dev = CPUDevice(sim, cpu_node, np.random.default_rng(0),
                         exec_noise_sigma=0.0)
         lanes = cpu_node.cpu_lanes
-        jobs = [self.job(m, 0.1, 0.0) for _ in range(lanes + 1)]
-        jobs[0].batch.start_fbr = 0.5  # as a GPU start left it
-        for job in jobs:
-            dev.submit(job)
+        batches = [self.new_batch(m, 0.1, 0.0) for _ in range(lanes + 1)]
+        batches[0].start_fbr = 0.5  # as a GPU start left it
+        for batch in batches:
+            dev.submit(batch)
         sim.run()
         rows = m.log.view()
         # The queued batch takes the first lane that frees up.

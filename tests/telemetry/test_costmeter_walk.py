@@ -145,11 +145,10 @@ def walk_summary(leases, now):
             out.bucket_dollars[b] += dollars[b]
             out.bucket_seconds[b] += seconds[b]
         for bid, paid in batch_dollars.items():
-            model, n = batch_meta[bid]
+            model, _ = batch_meta[bid]
             out.batch_cost_dollars[bid] = (
                 out.batch_cost_dollars.get(bid, 0.0) + paid
             )
-            out.batch_requests[bid] = max(out.batch_requests.get(bid, 0), n)
             cell = out.by_model_spec.setdefault(
                 (model, spec), ModelSpecCost(model=model, spec=spec)
             )
@@ -247,8 +246,6 @@ def assert_same(sweep, walk):
     assert list(sweep.spec_dollars.items()) == list(walk.spec_dollars.items())
     assert (list(sweep.batch_cost_dollars.items())
             == list(walk.batch_cost_dollars.items()))
-    assert (list(sweep.batch_requests.items())
-            == list(walk.batch_requests.items()))
     assert ([(k, vars(c)) for k, c in sweep.by_model_spec.items()]
             == [(k, vars(c)) for k, c in walk.by_model_spec.items()])
     assert sweep.attributed_dollars() == walk.attributed_dollars()

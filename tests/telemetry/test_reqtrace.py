@@ -53,8 +53,8 @@ def make_batch(
     batch.retries = retries
     batch.started_at = started_at
     batch.co_run, batch.start_fbr = co_run, start_fbr
-    batch.breakdown.batching_wait = float(arrivals[-1] - arrivals[0])
-    batch.breakdown.exec_solo = completed_at - float(arrivals[-1])
+    batch.batching_wait = float(arrivals[-1] - arrivals[0])
+    batch.exec_solo = completed_at - float(arrivals[-1])
     batch.complete(completed_at)
     return batch
 

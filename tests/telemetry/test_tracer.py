@@ -26,12 +26,11 @@ def make_completed_batch(model, *, started_at=1.2, completed_at=1.35):
     )
     batch.hardware_name = "p3.2xlarge"
     batch.started_at = started_at
-    bd = batch.breakdown
-    bd.batching_wait = 0.075
-    bd.cold_start_wait = 0.05
-    bd.queue_delay = 0.075
-    bd.exec_solo = 0.12
-    bd.interference_extra = 0.03
+    batch.batching_wait = 0.075
+    batch.cold_start_wait = 0.05
+    batch.queue_delay = 0.075
+    batch.exec_solo = 0.12
+    batch.interference_extra = 0.03
     batch.complete(completed_at)
     return batch
 
