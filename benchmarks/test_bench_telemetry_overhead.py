@@ -30,16 +30,19 @@ DURATION = 60.0
 ROUNDS = 5
 
 
-def run_once(tracer, config=None):
+def make_run(tracer, config=None):
     model = get_model("resnet50")
     profiles = ProfileService()
     slo = SLO()
     trace = poisson_trace(rate_rps=model.peak_rps, duration=DURATION, seed=0)
     policy = make_policy("paldia", model, profiles, slo.target_seconds, trace)
-    run = ServerlessRun(
+    return ServerlessRun(
         model, trace, policy, profiles, slo, config=config, tracer=tracer
     )
-    return run.execute()
+
+
+def run_once(tracer, config=None):
+    return make_run(tracer, config).execute()
 
 
 def best_of(fn, rounds=ROUNDS):
@@ -118,13 +121,16 @@ def test_disabled_tracer_adds_no_engine_overhead():
 
 
 def test_disabled_tracer_schedules_no_sampler_events():
-    result_disabled = run_once(Tracer(enabled=False))
-    result_untraced = run_once(None)
+    disabled, untraced = make_run(Tracer(enabled=False)), make_run(None)
+    result_disabled = disabled.execute()
+    result_untraced = untraced.execute()
     assert result_disabled.total_cost == result_untraced.total_cost
     assert (
         result_disabled.metrics.completed_requests()
         == result_untraced.metrics.completed_requests()
     )
+    # No sampler or monitor clock: the engine dispatches the same events.
+    assert disabled.sim.n_dispatched == untraced.sim.n_dispatched
 
 
 def test_disabled_slo_monitor_leaves_run_bit_identical():
@@ -144,9 +150,10 @@ def test_disabled_slo_monitor_leaves_run_bit_identical():
 
 
 def test_slo_monitor_overhead_within_budget():
-    # The monitor rides the existing telemetry tick with O(1) running
-    # totals per window (p99 only on alert transitions); same 10% budget
-    # as tracing itself.
+    # A monitor tick stores its time and the tracer's event count; the
+    # windows, alerts (p99 only on transitions) and the sampler's slo.*
+    # columns are one pass over the batch log at finalize.  Same 10%
+    # budget as tracing itself.
     without, with_monitor = best_of_paired(
         lambda: run_once(
             Tracer(),

@@ -13,9 +13,12 @@ out to whichever pillars the run enabled.
 Completed batches are not a fact here: the run appends each one to its
 :class:`~repro.simulator.metrics.BatchLog` once, with the device's
 co-run level and FBR at the batch's last start, and every pillar reads
-that log when it needs it — the SLO monitor per evaluation, the cost
-meter and request tracer at finalize, the batch spans and the latency
-histogram at export.  The devices hold no ``obs``.
+that log when it needs it — the SLO monitor (its alerts and the
+sampler's ``slo.*`` columns), the cost meter and request tracer at
+finalize, the batch spans and the latency histogram at export.  No
+pillar reads the log while the simulation runs, unless a live observer
+asks for the ``slo.*`` columns at each sample.  The devices hold no
+``obs``.
 
 :meth:`RunObservers.for_run` is the one place that wires a traced run:
 it decides which pillars the run has, which state the time-series
@@ -246,6 +249,12 @@ class RunObservers:
         tracer's run metadata.  Returns ``(cost breakdown or None,
         request trace or None, budget alerts emitted)``."""
         breakdown = data = None
+        # The pillars computed from the batch log at read time: the
+        # ``slo_alert`` events and the sampler's read-time columns.
+        if self.slo_monitor is not None:
+            self.slo_monitor.observe_batch()
+        if self.sampler is not None:
+            self.sampler.fill()
         if self.costmeter is not None:
             breakdown = self.costmeter.summarize(now)
         if self.reqtrace is not None:
@@ -396,12 +405,13 @@ def _start_sampler(run: "ServerlessRun", obs: RunObservers) -> StateSampler:
             resilience,
         )
 
-    # Live SLO burn rate and attainment (worst window) when the monitor
-    # exists.
+    # SLO burn rate and attainment (worst window) when the monitor
+    # exists: arithmetic over the batch log, so computed at read time
+    # for every sample at once.
     mon = obs.slo_monitor
     if mon is not None:
-        sampler.probes(("slo.burn_rate", "slo.attainment"),
-                       lambda: mon.worst(now()))
+        sampler.read_time_probes(("slo.burn_rate", "slo.attainment"),
+                                 mon.worst)
 
     # Cumulative dollars + $/hour burn rate (cost pillar).
     meter, budget_mon = obs.costmeter, obs.cost_monitor

@@ -19,13 +19,21 @@ Cost model
   store per column (probes read state that already exists — nothing is
   shadow-copied on the hot path).  One reader may fill several columns
   (:meth:`StateSampler.probes`), so state that several columns derive
-  from — the lane's live nodes, the SLO windows — is read once per tick.
+  from — the lane's live nodes, its serving node — is read once per tick.
   Columns are preallocated from the run horizon, so steady-state
   sampling allocates nothing.
+* **Read-time columns** (:meth:`StateSampler.read_time_probes`): state
+  that can be recomputed for any past instant — the SLO windows, which
+  are arithmetic over the batch log — is not read per tick at all.  Its
+  reader takes the array of sample times and fills the columns in one
+  pass when they are first read (the run's finalize does it); only with
+  an observer attached (the ``--live`` dashboard) is it evaluated at each
+  tick, at ``[now]``, so the observer sees the whole row.
 
 A probe that raises is disabled after its first failure (its column holds
 NaN from then on) and the error is recorded in ``meta["probe_errors"]``
-— a broken probe must never kill the run it observes.
+— a broken probe must never kill the run it observes.  A read-time reader
+that raises leaves NaN in every sample it was asked for.
 
 Export / import
 ---------------
@@ -114,8 +122,11 @@ class StateSampler:
         self.interval_seconds = float(interval_seconds)
         self.meta: dict[str, Any] = dict(meta) if meta else {}
         #: Readers in registration order, keyed by the columns each
-        #: fills: one float for a single column, else one per name.
-        self._probes: dict[tuple[str, ...], Callable[[], Any]] = {}
+        #: fills: one float for a single column, else one per name;
+        #: ``None`` for a read-time reader (:attr:`_at_read`).
+        self._probes: dict[tuple[str, ...], Optional[Callable[[], Any]]] = {}
+        #: Read-time readers, keyed by the columns each fills.
+        self._at_read: dict[tuple[str, ...], Callable[[np.ndarray], Any]] = {}
         self._disabled: set[tuple[str, ...]] = set()
         #: Column names, in registration order (the probes' names laid
         #: end to end); column ``j`` of ``_table`` holds ``_names[j]``.
@@ -123,6 +134,7 @@ class StateSampler:
         self._times: Optional[np.ndarray] = None
         self._table: Optional[np.ndarray] = None
         self._n = 0  # samples taken
+        self._filled = 0  # samples whose read-time columns are filled
         #: Called as ``observer(now, row)`` after every sample — the live
         #: dashboard's hook point.
         self.observers: list[Callable[[float, dict[str, float]], None]] = []
@@ -136,17 +148,36 @@ class StateSampler:
         returns one value per name, so state that several columns derive
         from is read once per sample.  A one-name reader returns a float.
         """
+        names = tuple(names)
+        self._register(names, fn)
+        self._probes[names] = fn
+
+    def read_time_probes(
+        self, names: tuple[str, ...],
+        fn: Callable[[np.ndarray], Sequence[np.ndarray]],
+    ) -> None:
+        """Register (or rebind) one reader evaluated when the columns are
+        read instead of at each tick: ``fn(times)`` returns one array per
+        name, each column's value at every instant of ``times``
+        (ascending sample times).  For state that can be recomputed for
+        any past instant; a tick then only stores its time.
+        """
+        names = tuple(names)
+        self._register(names, fn)
+        self._probes[names] = None
+        self._at_read[names] = fn
+
+    def _register(self, names: tuple[str, ...], fn: Callable) -> None:
         if not callable(fn):
             raise TypeError(f"probe {names[0]!r} must be callable")
         if self._table is not None:
             raise RuntimeError("probes are registered before start")
-        names = tuple(names)
         if names not in self._probes:
             taken = set(names).intersection(self._names)
             if taken:
                 raise ValueError(f"columns {sorted(taken)} already have a probe")
             self._names.extend(names)
-        self._probes[names] = fn
+        self._at_read.pop(names, None)
         self._disabled.discard(names)
 
     def probe_names(self) -> list[str]:
@@ -177,13 +208,17 @@ class StateSampler:
     # ------------------------------------------------------------------
     def sample(self, now: float) -> None:
         """Take one sample row at simulated time ``now`` (handed to the
-        :attr:`observers` as a ``{"t": now, name: value, ...}`` dict)."""
+        :attr:`observers` as a ``{"t": now, name: value, ...}`` dict).
+
+        Read-time columns are left to :meth:`fill`, unless observers are
+        attached: then the row is filled at once, so they see all of it.
+        """
         idx = self._n
         self._times[idx] = now
         values: list[float] = []
         disabled = self._disabled
         for names, fn in self._probes.items():
-            if disabled and names in disabled:
+            if fn is None or (disabled and names in disabled):
                 values += [math.nan] * len(names)
                 continue
             n0 = len(values)
@@ -196,19 +231,46 @@ class StateSampler:
                         raise ValueError(f"probe returned {len(values) - n0} "
                                          f"values for {len(names)} columns")
             except Exception as exc:  # noqa: BLE001 - probe isolation
-                disabled.add(names)
-                errors = self.meta.setdefault("probe_errors", {})
-                for name in names:
-                    errors[name] = repr(exc)
+                self._disable(names, exc)
                 del values[n0:]
                 values += [math.nan] * len(names)
         self._table[idx] = values
         self._n += 1
         if self.observers:
+            self.fill()
             row = {"t": float(now)}
-            row.update(zip(self._names, values))
+            row.update(zip(self._names, self._table[idx].tolist()))
             for observer in self.observers:
                 observer(now, row)
+
+    def fill(self) -> None:
+        """Evaluate the read-time readers over the samples taken since the
+        last fill, in one call each (every view fills first)."""
+        lo, hi = self._filled, self._n
+        if lo == hi:
+            return
+        self._filled = hi
+        times = self._times[lo:hi].copy()
+        for names, fn in self._at_read.items():
+            if names in self._disabled:
+                continue
+            j = self._names.index(names[0])
+            try:
+                columns = fn(times)
+                if len(columns) != len(names):
+                    raise ValueError(f"probe returned {len(columns)} "
+                                     f"columns for {len(names)}")
+                for k, column in enumerate(columns):
+                    self._table[lo:hi, j + k] = column
+            except Exception as exc:  # noqa: BLE001 - probe isolation
+                self._disable(names, exc)
+                self._table[lo:hi, j:j + len(names)] = math.nan
+
+    def _disable(self, names: tuple[str, ...], exc: Exception) -> None:
+        self._disabled.add(names)
+        errors = self.meta.setdefault("probe_errors", {})
+        for name in names:
+            errors[name] = repr(exc)
 
     # ------------------------------------------------------------------
     # Views
@@ -227,11 +289,13 @@ class StateSampler:
         """One probe's readings, aligned with :meth:`times`."""
         if self._table is None:
             return np.empty(0)
+        self.fill()
         return self._table[: self._n, self._names.index(name)].copy()
 
     def columns(self) -> dict[str, np.ndarray]:
         if self._table is None:
             return {}
+        self.fill()
         return {name: self._table[: self._n, j].copy()
                 for j, name in enumerate(self._names)}
 
@@ -239,6 +303,7 @@ class StateSampler:
         """Most recent reading of ``name`` (NaN before the first sample)."""
         if self._n == 0 or name not in self._names:
             return math.nan
+        self.fill()
         return float(self._table[self._n - 1, self._names.index(name)])
 
     def data(self) -> TimeSeriesData:

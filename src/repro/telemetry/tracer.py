@@ -35,12 +35,20 @@ read-only: the ``job_distribution.split`` events of one memoised
 Equation-(1) decision share one payload dict, and the
 ``hardware_selection.tick`` events over one memoised candidate table
 share one ``candidates`` list.  Every export copies them.
+
+Some events are decided after the fact: the SLO monitor's ``slo_alert``
+events are computed from the batch log when it is read, not at the tick
+that raised them.  Their source notes :meth:`Tracer.mark` at the tick and
+registers with :meth:`Tracer.defer`; every read of :attr:`Tracer.events`
+first splices in what the sources have decided, so the list holds every
+event in the order the run raised it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, NamedTuple, Optional
+from operator import itemgetter
+from typing import Any, Callable, NamedTuple, Optional
 
 from repro.framework.request import PHASES
 from repro.simulator.metrics import BatchLog, BatchReader
@@ -97,7 +105,9 @@ class Tracer:
         #: Reads the run's batch log for the request spans; the
         #: Prometheus export reads the whole log for the latency histogram.
         self.batches = BatchReader()
-        self.events: list[TraceEventRecord] = []
+        self._events: list[TraceEventRecord] = []
+        #: Sources of events decided after the fact (:meth:`defer`).
+        self._deferred: list[Callable[[], list]] = []
         self.meta: dict[str, Any] = {}
         #: The run's :class:`~repro.telemetry.timeseries.StateSampler`,
         #: attached by the framework when time-series sampling is on
@@ -108,6 +118,15 @@ class Tracer:
         #: construction — the CLI registers the live dashboard here
         #: before the run (and its sampler) exists.
         self.timeseries_observers: list[Any] = []
+
+    @property
+    def events(self) -> list[TraceEventRecord]:
+        """All recorded events, in the order the run raised them (splicing
+        in the deferred sources' events first)."""
+        placed = [p for source in self._deferred for p in source()]
+        if placed:
+            self._splice(placed)
+        return self._events
 
     @property
     def spans(self) -> list[SpanRecord]:
@@ -163,9 +182,38 @@ class Tracer:
                 raise TypeError("pass event attributes as a payload or as "
                                 "keywords, not both")
             attrs = payload
-        self.events.append(
+        self._events.append(
             TraceEventRecord(name, cat, track, float(time), attrs)
         )
+
+    def mark(self) -> int:
+        """Where an event raised now belongs in the event list, for a
+        source that decides it later (:meth:`defer`)."""
+        return len(self._events)
+
+    def defer(
+        self, source: Callable[[], list[tuple[int, TraceEventRecord]]]
+    ) -> None:
+        """Call ``source`` on every read of :attr:`events`: it returns the
+        events it has decided since its last call, each as
+        ``(mark, record)`` with the :meth:`mark` taken when the event was
+        raised, in the order raised."""
+        self._deferred.append(source)
+
+    def _splice(self, placed: list[tuple[int, TraceEventRecord]]) -> None:
+        """Insert each record where its mark stood.  Every mark dates from
+        after the previous splice, which took all the sources had; at one
+        mark, records keep the order of the sources and of each source."""
+        placed.sort(key=itemgetter(0))
+        events = self._events
+        merged: list[TraceEventRecord] = []
+        done = 0
+        for position, record in placed:
+            merged += events[done:position]
+            merged.append(record)
+            done = position
+        merged += events[done:]
+        events[:] = merged
 
     # ------------------------------------------------------------------
     # High-level helpers

@@ -103,7 +103,7 @@ class TestExposition:
 
 class TestMonitorSeries:
     def make_monitor(self):
-        m = SLOMonitor(0.2, window_seconds=30.0, min_window_requests=10)
+        m = SLOMonitor(0.2, window_seconds=30.0)
         m.collector = MetricsCollector()
         m.attach(m.collector.log)
         observe(m, 0.0, "resnet50", "g3s.xlarge",

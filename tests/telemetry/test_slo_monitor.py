@@ -16,8 +16,6 @@ def make_monitor(tracer=None, **kw):
     """A monitor reading the log of ``m.collector``."""
     kw.setdefault("window_seconds", 30.0)
     kw.setdefault("compliance_goal", 0.99)
-    kw.setdefault("burn_rate_threshold", 2.0)
-    kw.setdefault("min_window_requests", 20)
     m = SLOMonitor(SLO_S, tracer=tracer, **kw)
     m.collector = MetricsCollector()
     m.attach(m.collector.log)
@@ -154,18 +152,24 @@ class TestAlerts:
             assert key in e.attrs, key
 
     def test_sparse_windows_never_fire(self):
-        m = make_monitor(min_window_requests=20)
-        # One violating request in a near-idle window is noise.
+        m = make_monitor()
+        # One violating request in a window of fewer than
+        # MIN_WINDOW_REQUESTS (20) is noise.
         observe(m, 0.0, "resnet50", "g3s.xlarge", latencies(0, 1))
         m.sample(1.0)
         assert firing_windows(m, 1.0) == []
         assert m.alerts_emitted == 0
 
-    def test_sample_returns_post_transition_flags(self):
-        m = make_monitor()
+    def test_alerts_carry_post_transition_state(self):
+        # A tick stores only its time; the alerts it raised, decided when
+        # the log is read, carry the state the window flipped to.
+        tracer = Tracer()
+        m = make_monitor(tracer=tracer)
         observe(m, 0.0, "resnet50", "g3s.xlarge", latencies(50, 50))
-        stats = m.sample(1.0)
-        assert all(s.firing for s in stats)
+        assert m.sample(1.0) is None
+        alerts = tracer.events_named("slo_alert")
+        assert len(alerts) == 2
+        assert all(e.attrs["state"] == "firing" for e in alerts)
 
     def test_no_tracer_still_tracks_state(self):
         m = make_monitor(tracer=None)

@@ -92,6 +92,54 @@ class TestSampling:
         assert math.isnan(s.last("x"))
 
 
+class TestReadTimeColumns:
+    def sampler(self, calls):
+        s = StateSampler(1.0)
+        s.probes(("x",), lambda: 1.0)
+
+        def reader(times):
+            calls.append(times.tolist())
+            return times * 10, times + 1
+
+        s.read_time_probes(("ten", "next"), reader)
+        s.probes(("y",), lambda: 2.0)
+        return started(s)
+
+    def test_filled_in_one_call_when_read(self):
+        calls = []
+        s = self.sampler(calls)
+        for t in (1.0, 2.0, 3.0):
+            s.sample(t)
+        assert calls == []  # a tick stores only its time
+        assert s.probe_names() == ["x", "ten", "next", "y"]
+        np.testing.assert_array_equal(s.column("ten"), [10.0, 20.0, 30.0])
+        np.testing.assert_array_equal(s.column("next"), [2.0, 3.0, 4.0])
+        s.sample(4.0)
+        assert s.last("ten") == 40.0
+        assert calls == [[1.0, 2.0, 3.0], [4.0]]
+
+    def test_observer_sees_the_row_filled(self):
+        calls, rows = [], []
+        s = self.sampler(calls)
+        s.observers.append(lambda now, row: rows.append(dict(row)))
+        s.sample(2.0)
+        assert rows == [{"t": 2.0, "x": 1.0, "ten": 20.0, "next": 3.0,
+                         "y": 2.0}]
+        assert calls == [[2.0]]
+
+    def test_raising_reader_leaves_nan(self):
+        s = StateSampler(1.0)
+        s.read_time_probes(("bad",), lambda times: 1 / 0)
+        s.probes(("good",), lambda: 1.0)
+        started(s)
+        s.sample(0.0)
+        assert math.isnan(s.column("bad")[0])
+        s.sample(1.0)
+        assert np.isnan(s.column("bad")).all()
+        np.testing.assert_array_equal(s.column("good"), [1.0, 1.0])
+        assert "ZeroDivisionError" in s.meta["probe_errors"]["bad"]
+
+
 class TestSimulatorIntegration:
     def test_samples_on_interval_until_horizon(self):
         sim = Simulator()

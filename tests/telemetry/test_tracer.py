@@ -6,6 +6,7 @@ import pytest
 from repro.framework.request import Batch, ShareMode
 from repro.simulator.metrics import MetricsCollector
 from repro.telemetry import NULL_TRACER, Tracer, to_prometheus_text
+from repro.telemetry.tracer import TraceEventRecord
 
 
 def record(tracer, *batches):
@@ -67,6 +68,37 @@ class TestEnabledTracer:
         tr = Tracer()
         tr.span("instant", 1.0, 1.0)
         assert tr.spans[0].duration == 0.0
+
+    def test_deferred_events_land_at_their_marks(self):
+        # Two sources decide their events later; each read splices them in
+        # where the tracer stood when they were raised, sources in the
+        # order they registered.
+        tr = Tracer()
+        decided = {"a": [], "b": []}
+
+        def source(name):
+            def take():
+                out, decided[name] = decided[name], []
+                return out
+            return take
+
+        def raise_later(name, event):
+            decided[name].append((tr.mark(), TraceEventRecord(
+                event, "alert", "t", 1.0, {})))
+
+        tr.defer(source("a"))
+        tr.defer(source("b"))
+        tr.event("e0", 0.0)
+        raise_later("a", "a1")
+        raise_later("b", "b1")
+        tr.event("e1", 1.0)
+        raise_later("a", "a2")
+        assert [e.name for e in tr.events] == ["e0", "a1", "b1", "e1", "a2"]
+        raise_later("b", "b2")
+        tr.event("e2", 2.0)
+        assert [e.name for e in tr.events] == [
+            "e0", "a1", "b1", "e1", "a2", "b2", "e2"
+        ]
 
 
 class TestDisabledTracer:
